@@ -67,8 +67,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ann.add_argument("--score-mode", choices=["mean", "sum"], default="mean")
     p_ann.add_argument("--min-sign-duration", type=int, default=3)
     p_ann.add_argument("--llm", choices=["stub", "http"], default="stub")
-    p_ann.add_argument("--jobs", type=int, default=1)
-    p_ann.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_ann.add_argument("--jobs", type=int, default=1,
+                       help="batch mode: videos annotated at once, as threads in one process")
+    p_ann.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                       help="reserved; has no effect on annotate")
 
     p_tl = sub.add_parser("render-timeline", help="render one candidate as SVG")
     p_tl.add_argument("--doc", required=True, help="annotation document JSON")

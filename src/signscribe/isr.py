@@ -34,6 +34,7 @@ from .training import CorpusError, stratified_split
 ANY_CLASS = "ANY"
 NULL_CLASS = "NULL"
 _TRACK_EPS = 1e-12
+_TIE_TOL = 1e-9  # log-score difference below which two DP choices tie
 
 
 @dataclass(frozen=True)
@@ -173,6 +174,20 @@ def _segment_dp(
     log(null_track). Segments are contiguous, ordered, non-overlapping, and
     at least ``min_dur`` frames long; gaps may appear anywhere. Returns the
     optimum and each segment's [start, end) local frame interval.
+
+    With ``dp[i, t]`` the best score of segments 1..i inside frames [0, t),
+    ``pref`` the row's prefix sums and ``N`` the NULL prefix sums, segment i
+    ending at t scores ``max_{s <= t - min_dur} (dp[i-1, s] - pref[s]) +
+    pref[t]``, and ``dp[i, t] - N[t]`` is the running max of that score less
+    ``N[t]``; each row is therefore two ``np.maximum.accumulate`` passes.
+
+    Tie rule: choices within 1e-9 of each other tie. Backtracking from
+    ``(m, n)``, a segment ending at t beats a NULL frame at t - 1 when its
+    score is within 1e-9 of the best with that frame NULL, and a segment
+    starts at the earliest s within 1e-9 of the best start. Under exact
+    ties this picks, among the optimal placements, the latest end of the
+    last segment, then its earliest start, then the latest end of the one
+    before, and so on.
     """
     m, n = tracks.shape[0], null_track.shape[0]
     log_tracks = np.log(np.maximum(tracks, _TRACK_EPS))
@@ -180,34 +195,26 @@ def _segment_dp(
     null_prefix = np.concatenate(([0.0], np.cumsum(log_null)))
     if m == 0:
         return float(null_prefix[n]), []
+    if m * min_dur > n:
+        raise ValueError("no feasible segmentation")
 
     prefixes = np.concatenate(
         (np.zeros((m, 1)), np.cumsum(log_tracks, axis=1)), axis=1
     )
-    NEG = -np.inf
-    dp = np.full((m + 1, n + 1), NEG)
-    dp[0] = null_prefix
+    last_start = n - min_dur  # latest frame a segment can start at
+    dp = null_prefix  # row i - 1 of the table
     seg_start = np.full((m + 1, n + 1), -1, dtype=np.int64)
+    rel = np.full(n + 1, -np.inf)  # segment-ending score less N[t]
     for i in range(1, m + 1):
         pref = prefixes[i - 1]
-        run_best = NEG
-        run_arg = -1
-        for t in range(1, n + 1):
-            s = t - min_dur
-            if s >= 0 and np.isfinite(dp[i - 1, s]):
-                cand = dp[i - 1, s] - pref[s]
-                if cand > run_best:
-                    run_best = cand
-                    run_arg = s
-            gap = dp[i, t - 1] + log_null[t - 1] if np.isfinite(dp[i, t - 1]) else NEG
-            seg = run_best + pref[t] if np.isfinite(run_best) else NEG
-            if seg >= gap:
-                dp[i, t] = seg
-                seg_start[i, t] = run_arg
-            else:
-                dp[i, t] = gap
-    if not np.isfinite(dp[m, n]):
-        raise ValueError("no feasible segmentation")
+        run = np.maximum.accumulate(dp[: last_start + 1] - pref[: last_start + 1])
+        first = np.searchsorted(run, run - _TIE_TOL)
+        rel[min_dur:] = run + pref[min_dur:] - null_prefix[min_dur:]
+        best = np.maximum.accumulate(rel)
+        dp = best + null_prefix
+        ends = rel[min_dur:]
+        take = np.isfinite(ends) & (ends >= best[min_dur - 1 : -1] - _TIE_TOL)
+        seg_start[i, min_dur:] = np.where(take, first, -1)
 
     segments: list[tuple[int, int]] = []
     i, t = m, n
@@ -218,7 +225,7 @@ def _segment_dp(
         segments.append((s, t))
         i, t = i - 1, s
     segments.reverse()
-    return float(dp[m, n]), segments
+    return float(dp[n]), segments
 
 
 class IntervalInfeasibleError(ValueError):

@@ -2,10 +2,10 @@
 
 Given an English sentence and a pose sequence: (1) obtain k candidate
 glossings from the LLM gateway, (2) force-align each candidate's
-fingerspelled-kind words and keep confident detections as time anchors,
-(3) align the remaining glosses inside the inter-anchor intervals with the
-sign recognizer, then score and rank the candidates and emit a JSON
-annotation document.
+fingerspelled-kind words (each distinct word list once per video) and keep
+confident detections as time anchors, (3) align the remaining glosses
+inside the inter-anchor intervals with the sign recognizer, then score and
+rank the candidates and emit a JSON annotation document.
 
 A token with no vocabulary class (an out-of-vocabulary gloss, a classifier,
 or a fingerspelled token demoted for want of a confident anchor) scores the
@@ -16,18 +16,19 @@ class probability): "some sign, but not a known one".
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import logging
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Sequence
+from typing import Callable, Sequence
 
 import jsonschema
 import numpy as np
 
 from . import fingerspelling as fs_mod
 from . import isr as isr_mod
-from .ctc import FrameScores, InfeasibleTargetError
+from .ctc import Alphabet, FrameScores, InfeasibleTargetError
 from .fingerspelling import FingerspellingModel, WordDetection
 from .gloss import GlossSequence, GlossToken, TokenKind, parse_gloss_sequence, render
 from .isr import AlignEntry, GlossDetection, IsrModel
@@ -143,9 +144,29 @@ def _unknown_sign_score(
     return float(np.mean(probs[:, vocab.any_index] * (1.0 - known)))
 
 
+WordAligner = Callable[[tuple[str, ...]], tuple[WordDetection, ...]]
+
+
+def _word_aligner(fs_scores: FrameScores, alphabet: Alphabet) -> WordAligner:
+    """Step 2 for one video: force-align each distinct word tuple once.
+
+    Candidates mostly share their fingerspelled words, so the aligner
+    caches by normalised word tuple. It lives as long as one video's
+    scores; an infeasible tuple is not cached and raises again.
+    """
+
+    @functools.cache
+    def align(words: tuple[str, ...]) -> tuple[WordDetection, ...]:
+        return tuple(
+            fs_mod.align_words_scores(fs_scores, list(words), alphabet, on_unknown="strip")
+        )
+
+    return align
+
+
 def _score_sequence(
     seq: GlossSequence,
-    fs_scores: FrameScores,
+    align_words: WordAligner,
     isr_scores: FrameScores,
     models: Models,
     config: PipelineConfig,
@@ -169,9 +190,7 @@ def _score_sequence(
     alignable = [i for i in fs_positions if i in fs_words]
     if alignable:
         try:
-            dets = fs_mod.align_words_scores(
-                fs_scores, [fs_words[i] for i in alignable], alphabet, on_unknown="strip"
-            )
+            dets = align_words(tuple(fs_words[i] for i in alignable))
             detections = dict(zip(alignable, dets))
         except InfeasibleTargetError as exc:
             errors.append(f"fingerspelling alignment infeasible: {exc}")
@@ -270,13 +289,14 @@ def annotate(
         return doc
 
     fs_scores = fs_mod.frame_scores(models.fingerspelling, poses)
+    align_words = _word_aligner(fs_scores, models.fingerspelling.alphabet)
     isr_scores = isr_mod.isr_scores(models.isr, poses)
     for idx, line in enumerate(cand_set.candidates):
         seq = parse_gloss_sequence(line)
         if not seq.tokens:
             doc.errors.append(f"candidate {idx} is empty")
             continue
-        per_sign, errors = _score_sequence(seq, fs_scores, isr_scores, models, config)
+        per_sign, errors = _score_sequence(seq, align_words, isr_scores, models, config)
         doc.candidates.append(
             CandidateAnnotation(
                 gloss_sequence=seq,
@@ -313,7 +333,8 @@ def score_manual_annotation(
         fs_scores = fs_mod.frame_scores(models.fingerspelling, poses)
     if isr_scores is None:
         isr_scores = isr_mod.isr_scores(models.isr, poses)
-    per_sign, errors = _score_sequence(annotation, fs_scores, isr_scores, models, config)
+    align_words = _word_aligner(fs_scores, models.fingerspelling.alphabet)
+    per_sign, errors = _score_sequence(annotation, align_words, isr_scores, models, config)
     return CandidateAnnotation(
         gloss_sequence=annotation,
         per_sign=per_sign,

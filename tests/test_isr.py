@@ -146,35 +146,104 @@ class TestTrainToyIsr:
             train_toy_isr(corpus, SignVocabulary(glosses=("ZEBRA",)), epochs=1)
 
 
-def exhaustive_segment_search(tracks, null_track, min_dur):
-    """Oracle: enumerate every ordered, disjoint segment placement."""
+def _placements(m, n, min_dur, lo=0):
+    """Every ordered, disjoint placement of m segments of >= min_dur frames."""
+    if m == 0:
+        yield []
+        return
+    for s in range(lo, n):
+        for e in range(s + min_dur, n + 1):
+            for rest in _placements(m - 1, n, min_dur, e):
+                yield [(s, e)] + rest
+
+
+def _scored_placements(tracks, null_track, min_dur):
     m, n = tracks.shape[0], len(null_track)
     log_tracks = np.log(np.maximum(tracks, 1e-12))
     log_null = np.log(np.maximum(null_track, 1e-12))
-    best = -np.inf
-    best_segments = None
-    starts = range(n + 1)
-
-    def placements(i, lo):
-        if i == m:
-            yield []
-            return
-        for s in range(lo, n):
-            for e in range(s + min_dur, n + 1):
-                for rest in placements(i + 1, e):
-                    yield [(s, e)] + rest
-
-    for segs in placements(0, 0):
+    for segs in _placements(m, n, min_dur):
         total = 0.0
         covered = np.zeros(n, dtype=bool)
         for i, (s, e) in enumerate(segs):
             total += log_tracks[i, s:e].sum()
             covered[s:e] = True
         total += log_null[~covered].sum()
+        yield total, segs
+
+
+def exhaustive_segment_search(tracks, null_track, min_dur):
+    """Oracle: enumerate every ordered, disjoint segment placement."""
+    best = -np.inf
+    best_segments = None
+    for total, segs in _scored_placements(tracks, null_track, min_dur):
         if total > best:
             best = total
             best_segments = segs
     return best, best_segments
+
+
+def tie_rule_placement(tracks, null_track, min_dur):
+    """Oracle for ``_segment_dp``'s tie rule.
+
+    Keeps every placement within 1e-9 of the optimum and picks the latest
+    end of the last segment, then its earliest start, then the latest end
+    of the segment before, and so on.
+    """
+    scored = list(_scored_placements(tracks, null_track, min_dur))
+    best = max(total for total, _ in scored)
+    near = [segs for total, segs in scored if total >= best - 1e-9]
+    return best, min(near, key=lambda segs: [v for s, e in reversed(segs) for v in (-e, s)])
+
+
+def _segment_dp_loop(tracks, null_track, min_dur):
+    """Reference: the O(m*n) Python loop ``_segment_dp`` replaced.
+
+    Starts a segment at the earliest s of exactly the best score and
+    prefers a segment over a NULL frame on an exact tie.
+    """
+    m, n = tracks.shape[0], null_track.shape[0]
+    log_tracks = np.log(np.maximum(tracks, 1e-12))
+    log_null = np.log(np.maximum(null_track, 1e-12))
+    null_prefix = np.concatenate(([0.0], np.cumsum(log_null)))
+    if m == 0:
+        return float(null_prefix[n]), []
+
+    prefixes = np.concatenate((np.zeros((m, 1)), np.cumsum(log_tracks, axis=1)), axis=1)
+    NEG = -np.inf
+    dp = np.full((m + 1, n + 1), NEG)
+    dp[0] = null_prefix
+    seg_start = np.full((m + 1, n + 1), -1, dtype=np.int64)
+    for i in range(1, m + 1):
+        pref = prefixes[i - 1]
+        run_best = NEG
+        run_arg = -1
+        for t in range(1, n + 1):
+            s = t - min_dur
+            if s >= 0 and np.isfinite(dp[i - 1, s]):
+                cand = dp[i - 1, s] - pref[s]
+                if cand > run_best:
+                    run_best = cand
+                    run_arg = s
+            gap = dp[i, t - 1] + log_null[t - 1] if np.isfinite(dp[i, t - 1]) else NEG
+            seg = run_best + pref[t] if np.isfinite(run_best) else NEG
+            if seg >= gap:
+                dp[i, t] = seg
+                seg_start[i, t] = run_arg
+            else:
+                dp[i, t] = gap
+    if not np.isfinite(dp[m, n]):
+        raise ValueError("no feasible segmentation")
+
+    segments = []
+    i, t = m, n
+    while i > 0:
+        while seg_start[i, t] < 0:
+            t -= 1
+        s = int(seg_start[i, t])
+        segments.append((s, t))
+        i, t = i - 1, s
+    segments.reverse()
+    return float(dp[m, n]), segments
 
 
 class TestSegmentDp:
@@ -199,6 +268,45 @@ class TestSegmentDp:
         _, segments = _segment_dp(tracks, null_track, min_dur=3)
         for s, e in segments:
             assert e - s >= 3
+
+    def test_matches_loop_on_continuous_scores(self):
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            n = int(rng.integers(2, 201))
+            min_dur = int(rng.integers(1, 4))
+            m = int(rng.integers(0, min(8, n // min_dur) + 1))
+            tracks = rng.uniform(0.01, 0.99, size=(m, n))
+            null_track = rng.uniform(0.01, 0.99, size=n)
+            got, got_segments = _segment_dp(tracks, null_track, min_dur)
+            expected, expected_segments = _segment_dp_loop(tracks, null_track, min_dur)
+            assert got_segments == expected_segments
+            assert got == pytest.approx(expected, abs=1e-9)
+
+    def test_tie_rule_on_exact_ties(self):
+        """Repeated tracks and scores rounded to 0.1 tie exactly and often."""
+        rng = np.random.default_rng(11)
+        for trial in range(200):
+            n = int(rng.integers(2, 9))
+            min_dur = int(rng.integers(1, 3))
+            m = int(rng.integers(1, min(3, n // min_dur) + 1))
+            if trial % 2:
+                tracks = np.repeat(rng.integers(1, 10, size=(1, n)) / 10, m, axis=0)
+            else:
+                tracks = rng.integers(1, 10, size=(m, n)) / 10
+            null_track = rng.integers(1, 10, size=n) / 10
+            got, segments = _segment_dp(tracks, null_track, min_dur)
+            best, expected_segments = tie_rule_placement(tracks, null_track, min_dur)
+            score_of = {
+                tuple(segs): total
+                for total, segs in _scored_placements(tracks, null_track, min_dur)
+            }
+            assert got == pytest.approx(best, abs=1e-9)
+            assert score_of[tuple(segments)] >= best - 1e-9
+            assert segments == expected_segments
+
+    def test_infeasible_raises(self):
+        with pytest.raises(ValueError, match="no feasible segmentation"):
+            _segment_dp(np.full((3, 5), 0.5), np.full(5, 0.5), min_dur=2)
 
 
 def _hot_scores(vocab, hot, T=20, span=(5, 14)):

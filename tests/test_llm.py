@@ -102,6 +102,26 @@ class TestStubTranslate:
         assert result.candidates == ("HELLO", "HEY")
 
 
+class TestShortCandidateList:
+    def test_stub_dedup_is_silent(self, caplog):
+        with caplog.at_level("WARNING", logger="signscribe.llm"):
+            result = translate_candidates(StubClient(), "Dog drinks water", k=10)
+        assert len(result.candidates) < 10
+        assert not [r for r in caplog.records if "expected" in r.getMessage()]
+
+    def test_real_client_short_list_warns(self, caplog):
+        class ShortClient:
+            model_id = "short"
+
+            def complete(self, prompt, temperature=1.0, max_tokens=1024):
+                return json.dumps({"1": "DOG DRINK WATER", "2": "WATER DOG DRINK"})
+
+        with caplog.at_level("WARNING", logger="signscribe.llm"):
+            result = translate_candidates(ShortClient(), "Dog drinks water", k=10)
+        assert len(result.candidates) == 2
+        assert "expected 10 candidates, got 2" in caplog.text
+
+
 class TestStubCorrect:
     def test_typo_fixture(self):
         assert (

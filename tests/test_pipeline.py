@@ -6,6 +6,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from signscribe import fingerspelling as fs_mod
 from signscribe import nn
 from signscribe import synthetic as syn
 from signscribe.ctc import FrameScores, toy_alphabet
@@ -237,6 +238,33 @@ class TestAnnotate:
         for candidate in doc.candidates:
             for sign in candidate.per_sign:
                 assert 0 <= sign.interval[0] <= sign.interval[1] < T
+
+    def test_shared_word_list_aligned_once(self, worked_video, models, monkeypatch):
+        """Candidates that spell the same words share one forced alignment."""
+        poses, _ = worked_video
+        lines = [
+            WORKED_LINE,
+            "fs-BOB GO TO fs-FRICK PARK WITH DOG",
+            "fs-BOB TRAVEL TO fs-FRICK PARK WITH CAT",
+            "DOG WITH PARK fs-bob TRAVEL TO fs-FRICK",
+        ]
+        client = StubClient(
+            translations={WORKED_ENGLISH: {str(i + 1): line for i, line in enumerate(lines)}}
+        )
+        calls = []
+        real = fs_mod.forced_align
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fs_mod, "forced_align", spy)
+        doc = annotate(WORKED_ENGLISH, poses, models, PipelineConfig(k=len(lines)), client)
+        assert len(calls) == 1
+        assert len(doc.candidates) == len(lines)
+        for candidate in doc.candidates:
+            alone = score_manual_annotation(candidate.gloss_sequence, poses, models)
+            assert candidate.per_sign == alone.per_sign
 
 
 class TestDocumentSerialization:
