@@ -212,23 +212,25 @@ def _cmd_annotate(args, parser) -> int:
         if line.strip()
     ]
 
-    def run_one(rec: dict) -> str:
-        video_id = rec["video_id"]
-        poses = read_pose_jsonl(Path(args.poses_dir) / f"{video_id}.jsonl")
-        doc = pipe_mod.annotate(rec["english"], poses, models, config, client)
-        payload = pipe_mod.document_bytes(doc)
-        pipe_mod.validate_document(json.loads(payload))
-        (out_dir / f"{video_id}.json").write_bytes(payload)
-        return video_id
+    def run_one(rec: dict) -> dict | None:
+        """Annotate one record; return its failure instead of raising it."""
+        try:
+            video_id = rec["video_id"]
+            poses = read_pose_jsonl(Path(args.poses_dir) / f"{video_id}.jsonl")
+            doc = pipe_mod.annotate(rec["english"], poses, models, config, client)
+            payload = pipe_mod.document_bytes(doc)
+            pipe_mod.validate_document(json.loads(payload))
+            (out_dir / f"{video_id}.json").write_bytes(payload)
+        except Exception as exc:  # one bad record must not lose the batch
+            return {"video_id": rec.get("video_id"), "error": f"{type(exc).__name__}: {exc}"}
+        return None
 
-    if args.jobs <= 1:
-        for rec in records:
-            run_one(rec)
-    else:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            list(pool.map(run_one, records))
-    print(f"wrote {len(records)} documents to {out_dir}")
-    return 0
+    with ThreadPoolExecutor(max_workers=max(args.jobs, 1)) as pool:
+        failed = [f for f in pool.map(run_one, records) if f is not None]
+    written = len(records) - len(failed)
+    print(json.dumps({"written": written, "failed": failed}), file=sys.stderr)
+    print(f"wrote {written} documents to {out_dir}")
+    return 1 if failed else 0
 
 
 # --- render-timeline -----------------------------------------------------------

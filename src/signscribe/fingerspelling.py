@@ -50,11 +50,14 @@ class WordDetection:
         return (self.start_frame, self.end_frame)
 
 
+def _features(poses: PoseSequence) -> np.ndarray:
+    prepared, _ = prepare_sequence(poses, FINGERSPELLING_FEATURES)
+    return build_features(prepared, FINGERSPELLING_FEATURES).rows
+
+
 def frame_scores(model: FingerspellingModel, poses: PoseSequence) -> FrameScores:
     """Softmax character probabilities per frame for a pose sequence."""
-    prepared, _ = prepare_sequence(poses, FINGERSPELLING_FEATURES)
-    feats = build_features(prepared, FINGERSPELLING_FEATURES)
-    logits = model.tcn.forward(feats.rows)
+    logits = model.tcn.forward(_features(poses))
     return FrameScores(probs=nn.softmax(logits.data), kind="softmax", fps=poses.fps)
 
 
@@ -116,11 +119,6 @@ def align_words(
 # --- training ---------------------------------------------------------------
 
 
-def _sample_features(sample) -> np.ndarray:
-    prepared, _ = prepare_sequence(sample.poses, FINGERSPELLING_FEATURES)
-    return build_features(prepared, FINGERSPELLING_FEATURES).rows
-
-
 def _sample_target(sample, alphabet: Alphabet) -> list[int]:
     return to_ctc_tokens(list(sample.words), alphabet)
 
@@ -130,7 +128,7 @@ def per_character_loss(
 ) -> float:
     """CTC loss normalized by the number of spelled characters."""
     if feats is None:
-        feats = _sample_features(sample)
+        feats = _features(sample.poses)
     target = _sample_target(sample, model.alphabet)
     scores = FrameScores(
         probs=nn.softmax(model.tcn.forward(feats).data), kind="softmax", fps=sample.poses.fps
@@ -188,7 +186,7 @@ def train_toy(
     model = FingerspellingModel(tcn=tcn, alphabet=alphabet)
     opt = nn.AdamW(tcn.parameters(), lr=lr, weight_decay=weight_decay)
 
-    feats = {s.sample_id: _sample_features(s) for s in corpus}
+    feats = {s.sample_id: _features(s.poses) for s in corpus}
     targets = {s.sample_id: _sample_target(s, alphabet) for s in corpus}
 
     def eval_split(samples) -> float:

@@ -102,10 +102,17 @@ class IsrModel:
         return {"two_hand": self.two_hand.fingerprint, "one_hand": self.one_hand.fingerprint}
 
 
-def _branch_logits(model: IsrModel, prepared: PoseSequence) -> tuple[nn.Tensor, nn.Tensor]:
-    two = build_features(prepared, ISR_TWO_HAND_FEATURES)
-    one = build_features(prepared, ISR_ONE_HAND_FEATURES)
-    return model.two_hand.forward(two.rows), model.one_hand.forward(one.rows)
+def _features(poses: PoseSequence) -> tuple[np.ndarray, np.ndarray]:
+    """Two-hand and one-hand branch features of a video."""
+    prepared, _ = prepare_sequence(poses, ISR_TWO_HAND_FEATURES)
+    two = build_features(prepared, ISR_TWO_HAND_FEATURES).rows
+    one = build_features(prepared, ISR_ONE_HAND_FEATURES).rows
+    return two, one
+
+
+def _branch_logits(model: IsrModel, poses: PoseSequence) -> tuple[nn.Tensor, nn.Tensor]:
+    two, one = _features(poses)
+    return model.two_hand.forward(two), model.one_hand.forward(one)
 
 
 def isr_scores(model: IsrModel, poses: PoseSequence) -> FrameScores:
@@ -115,8 +122,7 @@ def isr_scores(model: IsrModel, poses: PoseSequence) -> FrameScores:
     sigmoid; left-dominant input is mirrored first, so a video and its
     mirrored twin produce identical scores.
     """
-    prepared, _ = prepare_sequence(poses, ISR_TWO_HAND_FEATURES)
-    logits_two, logits_one = _branch_logits(model, prepared)
+    logits_two, logits_one = _branch_logits(model, poses)
     merged = np.maximum(logits_two.data, logits_one.data)
     return FrameScores(probs=nn.sigmoid(merged), kind="sigmoid", fps=poses.fps)
 
@@ -337,13 +343,6 @@ def align_glosses(
 # --- training ----------------------------------------------------------------
 
 
-def _clip_features(sample) -> tuple[np.ndarray, np.ndarray]:
-    prepared, _ = prepare_sequence(sample.poses, ISR_TWO_HAND_FEATURES)
-    two = build_features(prepared, ISR_TWO_HAND_FEATURES).rows
-    one = build_features(prepared, ISR_ONE_HAND_FEATURES).rows
-    return two, one
-
-
 def build_frame_targets(
     vocab: SignVocabulary, num_frames: int, class_index: int, span: tuple[int, int]
 ) -> np.ndarray:
@@ -412,7 +411,7 @@ def train_toy_isr(
     params = two.parameters() + one.parameters()
     opt = nn.AdamW(params, lr=lr, weight_decay=weight_decay)
 
-    feats = {s.sample_id: _clip_features(s) for s in corpus}
+    feats = {s.sample_id: _features(s.poses) for s in corpus}
     class_of = {s.sample_id: vocabulary.class_index(s.gloss) for s in corpus}
 
     def batch_loss(samples, train_mode: bool) -> nn.Tensor | float:

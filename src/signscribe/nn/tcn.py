@@ -100,6 +100,23 @@ def config_fingerprint(config: TcnConfig) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def param_shapes(config: TcnConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter's shape, by name, in initialisation order."""
+    shapes: dict[str, tuple[int, ...]] = {}
+    in_width = config.input_dim
+    for b, dils in enumerate(config.block_dilations):
+        bw = config.channels // len(dils)
+        for br in range(len(dils)):
+            shapes[f"block{b}.branch{br}.w"] = (config.kernel_size, in_width, bw)
+            shapes[f"block{b}.branch{br}.b"] = (bw,)
+        if in_width != config.channels:
+            shapes[f"block{b}.proj"] = (in_width, config.channels)
+        in_width = config.channels
+    shapes["head.w"] = (in_width, config.output_classes)
+    shapes["head.b"] = (config.output_classes,)
+    return shapes
+
+
 class FingerprintMismatchError(RuntimeError):
     pass
 
@@ -114,30 +131,14 @@ class Tcn:
 
     @classmethod
     def init(cls, config: TcnConfig, rng: np.random.Generator) -> "Tcn":
+        """Weights drawn from N(0, 1/fan_in) in :func:`param_shapes` order; biases zero."""
         params: dict[str, Tensor] = {}
-        k = config.kernel_size
-        in_width = config.input_dim
-        for b, dils in enumerate(config.block_dilations):
-            bw = config.channels // len(dils)
-            for br in range(len(dils)):
-                std = 1.0 / math.sqrt(k * in_width)
-                params[f"block{b}.branch{br}.w"] = ag.parameter(
-                    rng.normal(0.0, std, size=(k, in_width, bw)), f"block{b}.branch{br}.w"
-                )
-                params[f"block{b}.branch{br}.b"] = ag.parameter(
-                    np.zeros(bw), f"block{b}.branch{br}.b"
-                )
-            if in_width != config.channels:
-                std = 1.0 / math.sqrt(in_width)
-                params[f"block{b}.proj"] = ag.parameter(
-                    rng.normal(0.0, std, size=(in_width, config.channels)), f"block{b}.proj"
-                )
-            in_width = config.channels
-        std = 1.0 / math.sqrt(in_width)
-        params["head.w"] = ag.parameter(
-            rng.normal(0.0, std, size=(in_width, config.output_classes)), "head.w"
-        )
-        params["head.b"] = ag.parameter(np.zeros(config.output_classes), "head.b")
+        for name, shape in param_shapes(config).items():
+            if len(shape) == 1:
+                data = np.zeros(shape)
+            else:
+                data = rng.normal(0.0, 1.0 / math.sqrt(math.prod(shape[:-1])), size=shape)
+            params[name] = ag.parameter(data, name)
         return cls(config, params)
 
     def parameters(self) -> list[Tensor]:
@@ -171,18 +172,16 @@ class Tcn:
 
     @classmethod
     def from_arrays(cls, config: TcnConfig, arrays: dict[str, np.ndarray]) -> "Tcn":
-        template = cls.init(config, np.random.default_rng(0))
+        shapes = param_shapes(config)
         params: dict[str, Tensor] = {}
-        for name, t in template.params.items():
+        for name, shape in shapes.items():
             if name not in arrays:
                 raise ValueError(f"missing parameter {name!r}")
             arr = np.asarray(arrays[name], dtype=np.float64)
-            if arr.shape != t.data.shape:
-                raise ValueError(
-                    f"parameter {name!r} has shape {arr.shape}, expected {t.data.shape}"
-                )
+            if arr.shape != shape:
+                raise ValueError(f"parameter {name!r} has shape {arr.shape}, expected {shape}")
             params[name] = ag.parameter(arr, name)
-        extra = set(arrays) - set(params)
+        extra = set(arrays) - set(shapes)
         if extra:
             raise ValueError(f"unexpected parameters: {sorted(extra)}")
         return cls(config, params)

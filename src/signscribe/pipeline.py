@@ -451,11 +451,20 @@ def document_bytes(doc: AnnotationDocument) -> bytes:
     ).encode("utf-8")
 
 
-def load_schema() -> dict:
+@functools.cache
+def _document_validator() -> jsonschema.protocols.Validator:
     text = resources.files("signscribe").joinpath("schema", "annotation_v1.json").read_text("utf-8")
-    return json.loads(text)
+    schema = json.loads(text)
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 def validate_document(data: dict) -> None:
-    """Raise jsonschema.ValidationError when the document is malformed."""
-    jsonschema.validate(instance=data, schema=load_schema())
+    """Raise the jsonschema.ValidationError ``jsonschema.validate`` would raise.
+
+    The validator is built once per process; it holds no per-call state.
+    """
+    error = jsonschema.exceptions.best_match(_document_validator().iter_errors(data))
+    if error is not None:
+        raise error

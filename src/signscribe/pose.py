@@ -1,9 +1,10 @@
 """Precomputed 2-D keypoint ingestion and model input features.
 
-Coordinates are image-normalized (x, y in [0, 1]). A frame carries up to
-three channel groups: 21-joint left hand, 21-joint right hand, and a set
-of named upper-body joints. Missing channels are ``None`` and are filled
-from the temporally nearest valid frame before feature extraction.
+Coordinates are image-normalized (x, y in [0, 1]). A :class:`PoseSequence`
+holds a video column by column: (T,) timestamps, each hand as (T, 21, 2),
+the named upper-body joints as (T, J, 2), and presence masks per frame
+(and per joint). Missing channels are filled from the temporally nearest
+valid frame before feature extraction; all of this works on whole arrays.
 
 Handedness is resolved per video from the fraction of valid frames per
 hand; left-dominant videos are mirrored so the dominant hand always sits
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -47,6 +49,10 @@ BELOW_HIP_JOINTS = frozenset(
     }
 )
 
+# Hand channel -> the PoseSequence field holding its per-frame presence.
+_PRESENT = {"hand_left": "left_present", "hand_right": "right_present"}
+_ARRAY_FIELDS = (*_PRESENT, *_PRESENT.values(), "body", "body_present")
+
 
 class PoseError(ValueError):
     pass
@@ -66,54 +72,136 @@ class NoShouldersError(PoseError):
     pass
 
 
-def _as_hand(arr) -> np.ndarray | None:
-    if arr is None:
-        return None
-    a = np.asarray(arr, dtype=np.float64)
-    if a.shape != (HAND_JOINTS, 2):
-        raise PoseError(f"hand must be ({HAND_JOINTS}, 2), got {a.shape}")
-    return a
-
-
 @dataclass(frozen=True)
 class PoseFrame:
+    """One frame's channels; an absent hand or body is ``None``."""
+
     timestamp: float
     hand_left: np.ndarray | None = None
     hand_right: np.ndarray | None = None
     body: dict[str, np.ndarray] | None = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "hand_left", _as_hand(self.hand_left))
-        object.__setattr__(self, "hand_right", _as_hand(self.hand_right))
-        if self.body is not None:
-            clean = {}
-            for name, xy in self.body.items():
-                a = np.asarray(xy, dtype=np.float64).reshape(2)
-                if not np.all(np.isfinite(a)):
-                    raise PoseError(f"non-finite body joint {name!r}")
-                clean[name] = a
-            object.__setattr__(self, "body", clean)
-        for hand in (self.hand_left, self.hand_right):
-            if hand is not None and not np.all(np.isfinite(hand)):
-                raise PoseError("non-finite hand coordinates")
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PoseSequence:
-    frames: tuple[PoseFrame, ...]
+    """A video's keypoints, one array row per frame.
+
+    Rows whose presence flag is off hold filler and are never read. Build
+    a sequence from per-frame records with :meth:`from_frames`.
+    """
+
+    timestamps: np.ndarray  # (T,) seconds, strictly increasing
+    hand_left: np.ndarray  # (T, 21, 2)
+    hand_right: np.ndarray  # (T, 21, 2)
+    left_present: np.ndarray  # (T,) bool
+    right_present: np.ndarray  # (T,) bool
+    body: np.ndarray  # (T, J, 2); column j holds joint joints[j]
+    body_present: np.ndarray  # (T, J) bool
+    joints: tuple[str, ...]
     fps: float
     video_id: str = ""
 
     def __post_init__(self):
-        if self.fps <= 0:
+        if not self.fps > 0:
             raise PoseError("fps must be positive")
-        ts = [f.timestamp for f in self.frames]
-        if any(b <= a for a, b in zip(ts, ts[1:])):
+        if not np.all(np.diff(self.timestamps) > 0):
             raise PoseError("timestamps must be strictly increasing")
-        object.__setattr__(self, "frames", tuple(self.frames))
+        if not (np.isfinite(self.hand_left).all() and np.isfinite(self.hand_right).all()):
+            raise PoseError("non-finite hand coordinates")
+        bad = ~np.isfinite(self.body).all(axis=(0, 2))
+        if bad.any():
+            raise PoseError(f"non-finite body joint {self.joints[int(np.argmax(bad))]!r}")
+
+    @classmethod
+    def from_frames(
+        cls, frames: Iterable[PoseFrame], fps: float, video_id: str = ""
+    ) -> PoseSequence:
+        """Build a sequence from per-frame records, as :attr:`frames` returns them."""
+        frames = tuple(frames)
+        records = ((f.timestamp, f.hand_left, f.hand_right, f.body) for f in frames)
+        return _from_records(records, len(frames), fps, video_id)
 
     def __len__(self) -> int:
-        return len(self.frames)
+        return len(self.timestamps)
+
+    def __getitem__(self, i: int) -> PoseFrame:
+        """Frame i, built on access."""
+        body = {name: self.body[i, j] for j, name in enumerate(self.joints) if self.body_present[i, j]}
+        return PoseFrame(
+            timestamp=float(self.timestamps[i]),
+            hand_left=self.hand_left[i] if self.left_present[i] else None,
+            hand_right=self.hand_right[i] if self.right_present[i] else None,
+            body=body or None,
+        )
+
+    @property
+    def frames(self) -> PoseSequence:
+        """The per-frame view: this sequence, indexed and iterated frame by frame."""
+        return self
+
+    def channel(self, name: str) -> tuple[np.ndarray | None, np.ndarray]:
+        """Points (T, ..., 2) and (T,) presence flags of a channel, as views.
+
+        Channels are ``"hand_left"``, ``"hand_right"`` and ``"body:<joint>"``;
+        an unknown one has no points and is present nowhere.
+        """
+        if name in _PRESENT:
+            return getattr(self, name), getattr(self, _PRESENT[name])
+        joint = name.removeprefix("body:")
+        if name.startswith("body:") and joint in self.joints:
+            j = self.joints.index(joint)
+            return self.body[:, j], self.body_present[:, j]
+        return None, np.zeros(len(self), dtype=bool)
+
+
+def _points(value, shape: tuple[int, int], what: str) -> np.ndarray:
+    try:
+        a = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise PoseError(f"{what} must be {shape} numbers: {exc}") from None
+    if a.shape != shape:
+        raise PoseError(f"{what} must be {shape}, got {a.shape}")
+    return a
+
+
+def _from_records(
+    records: Iterable[tuple], num_frames: int, fps: float, video_id: str
+) -> PoseSequence:
+    """Write (timestamp, hand_left, hand_right, body) records into preallocated arrays.
+
+    A body joint gets a column when first seen. The columns of each distinct
+    tuple of joint names are looked up once, as a slice when consecutive.
+    """
+    ts = np.zeros(num_frames)
+    hands = np.zeros((2, num_frames, HAND_JOINTS, 2))
+    hand_present = np.zeros((2, num_frames), dtype=bool)
+    body = np.zeros((num_frames, 0, 2))
+    body_present = np.zeros((num_frames, 0), dtype=bool)
+    joints: list[str] = []
+    columns: dict[tuple[str, ...], slice | list[int]] = {}
+    for i, (t, hand_left, hand_right, frame_body) in enumerate(records):
+        ts[i] = t
+        for k, hand in enumerate((hand_left, hand_right)):
+            if hand is not None:
+                hands[k, i] = _points(hand, (HAND_JOINTS, 2), "hand")
+                hand_present[k, i] = True
+        if not frame_body:
+            continue
+        names = tuple(frame_body)
+        if names not in columns:
+            new = [name for name in names if name not in joints]
+            joints += new
+            body = np.pad(body, ((0, 0), (0, len(new)), (0, 0)))
+            body_present = np.pad(body_present, ((0, 0), (0, len(new))))
+            cols = [joints.index(name) for name in names]
+            consecutive = cols == list(range(cols[0], cols[0] + len(cols)))
+            columns[names] = slice(cols[0], cols[-1] + 1) if consecutive else cols
+        body[i, columns[names]] = _points(list(frame_body.values()), (len(names), 2), "body joints")
+        body_present[i, columns[names]] = True
+    return PoseSequence(
+        ts, hands[0], hands[1], hand_present[0], hand_present[1],
+        body, body_present, tuple(joints), fps, video_id,
+    )
 
 
 class Hand(enum.Enum):
@@ -129,17 +217,13 @@ class HandednessReport:
     flipped: bool
 
 
-def hand_valid(hand: np.ndarray | None) -> bool:
-    return hand is not None and bool(np.all(np.isfinite(hand)))
-
-
 def select_dominant_hand(seq: PoseSequence) -> HandednessReport:
     """Pick the hand present in more frames; ties break to the right hand."""
-    if not seq.frames:
+    n = len(seq)
+    if not n:
         raise PoseError("empty sequence")
-    n = len(seq.frames)
-    left = sum(hand_valid(f.hand_left) for f in seq.frames) / n
-    right = sum(hand_valid(f.hand_right) for f in seq.frames) / n
+    left = np.count_nonzero(seq.left_present) / n
+    right = np.count_nonzero(seq.right_present) / n
     if left == 0.0 and right == 0.0:
         raise NoHandsError("no hand present in any frame")
     dominant = Hand.LEFT if left > right else Hand.RIGHT
@@ -167,47 +251,29 @@ def _mirror_points(points: np.ndarray) -> np.ndarray:
 
 def mirror_flip(seq: PoseSequence) -> PoseSequence:
     """Reflect x -> 1 - x and swap left/right hand slots and body joints."""
-    frames = []
-    for f in seq.frames:
-        body = None
-        if f.body is not None:
-            body = {
-                _mirror_joint_name(name): _mirror_points(xy)
-                for name, xy in f.body.items()
-            }
-        frames.append(
-            PoseFrame(
-                timestamp=f.timestamp,
-                hand_left=None if f.hand_right is None else _mirror_points(f.hand_right),
-                hand_right=None if f.hand_left is None else _mirror_points(f.hand_left),
-                body=body,
-            )
-        )
-    return PoseSequence(frames=tuple(frames), fps=seq.fps, video_id=seq.video_id)
+    return replace(
+        seq,
+        hand_left=_mirror_points(seq.hand_right),
+        hand_right=_mirror_points(seq.hand_left),
+        left_present=seq.right_present,
+        right_present=seq.left_present,
+        body=_mirror_points(seq.body),
+        joints=tuple(_mirror_joint_name(name) for name in seq.joints),
+    )
 
 
-def _channel_names(seq: PoseSequence) -> list[str]:
-    names = set()
-    for f in seq.frames:
-        if f.hand_left is not None:
-            names.add("hand_left")
-        if f.hand_right is not None:
-            names.add("hand_right")
-        if f.body:
-            names.update("body:" + j for j in f.body)
-    return sorted(names)
+def _nearest_present(ts: np.ndarray, present: np.ndarray) -> np.ndarray:
+    """Index of the temporally nearest present frame, for every frame.
 
-
-def _get_channel(frame: PoseFrame, channel: str) -> np.ndarray | None:
-    if channel == "hand_left":
-        return frame.hand_left
-    if channel == "hand_right":
-        return frame.hand_right
-    if channel.startswith("body:"):
-        joint = channel[5:]
-        if frame.body is not None and joint in frame.body:
-            return frame.body[joint]
-    return None
+    A present frame maps to itself; a tie maps to the earlier frame.
+    """
+    valid = np.flatnonzero(present)
+    valid_ts = ts[valid]
+    after = np.searchsorted(valid_ts, ts)  # first valid frame at or after each t
+    later = np.minimum(after, len(valid) - 1)
+    earlier = np.maximum(after - 1, 0)
+    take_later = np.abs(valid_ts[later] - ts) < np.abs(valid_ts[earlier] - ts)
+    return valid[np.where(take_later, later, earlier)]
 
 
 def impute_missing(seq: PoseSequence, channels: list[str] | None = None) -> PoseSequence:
@@ -215,64 +281,42 @@ def impute_missing(seq: PoseSequence, channels: list[str] | None = None) -> Pose
 
     Distance is measured on timestamps; ties prefer the earlier frame.
     Raises :class:`ChannelEmptyError` for a requested channel valid nowhere.
+    By default every channel present in some frame is filled.
     """
     if channels is None:
-        channels = _channel_names(seq)
-    ts = np.array([f.timestamp for f in seq.frames])
-    filled: dict[str, list[np.ndarray]] = {}
+        channels = [*_PRESENT, *("body:" + joint for joint in seq.joints)]
+        channels = [c for c in channels if seq.channel(c)[1].any()]
+    seq = replace(seq, **{name: getattr(seq, name).copy() for name in _ARRAY_FIELDS})
     for channel in channels:
-        values = [_get_channel(f, channel) for f in seq.frames]
-        valid = [i for i, v in enumerate(values) if v is not None]
-        if not valid:
+        points, present = seq.channel(channel)  # views into the copies
+        if not present.any():
             raise ChannelEmptyError(channel)
-        valid_ts = ts[valid]
-        out = []
-        for i, v in enumerate(values):
-            if v is not None:
-                out.append(v)
-                continue
-            dist = np.abs(valid_ts - ts[i])
-            j = int(np.argmin(dist))  # argmin takes the first (earlier) tie
-            out.append(values[valid[j]])
-        filled[channel] = out
-
-    frames = []
-    for i, f in enumerate(seq.frames):
-        hand_left = filled["hand_left"][i] if "hand_left" in filled else f.hand_left
-        hand_right = filled["hand_right"][i] if "hand_right" in filled else f.hand_right
-        body = dict(f.body) if f.body else {}
-        for channel in channels:
-            if channel.startswith("body:"):
-                body[channel[5:]] = filled[channel][i]
-        frames.append(
-            PoseFrame(
-                timestamp=f.timestamp,
-                hand_left=hand_left,
-                hand_right=hand_right,
-                body=body or None,
-            )
-        )
-    return PoseSequence(frames=tuple(frames), fps=seq.fps, video_id=seq.video_id)
+        points[:] = points[_nearest_present(seq.timestamps, present)]
+        present[:] = True
+    return seq
 
 
-def hand_joint_std(hands: list[np.ndarray]) -> np.ndarray:
+def hand_joint_std(hands: np.ndarray | list[np.ndarray]) -> np.ndarray:
     """Per-joint, per-axis deviation scale over a video.
 
     Computed on mean-centered hands (each frame re-centered on its own 2-D
     hand mean) so the statistic reflects articulation, not translation.
     Floored at STD_EPS to guard frozen joints.
     """
-    stack = np.stack([h - h.mean(axis=0, keepdims=True) for h in hands])
-    std = stack.std(axis=0)
+    stack = np.asarray(hands)
+    std = (stack - stack.mean(axis=1, keepdims=True)).std(axis=0)
     return np.maximum(std, STD_EPS)
 
 
 def normalize_hand(hand: np.ndarray, std: np.ndarray | None = None) -> np.ndarray:
-    """Center on the 2-D hand mean, scale per joint, flatten to 42 values."""
-    centered = hand - hand.mean(axis=0, keepdims=True)
+    """Center on the 2-D hand mean, scale per joint, flatten to 42 values.
+
+    ``hand`` is one frame's (21, 2) points or a video's (T, 21, 2).
+    """
+    centered = hand - hand.mean(axis=-2, keepdims=True)
     if std is not None:
         centered = centered / std
-    return centered.reshape(-1)
+    return centered.reshape(*hand.shape[:-2], -1)
 
 
 def normalize_body(
@@ -280,6 +324,7 @@ def normalize_body(
 ) -> np.ndarray:
     """Center on the shoulder midpoint and scale by shoulder width.
 
+    Each joint maps to one frame's (2,) point or a video's (T, 2) points.
     Joints below the hips are dropped from the output regardless of the
     requested joint list.
     """
@@ -287,7 +332,11 @@ def normalize_body(
         raise NoShouldersError("both shoulders are required for body normalization")
     ls, rs = body["left_shoulder"], body["right_shoulder"]
     mid = (ls + rs) / 2.0
-    width = max(float(np.linalg.norm(ls - rs)), STD_EPS)
+    gap = ls - rs
+    # A dot product, as np.linalg.norm takes for one vector: BLAS may fuse
+    # its multiply-add, so a plain sum of squares can round differently.
+    width = np.sqrt(np.matmul(gap[..., None, :], gap[..., :, None])[..., 0, 0])
+    width = np.maximum(width, STD_EPS)[..., None]
     out = []
     for name in joints:
         if name in BELOW_HIP_JOINTS:
@@ -295,7 +344,7 @@ def normalize_body(
         if name not in body:
             raise PoseError(f"body joint {name!r} missing after imputation")
         out.append((body[name] - mid) / width)
-    return np.concatenate(out)
+    return np.concatenate(out, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -362,31 +411,30 @@ def build_features(seq: PoseSequence, spec: FeatureSpec) -> FeatureMatrix:
     The dominant hand is read from the right-hand slot (sequences are
     mirrored upstream when the signer is left-dominant).
     """
-    if not seq.frames:
+    if not len(seq):
         raise PoseError("empty sequence")
-    for f in seq.frames:
-        for channel in spec.channels():
-            if _get_channel(f, channel) is None:
-                raise ChannelEmptyError(channel)
+    for channel in spec.channels():
+        if not seq.channel(channel)[1].all():
+            raise ChannelEmptyError(channel)
 
     channel_map: list[tuple[str, int]] = []
     columns: list[np.ndarray] = []
     if spec.body:
-        body_rows = np.stack(
-            [normalize_body(f.body, spec.body_joints) for f in seq.frames]
-        )
+        body = {
+            name: seq.body[:, j]
+            for j, name in enumerate(seq.joints)
+            if seq.body_present[:, j].all()
+        }
+        body_rows = normalize_body(body, spec.body_joints)
         channel_map.append(("body", body_rows.shape[1]))
         columns.append(body_rows)
-    if spec.dominant_hand:
-        hands = [f.hand_right for f in seq.frames]
-        std = hand_joint_std(hands)
-        channel_map.append(("dominant_hand", 2 * HAND_JOINTS))
-        columns.append(np.stack([normalize_hand(h, std) for h in hands]))
-    if spec.non_dominant_hand:
-        hands = [f.hand_left for f in seq.frames]
-        std = hand_joint_std(hands)
-        channel_map.append(("non_dominant_hand", 2 * HAND_JOINTS))
-        columns.append(np.stack([normalize_hand(h, std) for h in hands]))
+    for wanted, name, hands in (
+        (spec.dominant_hand, "dominant_hand", seq.hand_right),
+        (spec.non_dominant_hand, "non_dominant_hand", seq.hand_left),
+    ):
+        if wanted:
+            channel_map.append((name, 2 * HAND_JOINTS))
+            columns.append(normalize_hand(hands, hand_joint_std(hands)))
     return FeatureMatrix(
         rows=np.concatenate(columns, axis=1),
         channel_map=tuple(channel_map),
@@ -433,25 +481,14 @@ def write_pose_jsonl(path: str | Path, seq: PoseSequence) -> None:
 
 
 def read_pose_jsonl(path: str | Path) -> PoseSequence:
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise PoseError(f"{path} is empty")
-    header = json.loads(lines[0])
-    frames = []
-    for ln in lines[1:]:
-        rec = json.loads(ln)
-        body = rec.get("body")
-        frames.append(
-            PoseFrame(
-                timestamp=float(rec["t"]),
-                hand_left=rec.get("hand_left"),
-                hand_right=rec.get("hand_right"),
-                body=None if body is None else {k: np.asarray(v) for k, v in body.items()},
-            )
-        )
-    return PoseSequence(
-        frames=tuple(frames),
-        fps=float(header["fps"]),
-        video_id=str(header.get("video_id", "")),
-    )
+    """Read a pose file, writing each frame straight into the sequence's arrays."""
+    with open(path, encoding="utf-8") as fh:
+        num_lines = sum(1 for line in fh if line.strip())
+        if not num_lines:
+            raise PoseError(f"{path} is empty")
+        fh.seek(0)
+        records = (json.loads(line) for line in fh if line.strip())
+        header = next(records)
+        frames = ((r["t"], r.get("hand_left"), r.get("hand_right"), r.get("body")) for r in records)
+        fps, video_id = float(header["fps"]), str(header.get("video_id", ""))
+        return _from_records(frames, num_lines - 1, fps, video_id)

@@ -199,7 +199,7 @@ def _frames_from_right_hand(
                 body=body,
             )
         )
-    return PoseSequence(frames=tuple(frames), fps=fps, video_id=video_id)
+    return PoseSequence.from_frames(frames, fps=fps, video_id=video_id)
 
 
 def _distractor(rng: np.random.Generator) -> np.ndarray:

@@ -23,6 +23,21 @@ def worked_poses_file(world, tmp_path_factory):
     return path
 
 
+def batch_inputs(world, tmp_path, count=3):
+    """Pose files b0.. and the transcripts file of a small batch."""
+    poses_dir = tmp_path / "poses"
+    poses_dir.mkdir()
+    records = []
+    for i in range(count):
+        seq = parse_gloss_sequence("CAT SLEEP HOUSE")
+        poses, _ = syn.compose_sentence_video(world, seq, seed=i, video_id=f"b{i}")
+        write_pose_jsonl(poses_dir / f"b{i}.jsonl", poses)
+        records.append({"video_id": f"b{i}", "english": "The cat sleeps at home"})
+    transcripts = tmp_path / "transcripts.jsonl"
+    transcripts.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+    return transcripts, poses_dir
+
+
 def tiny_corpus_spec(tmp_path, kind):
     spec = {
         "kind": kind,
@@ -158,16 +173,7 @@ class TestAnnotate:
         assert sum_score > mean_score
 
     def test_batch_mode_with_jobs(self, world, model_root, tmp_path):
-        poses_dir = tmp_path / "poses"
-        poses_dir.mkdir()
-        records = []
-        for i in range(3):
-            seq = parse_gloss_sequence("CAT SLEEP HOUSE")
-            poses, _ = syn.compose_sentence_video(world, seq, seed=i, video_id=f"b{i}")
-            write_pose_jsonl(poses_dir / f"b{i}.jsonl", poses)
-            records.append({"video_id": f"b{i}", "english": "The cat sleeps at home"})
-        transcripts = tmp_path / "transcripts.jsonl"
-        transcripts.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+        transcripts, poses_dir = batch_inputs(world, tmp_path)
         out_dir = tmp_path / "docs"
         assert main([
             "annotate", "--transcripts", str(transcripts),
@@ -178,6 +184,25 @@ class TestAnnotate:
         assert sorted(p.name for p in out_dir.glob("*.json")) == [
             "b0.json", "b1.json", "b2.json",
         ]
+
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_batch_keeps_going_past_a_failed_record(self, world, model_root, tmp_path, capsys, jobs):
+        transcripts, poses_dir = batch_inputs(world, tmp_path)
+        (poses_dir / "b1.jsonl").unlink()
+        out_dir = tmp_path / "docs"
+        code = main([
+            "annotate", "--transcripts", str(transcripts),
+            "--poses-dir", str(poses_dir),
+            "--model-dir", str(model_root), "--out", str(out_dir),
+            "--jobs", jobs, "--k", "2",
+        ])
+        assert code == 1
+        assert sorted(p.name for p in out_dir.glob("*.json")) == ["b0.json", "b2.json"]
+        summary = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert summary["written"] == 2
+        assert [f["video_id"] for f in summary["failed"]] == ["b1"]
+        assert "b1.jsonl" in summary["failed"][0]["error"]
 
 
 class TestRenderTimeline:

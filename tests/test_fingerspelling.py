@@ -53,7 +53,7 @@ class TestRecognize:
 
     def test_all_missing_video_errors(self, fs_model):
         frames = tuple(PoseFrame(timestamp=i / 30.0) for i in range(10))
-        poses = PoseSequence(frames=frames, fps=30.0)
+        poses = PoseSequence.from_frames(frames=frames, fps=30.0)
         with pytest.raises(NoHandsError):
             recognize(fs_model, poses)
 

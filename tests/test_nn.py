@@ -178,6 +178,26 @@ class TestTcn:
         with pytest.raises(nn.FingerprintMismatchError):
             tcn.forward(np.zeros((4, 4)), weights_fingerprint="deadbeef")
 
+    def test_from_arrays_missing_parameter(self):
+        config, tcn = small_tcn(np.random.default_rng(3))
+        arrays = tcn.state_arrays()
+        del arrays["head.b"]
+        with pytest.raises(ValueError, match="missing parameter 'head.b'"):
+            nn.Tcn.from_arrays(config, arrays)
+
+    def test_from_arrays_extra_parameter(self):
+        config, tcn = small_tcn(np.random.default_rng(4))
+        arrays = {**tcn.state_arrays(), "block9.proj": np.zeros((6, 6))}
+        with pytest.raises(ValueError, match="unexpected parameters: \\['block9.proj'\\]"):
+            nn.Tcn.from_arrays(config, arrays)
+
+    def test_from_arrays_wrong_shape(self):
+        config, tcn = small_tcn(np.random.default_rng(5))
+        arrays = tcn.state_arrays()
+        arrays["block0.branch1.w"] = arrays["block0.branch1.w"][:, :, :1]
+        with pytest.raises(ValueError, match="expected \\(3, 4, 3\\)"):
+            nn.Tcn.from_arrays(config, arrays)
+
 
 class TestAdamW:
     def test_hand_computed_first_step(self):

@@ -1,6 +1,8 @@
 """End-to-end pipeline: candidate scoring, ranking, document serialization."""
 
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import jsonschema
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 
 from signscribe import fingerspelling as fs_mod
 from signscribe import nn
+from signscribe import pipeline as pipeline_mod
 from signscribe import synthetic as syn
 from signscribe.ctc import FrameScores, toy_alphabet
 from signscribe.fingerspelling import FingerspellingModel
@@ -163,7 +166,7 @@ class TestOutOfVocabularyScore:
         fs = np.full((60, alphabet.size), 1.0 / alphabet.size)
         return score_manual_annotation(
             parse_gloss_sequence(line),
-            PoseSequence(frames=(), fps=30.0, video_id="handmade"),
+            PoseSequence.from_frames(frames=(), fps=30.0, video_id="handmade"),
             self._models(),
             fs_scores=FrameScores(probs=fs, kind="softmax"),
             isr_scores=FrameScores(probs=probs, kind="sigmoid"),
@@ -283,6 +286,41 @@ class TestDocumentSerialization:
         data["candidates"][0]["per_sign"][0]["kind"] = "telepathy"
         with pytest.raises(jsonschema.ValidationError):
             validate_document(data)
+
+    def test_error_matches_jsonschema_validate(self, worked_video, models):
+        data = document_to_json(self._doc(worked_video, models))
+        data["candidates"][0]["per_sign"][0]["kind"] = "telepathy"
+        del data["fps"]
+        with pytest.raises(jsonschema.ValidationError) as ours:
+            validate_document(data)
+        with pytest.raises(jsonschema.ValidationError) as reference:
+            jsonschema.validate(instance=data, schema=pipeline_mod._document_validator().schema)
+        assert ours.value.message == reference.value.message
+        assert str(ours.value) == str(reference.value)
+
+    def test_validator_shared_across_threads(self, worked_video, models):
+        good = document_to_json(self._doc(worked_video, models))
+        bad = json.loads(json.dumps(good))
+        bad["candidates"][0]["rank"] = "first"
+        with pytest.raises(jsonschema.ValidationError) as reference:
+            jsonschema.validate(instance=bad, schema=pipeline_mod._document_validator().schema)
+
+        def check(i):
+            try:
+                validate_document(bad if i % 2 else good)
+            except jsonschema.ValidationError as exc:
+                return exc.message
+            return None
+
+        pipeline_mod._document_validator.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(check, range(40), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [reference.value.message if i % 2 else None for i in range(40)]
 
     def test_round_trip_lossless(self, worked_video, models):
         doc = self._doc(worked_video, models)

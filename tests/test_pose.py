@@ -1,11 +1,14 @@
 """Pose ingestion, handedness, imputation, normalization, features."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from signscribe.pose import (
+    BELOW_HIP_JOINTS,
     BODY_DEFAULT_JOINTS,
     FINGERSPELLING_FEATURES,
     ISR_ONE_HAND_FEATURES,
@@ -55,7 +58,7 @@ def make_sequence(rng, n=6, left_every=1, right_every=1, body=True):
                 body=grid_body(rng) if body else None,
             )
         )
-    return PoseSequence(frames=tuple(frames), fps=30.0, video_id="t")
+    return PoseSequence.from_frames(frames=tuple(frames), fps=30.0, video_id="t")
 
 
 class TestSelectDominantHand:
@@ -70,7 +73,7 @@ class TestSelectDominantHand:
                     hand_right=grid_hand(rng) if i in right_frames else None,
                 )
             )
-        return PoseSequence(frames=tuple(frames), fps=30.0)
+        return PoseSequence.from_frames(frames=tuple(frames), fps=30.0)
 
     def test_left_dominant_flips(self):
         seq = self._seq(left_frames=set(range(9)), right_frames={0, 1})
@@ -99,7 +102,7 @@ class TestMirrorFlip:
     def test_x_reflection(self):
         hand = np.full((21, 2), 0.25)
         hand[:, 1] = 0.6
-        seq = PoseSequence(
+        seq = PoseSequence.from_frames(
             frames=(PoseFrame(timestamp=0.0, hand_right=hand),), fps=30.0
         )
         flipped = mirror_flip(seq)
@@ -123,7 +126,7 @@ class TestMirrorFlip:
 
     def test_body_names_swapped(self):
         body = {"left_shoulder": np.array([0.25, 0.3]), "right_shoulder": np.array([0.75, 0.3])}
-        seq = PoseSequence(frames=(PoseFrame(timestamp=0.0, body=body),), fps=30.0)
+        seq = PoseSequence.from_frames(frames=(PoseFrame(timestamp=0.0, body=body),), fps=30.0)
         flipped = mirror_flip(seq)
         np.testing.assert_allclose(flipped.frames[0].body["left_shoulder"], [0.25, 0.3])
         np.testing.assert_allclose(flipped.frames[0].body["right_shoulder"], [0.75, 0.3])
@@ -139,7 +142,7 @@ class TestImputeMissing:
             PoseFrame(timestamp=2 / 30, hand_right=None),
             PoseFrame(timestamp=3 / 30, hand_right=h3),
         )
-        seq = impute_missing(PoseSequence(frames=frames, fps=30.0), ["hand_right"])
+        seq = impute_missing(PoseSequence.from_frames(frames=frames, fps=30.0), ["hand_right"])
         np.testing.assert_array_equal(seq.frames[1].hand_right, h0)
         np.testing.assert_array_equal(seq.frames[2].hand_right, h3)
 
@@ -151,7 +154,7 @@ class TestImputeMissing:
             PoseFrame(timestamp=1 / 30, hand_right=None),
             PoseFrame(timestamp=2 / 30, hand_right=h2),
         )
-        seq = impute_missing(PoseSequence(frames=frames, fps=30.0), ["hand_right"])
+        seq = impute_missing(PoseSequence.from_frames(frames=frames, fps=30.0), ["hand_right"])
         np.testing.assert_array_equal(seq.frames[1].hand_right, h0)
 
     def test_identity_when_fully_populated(self):
@@ -175,14 +178,14 @@ class TestImputeMissing:
         frames = tuple(
             PoseFrame(timestamp=i / 30, hand_right=h if i == 1 else None) for i in range(4)
         )
-        seq = impute_missing(PoseSequence(frames=frames, fps=30.0), ["hand_right"])
+        seq = impute_missing(PoseSequence.from_frames(frames=frames, fps=30.0), ["hand_right"])
         for f in seq.frames:
             np.testing.assert_array_equal(f.hand_right, h)
 
     def test_channel_empty_error(self):
         frames = (PoseFrame(timestamp=0.0, hand_right=np.full((21, 2), 0.5)),)
         with pytest.raises(ChannelEmptyError):
-            impute_missing(PoseSequence(frames=frames, fps=30.0), ["hand_left"])
+            impute_missing(PoseSequence.from_frames(frames=frames, fps=30.0), ["hand_left"])
 
 
 class TestNormalizeHand:
@@ -267,7 +270,7 @@ class TestBuildFeatures:
     def test_missing_channel_rejected(self):
         rng = np.random.default_rng(14)
         frames = (PoseFrame(timestamp=0.0, hand_right=grid_hand(rng)),)
-        seq = PoseSequence(frames=frames, fps=30.0)
+        seq = PoseSequence.from_frames(frames=frames, fps=30.0)
         with pytest.raises(ChannelEmptyError):
             build_features(seq, ISR_TWO_HAND_FEATURES)
 
@@ -284,7 +287,7 @@ class TestBuildFeatures:
             )
             for f in seq.frames
         )
-        shifted = PoseSequence(frames=shifted_frames, fps=30.0)
+        shifted = PoseSequence.from_frames(frames=shifted_frames, fps=30.0)
         a = build_features(seq, ISR_TWO_HAND_FEATURES)
         b = build_features(shifted, ISR_TWO_HAND_FEATURES)
         np.testing.assert_allclose(a.rows, b.rows, atol=1e-9)
@@ -298,7 +301,7 @@ class TestPrepareSequence:
             PoseFrame(timestamp=i / 30, hand_left=left, hand_right=grid_hand(rng) if i == 0 else None)
             for i in range(5)
         )
-        seq = PoseSequence(frames=frames, fps=30.0)
+        seq = PoseSequence.from_frames(frames=frames, fps=30.0)
         prepared, report = prepare_sequence(seq, FINGERSPELLING_FEATURES)
         assert report.flipped
         mirrored = left.copy()
@@ -313,16 +316,16 @@ class TestSequenceValidation:
             PoseFrame(timestamp=0.0),
         )
         with pytest.raises(PoseError):
-            PoseSequence(frames=frames, fps=30.0)
+            PoseSequence.from_frames(frames=frames, fps=30.0)
 
     def test_bad_fps(self):
         with pytest.raises(PoseError):
-            PoseSequence(frames=(), fps=0.0)
+            PoseSequence.from_frames(frames=(), fps=0.0)
 
     def test_non_finite_rejected(self):
         hand = np.full((21, 2), np.nan)
         with pytest.raises(PoseError):
-            PoseFrame(timestamp=0.0, hand_right=hand)
+            PoseSequence.from_frames(frames=(PoseFrame(timestamp=0.0, hand_right=hand),), fps=30.0)
 
 
 class TestPoseJsonl:
@@ -341,3 +344,233 @@ class TestPoseJsonl:
                 assert g.hand_left is None
             for name in f.body:
                 np.testing.assert_array_equal(f.body[name], g.body[name])
+
+    def test_write_read_write_byte_identical(self, tmp_path):
+        rng = np.random.default_rng(18)
+        frames = list(make_sequence(rng, n=7, left_every=3).frames)
+        frames[2] = PoseFrame(timestamp=frames[2].timestamp, hand_right=frames[2].hand_right)
+        del frames[4].body["nose"]
+        first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        write_pose_jsonl(first, PoseSequence.from_frames(frames, fps=30.0, video_id="v"))
+        write_pose_jsonl(second, read_pose_jsonl(first))
+        assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize(
+        "header, record",
+        [
+            ({"fps": 30.0}, {"hand_right": [[0.5, 0.5]] * 20}),
+            ({"fps": 30.0}, {"hand_right": [[0.5, 0.5, 0.5]] * 21}),
+            ({"fps": 30.0}, {"hand_right": [[0.5, 0.5]] * 20 + [[0.5]]}),
+            ({"fps": 30.0}, {"hand_left": [[0.5, float("nan")]] * 21}),
+            ({"fps": 30.0}, {"body": {"nose": [float("inf"), 0.5]}}),
+            ({"fps": 30.0}, {"body": {"nose": [0.5, 0.5, 0.5]}}),
+            ({"fps": 30.0}, {"t": 0.0}),  # repeats the first frame's timestamp
+            ({"fps": 0.0}, {}),
+            ({"fps": -30.0}, {}),
+        ],
+    )
+    def test_reader_rejects(self, tmp_path, header, record):
+        first = {"t": 0.0, "hand_left": None, "hand_right": [[0.5, 0.5]] * 21, "body": None}
+        second = {**first, "t": 1 / 30, **record}
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join(json.dumps(r) for r in (header, first, second)) + "\n")
+        with pytest.raises(PoseError):
+            read_pose_jsonl(path)
+
+    @pytest.mark.parametrize("text", ["", "\n  \n"])
+    def test_reader_rejects_empty_file(self, tmp_path, text):
+        path = tmp_path / "empty.jsonl"
+        path.write_text(text)
+        with pytest.raises(PoseError):
+            read_pose_jsonl(path)
+
+
+# --- per-frame reference ----------------------------------------------------
+# The per-frame prepare_sequence + build_features that the columnar code
+# replaced, kept as the oracle: the array code must give the same feature
+# rows bit for bit, and fail on the same channel.
+
+
+def _ref_channel(frame, channel):
+    if channel in ("hand_left", "hand_right"):
+        return getattr(frame, channel)
+    return None if frame.body is None else frame.body.get(channel[5:])
+
+
+def _ref_flip(points):
+    out = points.copy()
+    out[..., 0] = 1.0 - out[..., 0]
+    return out
+
+
+def _ref_mirror_name(name):
+    if name.startswith("left_"):
+        return "right_" + name[5:]
+    if name.startswith("right_"):
+        return "left_" + name[6:]
+    return name
+
+
+def _ref_prepare(frames, spec):
+    n = len(frames)
+    left = sum(f.hand_left is not None for f in frames) / n
+    right = sum(f.hand_right is not None for f in frames) / n
+    if left == 0.0 and right == 0.0:
+        raise NoHandsError("no hand present in any frame")
+    if left > right:
+        frames = [
+            PoseFrame(
+                timestamp=f.timestamp,
+                hand_left=None if f.hand_right is None else _ref_flip(f.hand_right),
+                hand_right=None if f.hand_left is None else _ref_flip(f.hand_left),
+                body=None
+                if f.body is None
+                else {_ref_mirror_name(k): _ref_flip(v) for k, v in f.body.items()},
+            )
+            for f in frames
+        ]
+    ts = np.array([f.timestamp for f in frames])
+    filled = {}
+    for channel in spec.channels():
+        values = [_ref_channel(f, channel) for f in frames]
+        valid = [i for i, v in enumerate(values) if v is not None]
+        if not valid:
+            raise ChannelEmptyError(channel)
+        valid_ts = ts[valid]
+        filled[channel] = [
+            v if v is not None else values[valid[int(np.argmin(np.abs(valid_ts - ts[i])))]]
+            for i, v in enumerate(values)
+        ]
+    out = []
+    for i, f in enumerate(frames):
+        body = dict(f.body) if f.body else {}
+        body.update({c[5:]: v[i] for c, v in filled.items() if c.startswith("body:")})
+        out.append(
+            PoseFrame(
+                timestamp=f.timestamp,
+                hand_left=filled["hand_left"][i] if "hand_left" in filled else f.hand_left,
+                hand_right=filled["hand_right"][i] if "hand_right" in filled else f.hand_right,
+                body=body or None,
+            )
+        )
+    return out
+
+
+def _ref_features(frames, spec):
+    for f in frames:
+        for channel in spec.channels():
+            if _ref_channel(f, channel) is None:
+                raise ChannelEmptyError(channel)
+    columns = []
+    if spec.body:
+        rows = []
+        for f in frames:
+            ls, rs = f.body["left_shoulder"], f.body["right_shoulder"]
+            mid = (ls + rs) / 2.0
+            width = max(float(np.linalg.norm(ls - rs)), 1e-6)
+            visible = [j for j in spec.body_joints if j not in BELOW_HIP_JOINTS]
+            rows.append(np.concatenate([(f.body[j] - mid) / width for j in visible]))
+        columns.append(np.stack(rows))
+    for wanted, slot in ((spec.dominant_hand, "hand_right"), (spec.non_dominant_hand, "hand_left")):
+        if wanted:
+            centered = [h - h.mean(axis=0, keepdims=True) for h in (getattr(f, slot) for f in frames)]
+            std = np.maximum(np.stack(centered).std(axis=0), 1e-6)
+            columns.append(np.stack([(c / std).reshape(-1) for c in centered]))
+    return np.concatenate(columns, axis=1)
+
+
+SPECS = {
+    "fingerspelling": (FINGERSPELLING_FEATURES, FINGERSPELLING_FEATURES),
+    "isr_two_hand": (ISR_TWO_HAND_FEATURES, ISR_TWO_HAND_FEATURES),
+    "isr_one_hand": (ISR_TWO_HAND_FEATURES, ISR_ONE_HAND_FEATURES),
+}
+
+
+def assert_matches_reference(frames, fps=30.0):
+    """Feature rows equal to the reference's for every spec, or the same error.
+
+    Returns the names of the specs whose features were built.
+    """
+    seq = PoseSequence.from_frames(frames, fps=fps)
+    built = []
+    for name, (prepare_spec, spec) in SPECS.items():
+        try:
+            expected = _ref_features(_ref_prepare(frames, prepare_spec), spec)
+        except ChannelEmptyError as exc:
+            with pytest.raises(ChannelEmptyError) as got:
+                build_features(prepare_sequence(seq, prepare_spec)[0], spec)
+            assert got.value.channel == exc.channel
+            continue
+        rows = build_features(prepare_sequence(seq, prepare_spec)[0], spec).rows
+        assert np.array_equal(rows, expected), name
+        built.append(name)
+    return built
+
+
+def random_frames(rng, n=40, step=1 / 30, left=0.8, right=0.9, joint=1.0, jitter=0.0):
+    """Grid-valued frames; each hand and body joint present with the given odds."""
+    frames = []
+    for i in range(n):
+        body = {
+            name: np.round(rng.uniform(0.1, 0.9, size=2) * GRID) / GRID + rng.normal(0, jitter, 2)
+            for name in BODY_DEFAULT_JOINTS
+            if rng.random() < joint
+        }
+        frames.append(
+            PoseFrame(
+                timestamp=i * step,
+                hand_left=grid_hand(rng) + rng.normal(0, jitter, (21, 2)) if rng.random() < left else None,
+                hand_right=grid_hand(rng) + rng.normal(0, jitter, (21, 2)) if rng.random() < right else None,
+                body=body or None,
+            )
+        )
+    return frames
+
+
+class TestMatchesPerFrameReference:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_left_dominant_is_mirrored(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        frames = random_frames(rng, left=0.95, right=0.4, jitter=1e-3)
+        assert select_dominant_hand(PoseSequence.from_frames(frames, fps=30.0)).flipped
+        assert len(assert_matches_reference(frames)) == 3
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_left_hand_missing_on_some_frames(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        frames = random_frames(rng, left=0.5, right=1.0, jitter=1e-3)
+        assert len(assert_matches_reference(frames)) == 3
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_equidistant_ties(self, seed):
+        # Every channel is present on even frames only, and the timestamps
+        # are exact binary fractions, so each odd frame is exactly as far
+        # from the frame before it as from the frame after it.
+        rng = np.random.default_rng(300 + seed)
+        frames = random_frames(rng, n=21, step=0.125, left=1.0, right=1.0)
+        frames = [f if i % 2 == 0 else PoseFrame(timestamp=f.timestamp) for i, f in enumerate(frames)]
+        assert len(assert_matches_reference(frames, fps=8.0)) == 3
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_body_joints_absent_on_some_frames(self, seed):
+        rng = np.random.default_rng(400 + seed)
+        frames = random_frames(rng, joint=0.7, jitter=1e-3)
+        assert len(assert_matches_reference(frames)) == 3
+
+    def test_one_handed_video(self):
+        rng = np.random.default_rng(500)
+        frames = random_frames(rng, left=0.0, right=0.9)
+        assert assert_matches_reference(frames) == ["fingerspelling"]
+        seq = PoseSequence.from_frames(frames, fps=30.0)
+        with pytest.raises(ChannelEmptyError) as got:
+            prepare_sequence(seq, ISR_TWO_HAND_FEATURES)
+        assert got.value.channel == "hand_left"
+
+    def test_composed_sentence_video_and_its_mirror(self, world):
+        from signscribe import synthetic as syn
+        from signscribe.gloss import parse_gloss_sequence
+
+        line = parse_gloss_sequence("fs-BOB TRAVEL TO fs-FRICK PARK WITH DOG")
+        seq, _ = syn.compose_sentence_video(world, line, seed=5)
+        for video in (seq, mirror_flip(seq)):
+            assert len(assert_matches_reference(list(video.frames))) == 3
