@@ -51,7 +51,7 @@ BELOW_HIP_JOINTS = frozenset(
 
 # Hand channel -> the PoseSequence field holding its per-frame presence.
 _PRESENT = {"hand_left": "left_present", "hand_right": "right_present"}
-_ARRAY_FIELDS = (*_PRESENT, *_PRESENT.values(), "body", "body_present")
+_ARRAY_FIELDS = ("hand_left", "hand_right", "left_present", "right_present", "body", "body_present")
 
 
 class PoseError(ValueError):
