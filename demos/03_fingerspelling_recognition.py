@@ -8,7 +8,7 @@ Run: python demos/03_fingerspelling_recognition.py
 import numpy as np
 
 from signscribe import synthetic as syn
-from signscribe.fingerspelling import align_words, recognize, train_toy
+from signscribe.fingerspelling import align_words_scores, frame_scores, recognize, train_toy
 from signscribe.metrics import cer
 from signscribe.training import stratified_split
 
@@ -28,10 +28,11 @@ sample = test[0]
 print(f"truth:  {' '.join(sample.words)}")
 print(f"decode: {recognize(model, sample.poses)}")
 
-detections = align_words(model, sample.poses, list(sample.words))
+scores = frame_scores(model, sample.poses)
+detections = align_words_scores(scores, list(sample.words), model.alphabet)
 rng = np.random.default_rng(1)
 decoys = [syn.decoy_word(rng, world.alphabet) for _ in sample.words]
-decoy_detections = align_words(model, sample.poses, decoys)
+decoy_detections = align_words_scores(scores, decoys, model.alphabet)
 print("\nword alignment (true words vs decoys):")
 for det in detections:
     print(f"  TRUE  {det.word:10s} score={det.score:.3f} frames {det.start_frame}-{det.end_frame}")

@@ -2,106 +2,11 @@
 
 Combines k-candidate LLM glossings, a CTC fingerspelling recognizer and
 aligner, and a per-frame isolated sign recognizer into ranked,
-time-stamped candidate gloss annotations.
+time-stamped candidate gloss annotations. The submodules hold the API;
+the names below are the few the quick-start demos use.
 """
 
-from .ctc import (
-    AlignedUnit,
-    AlignmentResult,
-    Alphabet,
-    FrameScores,
-    InfeasibleTargetError,
-    aggregate_words,
-    ctc_loss,
-    default_alphabet,
-    forced_align,
-    greedy_decode,
-    toy_alphabet,
-)
-from .fingerspelling import (
-    FingerspellingModel,
-    WordDetection,
-    align_words,
-    filter_training_set,
-    load_fingerspelling_model,
-    recognize,
-    save_fingerspelling_model,
-    train_toy,
-)
-from .gloss import (
-    GlossParseError,
-    GlossSequence,
-    GlossToken,
-    TokenKind,
-    TokenizationError,
-    parse_gloss_sequence,
-    render,
-    stem_normalize,
-    to_ctc_tokens,
-)
-from .isr import (
-    GlossDetection,
-    IsrModel,
-    SignVocabulary,
-    align_glosses,
-    classify,
-    isr_scores,
-    load_isr_model,
-    save_isr_model,
-    train_toy_isr,
-)
-from .llm import (
-    CandidateSet,
-    HttpClient,
-    LlmError,
-    PromptName,
-    StubClient,
-    back_translate,
-    correct_fingerspelling,
-    load_prompt,
-    translate_candidates,
-    verify_prompt_assets,
-)
-from .metrics import (
-    LabeledScore,
-    TimedSpan,
-    cer,
-    chrf,
-    op_point,
-    pr_auc_roc,
-    roc_auc,
-    temporal_f1,
-)
-from .pipeline import (
-    AnnotationDocument,
-    CandidateAnnotation,
-    Models,
-    PipelineConfig,
-    ScoreMode,
-    annotate,
-    document_bytes,
-    document_from_json,
-    document_to_json,
-    score_candidate,
-    score_manual_annotation,
-    validate_document,
-)
-from .pose import (
-    FeatureMatrix,
-    FeatureSpec,
-    HandednessReport,
-    PoseFrame,
-    PoseSequence,
-    build_features,
-    impute_missing,
-    mirror_flip,
-    normalize_body,
-    normalize_hand,
-    read_pose_jsonl,
-    select_dominant_hand,
-    write_pose_jsonl,
-)
-from .stemming import porter_stem
-from .timeline import render_timeline
+from .ctc import Alphabet, FrameScores, aggregate_words, ctc_loss, forced_align
+from .gloss import parse_gloss_sequence, render, stem_normalize
 
 __version__ = "0.1.0"

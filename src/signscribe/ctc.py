@@ -8,7 +8,7 @@ gradient is returned with respect to the pre-softmax logits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -131,11 +131,51 @@ class AlignmentResult:
     total_log_score: float
 
 
-def _augment(target: list[int], blank: int) -> np.ndarray:
+def _lattice(target: list[int], blank: int) -> tuple[np.ndarray, np.ndarray]:
+    """Blank-augmented target and its skip mask.
+
+    ``ext`` puts a blank before, between and after the symbols;
+    ``can_skip[s]`` allows the jump from state s - 2 to s, which only a
+    symbol differing from the one two states back may take.
+    """
     ext = np.empty(2 * len(target) + 1, dtype=np.int64)
     ext[0::2] = blank
     ext[1::2] = target
-    return ext
+    can_skip = np.zeros(len(ext), dtype=bool)
+    can_skip[2:] = (ext[2:] != blank) & (ext[2:] != ext[:-2])
+    return ext, can_skip
+
+
+def _lattice_pass(
+    emit: np.ndarray, can_skip: np.ndarray, viterbi: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Forward recurrence over a (T, S) table of log emissions.
+
+    Each state s at frame t is reached from s (stay), s - 1 (prev) or, where
+    ``can_skip[s]``, s - 2 (skip); paths start in state 0 or 1. With
+    ``viterbi`` false the three are log-sum-exp'd (the CTC alpha pass);
+    with it true the best is kept and ``back`` records it as 0 stay, 1
+    prev, 2 skip. Viterbi tie rule: ``np.argmax`` over (stay, prev, skip),
+    so stay beats prev beats skip. The beta pass is this same pass over the
+    reversed lattice.
+    """
+    T, S = emit.shape
+    table = np.full((T, S), NEG_INF)
+    table[0, :2] = emit[0, :2]
+    back = np.zeros((T, S), dtype=np.int8) if viterbi else None
+    cols = np.arange(S)
+    for t in range(1, T):
+        stay = table[t - 1]
+        prev = np.concatenate(([NEG_INF], stay[:-1]))
+        skip = np.concatenate(([NEG_INF, NEG_INF], stay[:-2]))
+        skip = np.where(can_skip, skip, NEG_INF)
+        if viterbi:
+            choices = np.stack([stay, prev, skip])
+            back[t] = np.argmax(choices, axis=0)
+            table[t] = choices[back[t], cols] + emit[t]
+        else:
+            table[t] = _logsumexp3(stay, prev, skip) + emit[t]
+    return table, back
 
 
 def min_frames_required(target: list[int]) -> int:
@@ -176,43 +216,22 @@ def ctc_loss(scores: FrameScores, target: list[int]) -> tuple[float, np.ndarray]
         grad[:, blank] -= 1.0
         return loss, grad
 
-    ext = _augment(list(target), blank)
+    ext, can_skip = _lattice(list(target), blank)
     S = len(ext)
-    logy = np.log(np.maximum(y, _LOG_EPS))
-    can_skip = np.zeros(S, dtype=bool)
-    can_skip[2:] = (ext[2:] != blank) & (ext[2:] != ext[:-2])
-
-    alpha = np.full((T, S), NEG_INF)
-    alpha[0, 0] = logy[0, ext[0]]
-    if S > 1:
-        alpha[0, 1] = logy[0, ext[1]]
-    for t in range(1, T):
-        stay = alpha[t - 1]
-        prev = np.concatenate(([NEG_INF], alpha[t - 1, :-1]))
-        skip = np.concatenate(([NEG_INF, NEG_INF], alpha[t - 1, :-2]))
-        skip = np.where(can_skip, skip, NEG_INF)
-        alpha[t] = _logsumexp3(stay, prev, skip) + logy[t, ext]
-
-    log_p = _logsumexp2(alpha[T - 1, S - 1], alpha[T - 1, S - 2] if S > 1 else NEG_INF)
+    emit = np.log(np.maximum(y, _LOG_EPS))[:, ext]
+    alpha, _ = _lattice_pass(emit, can_skip, viterbi=False)
+    log_p = _logsumexp2(alpha[T - 1, S - 1], alpha[T - 1, S - 2])
     if not np.isfinite(log_p):
         raise InfeasibleTargetError("no feasible path for target")
-
-    beta = np.full((T, S), NEG_INF)
-    beta[T - 1, S - 1] = logy[T - 1, ext[S - 1]]
-    if S > 1:
-        beta[T - 1, S - 2] = logy[T - 1, ext[S - 2]]
-    skip_fwd = np.concatenate((can_skip[2:], [False, False]))
-    for t in range(T - 2, -1, -1):
-        stay = beta[t + 1]
-        nxt = np.concatenate((beta[t + 1, 1:], [NEG_INF]))
-        skp = np.concatenate((beta[t + 1, 2:], [NEG_INF, NEG_INF]))
-        skp = np.where(skip_fwd, skp, NEG_INF)
-        beta[t] = _logsumexp3(stay, nxt, skp) + logy[t, ext]
+    # beta: the alpha pass over the reversed lattice, reversed back.
+    _, rev_skip = _lattice(list(target)[::-1], blank)
+    rev_beta, _ = _lattice_pass(emit[::-1, ::-1], rev_skip, viterbi=False)
+    beta = rev_beta[::-1, ::-1]
 
     # gamma[t, k]: posterior that class k is emitted at frame t.
     gamma = np.zeros((T, C))
     with np.errstate(invalid="ignore"):
-        ab = alpha + beta - logy[:, ext]  # emission counted once
+        ab = alpha + beta - emit  # emission counted once
     for s in range(S):
         contrib = np.exp(ab[:, s] - log_p)
         gamma[:, ext[s]] += np.where(np.isfinite(ab[:, s]), contrib, 0.0)
@@ -268,28 +287,11 @@ def forced_align(
         total = float(logy[:, blank].sum())
         return AlignmentResult(units=(), total_log_score=total)
 
-    ext = _augment(list(target), blank)
+    ext, can_skip = _lattice(list(target), blank)
     S = len(ext)
-    can_skip = np.zeros(S, dtype=bool)
-    can_skip[2:] = (ext[2:] != blank) & (ext[2:] != ext[:-2])
+    delta, back = _lattice_pass(logy[:, ext], can_skip, viterbi=True)
 
-    delta = np.full((T, S), NEG_INF)
-    back = np.zeros((T, S), dtype=np.int8)  # 0 stay, 1 prev, 2 skip
-    delta[0, 0] = logy[0, ext[0]]
-    if S > 1:
-        delta[0, 1] = logy[0, ext[1]]
-    for t in range(1, T):
-        stay = delta[t - 1]
-        prev = np.concatenate(([NEG_INF], delta[t - 1, :-1]))
-        skip = np.concatenate(([NEG_INF, NEG_INF], delta[t - 1, :-2]))
-        skip = np.where(can_skip, skip, NEG_INF)
-        choices = np.stack([stay, prev, skip])
-        best = np.argmax(choices, axis=0)
-        back[t] = best
-        delta[t] = choices[best, np.arange(S)] + logy[t, ext]
-
-    end_states = [S - 1] + ([S - 2] if S > 1 else [])
-    final = max(end_states, key=lambda s: delta[T - 1, s])
+    final = max((S - 1, S - 2), key=lambda s: delta[T - 1, s])
     total = float(delta[T - 1, final])
     if not np.isfinite(total):
         raise InfeasibleTargetError("no feasible path for target")

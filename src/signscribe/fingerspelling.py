@@ -19,7 +19,7 @@ from . import nn
 from .ctc import Alphabet, FrameScores, aggregate_words, forced_align, greedy_decode
 from .gloss import TokenizationError, to_ctc_tokens
 from .pose import FINGERSPELLING_FEATURES, PoseSequence, build_features, prepare_sequence
-from .training import CorpusError, stratified_split
+from .training import CorpusError, fit, stratified_split
 
 
 @dataclass
@@ -31,10 +31,6 @@ class FingerspellingModel:
     @property
     def config(self) -> nn.TcnConfig:
         return self.tcn.config
-
-    @property
-    def fingerprint(self) -> str:
-        return self.tcn.fingerprint
 
 
 @dataclass(frozen=True)
@@ -106,16 +102,6 @@ def align_words_scores(
     ]
 
 
-def align_words(
-    model: FingerspellingModel,
-    poses: PoseSequence,
-    words: list[str],
-    on_unknown: str = "error",
-) -> list[WordDetection]:
-    """Detect and time-stamp candidate fingerspelled words in a video."""
-    return align_words_scores(frame_scores(model, poses), words, model.alphabet, on_unknown)
-
-
 # --- training ---------------------------------------------------------------
 
 
@@ -170,9 +156,11 @@ def train_toy(
 ) -> FingerspellingModel:
     """Train the character recognizer on a synthetic corpus.
 
-    Uses a 70/15/15 train/val/test split stratified by signer, AdamW with
-    cosine annealing, and early stopping on validation loss; returns the
-    best-validation weights. Deterministic for a fixed seed.
+    Uses a 70/15/15 train/val/test split stratified by signer and
+    :func:`training.fit` (AdamW, cosine annealing, early stopping on
+    validation loss) with one sample per step; the validation loss is
+    per spelled character. Returns the best-validation weights.
+    Deterministic for a fixed seed.
     """
     rng = np.random.default_rng(seed)
     train, val, _test = stratified_split(corpus, rng)
@@ -183,62 +171,25 @@ def train_toy(
         input_dim=2 * 21, output_classes=alphabet.size, channels=channels
     )
     tcn = nn.Tcn.init(config, rng)
-    model = FingerspellingModel(tcn=tcn, alphabet=alphabet)
-    opt = nn.AdamW(tcn.parameters(), lr=lr, weight_decay=weight_decay)
-
     feats = {s.sample_id: _features(s.poses) for s in corpus}
     targets = {s.sample_id: _sample_target(s, alphabet) for s in corpus}
 
-    def eval_split(samples) -> float:
-        losses = []
-        for s in samples:
-            probs = nn.softmax(tcn.forward(feats[s.sample_id]).data)
-            loss, _ = ctc_mod.ctc_loss(
-                FrameScores(probs=probs, kind="softmax"), targets[s.sample_id]
-            )
-            losses.append(loss / max(1, sum(len(w) for w in s.words)))
-        return float(np.mean(losses))
-
-    total_steps = max(1, epochs * len(train))
-    step = 0
-    best_val = np.inf
-    best_state = {k: v.copy() for k, v in tcn.state_arrays().items()}
-    best_epoch = -1
-    for epoch in range(epochs):
-        order = rng.permutation(len(train))
-        epoch_loss = 0.0
-        for idx in order:
-            s = train[idx]
-            opt.lr = nn.cosine_lr(step, total_steps, lr, min_lr)
-            logits = tcn.forward(feats[s.sample_id])
-            probs = nn.softmax(logits.data)
-            loss_val, grad = ctc_mod.ctc_loss(
-                FrameScores(probs=probs, kind="softmax"), targets[s.sample_id]
-            )
-            loss = nn.external_loss(logits, loss_val, grad)
-            opt.zero_grad()
-            loss.backward()
-            nn.clip_grad_norm(opt.params, grad_clip)
-            opt.step()
-            step += 1
-            epoch_loss += loss_val
-        val_loss = eval_split(val)
-        model.history.append(
-            {
-                "epoch": epoch,
-                "train_loss": epoch_loss / len(train),
-                "val_loss": val_loss,
-                "lr": opt.lr,
-            }
+    def loss_fn(samples, train_mode: bool) -> nn.Tensor:
+        (s,) = samples
+        logits = tcn.forward(feats[s.sample_id])
+        probs = nn.softmax(logits.data)
+        loss, grad = ctc_mod.ctc_loss(
+            FrameScores(probs=probs, kind="softmax"), targets[s.sample_id]
         )
-        if val_loss < best_val:
-            best_val = val_loss
-            best_state = {k: v.copy() for k, v in tcn.state_arrays().items()}
-            best_epoch = epoch
-        elif epoch - best_epoch >= patience:
-            break
-    model.tcn = nn.Tcn.from_arrays(config, best_state)
-    return model
+        if train_mode:
+            return nn.external_loss(logits, loss, grad)
+        return nn.constant(loss / max(1, sum(len(w) for w in s.words)))
+
+    (best,), history = fit(
+        [tcn], train, val, loss_fn, rng, epochs=epochs, batch_size=1, lr=lr,
+        weight_decay=weight_decay, min_lr=min_lr, patience=patience, grad_clip=grad_clip,
+    )
+    return FingerspellingModel(tcn=best, alphabet=alphabet, history=history)
 
 
 # --- persistence ------------------------------------------------------------

@@ -20,7 +20,7 @@ import numpy as np
 from . import nn
 from .ctc import FrameScores
 from .fingerspelling import WordDetection
-from .gloss import GlossSequence, GlossToken, TokenKind
+from .gloss import GlossToken, TokenKind
 from .pose import (
     ISR_ONE_HAND_FEATURES,
     ISR_TWO_HAND_FEATURES,
@@ -29,7 +29,7 @@ from .pose import (
     prepare_sequence,
 )
 from .stemming import stem_fixpoint
-from .training import CorpusError, stratified_split
+from .training import CorpusError, fit, stratified_split
 
 ANY_CLASS = "ANY"
 NULL_CLASS = "NULL"
@@ -96,10 +96,6 @@ class IsrModel:
     two_hand: nn.Tcn  # body + dominant + non-dominant
     one_hand: nn.Tcn  # body + dominant
     history: list = field(default_factory=list)
-
-    @property
-    def fingerprints(self) -> dict[str, str]:
-        return {"two_hand": self.two_hand.fingerprint, "one_hand": self.one_hand.fingerprint}
 
 
 def _features(poses: PoseSequence) -> tuple[np.ndarray, np.ndarray]:
@@ -319,27 +315,6 @@ def align_glosses_scores(
     return out, errors
 
 
-def align_glosses(
-    model: IsrModel,
-    poses: PoseSequence,
-    glosses: GlossSequence,
-    anchors: list[tuple[int, WordDetection]],
-    min_sign_frames: int = 3,
-) -> tuple[list[GlossDetection], list[str]]:
-    """Align the non-anchor tokens of a sequence against a video."""
-    scores = isr_scores(model, poses)
-    anchor_set = {idx for idx, _ in anchors}
-    entries = [
-        AlignEntry(token_index=i, token=tok)
-        for i, tok in enumerate(glosses.tokens)
-        if i not in anchor_set
-    ]
-    by_index, errors = align_glosses_scores(
-        scores, model.vocabulary, entries, anchors, min_sign_frames
-    )
-    return [by_index[e.token_index] for e in entries], errors
-
-
 # --- training ----------------------------------------------------------------
 
 
@@ -389,8 +364,8 @@ def train_toy_isr(
 
     Per-frame, per-class binary cross-entropy with ANY/NULL targets; clip
     windows are jittered by up to 25% of the sign span per side and batches
-    are concatenated in time. Same optimizer recipe as the fingerspelling
-    trainer; deterministic for a fixed seed.
+    are concatenated in time. Optimised by :func:`training.fit`, like the
+    fingerspelling trainer; deterministic for a fixed seed.
     """
     rng = np.random.default_rng(seed)
     train, val, _test = stratified_split(corpus, rng)
@@ -408,13 +383,10 @@ def train_toy_isr(
     )
     two = nn.Tcn.init(two_cfg, rng)
     one = nn.Tcn.init(one_cfg, rng)
-    params = two.parameters() + one.parameters()
-    opt = nn.AdamW(params, lr=lr, weight_decay=weight_decay)
-
     feats = {s.sample_id: _features(s.poses) for s in corpus}
     class_of = {s.sample_id: vocabulary.class_index(s.gloss) for s in corpus}
 
-    def batch_loss(samples, train_mode: bool) -> nn.Tensor | float:
+    def batch_loss(samples, train_mode: bool) -> nn.Tensor:
         two_rows, one_rows, target_rows = [], [], []
         for s in samples:
             f2, f1 = feats[s.sample_id]
@@ -436,49 +408,13 @@ def train_toy_isr(
         logits = nn.maximum(two.forward(x2), one.forward(x1))
         return nn.bce_with_logits(logits, targets)
 
-    n_batches = (len(train) + batch_clips - 1) // batch_clips
-    total_steps = max(1, epochs * n_batches)
-    step = 0
-    best_val = np.inf
-    best_state = (
-        {k: v.copy() for k, v in two.state_arrays().items()},
-        {k: v.copy() for k, v in one.state_arrays().items()},
+    (best_two, best_one), history = fit(
+        [two, one], train, val, batch_loss, rng, epochs=epochs, batch_size=batch_clips,
+        lr=lr, weight_decay=weight_decay, min_lr=min_lr, patience=patience,
+        grad_clip=grad_clip,
     )
-    best_epoch = -1
-    history = []
-    for epoch in range(epochs):
-        order = rng.permutation(len(train))
-        epoch_loss = 0.0
-        for b in range(n_batches):
-            batch = [train[i] for i in order[b * batch_clips : (b + 1) * batch_clips]]
-            opt.lr = nn.cosine_lr(step, total_steps, lr, min_lr)
-            loss = batch_loss(batch, train_mode=True)
-            opt.zero_grad()
-            loss.backward()
-            nn.clip_grad_norm(opt.params, grad_clip)
-            opt.step()
-            step += 1
-            epoch_loss += loss.item()
-        val_loss = float(
-            np.mean([batch_loss([s], train_mode=False).item() for s in val])
-        )
-        history.append(
-            {"epoch": epoch, "train_loss": epoch_loss / n_batches, "val_loss": val_loss, "lr": opt.lr}
-        )
-        if val_loss < best_val:
-            best_val = val_loss
-            best_state = (
-                {k: v.copy() for k, v in two.state_arrays().items()},
-                {k: v.copy() for k, v in one.state_arrays().items()},
-            )
-            best_epoch = epoch
-        elif epoch - best_epoch >= patience:
-            break
     return IsrModel(
-        vocabulary=vocabulary,
-        two_hand=nn.Tcn.from_arrays(two_cfg, best_state[0]),
-        one_hand=nn.Tcn.from_arrays(one_cfg, best_state[1]),
-        history=history,
+        vocabulary=vocabulary, two_hand=best_two, one_hand=best_one, history=history
     )
 
 

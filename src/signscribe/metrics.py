@@ -115,25 +115,6 @@ def roc_auc(samples: list[LabeledScore]) -> float:
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
-def roc_curve(samples: list[LabeledScore]) -> list[tuple[float, float]]:
-    """(FPR, TPR) points swept over descending score thresholds."""
-    n_pos = sum(1 for s in samples if s.label)
-    n_neg = len(samples) - n_pos
-    points = [(0.0, 0.0)]
-    tp = fp = 0
-    for s in sorted(samples, key=lambda s: -s.score):
-        if s.label:
-            tp += 1
-        else:
-            fp += 1
-        points.append((fp / max(1, n_neg), tp / max(1, n_pos)))
-    return points
-
-
-def pr_auc_roc(samples: list[LabeledScore]) -> tuple[float, list[tuple[float, float]]]:
-    return roc_auc(samples), roc_curve(samples)
-
-
 def op_point(samples: list[LabeledScore], threshold: float) -> tuple[float, float, float]:
     """Precision, recall, and F1 when predicting positive at score >= threshold."""
     tp = sum(1 for s in samples if s.label and s.score >= threshold)

@@ -11,7 +11,6 @@ from .autograd import (
     log_softmax,
     matmul,
     maximum,
-    mean_all,
     mul,
     parameter,
     sigmoid,
@@ -20,7 +19,7 @@ from .autograd import (
     zero_grads,
 )
 from .optim import AdamState, AdamW, adamw_step, clip_grad_norm, cosine_lr
-from .serialize import ModelWeights, WeightsError, load_weights, save_weights
+from .serialize import ModelWeights, WeightsError, load_weights, save_weights, weights_digest
 from .tcn import (
     FINGERSPELLING_MAX_DILATIONS,
     ISR_MAX_DILATIONS,

@@ -250,18 +250,6 @@ def sum_all(x: Tensor) -> Tensor:
     return out
 
 
-def mean_all(x: Tensor) -> Tensor:
-    n = x.data.size
-    out = Tensor(np.float64(x.data.mean()), _parents=(x,))
-
-    def bw(g):
-        if _needs(x):
-            x._accumulate(np.full_like(x.data, float(g) / n))
-
-    out._backward = bw
-    return out
-
-
 def external_loss(logits: Tensor, value: float, grad_wrt_logits: np.ndarray) -> Tensor:
     """Wrap an externally computed scalar loss into the graph.
 

@@ -8,6 +8,7 @@ tensors concatenated as float32 little-endian in manifest order.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -42,6 +43,18 @@ class ModelWeights:
 
     def as_float64(self) -> dict[str, np.ndarray]:
         return {name: a.astype(np.float64) for name, a in self.tensors.items()}
+
+
+def weights_digest(arrays: dict[str, np.ndarray]) -> str:
+    """sha256 of the arrays as stored: float32 little-endian in sorted-name order.
+
+    This is the sha256 of the ``weights.bin`` that :func:`save_weights`
+    writes for them, so a trained model and its reloaded copy agree.
+    """
+    h = hashlib.sha256()
+    for name in sorted(arrays):
+        h.update(np.ascontiguousarray(arrays[name], dtype=_DTYPE).tobytes())
+    return h.hexdigest()
 
 
 def save_weights(directory: str | Path, weights: ModelWeights) -> None:

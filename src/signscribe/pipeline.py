@@ -28,6 +28,7 @@ import numpy as np
 
 from . import fingerspelling as fs_mod
 from . import isr as isr_mod
+from . import nn
 from .ctc import Alphabet, FrameScores, InfeasibleTargetError
 from .fingerspelling import FingerspellingModel, WordDetection
 from .gloss import GlossSequence, GlossToken, TokenKind, parse_gloss_sequence, render
@@ -76,10 +77,17 @@ class Models:
     isr: IsrModel
 
     def fingerprints(self) -> dict[str, str]:
-        return {
-            "fingerspelling": self.fingerspelling.fingerprint,
-            **{f"isr_{k}": v for k, v in self.isr.fingerprints.items()},
+        """Per network: the architecture digest, and a ``*_weights`` digest
+        that tells differently trained weights apart."""
+        nets = {
+            "fingerspelling": self.fingerspelling.tcn,
+            "isr_two_hand": self.isr.two_hand,
+            "isr_one_hand": self.isr.one_hand,
         }
+        out = {name: tcn.fingerprint for name, tcn in nets.items()}
+        for name, tcn in nets.items():
+            out[f"{name}_weights"] = nn.weights_digest(tcn.state_arrays())
+        return out
 
 
 @dataclass(frozen=True)

@@ -314,3 +314,191 @@ class TestAggregateWords:
         )
         with pytest.raises(EmptyWordError):
             aggregate_words(align)
+
+
+# --- equivalence with the hand-written recurrences ----------------------------
+# The three dynamic programs below are the loops ctc_loss and forced_align ran
+# before they shared one lattice pass; the shared pass must reproduce them bit
+# for bit, ties included.
+
+NEG_INF = -np.inf
+
+
+def _ref_lse2(a, b):
+    m = np.maximum(a, b)
+    m_safe = np.where(np.isfinite(m), m, 0.0)
+    with np.errstate(divide="ignore"):
+        out = m_safe + np.log(
+            np.exp(np.where(np.isfinite(a), a - m_safe, NEG_INF))
+            + np.exp(np.where(np.isfinite(b), b - m_safe, NEG_INF))
+        )
+    return np.where(np.isfinite(m), out, NEG_INF)
+
+
+def _ref_lse3(a, b, c):
+    return _ref_lse2(_ref_lse2(a, b), c)
+
+
+def _ref_augment(target, blank):
+    ext = np.empty(2 * len(target) + 1, dtype=np.int64)
+    ext[0::2] = blank
+    ext[1::2] = target
+    can_skip = np.zeros(len(ext), dtype=bool)
+    can_skip[2:] = (ext[2:] != blank) & (ext[2:] != ext[:-2])
+    return ext, can_skip
+
+
+def _ref_check(y, target):
+    if any(t < 0 or t >= y.shape[1] - 1 for t in target):
+        raise CtcError("target contains an id outside the non-blank classes")
+    if min_frames_required(target) > y.shape[0]:
+        raise InfeasibleTargetError(
+            f"target needs at least {min_frames_required(target)} frames, got {y.shape[0]}"
+        )
+
+
+def ref_ctc_loss(y, target):
+    _ref_check(y, target)
+    T, C = y.shape
+    blank = C - 1
+    if not target:
+        logs = np.log(np.maximum(y[:, blank], 1e-300))
+        grad = y.copy()
+        grad[:, blank] -= 1.0
+        return -float(logs.sum()), grad
+    ext, can_skip = _ref_augment(target, blank)
+    S = len(ext)
+    logy = np.log(np.maximum(y, 1e-300))
+    alpha = np.full((T, S), NEG_INF)
+    alpha[0, 0] = logy[0, ext[0]]
+    alpha[0, 1] = logy[0, ext[1]]
+    for t in range(1, T):
+        stay = alpha[t - 1]
+        prev = np.concatenate(([NEG_INF], alpha[t - 1, :-1]))
+        skip = np.concatenate(([NEG_INF, NEG_INF], alpha[t - 1, :-2]))
+        skip = np.where(can_skip, skip, NEG_INF)
+        alpha[t] = _ref_lse3(stay, prev, skip) + logy[t, ext]
+    log_p = _ref_lse2(alpha[T - 1, S - 1], alpha[T - 1, S - 2])
+    if not np.isfinite(log_p):
+        raise InfeasibleTargetError("no feasible path for target")
+    beta = np.full((T, S), NEG_INF)
+    beta[T - 1, S - 1] = logy[T - 1, ext[S - 1]]
+    beta[T - 1, S - 2] = logy[T - 1, ext[S - 2]]
+    skip_fwd = np.concatenate((can_skip[2:], [False, False]))
+    for t in range(T - 2, -1, -1):
+        stay = beta[t + 1]
+        nxt = np.concatenate((beta[t + 1, 1:], [NEG_INF]))
+        skp = np.concatenate((beta[t + 1, 2:], [NEG_INF, NEG_INF]))
+        skp = np.where(skip_fwd, skp, NEG_INF)
+        beta[t] = _ref_lse3(stay, nxt, skp) + logy[t, ext]
+    gamma = np.zeros((T, C))
+    with np.errstate(invalid="ignore"):
+        ab = alpha + beta - logy[:, ext]
+    for s in range(S):
+        contrib = np.exp(ab[:, s] - log_p)
+        gamma[:, ext[s]] += np.where(np.isfinite(ab[:, s]), contrib, 0.0)
+    return -float(log_p), y - gamma
+
+
+def ref_forced_align(y, target):
+    """(units as (symbol id, start, end, score) tuples, total log score)."""
+    _ref_check(y, target)
+    T, C = y.shape
+    blank = C - 1
+    logy = np.log(np.maximum(y, 1e-300))
+    if not target:
+        return [], float(logy[:, blank].sum())
+    ext, can_skip = _ref_augment(target, blank)
+    S = len(ext)
+    delta = np.full((T, S), NEG_INF)
+    back = np.zeros((T, S), dtype=np.int8)
+    delta[0, 0] = logy[0, ext[0]]
+    delta[0, 1] = logy[0, ext[1]]
+    for t in range(1, T):
+        stay = delta[t - 1]
+        prev = np.concatenate(([NEG_INF], delta[t - 1, :-1]))
+        skip = np.concatenate(([NEG_INF, NEG_INF], delta[t - 1, :-2]))
+        skip = np.where(can_skip, skip, NEG_INF)
+        choices = np.stack([stay, prev, skip])
+        best = np.argmax(choices, axis=0)
+        back[t] = best
+        delta[t] = choices[best, np.arange(S)] + logy[t, ext]
+    final = max([S - 1, S - 2], key=lambda s: delta[T - 1, s])
+    total = float(delta[T - 1, final])
+    path = np.empty(T, dtype=np.int64)
+    s = final
+    for t in range(T - 1, -1, -1):
+        path[t] = s
+        s -= int(back[t, s])
+    units = []
+    for occ, sym in enumerate(target):
+        frames = np.nonzero(path == 2 * occ + 1)[0]
+        units.append((sym, int(frames[0]), int(frames[-1]), float(y[frames, sym].mean())))
+    return units, total
+
+
+def _equivalence_case(rng):
+    """Random (probs, target): tied rows, empty and repeated targets, infeasible lengths."""
+    T = int(rng.integers(1, 13))
+    C = int(rng.integers(2, 7))
+    kind = rng.integers(3)
+    if kind == 0:
+        probs = random_softmax(rng, T, C)
+    elif kind == 1:  # small integer counts: many exact ties and some zeros
+        counts = rng.integers(0, 3, size=(T, C)).astype(float)
+        counts[counts.sum(axis=1) == 0, -1] = 1.0
+        probs = counts / counts.sum(axis=1, keepdims=True)
+    else:  # uniform rows: every path ties
+        probs = np.full((T, C), 1.0 / C)
+    L = int(rng.integers(0, T + 2))
+    symbols = int(rng.integers(1, C)) if C > 1 else 1
+    target = [int(x) for x in rng.integers(0, symbols, size=L)]
+    return probs, target
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except CtcError as exc:
+        return type(exc), str(exc)
+
+
+class TestLatticeEquivalence:
+    CASES = 1500
+
+    def test_ctc_loss_bit_identical(self):
+        rng = np.random.default_rng(2006)
+        kinds = {"empty": 0, "repeat": 0, "infeasible": 0}
+        for _ in range(self.CASES):
+            probs, target = _equivalence_case(rng)
+            got = _outcome(ctc_loss, FrameScores(probs=probs), target)
+            want = _outcome(ref_ctc_loss, probs, target)
+            if isinstance(want[0], type):
+                kinds["infeasible"] += 1
+                assert got == want
+                continue
+            kinds["empty"] += not target
+            kinds["repeat"] += any(a == b for a, b in zip(target, target[1:]))
+            assert got[0] == want[0]
+            assert got[1].tobytes() == want[1].tobytes()
+        assert min(kinds.values()) >= 20, kinds
+
+    def test_forced_align_bit_identical(self):
+        rng = np.random.default_rng(1944)
+        feasible = 0
+        for _ in range(self.CASES):
+            probs, target = _equivalence_case(rng)
+            C = probs.shape[1]
+            alpha = Alphabet(chars=tuple("ABCDE"[: C - 2]) + ("|",))
+            got = _outcome(forced_align, FrameScores(probs=probs), target, alpha)
+            want = _outcome(ref_forced_align, probs, target)
+            if isinstance(want[0], type):
+                assert got == want
+                continue
+            feasible += 1
+            units, total = want
+            assert got.total_log_score == total
+            assert [
+                (alpha.index(u.symbol), u.start_frame, u.end_frame, u.score) for u in got.units
+            ] == units
+        assert feasible >= self.CASES // 2

@@ -13,7 +13,6 @@ from signscribe.ctc import toy_alphabet
 from signscribe.fingerspelling import (
     FingerspellingModel,
     WordDetection,
-    align_words,
     align_words_scores,
     filter_training_set,
     load_fingerspelling_model,
@@ -63,7 +62,8 @@ class TestAlignWords:
         signer = syn.make_signers(1, rng)[0]
         words = ("DOG", "BIT", "CAT")
         poses, _ = syn.fingerspelling_clip(world, words, signer, rng, video_id="al")
-        detections = align_words(fs_model, poses, list(words))
+        scores = fs_mod.frame_scores(fs_model, poses)
+        detections = align_words_scores(scores, list(words), fs_model.alphabet)
         assert [d.word for d in detections] == list(words)
         for d in detections:
             assert d.score > 0.6
@@ -83,7 +83,7 @@ class TestAlignWords:
         signer = syn.make_signers(1, rng)[0]
         poses, _ = syn.fingerspelling_clip(world, ("CAT",), signer, rng)
         with pytest.raises(TokenizationError) as exc_info:
-            align_words(fs_model, poses, ["C?T"])
+            align_words_scores(fs_mod.frame_scores(fs_model, poses), ["C?T"], fs_model.alphabet)
         assert exc_info.value.word == "C?T"
 
 

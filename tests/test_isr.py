@@ -14,7 +14,6 @@ from signscribe.isr import (
     GlossDetection,
     SignVocabulary,
     _segment_dp,
-    align_glosses,
     align_glosses_scores,
     build_frame_targets,
     classify,
@@ -396,7 +395,15 @@ class TestAlignGlossesScores:
             (0, WordDetection(word="BOB", score=0.9, start_frame=4, end_frame=18)),
             (3, WordDetection(word="FRICK", score=0.9, start_frame=55, end_frame=72)),
         ]
-        detections, errors = align_glosses(isr_model, poses, seq, anchors)
+        entries = [
+            AlignEntry(token_index=i, token=tok)
+            for i, tok in enumerate(seq.tokens)
+            if i not in {idx for idx, _ in anchors}
+        ]
+        by_index, errors = align_glosses_scores(
+            isr_scores(isr_model, poses), isr_model.vocabulary, entries, anchors
+        )
+        detections = [by_index[e.token_index] for e in entries]
         spans = {d.gloss: d.interval for d in detections}
         assert spans["TRAVEL"][0] > 18 and spans["TO"][1] < 55
         assert all(i[0] > 72 for g, i in spans.items() if g in ("PARK", "WITH", "DOG"))

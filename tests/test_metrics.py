@@ -17,7 +17,6 @@ from signscribe.metrics import (
     chrf,
     levenshtein,
     op_point,
-    pr_auc_roc,
     roc_auc,
     temporal_f1,
 )
@@ -154,12 +153,6 @@ class TestRocAuc:
     def test_single_class_rejected(self):
         with pytest.raises(SingleClassError):
             roc_auc([LabeledScore(0.5, True)])
-
-    def test_curve_endpoints(self):
-        samples = [LabeledScore(0.9, True), LabeledScore(0.1, False)]
-        auc, curve = pr_auc_roc(samples)
-        assert curve[0] == (0.0, 0.0)
-        assert curve[-1] == (1.0, 1.0)
 
 
 class TestOpPoint:

@@ -1,5 +1,6 @@
 """End-to-end pipeline: candidate scoring, ranking, document serialization."""
 
+import hashlib
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from signscribe import fingerspelling as fs_mod
+from signscribe import isr as isr_mod
 from signscribe import nn
 from signscribe import pipeline as pipeline_mod
 from signscribe import synthetic as syn
@@ -205,6 +207,8 @@ class TestAnnotate:
         doc = annotate("Dog drinks water", poses, models, PipelineConfig(k=1), StubClient())
         assert len(doc.candidates) == 1
         assert doc.candidates[0].rank == 1
+        assert doc.model_fingerprints == models.fingerprints()
+        assert len(doc.model_fingerprints["isr_one_hand_weights"]) == 64
 
     def test_llm_failure_produces_error_document(self, worked_video, models):
         poses, _ = worked_video
@@ -334,3 +338,58 @@ class TestDocumentSerialization:
             assert candidate["aggregate_score"] == round(candidate["aggregate_score"], 6)
             for sign in candidate["per_sign"]:
                 assert sign["score"] == round(sign["score"], 6)
+
+
+class TestProvenance:
+    """``model_fingerprints`` identifies the trained weights, not just the architecture."""
+
+    VOCAB = SignVocabulary(glosses=("CAT", "DOG"))
+
+    def _models(self, seed):
+        rng = np.random.default_rng(seed)
+        alphabet = toy_alphabet()
+
+        def tcn(classes):
+            return nn.Tcn.init(nn.TcnConfig(input_dim=2, output_classes=classes, channels=3), rng)
+
+        return Models(
+            fingerspelling=FingerspellingModel(tcn=tcn(alphabet.size), alphabet=alphabet),
+            isr=IsrModel(
+                vocabulary=self.VOCAB, two_hand=tcn(self.VOCAB.size), one_hand=tcn(self.VOCAB.size)
+            ),
+        )
+
+    def test_two_seeds_differ_in_weights_only(self):
+        a, b = self._models(1).fingerprints(), self._models(2).fingerprints()
+        nets = ("fingerspelling", "isr_two_hand", "isr_one_hand")
+        assert set(a) == set(nets) | {f"{n}_weights" for n in nets}
+        for n in nets:
+            assert a[n] == b[n]
+            assert a[f"{n}_weights"] != b[f"{n}_weights"]
+
+    def test_save_load_save_keeps_digests(self, tmp_path):
+        def save(models, root):
+            fs_mod.save_fingerspelling_model(root / "fingerspelling", models.fingerspelling)
+            isr_mod.save_isr_model(root / "isr", models.isr)
+
+        def load(root):
+            return Models(
+                fingerspelling=fs_mod.load_fingerspelling_model(root / "fingerspelling"),
+                isr=isr_mod.load_isr_model(root / "isr"),
+            )
+
+        models = self._models(3)
+        save(models, tmp_path / "one")
+        loaded = load(tmp_path / "one")
+        save(loaded, tmp_path / "two")
+        prints = models.fingerprints()
+        assert loaded.fingerprints() == prints
+        assert load(tmp_path / "two").fingerprints() == prints
+        for name, blob in (
+            ("fingerspelling", "fingerspelling/weights.bin"),
+            ("isr_two_hand", "isr/two_hand/weights.bin"),
+            ("isr_one_hand", "isr/one_hand/weights.bin"),
+        ):
+            first = (tmp_path / "one" / blob).read_bytes()
+            assert (tmp_path / "two" / blob).read_bytes() == first
+            assert hashlib.sha256(first).hexdigest() == prints[f"{name}_weights"]
