@@ -171,19 +171,20 @@ def train_toy(
         input_dim=2 * 21, output_classes=alphabet.size, channels=channels
     )
     tcn = nn.Tcn.init(config, rng)
+    model = FingerspellingModel(tcn=tcn, alphabet=alphabet)
     feats = {s.sample_id: _features(s.poses) for s in corpus}
     targets = {s.sample_id: _sample_target(s, alphabet) for s in corpus}
 
     def loss_fn(samples, train_mode: bool) -> nn.Tensor:
         (s,) = samples
+        if not train_mode:
+            return nn.constant(per_character_loss(model, s, feats[s.sample_id]))
         logits = tcn.forward(feats[s.sample_id])
         probs = nn.softmax(logits.data)
         loss, grad = ctc_mod.ctc_loss(
             FrameScores(probs=probs, kind="softmax"), targets[s.sample_id]
         )
-        if train_mode:
-            return nn.external_loss(logits, loss, grad)
-        return nn.constant(loss / max(1, sum(len(w) for w in s.words)))
+        return nn.external_loss(logits, loss, grad)
 
     (best,), history = fit(
         [tcn], train, val, loss_fn, rng, epochs=epochs, batch_size=1, lr=lr,

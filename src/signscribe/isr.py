@@ -230,10 +230,6 @@ def _segment_dp(
     return float(dp[n]), segments
 
 
-class IntervalInfeasibleError(ValueError):
-    pass
-
-
 def align_glosses_scores(
     scores: FrameScores,
     vocabulary: SignVocabulary,

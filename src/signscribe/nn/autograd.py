@@ -4,6 +4,11 @@ Covers exactly the operations the temporal convolutional models need:
 dilated 1-D convolution, affine layers, GELU, channel concatenation,
 elementwise maximum, residual adds, and scalar reductions. Computation is
 float64 throughout; persisted weights are float32 (see serialize module).
+
+An op records a graph node (its parents and a backward closure) only when
+one of its inputs requires a gradient, and then its output requires one
+too. A forward pass over :func:`constant` tensors alone therefore leaves
+no graph behind: inference and validation build nothing to throw away.
 """
 
 from __future__ import annotations
@@ -49,6 +54,8 @@ class Tensor:
 
     def backward(self, grad: np.ndarray | None = None) -> None:
         """Backpropagate from this node; scalar roots default to grad 1."""
+        if not self.requires_grad:
+            raise ValueError("backward() from a tensor that does not require a gradient")
         if grad is None:
             if self.data.ndim != 0 and self.data.size != 1:
                 raise ValueError("backward() without a gradient requires a scalar")
@@ -84,51 +91,45 @@ def parameter(data, name: str = "") -> Tensor:
     return Tensor(data, requires_grad=True, name=name)
 
 
-def constant(data) -> Tensor:
-    return Tensor(data, requires_grad=False)
+def constant(data, name: str = "") -> Tensor:
+    return Tensor(data, requires_grad=False, name=name)
 
 
-def _needs(t: Tensor) -> bool:
-    return t.requires_grad or t._parents != ()
+def _node(data, parents: tuple, backward: Callable[[np.ndarray], None]) -> Tensor:
+    """An op's output: a graph node if any parent requires a gradient, else plain data."""
+    if any(p.requires_grad for p in parents):
+        return Tensor(data, requires_grad=True, _parents=parents, _backward=backward)
+    return Tensor(data)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data + b.data, _parents=(a, b))
-
     def bw(g):
-        if _needs(a):
+        if a.requires_grad:
             a._accumulate(g)
-        if _needs(b):
+        if b.requires_grad:
             b._accumulate(g)
 
-    out._backward = bw
-    return out
+    return _node(a.data + b.data, (a, b), bw)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data * b.data, _parents=(a, b))
-
     def bw(g):
-        if _needs(a):
+        if a.requires_grad:
             a._accumulate(g * b.data)
-        if _needs(b):
+        if b.requires_grad:
             b._accumulate(g * a.data)
 
-    out._backward = bw
-    return out
+    return _node(a.data * b.data, (a, b), bw)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data @ b.data, _parents=(a, b))
-
     def bw(g):
-        if _needs(a):
+        if a.requires_grad:
             a._accumulate(g @ b.data.T)
-        if _needs(b):
+        if b.requires_grad:
             b._accumulate(a.data.T @ g)
 
-    out._backward = bw
-    return out
+    return _node(a.data @ b.data, (a, b), bw)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -137,62 +138,54 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     parents = (x, weight) if bias is None else (x, weight, bias)
     if bias is not None:
         data = data + bias.data
-    out = Tensor(data, _parents=parents)
 
     def bw(g):
-        if _needs(x):
+        if x.requires_grad:
             x._accumulate(g @ weight.data.T)
-        if _needs(weight):
+        if weight.requires_grad:
             weight._accumulate(x.data.T @ g)
-        if bias is not None and _needs(bias):
+        if bias is not None and bias.requires_grad:
             bias._accumulate(g.sum(axis=0))
 
-    out._backward = bw
-    return out
+    return _node(data, parents, bw)
 
 
 def gelu(x: Tensor) -> Tensor:
     """Exact-erf GELU: x * Phi(x)."""
     phi = 0.5 * (1.0 + erf(x.data / _SQRT2))
-    out = Tensor(x.data * phi, _parents=(x,))
 
     def bw(g):
-        if _needs(x):
+        if x.requires_grad:
             pdf = _INV_SQRT_2PI * np.exp(-0.5 * x.data * x.data)
             x._accumulate(g * (phi + x.data * pdf))
 
-    out._backward = bw
-    return out
+    return _node(x.data * phi, (x,), bw)
 
 
 def maximum(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise max; on exact ties the gradient routes to ``a``."""
     take_a = a.data >= b.data
-    out = Tensor(np.where(take_a, a.data, b.data), _parents=(a, b))
 
     def bw(g):
-        if _needs(a):
+        if a.requires_grad:
             a._accumulate(np.where(take_a, g, 0.0))
-        if _needs(b):
+        if b.requires_grad:
             b._accumulate(np.where(take_a, 0.0, g))
 
-    out._backward = bw
-    return out
+    return _node(np.where(take_a, a.data, b.data), (a, b), bw)
 
 
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     widths = [p.data.shape[1] for p in parts]
-    out = Tensor(np.concatenate([p.data for p in parts], axis=1), _parents=tuple(parts))
 
     def bw(g):
         offset = 0
         for p, w in zip(parts, widths):
-            if _needs(p):
+            if p.requires_grad:
                 p._accumulate(g[:, offset : offset + w])
             offset += w
 
-    out._backward = bw
-    return out
+    return _node(np.concatenate([p.data for p in parts], axis=1), tuple(parts), bw)
 
 
 def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None, dilation: int) -> Tensor:
@@ -219,35 +212,30 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None, dilation: int) -> Ten
     if bias is not None:
         y = y + bias.data
     parents = (x, weight) if bias is None else (x, weight, bias)
-    out = Tensor(y, _parents=parents)
 
     def bw(g):
-        if _needs(weight):
+        if weight.requires_grad:
             gw = np.empty_like(weight.data)
             for j in range(k):
                 gw[j] = xp[j * dilation : j * dilation + T].T @ g
             weight._accumulate(gw)
-        if bias is not None and _needs(bias):
+        if bias is not None and bias.requires_grad:
             bias._accumulate(g.sum(axis=0))
-        if _needs(x):
+        if x.requires_grad:
             gxp = np.zeros_like(xp)
             for j in range(k):
                 gxp[j * dilation : j * dilation + T] += g @ weight.data[j].T
             x._accumulate(gxp[pad : pad + T])
 
-    out._backward = bw
-    return out
+    return _node(y, parents, bw)
 
 
 def sum_all(x: Tensor) -> Tensor:
-    out = Tensor(np.float64(x.data.sum()), _parents=(x,))
-
     def bw(g):
-        if _needs(x):
+        if x.requires_grad:
             x._accumulate(np.full_like(x.data, float(g)))
 
-    out._backward = bw
-    return out
+    return _node(np.float64(x.data.sum()), (x,), bw)
 
 
 def external_loss(logits: Tensor, value: float, grad_wrt_logits: np.ndarray) -> Tensor:
@@ -259,14 +247,12 @@ def external_loss(logits: Tensor, value: float, grad_wrt_logits: np.ndarray) -> 
     grad_wrt_logits = np.asarray(grad_wrt_logits, dtype=np.float64)
     if grad_wrt_logits.shape != logits.data.shape:
         raise ValueError("loss gradient shape must match logits shape")
-    out = Tensor(np.float64(value), _parents=(logits,))
 
     def bw(g):
-        if _needs(logits):
+        if logits.requires_grad:
             logits._accumulate(float(g) * grad_wrt_logits)
 
-    out._backward = bw
-    return out
+    return _node(np.float64(value), (logits,), bw)
 
 
 def log_softmax(z: np.ndarray) -> np.ndarray:

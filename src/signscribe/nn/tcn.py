@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -172,6 +172,11 @@ class Tcn:
 
     @classmethod
     def from_arrays(cls, config: TcnConfig, arrays: dict[str, np.ndarray]) -> "Tcn":
+        """An inference-only network over ``arrays``, checked against ``config``.
+
+        Its parameters are constants, so its forward records no autograd graph
+        and ``backward`` from its output raises; train a :meth:`init` network.
+        """
         shapes = param_shapes(config)
         params: dict[str, Tensor] = {}
         for name, shape in shapes.items():
@@ -180,7 +185,7 @@ class Tcn:
             arr = np.asarray(arrays[name], dtype=np.float64)
             if arr.shape != shape:
                 raise ValueError(f"parameter {name!r} has shape {arr.shape}, expected {shape}")
-            params[name] = ag.parameter(arr, name)
+            params[name] = ag.constant(arr, name)
         extra = set(arrays) - set(shapes)
         if extra:
             raise ValueError(f"unexpected parameters: {sorted(extra)}")

@@ -13,14 +13,14 @@ model trained on a world can score videos composed from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .ctc import PIPE, Alphabet, toy_alphabet
 from .gloss import GlossSequence, GlossToken, TokenKind
 from .isr import SignVocabulary
-from .pose import BODY_DEFAULT_JOINTS, HAND_JOINTS, PoseFrame, PoseSequence
+from .pose import HAND_JOINTS, PoseFrame, PoseSequence
 
 DEFAULT_WORLD_SEED = 1207
 GRID = 1024.0

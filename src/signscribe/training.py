@@ -78,11 +78,12 @@ def fit(
     ``loss_fn(batch, True)``, with the learning rate on a cosine from ``lr``
     to ``min_lr`` over all steps and gradients clipped to a global L2 norm of
     ``grad_clip``. The validation loss is the mean of ``loss_fn([s], False)``
-    over ``val``. A history row per epoch holds ``epoch``, the mean batch
+    over ``val``, run on frozen weights (``requires_grad`` off), so it records
+    no autograd graph. A history row per epoch holds ``epoch``, the mean batch
     ``train_loss``, ``val_loss`` and the last step's ``lr``. Training stops
     once ``patience`` epochs pass without a new best validation loss; the
-    returned networks are rebuilt from the best epoch's weights (the initial
-    ones when ``epochs`` is 0).
+    returned networks are inference-only (:meth:`nn.Tcn.from_arrays`) copies
+    of the best epoch's weights (the initial ones when ``epochs`` is 0).
     """
     opt = nn.AdamW([p for tcn in tcns for p in tcn.parameters()], lr=lr, weight_decay=weight_decay)
 
@@ -109,7 +110,11 @@ def fit(
             opt.step()
             step += 1
             epoch_loss += loss.item()
+        for p in opt.params:
+            p.requires_grad = False
         val_loss = float(np.mean([loss_fn([s], False).item() for s in val]))
+        for p in opt.params:
+            p.requires_grad = True
         history.append(
             {"epoch": epoch, "train_loss": epoch_loss / n_batches, "val_loss": val_loss, "lr": opt.lr}
         )

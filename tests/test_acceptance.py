@@ -4,7 +4,6 @@ pass/fail line (run with ``pytest tests/test_acceptance.py -v -s``).
 All criteria run offline against synthetic data and brute-force oracles.
 """
 
-import itertools
 import json
 import time
 

@@ -1,7 +1,6 @@
 """Command-line surface: exit codes, hermetic determinism, file artifacts."""
 
 import json
-from pathlib import Path
 
 import pytest
 

@@ -11,8 +11,6 @@ from signscribe import fingerspelling as fs_mod
 from signscribe import synthetic as syn
 from signscribe.ctc import toy_alphabet
 from signscribe.fingerspelling import (
-    FingerspellingModel,
-    WordDetection,
     align_words_scores,
     filter_training_set,
     load_fingerspelling_model,

@@ -1,7 +1,5 @@
 """Isolated sign recognizer: vocabulary, scores, classification, alignment."""
 
-import itertools
-
 import numpy as np
 import pytest
 
@@ -11,7 +9,6 @@ from signscribe.fingerspelling import WordDetection
 from signscribe.gloss import GlossToken, TokenKind, parse_gloss_sequence
 from signscribe.isr import (
     AlignEntry,
-    GlossDetection,
     SignVocabulary,
     _segment_dp,
     align_glosses_scores,

@@ -1,6 +1,5 @@
 """LLM gateway: prompts, parsing, stub determinism, HTTP retry behavior."""
 
-import hashlib
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -10,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from signscribe.llm import (
-    CandidateSet,
     HttpClient,
     LlmError,
     PromptName,

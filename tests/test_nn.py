@@ -5,6 +5,11 @@ import pytest
 
 from signscribe import nn
 from signscribe.ctc import FrameScores, ctc_loss
+from signscribe.pose import (
+    FINGERSPELLING_FEATURES,
+    ISR_ONE_HAND_FEATURES,
+    ISR_TWO_HAND_FEATURES,
+)
 
 
 def hand_dilated_conv(x, kernel, dilation):
@@ -106,6 +111,20 @@ class TestAutogradBasics:
         loss.backward()
         np.testing.assert_array_equal(p.grad, [2.0])
 
+    def test_constant_inputs_record_no_graph(self):
+        a, b = nn.constant(np.ones((2, 3))), nn.constant(np.ones((3, 2)))
+        out = nn.sum_all(nn.gelu(nn.matmul(a, b)))
+        assert not out.requires_grad
+        assert out._parents == () and out._backward is None
+        with pytest.raises(ValueError, match="does not require a gradient"):
+            out.backward()
+
+    def test_one_trainable_input_records_the_node(self):
+        a, w = nn.constant(np.ones((2, 3))), nn.parameter(np.ones((3, 2)))
+        out = nn.matmul(a, w)
+        assert out.requires_grad
+        assert out._parents == (a, w)
+
 
 def small_tcn(rng, input_dim=4, classes=4):
     config = nn.TcnConfig(
@@ -177,6 +196,34 @@ class TestTcn:
         _, tcn = small_tcn(rng)
         with pytest.raises(nn.FingerprintMismatchError):
             tcn.forward(np.zeros((4, 4)), weights_fingerprint="deadbeef")
+
+    @pytest.mark.parametrize(
+        "make_config, input_dim, classes",
+        [
+            (nn.fingerspelling_config, FINGERSPELLING_FEATURES.dim, 30),
+            (nn.isr_config, ISR_TWO_HAND_FEATURES.dim, 22),
+            (nn.isr_config, ISR_ONE_HAND_FEATURES.dim, 22),
+        ],
+    )
+    @pytest.mark.parametrize("T", [1, 35, 940])
+    def test_frozen_copy_gives_identical_logits(self, make_config, input_dim, classes, T):
+        rng = np.random.default_rng(T)
+        config = make_config(input_dim=input_dim, output_classes=classes)
+        trainable = nn.Tcn.init(config, rng)
+        frozen = nn.Tcn.from_arrays(config, trainable.state_arrays())
+        x = rng.normal(size=(T, config.input_dim))
+        graph, plain = trainable.forward(x), frozen.forward(x)
+        assert np.array_equal(graph.data, plain.data)
+        assert graph.requires_grad and graph._parents
+        assert not plain.requires_grad and plain._parents == ()
+
+    def test_backward_from_loaded_net_raises(self):
+        config, tcn = small_tcn(np.random.default_rng(6))
+        loaded = nn.Tcn.from_arrays(config, tcn.state_arrays())
+        assert not any(p.requires_grad for p in loaded.parameters())
+        loss = nn.sum_all(loaded.forward(np.ones((5, 4))))
+        with pytest.raises(ValueError, match="does not require a gradient"):
+            loss.backward()
 
     def test_from_arrays_missing_parameter(self):
         config, tcn = small_tcn(np.random.default_rng(3))

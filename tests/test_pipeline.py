@@ -16,11 +16,10 @@ from signscribe import pipeline as pipeline_mod
 from signscribe import synthetic as syn
 from signscribe.ctc import FrameScores, toy_alphabet
 from signscribe.fingerspelling import FingerspellingModel
-from signscribe.gloss import GlossSequence, GlossToken, TokenKind, parse_gloss_sequence, render
+from signscribe.gloss import GlossSequence, parse_gloss_sequence, render
 from signscribe.isr import IsrModel, SignVocabulary
 from signscribe.llm import LlmError, StubClient
 from signscribe.pipeline import (
-    AnnotationDocument,
     Models,
     PipelineConfig,
     ScoreMode,
@@ -245,6 +244,22 @@ class TestAnnotate:
         for candidate in doc.candidates:
             for sign in candidate.per_sign:
                 assert 0 <= sign.interval[0] <= sign.interval[1] < T
+
+    def test_annotate_records_no_autograd_graph(self, worked_video, models, monkeypatch):
+        poses, _ = worked_video
+        outputs = []
+        real = nn.Tcn.forward
+
+        def spy(self, *args, **kwargs):
+            outputs.append(real(self, *args, **kwargs))
+            return outputs[-1]
+
+        monkeypatch.setattr(nn.Tcn, "forward", spy)
+        annotate(WORKED_ENGLISH, poses, models, PipelineConfig(), stub_with_worked_example())
+        assert len(outputs) == 3
+        for logits in outputs:
+            assert not logits.requires_grad
+            assert logits._parents == ()
 
     def test_shared_word_list_aligned_once(self, worked_video, models, monkeypatch):
         """Candidates that spell the same words share one forced alignment."""

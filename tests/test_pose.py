@@ -4,8 +4,6 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from signscribe.pose import (
     BELOW_HIP_JOINTS,
@@ -14,7 +12,6 @@ from signscribe.pose import (
     ISR_ONE_HAND_FEATURES,
     ISR_TWO_HAND_FEATURES,
     ChannelEmptyError,
-    FeatureSpec,
     Hand,
     NoHandsError,
     NoShouldersError,

@@ -20,7 +20,8 @@ class Recorder:
     """Hand-made loss: training steps on the summed logits; validation reads a schedule.
 
     Records each training batch and, at every epoch's validation, the
-    network's weights at that point.
+    network's weights at that point; records at every call whether the
+    network's parameters required a gradient.
     """
 
     def __init__(self, tcn, val_schedule):
@@ -28,13 +29,18 @@ class Recorder:
         self.val_schedule = list(val_schedule)
         self.batches: list[list] = []
         self.val_weights: list[dict] = []
+        self.train_trainable: list[bool] = []
+        self.val_trainable: list[bool] = []
         self._val_calls = 0
 
     def __call__(self, samples, train_mode):
+        trainable = [p.requires_grad for p in self.tcn.parameters()]
         if train_mode:
+            self.train_trainable.append(all(trainable))
             self.batches.append(list(samples))
             x = np.concatenate([np.full((3, 1), float(s)) for s in samples])
             return nn.sum_all(self.tcn.forward(x))
+        self.val_trainable.append(any(trainable))
         epoch, first = divmod(self._val_calls, len(VAL))
         self._val_calls += 1
         if first == 0:
@@ -108,3 +114,11 @@ def test_one_epoch_steps_once_per_batch(batch_size):
     _, history, loss = run([1.0], epochs=1, batch_size=batch_size)
     assert len(loss.batches) == -(-len(TRAIN) // batch_size)
     assert len(history) == 1
+
+
+def test_validation_runs_on_frozen_weights():
+    best, _, loss = run([3.0, 1.0, 2.0], epochs=3)
+    assert loss.train_trainable == [True] * 3 * 3
+    assert loss.val_trainable == [False] * 3 * len(VAL)
+    assert all(p.requires_grad for p in loss.tcn.parameters())
+    assert not any(p.requires_grad for p in best.parameters())
