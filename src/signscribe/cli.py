@@ -13,8 +13,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+
+import jsonschema
 
 from . import fingerspelling as fs_mod
 from . import isr as isr_mod
@@ -68,7 +69,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ann.add_argument("--min-sign-duration", type=int, default=3)
     p_ann.add_argument("--llm", choices=["stub", "http"], default="stub")
     p_ann.add_argument("--jobs", type=int, default=1,
-                       help="batch mode: videos annotated at once, as threads in one process")
+                       help="batch mode: videos annotated at once, each in a worker process "
+                            "(forked where available) holding its own copy of the models; "
+                            "1 annotates in this process")
     p_ann.add_argument("--seed", type=int, default=DEFAULT_SEED,
                        help="reserved; has no effect on annotate")
 
@@ -182,10 +185,68 @@ def _pipeline_config(args) -> pipe_mod.PipelineConfig:
     )
 
 
+# Shared state of a batch worker process, set once by the pool initializer.
+_worker_state: tuple | None = None
+
+
+def _init_worker(state: tuple) -> None:
+    global _worker_state
+    _worker_state = state
+
+
+def _annotate_in_worker(rec: dict) -> dict | None:
+    return _annotate_record(_worker_state, rec)
+
+
+def _annotate_record(state: tuple, rec: dict) -> dict | None:
+    """Annotate one batch record; return its failure instead of raising it."""
+    models, config, client, poses_dir, out_dir = state
+    try:
+        video_id = rec["video_id"]
+        poses = read_pose_jsonl(poses_dir / f"{video_id}.jsonl")
+        doc = pipe_mod.annotate(rec["english"], poses, models, config, client)
+        payload = pipe_mod.document_bytes(doc)
+        pipe_mod.validate_document(json.loads(payload))
+        (out_dir / f"{video_id}.json").write_bytes(payload)
+    except Exception as exc:  # one bad record must not lose the batch
+        return _failure(rec, exc)
+    return None
+
+
+def _failure(rec: dict, exc: BaseException) -> dict:
+    return {"video_id": rec.get("video_id"), "error": f"{type(exc).__name__}: {exc}"}
+
+
+def _annotate_in_pool(state: tuple, records: list[dict], workers: int) -> list[dict | None]:
+    """Annotate ``records`` in ``workers`` processes; a dead worker fails what it left undone."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    # Forked workers inherit the loaded models instead of unpickling a copy.
+    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+    with ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=multiprocessing.get_context(method),
+        initializer=_init_worker,
+        initargs=(state,),
+    ) as pool:
+        futures = [pool.submit(_annotate_in_worker, rec) for rec in records]
+        results = []
+        for rec, future in zip(records, futures):
+            try:
+                results.append(future.result())
+            except BrokenProcessPool as exc:
+                results.append(_failure(rec, exc))
+    return results
+
+
 def _cmd_annotate(args, parser) -> int:
     batch = args.transcripts is not None
     if batch == (args.english is not None or args.poses is not None):
         parser.error("use either --english/--poses or --transcripts/--poses-dir")
+    if args.jobs < 1:
+        parser.error("--jobs must be at least 1")
     _require_paths(parser, args.model_dir, args.vocab)
     models = _load_models(args.model_dir, args.vocab)
     config = _pipeline_config(args)
@@ -211,22 +272,13 @@ def _cmd_annotate(args, parser) -> int:
         for line in Path(args.transcripts).read_text(encoding="utf-8").splitlines()
         if line.strip()
     ]
-
-    def run_one(rec: dict) -> dict | None:
-        """Annotate one record; return its failure instead of raising it."""
-        try:
-            video_id = rec["video_id"]
-            poses = read_pose_jsonl(Path(args.poses_dir) / f"{video_id}.jsonl")
-            doc = pipe_mod.annotate(rec["english"], poses, models, config, client)
-            payload = pipe_mod.document_bytes(doc)
-            pipe_mod.validate_document(json.loads(payload))
-            (out_dir / f"{video_id}.json").write_bytes(payload)
-        except Exception as exc:  # one bad record must not lose the batch
-            return {"video_id": rec.get("video_id"), "error": f"{type(exc).__name__}: {exc}"}
-        return None
-
-    with ThreadPoolExecutor(max_workers=max(args.jobs, 1)) as pool:
-        failed = [f for f in pool.map(run_one, records) if f is not None]
+    state = (models, config, client, Path(args.poses_dir), out_dir)
+    workers = min(args.jobs, len(records))
+    if workers <= 1:
+        results = [_annotate_record(state, rec) for rec in records]
+    else:
+        results = _annotate_in_pool(state, records, workers)
+    failed = [f for f in results if f is not None]
     written = len(records) - len(failed)
     print(json.dumps({"written": written, "failed": failed}), file=sys.stderr)
     print(f"wrote {written} documents to {out_dir}")
@@ -236,9 +288,19 @@ def _cmd_annotate(args, parser) -> int:
 # --- render-timeline -----------------------------------------------------------
 
 
+def _read_document(path: Path) -> dict:
+    """Load an annotation document from outside; a schema violation is a domain error."""
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        pipe_mod.validate_document(doc)
+    except jsonschema.ValidationError as exc:
+        raise DomainError(f"{path} is not a valid annotation document: {exc.message}") from exc
+    return doc
+
+
 def _cmd_render_timeline(args, parser) -> int:
     _require_paths(parser, args.doc)
-    doc = json.loads(Path(args.doc).read_text(encoding="utf-8"))
+    doc = _read_document(Path(args.doc))
     try:
         svg = timeline_mod.render_timeline(doc, rank=args.rank)
     except timeline_mod.TimelineError as exc:
@@ -257,7 +319,7 @@ def _collect_docs(paths: list[str]) -> list[dict]:
         path = Path(p)
         files = sorted(path.glob("*.json")) if path.is_dir() else [path]
         for f in files:
-            docs.append(json.loads(f.read_text(encoding="utf-8")))
+            docs.append(_read_document(f))
     return docs
 
 

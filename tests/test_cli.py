@@ -1,9 +1,15 @@
 """Command-line surface: exit codes, hermetic determinism, file artifacts."""
 
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from signscribe import pipeline as pipe_mod
 from signscribe import synthetic as syn
 from signscribe.cli import main
 from signscribe.gloss import parse_gloss_sequence
@@ -37,6 +43,15 @@ def batch_inputs(world, tmp_path, count=3):
     return transcripts, poses_dir
 
 
+def malformed_document(directory):
+    """The fixture document with its top candidate's per_sign list removed."""
+    doc = json.loads(Path("tests/data/doc_fixture.json").read_text())
+    del doc["candidates"][0]["per_sign"]
+    path = directory / "malformed.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
 def tiny_corpus_spec(tmp_path, kind):
     spec = {
         "kind": kind,
@@ -49,6 +64,20 @@ def tiny_corpus_spec(tmp_path, kind):
     path = tmp_path / f"{kind}_corpus.json"
     path.write_text(json.dumps(spec), encoding="utf-8")
     return path
+
+
+def test_cli_import_loads_no_process_pool():
+    """The pool is imported only by batch mode, so plain CLI start-up never pays for it."""
+    code = (
+        "import sys, signscribe.cli\n"
+        "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    ).stdout
+    assert out.strip() == "[]"
 
 
 class TestUsageErrors:
@@ -171,19 +200,35 @@ class TestAnnotate:
         mean_score = docs["mean"]["candidates"][0]["aggregate_score"]
         assert sum_score > mean_score
 
-    def test_batch_mode_with_jobs(self, world, model_root, tmp_path):
+    def test_batch_mode_with_jobs(self, world, model_root, tmp_path, capsys):
         transcripts, poses_dir = batch_inputs(world, tmp_path)
-        out_dir = tmp_path / "docs"
-        assert main([
-            "annotate", "--transcripts", str(transcripts),
-            "--poses-dir", str(poses_dir),
-            "--model-dir", str(model_root), "--out", str(out_dir),
-            "--jobs", "2", "--k", "2",
-        ]) == 0
-        assert sorted(p.name for p in out_dir.glob("*.json")) == [
-            "b0.json", "b1.json", "b2.json",
-        ]
+        documents, summaries = {}, {}
+        for jobs in ("1", "2", "5"):  # 5: more workers asked for than records
+            out_dir = tmp_path / f"docs{jobs}"
+            assert main([
+                "annotate", "--transcripts", str(transcripts),
+                "--poses-dir", str(poses_dir),
+                "--model-dir", str(model_root), "--out", str(out_dir),
+                "--jobs", jobs, "--k", "2",
+            ]) == 0
+            documents[jobs] = {p.name: p.read_bytes() for p in sorted(out_dir.glob("*.json"))}
+            summaries[jobs] = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert sorted(documents["1"]) == ["b0.json", "b1.json", "b2.json"]
+        assert documents["2"] == documents["1"]
+        assert documents["5"] == documents["1"]
+        assert summaries["1"] == summaries["2"] == summaries["5"] == {"written": 3, "failed": []}
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_is_usage_error(self, world, model_root, tmp_path, jobs):
+        transcripts, poses_dir = batch_inputs(world, tmp_path, count=1)
+        with pytest.raises(SystemExit) as exc_info:
+            main([
+                "annotate", "--transcripts", str(transcripts),
+                "--poses-dir", str(poses_dir),
+                "--model-dir", str(model_root), "--out", str(tmp_path / "docs"),
+                "--jobs", jobs,
+            ])
+        assert exc_info.value.code == 2
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_batch_keeps_going_past_a_failed_record(self, world, model_root, tmp_path, capsys, jobs):
@@ -203,6 +248,39 @@ class TestAnnotate:
         assert [f["video_id"] for f in summary["failed"]] == ["b1"]
         assert "b1.jsonl" in summary["failed"][0]["error"]
 
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="workers inherit the patched pipeline only when forked",
+    )
+    def test_batch_reports_a_dead_worker(self, world, model_root, tmp_path, capsys, monkeypatch):
+        transcripts, poses_dir = batch_inputs(world, tmp_path)
+        annotate = pipe_mod.annotate
+
+        def die_on_b1(english, poses, *rest):
+            if poses.video_id == "b1":
+                os._exit(1)
+            return annotate(english, poses, *rest)
+
+        monkeypatch.setattr(pipe_mod, "annotate", die_on_b1)
+        out_dir = tmp_path / "docs"
+        code = main([
+            "annotate", "--transcripts", str(transcripts),
+            "--poses-dir", str(poses_dir),
+            "--model-dir", str(model_root), "--out", str(out_dir),
+            "--jobs", "2", "--k", "2",
+        ])
+        assert code == 1
+        summary = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        failed = {f["video_id"]: f["error"] for f in summary["failed"]}
+        # Which other records the dead worker takes down depends on timing;
+        # every record is either written or reported, never lost.
+        assert "b1" in failed
+        assert list(failed) == sorted(failed)  # record order
+        assert summary["written"] + len(failed) == 3
+        assert all(error.startswith("BrokenProcessPool: ") for error in failed.values())
+        for video_id in {"b0", "b1", "b2"} - set(failed):
+            assert (out_dir / f"{video_id}.json").is_file()
+
 
 class TestRenderTimeline:
     def test_renders_fixture(self, tmp_path):
@@ -219,6 +297,15 @@ class TestRenderTimeline:
             "--rank", "42", "--out", str(tmp_path / "t.svg"),
         ])
         assert code == 1
+
+    def test_malformed_document_is_domain_error(self, tmp_path, capsys):
+        doc_path = malformed_document(tmp_path)
+        code = main([
+            "render-timeline", "--doc", str(doc_path), "--out", str(tmp_path / "t.svg"),
+        ])
+        assert code == 1
+        assert f"{doc_path} is not a valid annotation document" in capsys.readouterr().err
+        assert not (tmp_path / "t.svg").exists()
 
 
 class TestEval:
@@ -272,3 +359,12 @@ class TestEval:
             "--truth", str(truth),
         ])
         assert code == 1
+
+    def test_malformed_document_is_domain_error(self, tmp_path, capsys):
+        truth = self._truth_file(tmp_path)
+        pred_dir = tmp_path / "pred"
+        pred_dir.mkdir()
+        doc_path = malformed_document(pred_dir)
+        code = main(["eval", "--pred", str(pred_dir), "--truth", str(truth)])
+        assert code == 1
+        assert f"{doc_path} is not a valid annotation document" in capsys.readouterr().err
