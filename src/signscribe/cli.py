@@ -194,14 +194,15 @@ def _init_worker(state: tuple) -> None:
     _worker_state = state
 
 
-def _annotate_in_worker(rec: dict) -> dict | None:
-    return _annotate_record(_worker_state, rec)
+def _annotate_in_worker(line_no: int, line: str) -> dict | None:
+    return _annotate_record(_worker_state, line_no, line)
 
 
-def _annotate_record(state: tuple, rec: dict) -> dict | None:
-    """Annotate one batch record; return its failure instead of raising it."""
+def _annotate_record(state: tuple, line_no: int, line: str) -> dict | None:
+    """Parse and annotate one transcript line; return its failure instead of raising it."""
     models, config, client, poses_dir, out_dir = state
     try:
+        rec = _parse_record(line)
         video_id = rec["video_id"]
         poses = read_pose_jsonl(poses_dir / f"{video_id}.jsonl")
         doc = pipe_mod.annotate(rec["english"], poses, models, config, client)
@@ -209,16 +210,30 @@ def _annotate_record(state: tuple, rec: dict) -> dict | None:
         pipe_mod.validate_document(json.loads(payload))
         (out_dir / f"{video_id}.json").write_bytes(payload)
     except Exception as exc:  # one bad record must not lose the batch
-        return _failure(rec, exc)
+        return _failure(line_no, line, exc)
     return None
 
 
-def _failure(rec: dict, exc: BaseException) -> dict:
-    return {"video_id": rec.get("video_id"), "error": f"{type(exc).__name__}: {exc}"}
+def _parse_record(line: str) -> dict:
+    rec = json.loads(line)
+    if not isinstance(rec, dict):
+        raise TypeError(f"transcript line is a JSON {type(rec).__name__}, not an object")
+    return rec
 
 
-def _annotate_in_pool(state: tuple, records: list[dict], workers: int) -> list[dict | None]:
-    """Annotate ``records`` in ``workers`` processes; a dead worker fails what it left undone."""
+def _failure(line_no: int, line: str, exc: BaseException) -> dict:
+    """The summary entry of a failed line; ``video_id`` is null when the line has none."""
+    try:
+        video_id = _parse_record(line).get("video_id")
+    except (ValueError, TypeError):
+        video_id = None
+    return {"video_id": video_id, "line": line_no, "error": f"{type(exc).__name__}: {exc}"}
+
+
+def _annotate_in_pool(
+    state: tuple, lines: list[tuple[int, str]], workers: int
+) -> list[dict | None]:
+    """Annotate ``lines`` in ``workers`` processes; a dead worker fails what it left undone."""
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
@@ -231,13 +246,13 @@ def _annotate_in_pool(state: tuple, records: list[dict], workers: int) -> list[d
         initializer=_init_worker,
         initargs=(state,),
     ) as pool:
-        futures = [pool.submit(_annotate_in_worker, rec) for rec in records]
+        futures = [pool.submit(_annotate_in_worker, *item) for item in lines]
         results = []
-        for rec, future in zip(records, futures):
+        for item, future in zip(lines, futures):
             try:
                 results.append(future.result())
             except BrokenProcessPool as exc:
-                results.append(_failure(rec, exc))
+                results.append(_failure(*item, exc))
     return results
 
 
@@ -267,19 +282,20 @@ def _cmd_annotate(args, parser) -> int:
     _require_paths(parser, args.transcripts, args.poses_dir)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    records = [
-        json.loads(line)
-        for line in Path(args.transcripts).read_text(encoding="utf-8").splitlines()
+    # (1-based line number, text) of each non-blank line; each is parsed with its record.
+    lines = [
+        (n, line)
+        for n, line in enumerate(Path(args.transcripts).read_text(encoding="utf-8").splitlines(), 1)
         if line.strip()
     ]
     state = (models, config, client, Path(args.poses_dir), out_dir)
-    workers = min(args.jobs, len(records))
+    workers = min(args.jobs, len(lines))
     if workers <= 1:
-        results = [_annotate_record(state, rec) for rec in records]
+        results = [_annotate_record(state, *item) for item in lines]
     else:
-        results = _annotate_in_pool(state, records, workers)
+        results = _annotate_in_pool(state, lines, workers)
     failed = [f for f in results if f is not None]
-    written = len(records) - len(failed)
+    written = len(lines) - len(failed)
     print(json.dumps({"written": written, "failed": failed}), file=sys.stderr)
     print(f"wrote {written} documents to {out_dir}")
     return 1 if failed else 0

@@ -14,6 +14,7 @@ import numpy as np
 
 NEG_INF = -np.inf
 _LOG_EPS = 1e-300  # floor before log of a probability
+_SHIFT_FLOOR = -1e300  # below any finite lattice log value
 
 DEFAULT_SPECIALS = (".", "-", "/", ":", "@", "+", "#")
 PIPE = "|"
@@ -149,33 +150,54 @@ def _lattice(target: list[int], blank: int) -> tuple[np.ndarray, np.ndarray]:
 def _lattice_pass(
     emit: np.ndarray, can_skip: np.ndarray, viterbi: bool
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Forward recurrence over a (T, S) table of log emissions.
+    """Forward recurrence over a stack of lattices, all rows in one ``for t`` loop.
 
-    Each state s at frame t is reached from s (stay), s - 1 (prev) or, where
-    ``can_skip[s]``, s - 2 (skip); paths start in state 0 or 1. With
-    ``viterbi`` false the three are log-sum-exp'd (the CTC alpha pass);
-    with it true the best is kept and ``back`` records it as 0 stay, 1
-    prev, 2 skip. Viterbi tie rule: ``np.argmax`` over (stay, prev, skip),
-    so stay beats prev beats skip. The beta pass is this same pass over the
-    reversed lattice.
+    ``emit`` is a (T, N, S) table of log emissions for N lattices and
+    ``can_skip`` their (N, S) skip masks. Each state s of row n at frame t
+    is reached from s (stay), s - 1 (prev) or, where ``can_skip[n, s]``,
+    s - 2 (skip); paths start in state 0 or 1. With ``viterbi`` false the
+    three are log-sum-exp'd, stay with prev first and then with skip (the
+    CTC alpha pass); with it true the best is kept and ``back`` records it
+    as 0 stay, 1 prev, 2 skip. Viterbi tie rule: ``np.argmax`` over (stay,
+    prev, skip), so stay beats prev beats skip. The beta pass is this same
+    pass over the reversed lattice, so ``ctc_loss`` runs alpha and beta as
+    rows 0 and 1 of one pass.
+
+    Padding rule: a lattice shorter than S is padded at its end with -inf
+    emissions and no skips. States only feed later states, so the padding
+    stays -inf and leaves the real states' values unchanged: every row gets
+    the same bytes it would get alone with N = 1.
     """
-    T, S = emit.shape
-    table = np.full((T, S), NEG_INF)
-    table[0, :2] = emit[0, :2]
-    back = np.zeros((T, S), dtype=np.int8) if viterbi else None
-    cols = np.arange(S)
-    for t in range(1, T):
-        stay = table[t - 1]
-        prev = np.concatenate(([NEG_INF], stay[:-1]))
-        skip = np.concatenate(([NEG_INF, NEG_INF], stay[:-2]))
-        skip = np.where(can_skip, skip, NEG_INF)
-        if viterbi:
-            choices = np.stack([stay, prev, skip])
-            back[t] = np.argmax(choices, axis=0)
-            table[t] = choices[back[t], cols] + emit[t]
-        else:
-            table[t] = _logsumexp3(stay, prev, skip) + emit[t]
-    return table, back
+    T, N, S = emit.shape
+    # Two -inf columns ahead of state 0 make prev and skip plain views.
+    table = np.full((T, N, S + 2), NEG_INF)
+    table[0, :, 2:4] = emit[0, :, :2]
+    skip_mask = np.where(can_skip, 0.0, NEG_INF)
+    back = np.zeros((T, N, S), dtype=np.int8) if viterbi else None
+    with np.errstate(divide="ignore"):
+        for t in range(1, T):
+            before = table[t - 1]
+            stay, prev, skip = before[:, 2:], before[:, 1:-1], before[:, :-2] + skip_mask
+            if viterbi:
+                choices = np.stack([stay, prev, skip])
+                back[t] = np.argmax(choices, axis=0)
+                best = choices.max(axis=0)
+            else:
+                best = _logaddexp(_logaddexp(stay, prev), skip)
+            np.add(best, emit[t], out=table[t, :, 2:])
+    return table[:, :, 2:], back
+
+
+def _logaddexp(a, b):
+    """log(exp(a) + exp(b)) for log values that are finite or -inf.
+
+    Shifted by the larger operand; when both are -inf the shift is any
+    finite value and the result is log(0) = -inf, so callers ignore divide
+    warnings. Deliberately not ``np.logaddexp``: training is sensitive to
+    its last-bit differences.
+    """
+    m = np.maximum(np.maximum(a, b), _SHIFT_FLOOR)
+    return m + np.log(np.exp(a - m) + np.exp(b - m))
 
 
 def min_frames_required(target: list[int]) -> int:
@@ -202,7 +224,10 @@ def ctc_loss(scores: FrameScores, target: list[int]) -> tuple[float, np.ndarray]
 
     The gradient assumes ``scores.probs`` came from a softmax over logits;
     by the standard posterior identity dL/dz[t,k] = y[t,k] - gamma[t,k]
-    where gamma is the symbol-occupancy posterior.
+    where gamma is the symbol-occupancy posterior. Alpha and beta come
+    from one stacked ``_lattice_pass``: row 0 is the lattice, row 1 the
+    reversed lattice (reversed frames, states and skip mask), whose table
+    read backwards is beta. Both rows have the same S, so neither is padded.
     """
     _check_target(scores, target)
     y = scores.probs
@@ -217,41 +242,25 @@ def ctc_loss(scores: FrameScores, target: list[int]) -> tuple[float, np.ndarray]
         return loss, grad
 
     ext, can_skip = _lattice(list(target), blank)
-    S = len(ext)
+    _, rev_skip = _lattice(list(target)[::-1], blank)
     emit = np.log(np.maximum(y, _LOG_EPS))[:, ext]
-    alpha, _ = _lattice_pass(emit, can_skip, viterbi=False)
-    log_p = _logsumexp2(alpha[T - 1, S - 1], alpha[T - 1, S - 2])
+    # Row 0 is alpha; row 1, the pass over the reversed lattice, is beta reversed.
+    table, _ = _lattice_pass(
+        np.stack([emit, emit[::-1, ::-1]], axis=1), np.stack([can_skip, rev_skip]), viterbi=False
+    )
+    alpha, beta = table[:, 0], table[::-1, 1, ::-1]
+    with np.errstate(divide="ignore"):
+        log_p = _logaddexp(alpha[T - 1, -1], alpha[T - 1, -2])
     if not np.isfinite(log_p):
         raise InfeasibleTargetError("no feasible path for target")
-    # beta: the alpha pass over the reversed lattice, reversed back.
-    _, rev_skip = _lattice(list(target)[::-1], blank)
-    rev_beta, _ = _lattice_pass(emit[::-1, ::-1], rev_skip, viterbi=False)
-    beta = rev_beta[::-1, ::-1]
 
-    # gamma[t, k]: posterior that class k is emitted at frame t.
+    # gamma[t, k]: posterior that class k is emitted at frame t, summed over
+    # the states of class k in state order; -inf cells add exp(-inf) = 0.
+    contrib = np.exp(alpha + beta - emit - log_p)  # emission counted once
     gamma = np.zeros((T, C))
-    with np.errstate(invalid="ignore"):
-        ab = alpha + beta - emit  # emission counted once
-    for s in range(S):
-        contrib = np.exp(ab[:, s] - log_p)
-        gamma[:, ext[s]] += np.where(np.isfinite(ab[:, s]), contrib, 0.0)
+    np.add.at(gamma, (slice(None), ext), contrib)
     grad = y - gamma
     return -float(log_p), grad
-
-
-def _logsumexp2(a, b):
-    m = np.maximum(a, b)
-    m_safe = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(divide="ignore"):
-        out = m_safe + np.log(
-            np.exp(np.where(np.isfinite(a), a - m_safe, NEG_INF))
-            + np.exp(np.where(np.isfinite(b), b - m_safe, NEG_INF))
-        )
-    return np.where(np.isfinite(m), out, NEG_INF)
-
-
-def _logsumexp3(a, b, c):
-    return _logsumexp2(_logsumexp2(a, b), c)
 
 
 def greedy_decode(scores: FrameScores, alphabet: Alphabet) -> str:
@@ -289,7 +298,8 @@ def forced_align(
 
     ext, can_skip = _lattice(list(target), blank)
     S = len(ext)
-    delta, back = _lattice_pass(logy[:, ext], can_skip, viterbi=True)
+    delta, back = _lattice_pass(logy[:, None, ext], can_skip[None], viterbi=True)
+    delta, back = delta[:, 0], back[:, 0]
 
     final = max((S - 1, S - 2), key=lambda s: delta[T - 1, s])
     total = float(delta[T - 1, final])

@@ -205,7 +205,8 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None, dilation: int) -> Ten
     T = x.data.shape[0]
     half = (k - 1) // 2
     pad = half * dilation
-    xp = np.pad(x.data, ((pad, pad), (0, 0)))
+    xp = np.zeros((T + 2 * pad, c_in), dtype=x.data.dtype)
+    xp[pad : pad + T] = x.data
     y = np.zeros((T, c_out))
     for j in range(k):
         y += xp[j * dilation : j * dilation + T] @ weight.data[j]

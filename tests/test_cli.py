@@ -245,8 +245,29 @@ class TestAnnotate:
         assert sorted(p.name for p in out_dir.glob("*.json")) == ["b0.json", "b2.json"]
         summary = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert summary["written"] == 2
-        assert [f["video_id"] for f in summary["failed"]] == ["b1"]
+        assert [(f["video_id"], f["line"]) for f in summary["failed"]] == [("b1", 2)]
         assert "b1.jsonl" in summary["failed"][0]["error"]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_malformed_lines_fail_alone(self, world, model_root, tmp_path, capsys, jobs):
+        transcripts, poses_dir = batch_inputs(world, tmp_path)
+        good = transcripts.read_text().splitlines()
+        # Lines 2 and 5 are bad; the blank line 4 still counts in the numbering.
+        transcripts.write_text("\n".join([good[0], "{not json", good[1], "", "[1, 2]", good[2]]) + "\n")
+        out_dir = tmp_path / "docs"
+        code = main([
+            "annotate", "--transcripts", str(transcripts),
+            "--poses-dir", str(poses_dir),
+            "--model-dir", str(model_root), "--out", str(out_dir),
+            "--jobs", jobs, "--k", "2",
+        ])
+        assert code == 1
+        assert sorted(p.name for p in out_dir.glob("*.json")) == ["b0.json", "b1.json", "b2.json"]
+        summary = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert summary["written"] == 3
+        assert [(f["video_id"], f["line"]) for f in summary["failed"]] == [(None, 2), (None, 5)]
+        assert summary["failed"][0]["error"].startswith("JSONDecodeError: ")
+        assert summary["failed"][1]["error"].startswith("TypeError: ")
 
     @pytest.mark.skipif(
         "fork" not in multiprocessing.get_all_start_methods(),

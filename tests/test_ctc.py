@@ -15,6 +15,8 @@ from signscribe.ctc import (
     EmptyWordError,
     FrameScores,
     InfeasibleTargetError,
+    _lattice,
+    _lattice_pass,
     aggregate_words,
     ctc_loss,
     default_alphabet,
@@ -502,3 +504,42 @@ class TestLatticeEquivalence:
                 (alpha.index(u.symbol), u.start_frame, u.end_frame, u.score) for u in got.units
             ] == units
         assert feasible >= self.CASES // 2
+
+    def test_stacked_pass_matches_each_lattice_alone(self):
+        """N lattices in one pass give every row the bytes of its own N = 1 pass.
+
+        The stack mixes each target's lattice with its reversed-lattice row (the
+        beta row of ``ctc_loss``) and other targets of other lengths, padded at
+        the end with -inf emissions and no skips; ties come from the tied and
+        uniform probability rows of ``_equivalence_case``.
+        """
+        rng = np.random.default_rng(2604)
+        seen = {"ragged": 0, "repeat": 0}
+        for _ in range(300):
+            probs, _ = _equivalence_case(rng)
+            T, C = probs.shape
+            logy = np.log(np.maximum(probs, 1e-300))
+            rows = []
+            for _ in range(int(rng.integers(1, 4))):
+                L = int(rng.integers(1, T + 2))
+                target = [int(x) for x in rng.integers(0, C - 1, size=L)]
+                seen["repeat"] += any(a == b for a, b in zip(target, target[1:]))
+                ext, can_skip = _lattice(target, C - 1)
+                _, rev_skip = _lattice(target[::-1], C - 1)
+                rows += [(logy[:, ext], can_skip), (logy[::-1, ext[::-1]], rev_skip)]
+            S = max(len(k) for _, k in rows)
+            seen["ragged"] += any(len(k) < S for _, k in rows)
+            emit = np.full((T, len(rows), S), -np.inf)
+            can_skip = np.zeros((len(rows), S), dtype=bool)
+            for n, (e, k) in enumerate(rows):
+                emit[:, n, : len(k)] = e
+                can_skip[n, : len(k)] = k
+            for viterbi in (False, True):
+                table, back = _lattice_pass(emit, can_skip, viterbi)
+                for n, (e, k) in enumerate(rows):
+                    alone, alone_back = _lattice_pass(e[:, None], k[None], viterbi)
+                    assert table[:, n, : len(k)].tobytes() == alone[:, 0].tobytes()
+                    assert np.all(table[:, n, len(k) :] == -np.inf)
+                    if viterbi:
+                        assert back[:, n, : len(k)].tobytes() == alone_back[:, 0].tobytes()
+        assert min(seen.values()) >= 50, seen

@@ -27,7 +27,42 @@ def hand_dilated_conv(x, kernel, dilation):
     return out
 
 
+def padded_conv1d(x, w, b, dilation, g):
+    """The np.pad formulation conv1d had before: output, then x, w, b gradients for upstream g."""
+    k, T = len(w), len(x)
+    pad = (k - 1) // 2 * dilation
+    xp = np.pad(x, ((pad, pad), (0, 0)))
+    y = np.zeros((T, w.shape[2]))
+    for j in range(k):
+        y += xp[j * dilation : j * dilation + T] @ w[j]
+    y = y + b
+    gw = np.empty_like(w)
+    gxp = np.zeros_like(xp)
+    for j in range(k):
+        gw[j] = xp[j * dilation : j * dilation + T].T @ g
+        gxp[j * dilation : j * dilation + T] += g @ w[j].T
+    return y, gxp[pad : pad + T], gw, g.sum(axis=0)
+
+
 class TestConv1d:
+    def test_bit_identical_to_np_pad_formulation(self):
+        rng = np.random.default_rng(1191)
+        short = 0
+        for dilation in range(1, 9):
+            for k in (1, 3, 5):
+                for T in (1, 2, 7, 40):
+                    c_in, c_out = (int(c) for c in rng.integers(1, 6, size=2))
+                    x, g = rng.normal(size=(T, c_in)), rng.normal(size=(T, c_out))
+                    w, b = rng.normal(size=(k, c_in, c_out)), rng.normal(size=c_out)
+                    xt, wt, bt = nn.parameter(x), nn.parameter(w), nn.parameter(b)
+                    y = nn.conv1d(xt, wt, bt, dilation)
+                    y.backward(g)
+                    want = padded_conv1d(x, w, b, dilation, g)
+                    got = (y.data, xt.grad, wt.grad, bt.grad)
+                    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+                    short += T < (k - 1) // 2 * dilation
+        assert short >= 20
+
     def test_identity_kernel(self):
         rng = np.random.default_rng(0)
         x = nn.constant(rng.normal(size=(9, 4)))
