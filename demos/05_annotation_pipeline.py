@@ -14,7 +14,7 @@ from signscribe.fingerspelling import train_toy
 from signscribe.gloss import parse_gloss_sequence, render
 from signscribe.isr import train_toy_isr
 from signscribe.llm import StubClient
-from signscribe.pipeline import Models, PipelineConfig, annotate, document_bytes
+from signscribe.pipeline import Models, PipelineConfig, annotate, document_bytes, validate_document
 from signscribe.timeline import render_timeline
 
 ENGLISH = "Bob travels to Frick Park with his dog."
@@ -59,7 +59,8 @@ for sign in top.per_sign:
     print(f"  {sign.notation:12s} score={sign.score:.3f} "
           f"frames {sign.interval[0]:3d}-{sign.interval[1]:3d} [{marker}]")
 
-Path("demo_annotation.json").write_bytes(document_bytes(doc))
 payload = json.loads(document_bytes(doc))
+validate_document(payload)
+Path("demo_annotation.json").write_bytes(document_bytes(doc))
 Path("demo_timeline.svg").write_text(render_timeline(payload, rank=1), encoding="utf-8")
 print("\nwrote demo_annotation.json and demo_timeline.svg")

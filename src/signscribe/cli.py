@@ -15,8 +15,6 @@ import json
 import sys
 from pathlib import Path
 
-import jsonschema
-
 from . import fingerspelling as fs_mod
 from . import isr as isr_mod
 from . import llm as llm_mod
@@ -203,7 +201,7 @@ def _annotate_record(state: tuple, line_no: int, line: str) -> dict | None:
     models, config, client, poses_dir, out_dir = state
     try:
         rec = _parse_record(line)
-        video_id = rec["video_id"]
+        video_id = _file_stem(rec["video_id"])
         poses = read_pose_jsonl(poses_dir / f"{video_id}.jsonl")
         doc = pipe_mod.annotate(rec["english"], poses, models, config, client)
         payload = pipe_mod.document_bytes(doc)
@@ -219,6 +217,13 @@ def _parse_record(line: str) -> dict:
     if not isinstance(rec, dict):
         raise TypeError(f"transcript line is a JSON {type(rec).__name__}, not an object")
     return rec
+
+
+def _file_stem(video_id) -> str:
+    """``video_id`` if it is a plain file name, so its files stay inside their directories."""
+    if not isinstance(video_id, str) or video_id in ("", ".", "..") or Path(video_id).name != video_id:
+        raise ValueError(f"video_id {video_id!r} is not a plain file name")
+    return video_id
 
 
 def _failure(line_no: int, line: str, exc: BaseException) -> dict:
@@ -309,7 +314,11 @@ def _read_document(path: Path) -> dict:
     doc = json.loads(path.read_text(encoding="utf-8"))
     try:
         pipe_mod.validate_document(doc)
-    except jsonschema.ValidationError as exc:
+    except Exception as exc:
+        import jsonschema
+
+        if not isinstance(exc, jsonschema.ValidationError):
+            raise
         raise DomainError(f"{path} is not a valid annotation document: {exc.message}") from exc
     return doc
 

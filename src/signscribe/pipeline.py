@@ -19,11 +19,12 @@ import enum
 import functools
 import json
 import logging
+import math
+import operator
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Callable, Sequence
 
-import jsonschema
 import numpy as np
 
 from . import fingerspelling as fs_mod
@@ -459,10 +460,168 @@ def document_bytes(doc: AnnotationDocument) -> bytes:
     ).encode("utf-8")
 
 
-@functools.cache
-def _document_validator() -> jsonschema.protocols.Validator:
+def _load_schema() -> dict:
     text = resources.files("signscribe").joinpath("schema", "annotation_v1.json").read_text("utf-8")
-    schema = json.loads(text)
+    return json.loads(text)
+
+
+# --- compiled accept check ------------------------------------------------------
+#
+# ``_compile`` turns the draft-07 keywords the shipped schema uses into nested
+# closures that return True only for documents jsonschema accepts too: each
+# type test is a strict subset of jsonschema's (``integer`` is ``type(x) is
+# int``, ``number`` a finite non-bool int or float), and any keyword or form
+# outside this list is refused when the check is built, never skipped.
+
+_DRAFT_07 = "http://json-schema.org/draft-07/schema#"
+_IGNORED = frozenset({"$schema", "title", "definitions"})
+_OBJECT = frozenset({"required", "properties", "additionalProperties"})
+_ARRAY = frozenset({"items", "minItems", "maxItems"})
+_BOUNDS = {
+    "minimum": operator.ge,
+    "maximum": operator.le,
+    "exclusiveMinimum": operator.gt,
+    "exclusiveMaximum": operator.lt,
+}
+_KEYWORDS = _IGNORED | _OBJECT | _ARRAY | _BOUNDS.keys() | {"type", "const", "enum", "$ref"}
+
+
+def _is_number(x) -> bool:
+    return (type(x) is int or type(x) is float) and -math.inf < x < math.inf
+
+
+_TYPES: dict[str, Callable[[object], bool]] = {
+    "object": lambda x: type(x) is dict,
+    "array": lambda x: type(x) is list,
+    "string": lambda x: type(x) is str,
+    "integer": lambda x: type(x) is int,
+    "number": _is_number,
+    "boolean": lambda x: type(x) is bool,
+}
+
+
+def _accept(x) -> bool:
+    return True
+
+
+def _reject(x) -> bool:
+    return False
+
+
+def _object_check(required: frozenset, properties: dict, additional: Callable) -> Callable:
+    def check(x) -> bool:
+        if type(x) is not dict or not x.keys() >= required:
+            return False
+        for key, value in x.items():
+            if not properties.get(key, additional)(value):
+                return False
+        return True
+
+    return check
+
+
+def _array_check(items: Callable, min_items, max_items) -> Callable:
+    def check(x) -> bool:
+        return type(x) is list and min_items <= len(x) <= max_items and all(map(items, x))
+
+    return check
+
+
+def _bounds_check(kind: Callable, tests: list) -> Callable:
+    """``kind`` admits only finite numbers, so each ``op(x, bound)`` compares two numbers."""
+
+    def check(x) -> bool:
+        if not kind(x):
+            return False
+        for op, bound in tests:
+            if not op(x, bound):
+                return False
+        return True
+
+    return check
+
+
+def _all_of(checks: list) -> Callable:
+    if len(checks) == 1:
+        return checks[0]
+
+    def check(x) -> bool:
+        for c in checks:
+            if not c(x):
+                return False
+        return True
+
+    return check
+
+
+def _compile(schema, definitions: dict) -> Callable[[object], bool]:
+    """The accept check of one (sub)schema; ``definitions`` maps each name under
+    the root's ``definitions`` to its check, looked up when a ``$ref`` runs."""
+    if type(schema) is bool:
+        return _accept if schema else _reject
+    unknown = schema.keys() - _KEYWORDS
+    if unknown:
+        raise ValueError(f"schema keywords {sorted(unknown)} have no compiled check")
+    if "$ref" in schema:
+        ref = schema["$ref"]
+        if len(schema) > 1:
+            raise ValueError(f"$ref {ref!r} has sibling keywords")
+        name = ref.removeprefix("#/definitions/")
+        if name == ref or not name.isidentifier() or name not in definitions:
+            raise ValueError(f"$ref {ref!r} is not a local #/definitions/ name")
+        # A definition compiled already is bound directly; a later one is looked up per call.
+        return definitions[name] or (lambda x: definitions[name](x))
+    kind = schema.get("type")
+    if "type" in schema and (not isinstance(kind, str) or kind not in _TYPES):
+        raise ValueError(f"type {kind!r} has no compiled check")
+    tests = [(op, schema[key]) for key, op in _BOUNDS.items() if key in schema]
+    # A numeric type check admits only finite numbers, so it can guard the bounds itself.
+    numeric = kind in ("integer", "number")
+    checks = []
+    if "type" in schema and not (tests and numeric):
+        checks.append(_TYPES[kind])
+    for key in ("const", "enum"):
+        if key in schema:
+            members = [schema[key]] if key == "const" else schema[key]
+            if not all(type(m) is str for m in members):
+                raise ValueError(f"{key} {schema[key]!r} has a member that is not a string")
+            members = frozenset(members)
+            checks.append(lambda x, members=members: type(x) is str and x in members)
+    if schema.keys() & _OBJECT:
+        checks.append(_object_check(
+            frozenset(schema.get("required", ())),
+            {k: _compile(v, definitions) for k, v in schema.get("properties", {}).items()},
+            _compile(schema.get("additionalProperties", True), definitions),
+        ))
+    if schema.keys() & _ARRAY:
+        if isinstance(schema.get("items"), list):
+            raise ValueError("array-form items has no compiled check")
+        checks.append(_array_check(
+            _compile(schema.get("items", True), definitions),
+            schema.get("minItems", 0),
+            schema.get("maxItems", math.inf),
+        ))
+    if tests:
+        checks.append(_bounds_check(_TYPES[kind] if numeric else _is_number, tests))
+    return _all_of(checks)
+
+
+@functools.cache
+def _document_check() -> Callable[[object], bool]:
+    schema = _load_schema()
+    if schema.get("$schema") != _DRAFT_07:
+        raise ValueError(f"$schema {schema.get('$schema')!r} is not {_DRAFT_07}")
+    definitions = dict.fromkeys(schema.get("definitions", {}))
+    for name, sub in schema.get("definitions", {}).items():
+        definitions[name] = _compile(sub, definitions)
+    return _compile(schema, definitions)
+
+
+@functools.cache
+def _document_validator():
+    import jsonschema
+
+    schema = _load_schema()
     cls = jsonschema.validators.validator_for(schema)
     cls.check_schema(schema)
     return cls(schema)
@@ -471,8 +630,14 @@ def _document_validator() -> jsonschema.protocols.Validator:
 def validate_document(data: dict) -> None:
     """Raise the jsonschema.ValidationError ``jsonschema.validate`` would raise.
 
-    The validator is built once per process; it holds no per-call state.
+    A document the compiled check accepts is valid and returns at once;
+    any other goes to jsonschema, which gives the verdict and the error.
+    Both are built once per process and hold no per-call state.
     """
+    if _document_check()(data):
+        return
+    import jsonschema
+
     error = jsonschema.exceptions.best_match(_document_validator().iter_errors(data))
     if error is not None:
         raise error

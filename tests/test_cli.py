@@ -67,10 +67,11 @@ def tiny_corpus_spec(tmp_path, kind):
 
 
 def test_cli_import_loads_no_process_pool():
-    """The pool is imported only by batch mode, so plain CLI start-up never pays for it."""
+    """The pool is imported only by batch mode, and jsonschema only to report an
+    invalid document, so plain CLI start-up never pays for either."""
     code = (
         "import sys, signscribe.cli\n"
-        "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))"
+        "print(sorted({'concurrent.futures.process', 'multiprocessing', 'jsonschema'} & set(sys.modules)))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
@@ -172,6 +173,7 @@ class TestAnnotate:
         assert doc["schema_version"] == "v1"
         assert doc["video_id"] == "cli01"
         assert len(doc["candidates"]) >= 1
+        assert pipe_mod._document_check()(doc)
 
     def test_k_flag(self, worked_poses_file, model_root, tmp_path):
         out = tmp_path / "doc.json"
@@ -214,6 +216,7 @@ class TestAnnotate:
             documents[jobs] = {p.name: p.read_bytes() for p in sorted(out_dir.glob("*.json"))}
             summaries[jobs] = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert sorted(documents["1"]) == ["b0.json", "b1.json", "b2.json"]
+        assert all(pipe_mod._document_check()(json.loads(d)) for d in documents["1"].values())
         assert documents["2"] == documents["1"]
         assert documents["5"] == documents["1"]
         assert summaries["1"] == summaries["2"] == summaries["5"] == {"written": 3, "failed": []}
@@ -268,6 +271,30 @@ class TestAnnotate:
         assert [(f["video_id"], f["line"]) for f in summary["failed"]] == [(None, 2), (None, 5)]
         assert summary["failed"][0]["error"].startswith("JSONDecodeError: ")
         assert summary["failed"][1]["error"].startswith("TypeError: ")
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_video_id_cannot_leave_the_directories(self, world, model_root, tmp_path, capsys, jobs):
+        transcripts, poses_dir = batch_inputs(world, tmp_path)
+        (tmp_path / "escape.jsonl").write_bytes((poses_dir / "b1.jsonl").read_bytes())
+        good = transcripts.read_text().splitlines()
+        bad_ids = ["../escape", "poses/b1", "..", ".", "", 7, None]
+        bad = [json.dumps({"video_id": v, "english": "The cat sleeps at home"}) for v in bad_ids]
+        transcripts.write_text("\n".join([good[0], *bad, good[2]]) + "\n")
+        before = sorted(tmp_path.rglob("*"))
+        out_dir = tmp_path / "docs"
+        code = main([
+            "annotate", "--transcripts", str(transcripts),
+            "--poses-dir", str(poses_dir),
+            "--model-dir", str(model_root), "--out", str(out_dir),
+            "--jobs", jobs, "--k", "2",
+        ])
+        assert code == 1
+        assert sorted(p.name for p in out_dir.iterdir()) == ["b0.json", "b2.json"]
+        assert sorted(p for p in tmp_path.rglob("*") if out_dir not in p.parents) == sorted(before + [out_dir])
+        summary = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert summary["written"] == 2
+        assert [(f["video_id"], f["line"]) for f in summary["failed"]] == list(zip(bad_ids, range(2, 9)))
+        assert all(f["error"].startswith("ValueError: video_id ") for f in summary["failed"])
 
     @pytest.mark.skipif(
         "fork" not in multiprocessing.get_all_start_methods(),

@@ -1,13 +1,18 @@
 """End-to-end pipeline: candidate scoring, ranking, document serialization."""
 
+import copy
 import hashlib
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from signscribe import fingerspelling as fs_mod
 from signscribe import isr as isr_mod
@@ -20,9 +25,12 @@ from signscribe.gloss import GlossSequence, parse_gloss_sequence, render
 from signscribe.isr import IsrModel, SignVocabulary
 from signscribe.llm import LlmError, StubClient
 from signscribe.pipeline import (
+    AnnotationDocument,
+    CandidateAnnotation,
     Models,
     PipelineConfig,
     ScoreMode,
+    SignScore,
     annotate,
     document_bytes,
     document_from_json,
@@ -332,6 +340,7 @@ class TestDocumentSerialization:
             return None
 
         pipeline_mod._document_validator.cache_clear()
+        pipeline_mod._document_check.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -353,6 +362,257 @@ class TestDocumentSerialization:
             assert candidate["aggregate_score"] == round(candidate["aggregate_score"], 6)
             for sign in candidate["per_sign"]:
                 assert sign["score"] == round(sign["score"], 6)
+
+
+def _nodes(node, path=()):
+    """(path, value) of every node in a JSON value; a path holds keys and indices."""
+    yield path, node
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _nodes(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _nodes(value, path + (i,))
+
+
+# Values a broken writer might put anywhere: wrong types, bool/int/float
+# look-alikes, non-finite numbers, unknown enum members, short and long intervals.
+_ODD_VALUES = [
+    True, False, 0, 1, 1.0, -1, 2, 0.5, 1e300, 10**30, math.nan, math.inf, -math.inf,
+    "", "1", "telepathy", "sum", "fingerspelled", None, [], {}, [0], [0, 1, 2], [0, 1.0],
+]
+
+# Which nodes each mutation applies to, by (path, value).
+_MUTABLE = {
+    "delete": lambda path, value: bool(path),
+    "add": lambda path, value: isinstance(value, (dict, list)),
+    "replace": lambda path, value: True,
+    "retype": lambda path, value: isinstance(value, (int, float)),
+    "range": lambda path, value: isinstance(value, (int, float)) and not isinstance(value, bool),
+    "member": lambda path, value: path[-1:] in [("kind",), ("score_mode",), ("schema_version",)],
+}
+
+
+@st.composite
+def _mutated(draw, base):
+    """``base`` with one to three mutations: a key or item deleted or added, a value
+    replaced, its type swapped (bool/int/float/str), a number pushed out of range,
+    or an enum member replaced by an unknown one."""
+    doc = copy.deepcopy(base)
+    for _ in range(draw(st.integers(1, 3))):
+        nodes = list(_nodes(doc))
+        op = draw(st.sampled_from([op for op, ok in sorted(_MUTABLE.items()) if any(ok(*n) for n in nodes)]))
+        path, value = draw(st.sampled_from([n for n in nodes if _MUTABLE[op](*n)]))
+        parent = doc
+        for step in path[:-1]:
+            parent = parent[step]
+        odd = copy.deepcopy(draw(st.sampled_from(_ODD_VALUES)))
+        if op == "delete":
+            del parent[path[-1]]
+            continue
+        if op == "add":
+            if isinstance(value, dict):
+                value[draw(st.sampled_from(["extra", "kind", "rank", "interval", "k"]))] = odd
+            else:
+                value.append(odd)
+            continue
+        if op == "retype" and isinstance(value, bool):
+            new = int(value)
+        elif op == "retype" and isinstance(value, int):
+            new = draw(st.sampled_from([float(value), value + 0.5, str(value), bool(value)]))
+        elif op == "retype":
+            new = str(value)
+        elif op == "range":
+            new = draw(st.sampled_from([-1 - value, value + 2, -value, value * 1e6]))
+        elif op == "member":
+            new = draw(st.sampled_from(["telepathy", "Gloss", "v2", ""]))
+        else:
+            new = odd
+        if path:
+            parent[path[-1]] = new
+        else:
+            doc = new
+    return doc
+
+
+def _reference_error(doc) -> str | None:
+    schema = pipeline_mod._load_schema()
+    try:
+        jsonschema.validate(instance=doc, schema=schema)
+    except jsonschema.ValidationError as exc:
+        return str(exc)
+    return None
+
+
+_FIXTURE_DOCUMENT = json.loads(Path("tests/data/doc_fixture.json").read_text(encoding="utf-8"))
+_WORDS = st.text(alphabet="ABCXYZ", min_size=1, max_size=6)
+
+
+@st.composite
+def _signs(draw):
+    lo = draw(st.integers(0, 10**6))
+    hi = lo + draw(st.integers(0, 500))
+    kind = draw(st.sampled_from(["gloss", "fingerspelled"]))
+    return SignScore(
+        kind=kind,
+        token=draw(st.text(max_size=8)),
+        notation=draw(st.text(max_size=8)),
+        score=draw(st.floats(0, 1)),
+        interval=(lo, hi),
+        anchored=draw(st.booleans()),
+        in_vocabulary=draw(st.booleans()) if kind == "gloss" else None,
+        peak_frame=draw(st.integers(lo, hi)) if kind == "gloss" else None,
+        fingerspelled_region=draw(st.sampled_from([None, (lo, hi)])),
+    )
+
+
+_DOCUMENTS = st.builds(
+    AnnotationDocument,
+    video_id=st.text(max_size=12),
+    english=st.text(max_size=40),
+    fps=st.floats(0, 1e4, exclude_min=True),
+    candidates=st.lists(
+        st.builds(
+            CandidateAnnotation,
+            gloss_sequence=st.lists(_WORDS, max_size=5).map(lambda w: parse_gloss_sequence(" ".join(w))),
+            per_sign=st.lists(_signs(), max_size=6),
+            aggregate_score=st.floats(-1e6, 1e6),
+            rank=st.integers(1, 20),
+            candidate_index=st.integers(0, 20),
+            errors=st.lists(st.text(max_size=10), max_size=2),
+        ),
+        max_size=4,
+    ),
+    model_fingerprints=st.dictionaries(st.text(max_size=10), st.text(max_size=16), max_size=4),
+    config=st.builds(
+        PipelineConfig,
+        k=st.integers(1, 50),
+        fs_threshold=st.floats(0, 1, exclude_min=True, exclude_max=True),
+        score_mode=st.sampled_from(ScoreMode),
+        min_sign_duration=st.integers(1, 30),
+        llm_mode=st.text(max_size=8),
+    ),
+    errors=st.lists(st.text(max_size=10), max_size=2),
+)
+
+
+@pytest.fixture(scope="module")
+def worked_document(worked_video, models):
+    poses, _ = worked_video
+    doc = annotate(WORKED_ENGLISH, poses, models, PipelineConfig(), stub_with_worked_example())
+    return json.loads(document_bytes(doc))
+
+
+class TestCompiledCheck:
+    """The accept path in front of jsonschema: it may only accept what jsonschema
+    accepts, and every document the writer produces must take it."""
+
+    def test_shipped_schema_is_a_valid_draft7_schema(self):
+        schema = pipeline_mod._load_schema()
+        jsonschema.Draft7Validator.check_schema(schema)
+        assert jsonschema.validators.validator_for(schema) is jsonschema.Draft7Validator
+
+    def test_written_documents_never_reach_jsonschema(self, worked_document, monkeypatch):
+        def unreachable():
+            raise AssertionError("jsonschema ran on a document the compiled check accepts")
+
+        monkeypatch.setattr(pipeline_mod, "_document_validator", unreachable)
+        for doc in (worked_document, _FIXTURE_DOCUMENT):
+            assert pipeline_mod._document_check()(doc)
+            validate_document(doc)
+
+    def test_demo_document_takes_the_compiled_path(self, worked_video, models):
+        """The recipe of demos/05_annotation_pipeline.py: k=5, two candidates signs short."""
+        poses, _ = worked_video
+        stub = StubClient(translations={WORKED_ENGLISH: {
+            "1": "BOB TRAVEL TO FRICK PARK WITH DOG",
+            "2": "fs-BOB GO fs-FRICK PARK WITH DOG",
+            "3": WORKED_LINE,
+            "4": "DOG WITH fs-BOB TRAVEL fs-FRICK PARK",
+            "5": "fs-BOB TRAVEL fs-FRICK PARK",
+        }})
+        doc = annotate(WORKED_ENGLISH, poses, models, PipelineConfig(k=5), stub)
+        assert pipeline_mod._document_check()(json.loads(document_bytes(doc)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_DOCUMENTS)
+    def test_built_documents_take_the_compiled_path(self, doc):
+        data = json.loads(document_bytes(doc))
+        assert pipeline_mod._document_check()(data)
+        assert list(pipeline_mod._document_validator().iter_errors(data)) == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_sound_against_jsonschema(self, worked_document, data):
+        base = data.draw(st.sampled_from([worked_document, _FIXTURE_DOCUMENT]))
+        doc = data.draw(_mutated(base))
+        reference = _reference_error(doc)
+        if pipeline_mod._document_check()(doc):
+            assert list(pipeline_mod._document_validator().iter_errors(doc)) == []
+        try:
+            validate_document(doc)
+        except jsonschema.ValidationError as exc:
+            assert str(exc) == reference
+        else:
+            assert reference is None
+
+    @pytest.mark.parametrize("path, value, accepted", [
+        (("fps",), 30, True),  # an int is a number
+        (("candidates", 0, "per_sign", 0, "score"), 1, True),
+        (("config", "k"), 2.0, False),  # an integral float is an integer to jsonschema
+        (("candidates", 0, "aggregate_score"), math.nan, False),  # NaN is a number to jsonschema
+        (("candidates", 0, "aggregate_score"), math.inf, False),
+    ])
+    def test_verdict_is_jsonschemas_where_the_check_is_stricter(self, path, value, accepted):
+        doc = copy.deepcopy(_FIXTURE_DOCUMENT)
+        parent = doc
+        for step in path[:-1]:
+            parent = parent[step]
+        parent[path[-1]] = value
+        assert pipeline_mod._document_check()(doc) == accepted
+        validate_document(doc)  # valid to jsonschema, either way
+
+    @pytest.mark.parametrize("schema", [
+        {"type": "string", "pattern": "^a"},
+        {"type": "object", "patternProperties": {"^x": {"type": "string"}}},
+        {"$id": "http://example.com/s"},
+        {"format": "date"},
+        {"description": "annotations the shipped schema does not use are refused too"},
+    ])
+    def test_compiler_refuses_unknown_keyword(self, schema):
+        with pytest.raises(ValueError, match="no compiled check"):
+            pipeline_mod._compile(schema, {})
+
+    def test_compiler_refuses_ref_with_siblings(self):
+        definitions = {"interval": pipeline_mod._accept}
+        with pytest.raises(ValueError, match="sibling"):
+            pipeline_mod._compile({"$ref": "#/definitions/interval", "minItems": 1}, definitions)
+        with pytest.raises(ValueError, match="sibling"):
+            pipeline_mod._compile({"$ref": "#/definitions/interval", "title": "t"}, definitions)
+
+    @pytest.mark.parametrize("schema", [
+        {"$ref": "#/definitions/missing"},
+        {"$ref": "other.json#/definitions/interval"},
+        {"$ref": "#/definitions/a~1b"},
+        {"type": ["string", "integer"]},
+        {"type": "null"},
+        {"items": [{"type": "integer"}]},
+        {"enum": ["mean", 1]},
+        {"const": True},
+    ])
+    def test_compiler_refuses_other_forms(self, schema):
+        with pytest.raises(ValueError):
+            pipeline_mod._compile(schema, {"interval": pipeline_mod._accept, "a~1b": pipeline_mod._accept})
+
+    def test_compiler_refuses_other_drafts(self, monkeypatch):
+        schema = dict(pipeline_mod._load_schema(), **{"$schema": "http://json-schema.org/draft-04/schema#"})
+        monkeypatch.setattr(pipeline_mod, "_load_schema", lambda: schema)
+        pipeline_mod._document_check.cache_clear()
+        try:
+            with pytest.raises(ValueError, match="draft-07"):
+                pipeline_mod._document_check()
+        finally:
+            pipeline_mod._document_check.cache_clear()
 
 
 class TestProvenance:
