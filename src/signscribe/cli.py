@@ -389,6 +389,8 @@ def _eval_report(docs: list[dict], truths: dict[str, dict], threshold: float) ->
                 )
             )
 
+    if not cer_values:
+        raise DomainError("no matched prediction has a ranked candidate")
     report = {"videos": len(pairs), "metrics": []}
 
     def add(name: str, value: float | None, stratum: str, count: int) -> None:

@@ -16,7 +16,6 @@ NEG_INF = -np.inf
 _LOG_EPS = 1e-300  # floor before log of a probability
 _SHIFT_FLOOR = -1e300  # below any finite lattice log value
 
-DEFAULT_SPECIALS = (".", "-", "/", ":", "@", "+", "#")
 PIPE = "|"
 
 
@@ -74,12 +73,6 @@ class Alphabet:
     @classmethod
     def from_dict(cls, data: dict) -> "Alphabet":
         return cls(chars=tuple(data["chars"]))
-
-
-def default_alphabet(specials: tuple[str, ...] = DEFAULT_SPECIALS) -> Alphabet:
-    letters = tuple(chr(c) for c in range(ord("A"), ord("Z") + 1))
-    digits = tuple(str(d) for d in range(10))
-    return Alphabet(chars=letters + digits + tuple(specials) + (PIPE,))
 
 
 def toy_alphabet() -> Alphabet:

@@ -48,7 +48,7 @@ class WordDetection:
 
 def _features(poses: PoseSequence) -> np.ndarray:
     prepared, _ = prepare_sequence(poses, FINGERSPELLING_FEATURES)
-    return build_features(prepared, FINGERSPELLING_FEATURES).rows
+    return build_features(prepared, FINGERSPELLING_FEATURES)
 
 
 def frame_scores(model: FingerspellingModel, poses: PoseSequence) -> FrameScores:
@@ -122,24 +122,6 @@ def per_character_loss(
     loss, _ = ctc_mod.ctc_loss(scores, target)
     n_chars = sum(len(w) for w in sample.words)
     return loss / max(1, n_chars)
-
-
-def filter_training_set(dataset: list, model: FingerspellingModel, drop_fraction: float = 0.05) -> list:
-    """Second-pass data filter: drop the highest-loss fraction of samples.
-
-    Samples are ranked by per-character CTC loss under the first-pass
-    model; ties are broken by sample id so the result is deterministic.
-    """
-    if not 0.0 <= drop_fraction < 0.5:
-        raise ValueError("drop_fraction must lie in [0, 0.5)")
-    n_drop = int(drop_fraction * len(dataset))
-    if n_drop == 0:
-        return list(dataset)
-    losses = {s.sample_id: per_character_loss(model, s) for s in dataset}
-    ranked = sorted(dataset, key=lambda s: s.sample_id)
-    ranked.sort(key=lambda s: losses[s.sample_id], reverse=True)
-    dropped = {id(s) for s in ranked[:n_drop]}
-    return [s for s in dataset if id(s) not in dropped]
 
 
 def train_toy(

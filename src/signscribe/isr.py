@@ -101,8 +101,8 @@ class IsrModel:
 def _features(poses: PoseSequence) -> tuple[np.ndarray, np.ndarray]:
     """Two-hand and one-hand branch features of a video."""
     prepared, _ = prepare_sequence(poses, ISR_TWO_HAND_FEATURES)
-    two = build_features(prepared, ISR_TWO_HAND_FEATURES).rows
-    one = build_features(prepared, ISR_ONE_HAND_FEATURES).rows
+    two = build_features(prepared, ISR_TWO_HAND_FEATURES)
+    one = build_features(prepared, ISR_ONE_HAND_FEATURES)
     return two, one
 
 

@@ -1,17 +1,15 @@
 """Pluggable LLM access for the annotation pipeline.
 
-Three operations share one provider-agnostic completion interface:
-k-candidate English-to-gloss translation, fingerspelling typo correction,
-and gloss-to-English back-translation. A deterministic offline stub makes
-every downstream behavior testable without network access; the HTTP client
-speaks a generic JSON chat-completion shape configured via environment
-variables.
+Two operations share one provider-agnostic completion interface:
+k-candidate English-to-gloss translation and fingerspelling typo
+correction. A deterministic offline stub makes every downstream behavior
+testable without network access; the HTTP client speaks a generic JSON
+chat-completion shape configured via environment variables.
 """
 
 from __future__ import annotations
 
 import enum
-import hashlib
 import json
 import logging
 import os
@@ -36,7 +34,6 @@ BACKOFF_INITIAL_SECONDS = 1.0
 class PromptName(str, enum.Enum):
     KSHOT_TRANSLATE = "kshot_translate"
     ERROR_CORRECT = "fs_error_correct"
-    BACK_TRANSLATE = "back_translate"
 
 
 @dataclass(frozen=True)
@@ -51,27 +48,9 @@ class PromptTemplate:
         return out
 
 
-def _asset_text(filename: str) -> str:
-    return resources.files("signscribe").joinpath("prompts", filename).read_text("utf-8")
-
-
 def load_prompt(name: PromptName) -> PromptTemplate:
-    return PromptTemplate(name=name, body=_asset_text(f"{name.value}.txt"))
-
-
-def pinned_digests() -> dict[str, str]:
-    return json.loads(_asset_text("digests.json"))
-
-
-def verify_prompt_assets() -> None:
-    """Check every prompt asset against its pinned digest."""
-    for filename, expected in pinned_digests().items():
-        data = (
-            resources.files("signscribe").joinpath("prompts", filename).read_bytes()
-        )
-        actual = hashlib.sha256(data).hexdigest()
-        if actual != expected:
-            raise RuntimeError(f"prompt asset {filename} drifted: {actual} != {expected}")
+    path = resources.files("signscribe").joinpath("prompts", f"{name.value}.txt")
+    return PromptTemplate(name=name, body=path.read_text("utf-8"))
 
 
 class LlmError(RuntimeError):
@@ -144,14 +123,12 @@ def _strip_wrapping(text: str) -> str:
 # --- operations ----------------------------------------------------------------
 
 
-def translate_candidates(
-    client: LlmClient, phrase: str, k: int = 10, temperature: float = 1.0
-) -> CandidateSet:
+def translate_candidates(client: LlmClient, phrase: str, k: int = 10) -> CandidateSet:
     """Ask for k candidate glossings and keep the ones that parse."""
     if k < 1:
         raise ValueError("k must be >= 1")
     prompt = load_prompt(PromptName.KSHOT_TRANSLATE).render(phrase=phrase, k=k)
-    text = client.complete(prompt, temperature=temperature)
+    text = client.complete(prompt, temperature=1.0)
     items = parse_candidate_json(text)
     # the stub drops duplicate variants, so fewer than k is its normal answer
     if len(items) < k and not isinstance(client, StubClient):
@@ -174,14 +151,6 @@ def translate_candidates(
 def correct_fingerspelling(client: LlmClient, raw: str) -> str:
     """Fix typos in a greedy-decode transcript; returns the corrected line."""
     prompt = load_prompt(PromptName.ERROR_CORRECT).render(phrase=raw)
-    return _strip_wrapping(client.complete(prompt, temperature=0.0))
-
-
-def back_translate(client: LlmClient, glosses: str) -> str:
-    """Translate a gloss line back into an English sentence."""
-    if not glosses.strip():
-        raise ValueError("empty gloss line")
-    prompt = load_prompt(PromptName.BACK_TRANSLATE).render(phrase=glosses)
     return _strip_wrapping(client.complete(prompt, temperature=0.0))
 
 
@@ -242,11 +211,9 @@ class StubClient:
         self,
         translations: dict[str, dict[str, str]] | None = None,
         corrections: dict[str, str] | None = None,
-        back_translations: dict[str, str] | None = None,
     ):
         self.translations = dict(translations or {})
         self.corrections = {**_STUB_CORRECTIONS, **(corrections or {})}
-        self.back_translations = dict(back_translations or {})
 
     @staticmethod
     def _payload(prompt: str, label: str) -> str:
@@ -265,25 +232,6 @@ class StubClient:
         if prompt.startswith("Your task is to take a line of english text"):
             phrase = self._payload(prompt, "English")
             return self.corrections.get(phrase, phrase)
-        if prompt.startswith("You are an American Sign Language translator."):
-            glosses = self._payload(prompt, "Glosses")
-            if glosses in self.back_translations:
-                return self.back_translations[glosses]
-            words = []
-            for token in glosses.split():
-                lowered = token.lower()
-                if lowered.startswith(("fs-", "ns-")):
-                    words.append(token[3:].capitalize())
-                elif token.startswith("#"):
-                    words.append(token[1:].capitalize())
-                elif token.upper().startswith("CL:"):
-                    continue
-                else:
-                    words.append(token.lower())
-            if not words:
-                return ""
-            words[0] = words[0].capitalize()
-            return " ".join(words) + "."
         raise LlmError("stub does not recognize this prompt", raw=prompt)
 
 

@@ -54,12 +54,13 @@ def _char_ngrams(text: str, order: int) -> Counter:
     return Counter(chars[i : i + order] for i in range(len(chars) - order + 1))
 
 
-def chrf(reference: str, hypothesis: str, max_order: int = 6, beta: float = 2.0) -> float:
-    """Character n-gram F-score in [0, 1].
+def chrf(reference: str, hypothesis: str) -> float:
+    """Character n-gram F-score in [0, 1] (chrF2 over orders 1-6).
 
-    Per-order F_beta values are averaged uniformly over the orders for
-    which both sides have at least one n-gram (whitespace is excluded from
-    n-gram extraction). Two empty strings score 1; one empty scores 0.
+    Per-order F_2 values, which weigh recall twice as much as precision,
+    are averaged uniformly over the orders for which both sides have at
+    least one n-gram (whitespace is excluded from n-gram extraction). Two
+    empty strings score 1; one empty scores 0.
     """
     ref_chars = reference.replace(" ", "")
     hyp_chars = hypothesis.replace(" ", "")
@@ -67,9 +68,9 @@ def chrf(reference: str, hypothesis: str, max_order: int = 6, beta: float = 2.0)
         return 1.0
     if not ref_chars or not hyp_chars:
         return 0.0
-    beta2 = beta * beta
+    beta2 = 4.0
     scores = []
-    for order in range(1, max_order + 1):
+    for order in range(1, 7):
         ref_counts = _char_ngrams(reference, order)
         hyp_counts = _char_ngrams(hypothesis, order)
         total_ref = sum(ref_counts.values())

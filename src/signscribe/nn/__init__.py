@@ -11,7 +11,6 @@ from .autograd import (
     log_softmax,
     matmul,
     maximum,
-    mul,
     parameter,
     sigmoid,
     softmax,
@@ -23,7 +22,6 @@ from .serialize import ModelWeights, WeightsError, load_weights, save_weights, w
 from .tcn import (
     FINGERSPELLING_MAX_DILATIONS,
     ISR_MAX_DILATIONS,
-    FingerprintMismatchError,
     Tcn,
     TcnConfig,
     branch_dilations,

@@ -112,16 +112,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _node(a.data + b.data, (a, b), bw)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(g * b.data)
-        if b.requires_grad:
-            b._accumulate(g * a.data)
-
-    return _node(a.data * b.data, (a, b), bw)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     def bw(g):
         if a.requires_grad:

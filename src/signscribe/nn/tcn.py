@@ -117,10 +117,6 @@ def param_shapes(config: TcnConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-class FingerprintMismatchError(RuntimeError):
-    pass
-
-
 class Tcn:
     """A TCN instance owning its parameter tensors."""
 
@@ -144,12 +140,8 @@ class Tcn:
     def parameters(self) -> list[Tensor]:
         return [self.params[name] for name in sorted(self.params)]
 
-    def forward(self, x: np.ndarray, weights_fingerprint: str | None = None) -> Tensor:
+    def forward(self, x: np.ndarray) -> Tensor:
         """Per-frame logits for a (T, input_dim) feature matrix."""
-        if weights_fingerprint is not None and weights_fingerprint != self.fingerprint:
-            raise FingerprintMismatchError(
-                "weights were produced by a different architecture"
-            )
         if x.ndim != 2 or x.shape[1] != self.config.input_dim:
             raise ValueError(
                 f"expected (T, {self.config.input_dim}) input, got {x.shape}"

@@ -379,25 +379,6 @@ def _sign_to_json(s: SignScore) -> dict:
     return out
 
 
-def _sign_from_json(data: dict) -> SignScore:
-    common = dict(
-        kind=data["kind"],
-        token=data["token"],
-        notation=data["notation"],
-        score=float(data["score"]),
-        interval=(int(data["interval"][0]), int(data["interval"][1])),
-        anchored=bool(data["anchored"]),
-    )
-    if data["kind"] == "gloss":
-        return SignScore(
-            **common,
-            in_vocabulary=bool(data["in_vocabulary"]),
-            peak_frame=int(data["peak_frame"]),
-        )
-    region = data["fingerspelled_region"]
-    return SignScore(**common, fingerspelled_region=(int(region[0]), int(region[1])))
-
-
 def document_to_json(doc: AnnotationDocument) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
@@ -419,37 +400,6 @@ def document_to_json(doc: AnnotationDocument) -> dict:
         ],
         "errors": list(doc.errors),
     }
-
-
-def document_from_json(data: dict) -> AnnotationDocument:
-    config = PipelineConfig(
-        k=int(data["config"]["k"]),
-        fs_threshold=float(data["config"]["fs_threshold"]),
-        score_mode=ScoreMode(data["config"]["score_mode"]),
-        min_sign_duration=int(data["config"]["min_sign_duration"]),
-        llm_mode=str(data["config"]["llm_mode"]),
-    )
-    candidates = []
-    for c in data["candidates"]:
-        candidates.append(
-            CandidateAnnotation(
-                gloss_sequence=parse_gloss_sequence(c["gloss"]),
-                per_sign=[_sign_from_json(s) for s in c["per_sign"]],
-                aggregate_score=float(c["aggregate_score"]),
-                rank=int(c["rank"]),
-                candidate_index=int(c["candidate_index"]),
-                errors=list(c["errors"]),
-            )
-        )
-    return AnnotationDocument(
-        video_id=data["video_id"],
-        english=data["english"],
-        fps=float(data["fps"]),
-        candidates=candidates,
-        model_fingerprints=dict(data["model_fingerprints"]),
-        config=config,
-        errors=list(data["errors"]),
-    )
 
 
 def document_bytes(doc: AnnotationDocument) -> bytes:

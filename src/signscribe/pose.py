@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import json
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -388,25 +388,8 @@ ISR_TWO_HAND_FEATURES = FeatureSpec(dominant_hand=True, non_dominant_hand=True, 
 ISR_ONE_HAND_FEATURES = FeatureSpec(dominant_hand=True, non_dominant_hand=False, body=True)
 
 
-@dataclass
-class FeatureMatrix:
-    rows: np.ndarray  # (T, dim)
-    channel_map: tuple[tuple[str, int], ...]
-    fps: float
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.rows)):
-            raise PoseError("non-finite feature values")
-        if self.rows.shape[1] != sum(width for _, width in self.channel_map):
-            raise PoseError("feature width does not match the channel map")
-
-    @property
-    def dim(self) -> int:
-        return self.rows.shape[1]
-
-
-def build_features(seq: PoseSequence, spec: FeatureSpec) -> FeatureMatrix:
-    """Per-frame feature rows for an imputed, handedness-resolved sequence.
+def build_features(seq: PoseSequence, spec: FeatureSpec) -> np.ndarray:
+    """(T, spec.dim) feature rows for an imputed, handedness-resolved sequence.
 
     The dominant hand is read from the right-hand slot (sequences are
     mirrored upstream when the signer is left-dominant).
@@ -417,7 +400,6 @@ def build_features(seq: PoseSequence, spec: FeatureSpec) -> FeatureMatrix:
         if not seq.channel(channel)[1].all():
             raise ChannelEmptyError(channel)
 
-    channel_map: list[tuple[str, int]] = []
     columns: list[np.ndarray] = []
     if spec.body:
         body = {
@@ -425,21 +407,17 @@ def build_features(seq: PoseSequence, spec: FeatureSpec) -> FeatureMatrix:
             for j, name in enumerate(seq.joints)
             if seq.body_present[:, j].all()
         }
-        body_rows = normalize_body(body, spec.body_joints)
-        channel_map.append(("body", body_rows.shape[1]))
-        columns.append(body_rows)
-    for wanted, name, hands in (
-        (spec.dominant_hand, "dominant_hand", seq.hand_right),
-        (spec.non_dominant_hand, "non_dominant_hand", seq.hand_left),
+        columns.append(normalize_body(body, spec.body_joints))
+    for wanted, hands in (
+        (spec.dominant_hand, seq.hand_right),
+        (spec.non_dominant_hand, seq.hand_left),
     ):
         if wanted:
-            channel_map.append((name, 2 * HAND_JOINTS))
             columns.append(normalize_hand(hands, hand_joint_std(hands)))
-    return FeatureMatrix(
-        rows=np.concatenate(columns, axis=1),
-        channel_map=tuple(channel_map),
-        fps=seq.fps,
-    )
+    rows = np.concatenate(columns, axis=1)
+    if not np.all(np.isfinite(rows)):
+        raise PoseError("non-finite feature values")
+    return rows
 
 
 def prepare_sequence(
@@ -480,6 +458,17 @@ def write_pose_jsonl(path: str | Path, seq: PoseSequence) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _frame_records(path: str | Path, records: Iterable[tuple[int, object]]) -> Iterator[tuple]:
+    """(t, hand_left, hand_right, body) of each (line number, decoded line) frame record."""
+    for n, r in records:
+        if type(r) is not dict or "t" not in r:
+            raise PoseError(f"{path}:{n}: a frame must be an object with a 't'")
+        body = r.get("body")
+        if body is not None and type(body) is not dict:
+            raise PoseError(f"{path}:{n}: 'body' must be an object or null")
+        yield r["t"], r.get("hand_left"), r.get("hand_right"), body
+
+
 def read_pose_jsonl(path: str | Path) -> PoseSequence:
     """Read a pose file, writing each frame straight into the sequence's arrays."""
     with open(path, encoding="utf-8") as fh:
@@ -487,8 +476,9 @@ def read_pose_jsonl(path: str | Path) -> PoseSequence:
         if not num_lines:
             raise PoseError(f"{path} is empty")
         fh.seek(0)
-        records = (json.loads(line) for line in fh if line.strip())
-        header = next(records)
-        frames = ((r["t"], r.get("hand_left"), r.get("hand_right"), r.get("body")) for r in records)
+        records = ((n, json.loads(line)) for n, line in enumerate(fh, 1) if line.strip())
+        n, header = next(records)
+        if type(header) is not dict or "fps" not in header:
+            raise PoseError(f"{path}:{n}: the header must be an object with an 'fps'")
         fps, video_id = float(header["fps"]), str(header.get("video_id", ""))
-        return _from_records(frames, num_lines - 1, fps, video_id)
+        return _from_records(_frame_records(path, records), num_lines - 1, fps, video_id)

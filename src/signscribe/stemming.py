@@ -13,6 +13,8 @@ unharmed. Words of length <= 2 are returned unchanged.
 
 from __future__ import annotations
 
+import functools
+
 _VOWELS = frozenset("aeiou")
 
 
@@ -202,14 +204,16 @@ def porter_stem(word: str) -> str:
     return word
 
 
-def stem_fixpoint(word: str, max_rounds: int = 8) -> str:
-    """Apply the stemmer until the word stops changing.
+@functools.cache
+def stem_fixpoint(word: str) -> str:
+    """Apply the stemmer until the word stops changing (at most 8 rounds).
 
     A single Porter pass is not idempotent (HOUSES -> HOUS -> HOU); the
     fixpoint leaves already-normal words untouched and gives annotation
-    normalization a stable canonical form.
+    normalization a stable canonical form. Memoised: vocabulary lookups
+    stem the same few glosses over and over.
     """
-    for _ in range(max_rounds):
+    for _ in range(8):
         out = porter_stem(word)
         if out == word:
             return out

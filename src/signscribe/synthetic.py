@@ -24,6 +24,8 @@ from .pose import HAND_JOINTS, PoseFrame, PoseSequence
 
 DEFAULT_WORLD_SEED = 1207
 GRID = 1024.0
+_FPS = 30.0
+_NOISE = 0.004  # keypoint jitter, in normalized image units
 
 TOY_VOCAB = (
     "CAT", "DOG", "HOUSE", "TRAVEL", "TO", "PARK", "WITH", "WALK", "HAPPY",
@@ -69,12 +71,8 @@ class SyntheticWorld:
     sign_templates: dict[str, SignTemplate]
 
 
-def make_world(
-    seed: int = DEFAULT_WORLD_SEED,
-    alphabet: Alphabet | None = None,
-    vocab_names: tuple[str, ...] = TOY_VOCAB,
-) -> SyntheticWorld:
-    alphabet = alphabet or toy_alphabet()
+def make_world(seed: int = DEFAULT_WORLD_SEED) -> SyntheticWorld:
+    alphabet = toy_alphabet()
     rng = np.random.default_rng(seed)
     rest_hand = rng.uniform(-0.05, 0.05, size=(HAND_JOINTS, 2))
     hand_templates: dict[str, np.ndarray] = {}
@@ -86,7 +84,7 @@ def make_world(
     # Sign handshapes share the letter shapes' spread; with per-video
     # normalization a wider amplitude would distort every other feature.
     sign_templates: dict[str, SignTemplate] = {}
-    for name in vocab_names:
+    for name in TOY_VOCAB:
         sign_templates[name] = SignTemplate(
             dominant=rng.uniform(-0.13, 0.13, size=(HAND_JOINTS, 2)),
             non_dominant=rng.uniform(-0.13, 0.13, size=(HAND_JOINTS, 2)),
@@ -95,7 +93,7 @@ def make_world(
     return SyntheticWorld(
         seed=seed,
         alphabet=alphabet,
-        vocabulary=SignVocabulary(glosses=tuple(vocab_names)),
+        vocabulary=SignVocabulary(glosses=TOY_VOCAB),
         hand_templates=hand_templates,
         rest_hand=rest_hand,
         sign_templates=sign_templates,
@@ -155,10 +153,8 @@ class IsrSample:
 
 def _frames_from_right_hand(
     right_track: np.ndarray,
-    fps: float,
     rng: np.random.Generator,
     signer: Signer,
-    noise: float,
     video_id: str,
     left_track: np.ndarray | None = None,
     left_present: float = 0.0,
@@ -173,7 +169,7 @@ def _frames_from_right_hand(
             _RIGHT_HAND_CENTER
             + signer.offset
             + signer.scale * right_track[t]
-            + rng.normal(0.0, noise, size=(HAND_JOINTS, 2))
+            + rng.normal(0.0, _NOISE, size=(HAND_JOINTS, 2))
         )
         hand_right = None if rng.random() < drop_right else quantize(right)
         hand_left = None
@@ -182,24 +178,24 @@ def _frames_from_right_hand(
                 _LEFT_HAND_CENTER
                 + signer.offset
                 + signer.scale * left_track[t]
-                + rng.normal(0.0, noise, size=(HAND_JOINTS, 2))
+                + rng.normal(0.0, _NOISE, size=(HAND_JOINTS, 2))
             )
             hand_left = quantize(left)
         body = {}
         for name, xy in base_body.items():
-            pos = xy + signer.offset + rng.normal(0.0, noise, size=2)
+            pos = xy + signer.offset + rng.normal(0.0, _NOISE, size=2)
             if body_wrist_track is not None and name == "right_wrist":
                 pos = pos + body_wrist_track[t]
             body[name] = quantize(pos)
         frames.append(
             PoseFrame(
-                timestamp=t / fps,
+                timestamp=t / _FPS,
                 hand_left=hand_left,
                 hand_right=hand_right,
                 body=body,
             )
         )
-    return PoseSequence.from_frames(frames, fps=fps, video_id=video_id)
+    return PoseSequence.from_frames(frames, fps=_FPS, video_id=video_id)
 
 
 def _distractor(rng: np.random.Generator) -> np.ndarray:
@@ -243,8 +239,6 @@ def fingerspelling_clip(
     words: tuple[str, ...],
     signer: Signer,
     rng: np.random.Generator,
-    fps: float = 30.0,
-    noise: float = 0.004,
     video_id: str = "",
 ) -> tuple[PoseSequence, tuple[tuple[int, int], ...]]:
     """Render a pure fingerspelling clip; also returns per-word frame spans.
@@ -279,9 +273,7 @@ def fingerspelling_clip(
         push_rest(allow_distractor=(i == len(words) - 1))
         cursor += sum(durations) - before
     track = _blend_segments(templates, durations)
-    poses = _frames_from_right_hand(
-        track, fps, rng, signer, noise, video_id, drop_right=0.02
-    )
+    poses = _frames_from_right_hand(track, rng, signer, video_id, drop_right=0.02)
     return poses, tuple(word_spans)
 
 
@@ -337,8 +329,6 @@ def isr_clip(
     gloss: str,
     signer: Signer,
     rng: np.random.Generator,
-    fps: float = 30.0,
-    noise: float = 0.004,
     video_id: str = "",
 ) -> tuple[PoseSequence, tuple[int, int]]:
     """Render one isolated-sign clip with rest margins around the sign.
@@ -370,15 +360,7 @@ def isr_clip(
     wrist = np.zeros((sum(durs), 2))
     wrist[lead : lead + hold] = tpl.wrist_shift
     poses = _frames_from_right_hand(
-        right,
-        fps,
-        rng,
-        signer,
-        noise,
-        video_id,
-        left_track=left,
-        left_present=0.8,
-        body_wrist_track=wrist,
+        right, rng, signer, video_id, left_track=left, left_present=0.8, body_wrist_track=wrist
     )
     return poses, (lead, lead + hold - 1)
 
@@ -415,8 +397,6 @@ def compose_sentence_video(
     world: SyntheticWorld,
     glosses: GlossSequence,
     seed: int = 0,
-    fps: float = 30.0,
-    noise: float = 0.004,
     video_id: str = "",
 ) -> tuple[PoseSequence, list[tuple[int, int]]]:
     """Render a mixed signing video for a gloss sequence.
@@ -473,15 +453,7 @@ def compose_sentence_video(
         [np.repeat(w[None, :], d, axis=0) for w, d in zip(wrist_templates, durations)]
     )
     poses = _frames_from_right_hand(
-        right,
-        fps,
-        rng,
-        signer,
-        noise,
-        video_id,
-        left_track=left,
-        left_present=0.85,
-        body_wrist_track=wrist,
+        right, rng, signer, video_id, left_track=left, left_present=0.85, body_wrist_track=wrist
     )
     return poses, spans
 

@@ -8,28 +8,23 @@ import numpy as np
 
 from . import nn
 
+_TRAIN_FRACTION, _VAL_FRACTION = 0.7, 0.15  # the test split takes the rest
+
 
 class CorpusError(ValueError):
     pass
 
 
-def stratified_split(
-    samples: Sequence,
-    rng: np.random.Generator,
-    fractions: tuple[float, float, float] = (0.7, 0.15, 0.15),
-    signer_of=lambda s: s.signer_id,
-) -> tuple[list, list, list]:
-    """Split samples train/val/test with every signer represented in each split.
+def stratified_split(samples: Sequence, rng: np.random.Generator) -> tuple[list, list, list]:
+    """Split samples 70/15/15 train/val/test with every signer in each split.
 
-    Each signer's samples are shuffled and cut at the requested fractions,
-    so splits are proportional per signer. Raises :class:`CorpusError` when
+    Each signer's samples are shuffled and cut at those fractions, so
+    splits are proportional per signer. Raises :class:`CorpusError` when
     any signer has too few samples to land one in every split.
     """
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise CorpusError("split fractions must sum to 1")
     by_signer: dict[str, list] = {}
     for s in samples:
-        by_signer.setdefault(signer_of(s), []).append(s)
+        by_signer.setdefault(s.signer_id, []).append(s)
     if not by_signer:
         raise CorpusError("empty corpus")
     train: list = []
@@ -42,8 +37,8 @@ def stratified_split(
                 f"signer {signer!r} has {len(group)} samples; need >= 3 to stratify"
             )
         order = rng.permutation(len(group))
-        n_train = max(1, round(fractions[0] * len(group)))
-        n_val = max(1, round(fractions[1] * len(group)))
+        n_train = max(1, round(_TRAIN_FRACTION * len(group)))
+        n_val = max(1, round(_VAL_FRACTION * len(group)))
         n_train = min(n_train, len(group) - 2)
         n_val = min(n_val, len(group) - n_train - 1)
         for pos, idx in enumerate(order):

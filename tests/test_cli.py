@@ -52,6 +52,22 @@ def malformed_document(directory):
     return path
 
 
+# (malformed pose file text, the error text after "<path>:")
+BAD_POSE_LINES = [
+    ("[1, 2]", "1: the header must be an object with an 'fps'"),
+    ('{"video_id": "v"}', "1: the header must be an object with an 'fps'"),
+    ('{"fps": 30}\n\n[1, 2]', "3: a frame must be an object with a 't'"),
+    ('{"fps": 30}\n{"hand_left": null}', "2: a frame must be an object with a 't'"),
+    ('{"fps": 30}\n{"t": 0, "body": [1, 2]}', "2: 'body' must be an object or null"),
+]
+
+
+def bad_pose_file(tmp_path, text):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(text + "\n")
+    return path
+
+
 def tiny_corpus_spec(tmp_path, kind):
     spec = {
         "kind": kind,
@@ -156,6 +172,16 @@ class TestRecognize:
         assert code == 0
         assert capsys.readouterr().out.strip() == "CAT DOG"
 
+    @pytest.mark.parametrize("line, message", BAD_POSE_LINES)
+    def test_malformed_pose_line_is_an_error(self, model_root, tmp_path, capsys, line, message):
+        path = bad_pose_file(tmp_path, line)
+        code = main([
+            "recognize", "--poses", str(path),
+            "--model-dir", str(model_root / "fingerspelling"),
+        ])
+        assert code == 1
+        assert f"error: {path}:{message}" in capsys.readouterr().err
+
 
 class TestAnnotate:
     def test_single_video_schema_valid(self, worked_poses_file, model_root, tmp_path):
@@ -174,6 +200,17 @@ class TestAnnotate:
         assert doc["video_id"] == "cli01"
         assert len(doc["candidates"]) >= 1
         assert pipe_mod._document_check()(doc)
+
+    @pytest.mark.parametrize("line, message", BAD_POSE_LINES)
+    def test_malformed_pose_line_is_an_error(self, model_root, tmp_path, capsys, line, message):
+        path = bad_pose_file(tmp_path, line)
+        code = main([
+            "annotate", "--english", WORKED_ENGLISH, "--poses", str(path),
+            "--model-dir", str(model_root), "--out", str(tmp_path / "doc.json"), "--jobs", "1",
+        ])
+        assert code == 1
+        assert f"error: {path}:{message}" in capsys.readouterr().err
+        assert not (tmp_path / "doc.json").exists()
 
     def test_k_flag(self, worked_poses_file, model_root, tmp_path):
         out = tmp_path / "doc.json"
@@ -407,6 +444,15 @@ class TestEval:
             "--truth", str(truth),
         ])
         assert code == 1
+
+    def test_no_ranked_candidate_is_domain_error(self, tmp_path, capsys):
+        doc = json.loads(Path("tests/data/doc_fixture.json").read_text())
+        doc["candidates"] = []  # what a failed translation writes
+        pred = tmp_path / "failed.json"
+        pred.write_text(json.dumps(doc))
+        code = main(["eval", "--pred", str(pred), "--truth", str(self._truth_file(tmp_path))])
+        assert code == 1
+        assert "error: no matched prediction has a ranked candidate" in capsys.readouterr().err
 
     def test_malformed_document_is_domain_error(self, tmp_path, capsys):
         truth = self._truth_file(tmp_path)

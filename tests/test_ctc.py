@@ -19,7 +19,6 @@ from signscribe.ctc import (
     _lattice_pass,
     aggregate_words,
     ctc_loss,
-    default_alphabet,
     forced_align,
     greedy_decode,
     min_frames_required,
@@ -83,13 +82,14 @@ def one_hot_scores(ids, size, fps=30.0):
 
 class TestAlphabet:
     def test_default_composition(self):
-        alpha = default_alphabet()
-        assert alpha.size == 26 + 10 + 7 + 1 + 1
+        # the toy alphabet is the one every model and synthetic world uses
+        alpha = toy_alphabet()
+        assert alpha.size == 26 + 2 + 1 + 1
         assert alpha.blank_id == alpha.size - 1
         assert alpha.index("|") == alpha.pipe_id
 
     def test_bijection(self):
-        alpha = default_alphabet()
+        alpha = toy_alphabet()
         for i, ch in enumerate(alpha.chars):
             assert alpha.index(ch) == i
             assert alpha.char(i) == ch

@@ -1,4 +1,4 @@
-"""Fingerspelling recognition, word alignment, data filtering, persistence.
+"""Fingerspelling recognition, word alignment, training, persistence.
 
 Model-quality thresholds live in the acceptance suite; these tests cover
 contracts and use the session-trained toy model where a real model helps.
@@ -12,7 +12,6 @@ from signscribe import synthetic as syn
 from signscribe.ctc import toy_alphabet
 from signscribe.fingerspelling import (
     align_words_scores,
-    filter_training_set,
     load_fingerspelling_model,
     normalize_word,
     per_character_loss,
@@ -83,45 +82,6 @@ class TestAlignWords:
         with pytest.raises(TokenizationError) as exc_info:
             align_words_scores(fs_mod.frame_scores(fs_model, poses), ["C?T"], fs_model.alphabet)
         assert exc_info.value.word == "C?T"
-
-
-class TestFilterTrainingSet:
-    def _dataset(self, world, rng, n=8):
-        signers = syn.make_signers(2, rng)
-        return syn.make_fingerspelling_corpus(world, num_phrases=n, num_signers=2, seed=3)
-
-    def test_rank_rule_drops_worst(self, world, fs_model, rng):
-        dataset = self._dataset(world, rng)
-        # corrupt one sample's label so its loss is enormous
-        bad = dataset[3]
-        corrupted = syn.FsSample(
-            sample_id=bad.sample_id,
-            words=("Z1Z1Z", "Q0Q0"),
-            poses=bad.poses,
-            signer_id=bad.signer_id,
-            word_spans=bad.word_spans,
-        )
-        dataset[3] = corrupted
-        kept = filter_training_set(dataset, fs_model, drop_fraction=0.2)
-        assert len(kept) == len(dataset) - 1
-        assert all(s.sample_id != corrupted.sample_id for s in kept)
-
-    def test_zero_fraction_is_identity(self, world, fs_model, rng):
-        dataset = self._dataset(world, rng)
-        assert filter_training_set(dataset, fs_model, drop_fraction=0.0) == dataset
-
-    def test_fraction_bounds(self, world, fs_model, rng):
-        dataset = self._dataset(world, rng)
-        with pytest.raises(ValueError):
-            filter_training_set(dataset, fs_model, drop_fraction=0.5)
-        with pytest.raises(ValueError):
-            filter_training_set(dataset, fs_model, drop_fraction=-0.1)
-
-    def test_deterministic_under_ties(self, world, fs_model, rng):
-        dataset = self._dataset(world, rng)
-        a = filter_training_set(dataset, fs_model, drop_fraction=0.25)
-        b = filter_training_set(dataset, fs_model, drop_fraction=0.25)
-        assert [s.sample_id for s in a] == [s.sample_id for s in b]
 
 
 class TestTrainToy:

@@ -1,32 +1,40 @@
 """LLM gateway: prompts, parsing, stub determinism, HTTP retry behavior."""
 
+import hashlib
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import signscribe
 from signscribe.llm import (
     HttpClient,
     LlmError,
     PromptName,
     StubClient,
-    back_translate,
     correct_fingerspelling,
     load_prompt,
     make_client,
     parse_candidate_json,
-    pinned_digests,
     translate_candidates,
-    verify_prompt_assets,
 )
+
+PROMPTS = Path(signscribe.__file__).parent / "prompts"
+
+
+def pinned_digests() -> dict[str, str]:
+    return json.loads((PROMPTS / "digests.json").read_text("utf-8"))
 
 
 class TestPromptAssets:
     def test_digests_pinned(self):
-        verify_prompt_assets()
+        for filename, expected in pinned_digests().items():
+            actual = hashlib.sha256((PROMPTS / filename).read_bytes()).hexdigest()
+            assert actual == expected, f"prompt asset {filename} drifted"
 
     def test_placeholders_present(self):
         for name in PromptName:
@@ -135,21 +143,6 @@ class TestStubCorrect:
 
     def test_echo_when_no_rule(self):
         assert correct_fingerspelling(StubClient(), "123 MAIN STREET") == "123 MAIN STREET"
-
-
-class TestStubBackTranslate:
-    def test_registered_fixture(self):
-        stub = StubClient(back_translations={"CAT SLEEP": "The cat is sleeping."})
-        assert back_translate(stub, "CAT SLEEP") == "The cat is sleeping."
-
-    def test_fs_prefix_replaced(self):
-        out = back_translate(StubClient(), "fs-BOB TRAVEL TO fs-FRICK PARK")
-        assert "fs-" not in out
-        assert "Bob" in out and "Frick" in out
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            back_translate(StubClient(), "   ")
 
 
 class _FlakyHandler(BaseHTTPRequestHandler):

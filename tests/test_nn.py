@@ -115,7 +115,7 @@ class TestConv1d:
 class TestAutogradBasics:
     def test_constant_loss_zero_gradients(self):
         p = nn.parameter(np.ones((3, 2)))
-        loss = nn.sum_all(nn.mul(p, nn.constant(np.zeros((3, 2)))))
+        loss = nn.sum_all(nn.matmul(p, nn.constant(np.zeros((2, 4)))))
         loss.backward()
         np.testing.assert_array_equal(p.grad, np.zeros((3, 2)))
 
@@ -225,12 +225,6 @@ class TestTcn:
                 assert abs(numeric - grads[i]) <= 1e-4 * max(1e-4, abs(numeric), abs(grads[i]))
                 probes += 1
         assert probes >= 30
-
-    def test_fingerprint_mismatch_rejected(self):
-        rng = np.random.default_rng(2)
-        _, tcn = small_tcn(rng)
-        with pytest.raises(nn.FingerprintMismatchError):
-            tcn.forward(np.zeros((4, 4)), weights_fingerprint="deadbeef")
 
     @pytest.mark.parametrize(
         "make_config, input_dim, classes",

@@ -251,18 +251,17 @@ class TestBuildFeatures:
     def test_fingerspelling_dim(self):
         rng = np.random.default_rng(12)
         seq = make_sequence(rng, n=7)
-        feats = build_features(seq, FINGERSPELLING_FEATURES)
-        assert feats.dim == 42
-        assert feats.rows.shape == (7, 42)
+        assert build_features(seq, FINGERSPELLING_FEATURES).shape == (7, 42)
 
     def test_isr_dims(self):
         rng = np.random.default_rng(13)
         seq = make_sequence(rng, n=4)
         two = build_features(seq, ISR_TWO_HAND_FEATURES)
         one = build_features(seq, ISR_ONE_HAND_FEATURES)
-        assert two.dim == 18 + 42 + 42
-        assert one.dim == 18 + 42
-        assert dict(two.channel_map)["body"] == 18
+        assert two.shape == (4, 18 + 42 + 42)
+        assert one.shape == (4, 18 + 42)
+        # body columns first, then the dominant hand, then the other hand
+        np.testing.assert_array_equal(two[:, :60], one)
 
     def test_missing_channel_rejected(self):
         rng = np.random.default_rng(14)
@@ -287,7 +286,7 @@ class TestBuildFeatures:
         shifted = PoseSequence.from_frames(frames=shifted_frames, fps=30.0)
         a = build_features(seq, ISR_TWO_HAND_FEATURES)
         b = build_features(shifted, ISR_TWO_HAND_FEATURES)
-        np.testing.assert_allclose(a.rows, b.rows, atol=1e-9)
+        np.testing.assert_allclose(a, b, atol=1e-9)
 
 
 class TestPrepareSequence:
@@ -498,7 +497,7 @@ def assert_matches_reference(frames, fps=30.0):
                 build_features(prepare_sequence(seq, prepare_spec)[0], spec)
             assert got.value.channel == exc.channel
             continue
-        rows = build_features(prepare_sequence(seq, prepare_spec)[0], spec).rows
+        rows = build_features(prepare_sequence(seq, prepare_spec)[0], spec)
         assert np.array_equal(rows, expected), name
         built.append(name)
     return built
