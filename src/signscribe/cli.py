@@ -196,17 +196,24 @@ def _annotate_in_worker(line_no: int, line: str) -> dict | None:
     return _annotate_record(_worker_state, line_no, line)
 
 
+def _write_document(pipeline: tuple, english: str, poses_path: Path, out_path: Path) -> None:
+    """Annotate one pose file with (models, config, client); write its validated document."""
+    poses = read_pose_jsonl(poses_path)
+    doc = pipe_mod.annotate(english, poses, *pipeline)
+    payload = pipe_mod.document_bytes(doc)
+    pipe_mod.validate_document(json.loads(payload))
+    out_path.write_bytes(payload)
+
+
 def _annotate_record(state: tuple, line_no: int, line: str) -> dict | None:
     """Parse and annotate one transcript line; return its failure instead of raising it."""
-    models, config, client, poses_dir, out_dir = state
+    pipeline, poses_dir, out_dir = state
     try:
         rec = _parse_record(line)
         video_id = _file_stem(rec["video_id"])
-        poses = read_pose_jsonl(poses_dir / f"{video_id}.jsonl")
-        doc = pipe_mod.annotate(rec["english"], poses, models, config, client)
-        payload = pipe_mod.document_bytes(doc)
-        pipe_mod.validate_document(json.loads(payload))
-        (out_dir / f"{video_id}.json").write_bytes(payload)
+        _write_document(
+            pipeline, rec["english"], poses_dir / f"{video_id}.jsonl", out_dir / f"{video_id}.json"
+        )
     except Exception as exc:  # one bad record must not lose the batch
         return _failure(line_no, line, exc)
     return None
@@ -269,18 +276,13 @@ def _cmd_annotate(args, parser) -> int:
         parser.error("--jobs must be at least 1")
     _require_paths(parser, args.model_dir, args.vocab)
     models = _load_models(args.model_dir, args.vocab)
-    config = _pipeline_config(args)
-    client = llm_mod.make_client(args.llm)
+    pipeline = (models, _pipeline_config(args), llm_mod.make_client(args.llm))
 
     if not batch:
         if args.english is None or args.poses is None:
             parser.error("single-video mode needs both --english and --poses")
         _require_paths(parser, args.poses)
-        poses = read_pose_jsonl(args.poses)
-        doc = pipe_mod.annotate(args.english, poses, models, config, client)
-        payload = pipe_mod.document_bytes(doc)
-        pipe_mod.validate_document(json.loads(payload))
-        Path(args.out).write_bytes(payload)
+        _write_document(pipeline, args.english, Path(args.poses), Path(args.out))
         print(f"wrote {args.out}")
         return 0
 
@@ -293,7 +295,7 @@ def _cmd_annotate(args, parser) -> int:
         for n, line in enumerate(Path(args.transcripts).read_text(encoding="utf-8").splitlines(), 1)
         if line.strip()
     ]
-    state = (models, config, client, Path(args.poses_dir), out_dir)
+    state = (pipeline, Path(args.poses_dir), out_dir)
     workers = min(args.jobs, len(lines))
     if workers <= 1:
         results = [_annotate_record(state, *item) for item in lines]

@@ -91,7 +91,6 @@ class FrameScores:
 
     probs: np.ndarray
     kind: str = "softmax"
-    fps: float = 30.0
 
     def __post_init__(self):
         self.probs = np.asarray(self.probs, dtype=np.float64)

@@ -19,7 +19,9 @@ from . import nn
 from .ctc import Alphabet, FrameScores, aggregate_words, forced_align, greedy_decode
 from .gloss import TokenizationError, to_ctc_tokens
 from .pose import FINGERSPELLING_FEATURES, PoseSequence, build_features, prepare_sequence
-from .training import CorpusError, fit, stratified_split
+from .training import GRAD_CLIP, MIN_LR, PATIENCE, WEIGHT_DECAY, CorpusError, fit, stratified_split
+
+LR = 7e-4  # peak of the cosine learning-rate schedule
 
 
 @dataclass
@@ -47,14 +49,14 @@ class WordDetection:
 
 
 def _features(poses: PoseSequence) -> np.ndarray:
-    prepared, _ = prepare_sequence(poses, FINGERSPELLING_FEATURES)
+    prepared = prepare_sequence(poses, FINGERSPELLING_FEATURES)
     return build_features(prepared, FINGERSPELLING_FEATURES)
 
 
 def frame_scores(model: FingerspellingModel, poses: PoseSequence) -> FrameScores:
     """Softmax character probabilities per frame for a pose sequence."""
     logits = model.tcn.forward(_features(poses))
-    return FrameScores(probs=nn.softmax(logits.data), kind="softmax", fps=poses.fps)
+    return FrameScores(probs=nn.softmax(logits.data), kind="softmax")
 
 
 def recognize(model: FingerspellingModel, poses: PoseSequence) -> str:
@@ -116,9 +118,7 @@ def per_character_loss(
     if feats is None:
         feats = _features(sample.poses)
     target = _sample_target(sample, model.alphabet)
-    scores = FrameScores(
-        probs=nn.softmax(model.tcn.forward(feats).data), kind="softmax", fps=sample.poses.fps
-    )
+    scores = FrameScores(probs=nn.softmax(model.tcn.forward(feats).data), kind="softmax")
     loss, _ = ctc_mod.ctc_loss(scores, target)
     n_chars = sum(len(w) for w in sample.words)
     return loss / max(1, n_chars)
@@ -130,11 +130,6 @@ def train_toy(
     epochs: int = 40,
     seed: int = 0,
     channels: int = 48,
-    lr: float = 7e-4,
-    weight_decay: float = 1e-5,
-    min_lr: float = 1e-6,
-    patience: int = 10,
-    grad_clip: float = 5.0,
 ) -> FingerspellingModel:
     """Train the character recognizer on a synthetic corpus.
 
@@ -150,7 +145,7 @@ def train_toy(
         raise CorpusError("corpus too small to stratify")
 
     config = nn.fingerspelling_config(
-        input_dim=2 * 21, output_classes=alphabet.size, channels=channels
+        input_dim=FINGERSPELLING_FEATURES.dim, output_classes=alphabet.size, channels=channels
     )
     tcn = nn.Tcn.init(config, rng)
     model = FingerspellingModel(tcn=tcn, alphabet=alphabet)
@@ -169,8 +164,8 @@ def train_toy(
         return nn.external_loss(logits, loss, grad)
 
     (best,), history = fit(
-        [tcn], train, val, loss_fn, rng, epochs=epochs, batch_size=1, lr=lr,
-        weight_decay=weight_decay, min_lr=min_lr, patience=patience, grad_clip=grad_clip,
+        [tcn], train, val, loss_fn, rng, epochs=epochs, batch_size=1, lr=LR,
+        weight_decay=WEIGHT_DECAY, min_lr=MIN_LR, patience=PATIENCE, grad_clip=GRAD_CLIP,
     )
     return FingerspellingModel(tcn=best, alphabet=alphabet, history=history)
 

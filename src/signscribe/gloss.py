@@ -48,6 +48,10 @@ class TokenKind(enum.Enum):
     CLASSIFIER = "classifier"
 
 
+# The kinds signed letter by letter: the fingerspelling recognizer aligns them.
+FINGERSPELLED_KINDS = (TokenKind.FINGERSPELLED, TokenKind.NAME_SIGN, TokenKind.LEXICALIZED)
+
+
 @dataclass(frozen=True)
 class GlossToken:
     kind: TokenKind

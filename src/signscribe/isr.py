@@ -29,12 +29,14 @@ from .pose import (
     prepare_sequence,
 )
 from .stemming import stem_fixpoint
-from .training import CorpusError, fit, stratified_split
+from .training import GRAD_CLIP, MIN_LR, PATIENCE, WEIGHT_DECAY, CorpusError, fit, stratified_split
 
 ANY_CLASS = "ANY"
 NULL_CLASS = "NULL"
 _TRACK_EPS = 1e-12
 _TIE_TOL = 1e-9  # log-score difference below which two DP choices tie
+BATCH_CLIPS = 8  # training clips concatenated per optimiser step
+JITTER = 0.25  # training windows widen by up to this share of the sign span per side
 
 
 @dataclass(frozen=True)
@@ -100,7 +102,7 @@ class IsrModel:
 
 def _features(poses: PoseSequence) -> tuple[np.ndarray, np.ndarray]:
     """Two-hand and one-hand branch features of a video."""
-    prepared, _ = prepare_sequence(poses, ISR_TWO_HAND_FEATURES)
+    prepared = prepare_sequence(poses, ISR_TWO_HAND_FEATURES)
     two = build_features(prepared, ISR_TWO_HAND_FEATURES)
     one = build_features(prepared, ISR_ONE_HAND_FEATURES)
     return two, one
@@ -120,7 +122,7 @@ def isr_scores(model: IsrModel, poses: PoseSequence) -> FrameScores:
     """
     logits_two, logits_one = _branch_logits(model, poses)
     merged = np.maximum(logits_two.data, logits_one.data)
-    return FrameScores(probs=nn.sigmoid(merged), kind="sigmoid", fps=poses.fps)
+    return FrameScores(probs=nn.sigmoid(merged), kind="sigmoid")
 
 
 def classify(model: IsrModel, poses: PoseSequence) -> str:
@@ -332,13 +334,13 @@ def build_frame_targets(
 
 
 def _jitter_window(
-    span: tuple[int, int], num_frames: int, rng: np.random.Generator, jitter: float
+    span: tuple[int, int], num_frames: int, rng: np.random.Generator
 ) -> tuple[int, int]:
-    """Expand the extraction window by up to ``jitter`` of the span per side."""
+    """Expand the extraction window by up to ``JITTER`` of the span per side."""
     s, e = span
     length = e - s + 1
-    lead = int(round(rng.uniform(0.0, jitter) * length))
-    tail = int(round(rng.uniform(0.0, jitter) * length))
+    lead = int(round(rng.uniform(0.0, JITTER) * length))
+    tail = int(round(rng.uniform(0.0, JITTER) * length))
     return max(0, s - lead), min(num_frames - 1, e + tail)
 
 
@@ -349,12 +351,6 @@ def train_toy_isr(
     seed: int = 0,
     channels: int = 48,
     lr: float = 1e-3,
-    weight_decay: float = 1e-5,
-    min_lr: float = 1e-6,
-    patience: int = 10,
-    batch_clips: int = 8,
-    jitter: float = 0.25,
-    grad_clip: float = 5.0,
 ) -> IsrModel:
     """Train the two-branch recognizer on synthetic isolated-sign clips.
 
@@ -387,7 +383,7 @@ def train_toy_isr(
         for s in samples:
             f2, f1 = feats[s.sample_id]
             if train_mode:
-                lo, hi = _jitter_window(s.span, len(f2), rng, jitter)
+                lo, hi = _jitter_window(s.span, len(f2), rng)
             else:
                 lo, hi = 0, len(f2) - 1
             span_local = (s.span[0] - lo, s.span[1] - lo)
@@ -405,9 +401,8 @@ def train_toy_isr(
         return nn.bce_with_logits(logits, targets)
 
     (best_two, best_one), history = fit(
-        [two, one], train, val, batch_loss, rng, epochs=epochs, batch_size=batch_clips,
-        lr=lr, weight_decay=weight_decay, min_lr=min_lr, patience=patience,
-        grad_clip=grad_clip,
+        [two, one], train, val, batch_loss, rng, epochs=epochs, batch_size=BATCH_CLIPS,
+        lr=lr, weight_decay=WEIGHT_DECAY, min_lr=MIN_LR, patience=PATIENCE, grad_clip=GRAD_CLIP,
     )
     return IsrModel(
         vocabulary=vocabulary, two_hand=best_two, one_hand=best_one, history=history

@@ -70,10 +70,7 @@ class LlmClient(Protocol):
 
 @dataclass(frozen=True)
 class CandidateSet:
-    phrase: str
     candidates: tuple[str, ...]
-    model_id: str
-    k: int
 
 
 # --- response parsing ---------------------------------------------------------
@@ -143,9 +140,7 @@ def translate_candidates(client: LlmClient, phrase: str, k: int = 10) -> Candida
         candidates.append(raw)
     if not candidates:
         raise LlmError("no candidate parsed as a gloss line", raw=text)
-    return CandidateSet(
-        phrase=phrase, candidates=tuple(candidates), model_id=client.model_id, k=k
-    )
+    return CandidateSet(candidates=tuple(candidates))
 
 
 def correct_fingerspelling(client: LlmClient, raw: str) -> str:
@@ -207,13 +202,8 @@ class StubClient:
 
     model_id = "stub"
 
-    def __init__(
-        self,
-        translations: dict[str, dict[str, str]] | None = None,
-        corrections: dict[str, str] | None = None,
-    ):
+    def __init__(self, translations: dict[str, dict[str, str]] | None = None):
         self.translations = dict(translations or {})
-        self.corrections = {**_STUB_CORRECTIONS, **(corrections or {})}
 
     @staticmethod
     def _payload(prompt: str, label: str) -> str:
@@ -231,7 +221,7 @@ class StubClient:
             return "```json\n" + json.dumps(table, indent=0) + "\n```"
         if prompt.startswith("Your task is to take a line of english text"):
             phrase = self._payload(prompt, "English")
-            return self.corrections.get(phrase, phrase)
+            return _STUB_CORRECTIONS.get(phrase, phrase)
         raise LlmError("stub does not recognize this prompt", raw=prompt)
 
 
@@ -243,24 +233,17 @@ class HttpClient:
         endpoint: str | None = None,
         api_key: str | None = None,
         model_id: str | None = None,
-        max_attempts: int = MAX_ATTEMPTS,
-        backoff_initial: float = BACKOFF_INITIAL_SECONDS,
         sleep: Callable[[float], None] = time.sleep,
-        session=None,
     ):
         self.endpoint = endpoint or os.environ.get(ENV_ENDPOINT, "")
         self.api_key = api_key if api_key is not None else os.environ.get(ENV_API_KEY, "")
         self.model_id = model_id or os.environ.get(ENV_MODEL_ID, "default")
         if not self.endpoint:
             raise LlmError(f"no endpoint configured (set {ENV_ENDPOINT})")
-        self.max_attempts = max_attempts
-        self.backoff_initial = backoff_initial
         self._sleep = sleep
-        if session is None:
-            import requests
+        import requests  # only this client needs it; it stays off the CLI import path
 
-            session = requests.Session()
-        self._session = session
+        self._session = requests.Session()
 
     def complete(self, prompt: str, temperature: float = 1.0, max_tokens: int = 1024) -> str:
         payload = {
@@ -273,9 +256,9 @@ class HttpClient:
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
         last_error: Exception | None = None
-        for attempt in range(self.max_attempts):
+        for attempt in range(MAX_ATTEMPTS):
             if attempt:
-                self._sleep(self.backoff_initial * (2 ** (attempt - 1)))
+                self._sleep(BACKOFF_INITIAL_SECONDS * (2 ** (attempt - 1)))
             try:
                 response = self._session.post(
                     self.endpoint, json=payload, headers=headers, timeout=60
@@ -294,12 +277,12 @@ class HttpClient:
                 raise
             except Exception as exc:  # transport errors, malformed body
                 last_error = exc
-        raise LlmError(f"request failed after {self.max_attempts} attempts: {last_error}")
+        raise LlmError(f"request failed after {MAX_ATTEMPTS} attempts: {last_error}")
 
 
-def make_client(mode: str, **kwargs) -> LlmClient:
+def make_client(mode: str) -> LlmClient:
     if mode == "stub":
-        return StubClient(**kwargs)
+        return StubClient()
     if mode == "http":
-        return HttpClient(**kwargs)
+        return HttpClient()
     raise ValueError(f"unknown llm mode {mode!r}")

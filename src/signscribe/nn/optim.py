@@ -9,6 +9,8 @@ import numpy as np
 
 from .autograd import Tensor
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # moment decay rates and the denominator floor
+
 
 @dataclass
 class AdamState:
@@ -22,39 +24,25 @@ def adamw_step(
     grad: np.ndarray,
     state: AdamState,
     lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
     weight_decay: float = 0.0,
 ) -> None:
     """One in-place AdamW update with bias correction and decoupled decay."""
     state.t += 1
-    state.m = beta1 * state.m + (1.0 - beta1) * grad
-    state.v = beta2 * state.v + (1.0 - beta2) * grad * grad
-    m_hat = state.m / (1.0 - beta1 ** state.t)
-    v_hat = state.v / (1.0 - beta2 ** state.t)
-    param -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    state.m = BETA1 * state.m + (1.0 - BETA1) * grad
+    state.v = BETA2 * state.v + (1.0 - BETA2) * grad * grad
+    m_hat = state.m / (1.0 - BETA1 ** state.t)
+    v_hat = state.v / (1.0 - BETA2 ** state.t)
+    param -= lr * m_hat / (np.sqrt(v_hat) + EPS)
     if weight_decay:
         param -= lr * weight_decay * param
 
 
 class AdamW:
-    def __init__(
-        self,
-        params: list[Tensor],
-        lr: float = 1e-4,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-        weight_decay: float = 1e-5,
-    ):
+    def __init__(self, params: list[Tensor], lr: float, weight_decay: float):
         if lr < 0:
             raise ValueError(f"invalid learning rate {lr}")
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         self.state = [
             AdamState(m=np.zeros_like(p.data), v=np.zeros_like(p.data)) for p in params
@@ -64,16 +52,7 @@ class AdamW:
         for p, st in zip(self.params, self.state):
             if p.grad is None:
                 continue
-            adamw_step(
-                p.data,
-                p.grad,
-                st,
-                lr=self.lr,
-                beta1=self.beta1,
-                beta2=self.beta2,
-                eps=self.eps,
-                weight_decay=self.weight_decay,
-            )
+            adamw_step(p.data, p.grad, st, lr=self.lr, weight_decay=self.weight_decay)
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -32,7 +32,7 @@ from . import isr as isr_mod
 from . import nn
 from .ctc import Alphabet, FrameScores, InfeasibleTargetError
 from .fingerspelling import FingerspellingModel, WordDetection
-from .gloss import GlossSequence, GlossToken, TokenKind, parse_gloss_sequence, render
+from .gloss import FINGERSPELLED_KINDS, GlossSequence, GlossToken, parse_gloss_sequence, render
 from .isr import AlignEntry, GlossDetection, IsrModel
 from .llm import LlmClient, LlmError, StubClient, translate_candidates
 from .pose import PoseSequence
@@ -40,7 +40,6 @@ from .pose import PoseSequence
 logger = logging.getLogger(__name__)
 
 SCHEMA_VERSION = "v1"
-ANCHOR_KINDS = (TokenKind.FINGERSPELLED, TokenKind.NAME_SIGN, TokenKind.LEXICALIZED)
 
 
 class ScoreMode(str, enum.Enum):
@@ -187,7 +186,7 @@ def _score_sequence(
     fs_positions: list[int] = []
     fs_words: dict[int, str] = {}
     for i, tok in enumerate(seq.tokens):
-        if tok.kind in ANCHOR_KINDS:
+        if tok.kind in FINGERSPELLED_KINDS:
             fs_positions.append(i)
             word = fs_mod.normalize_word(tok.text, alphabet, on_unknown="strip")
             if word:
@@ -216,7 +215,7 @@ def _score_sequence(
         if i in anchor_set:
             continue
         entries.append(
-            AlignEntry(token_index=i, token=tok, force_any=tok.kind in ANCHOR_KINDS)
+            AlignEntry(token_index=i, token=tok, force_any=tok.kind in FINGERSPELLED_KINDS)
         )
     gloss_dets, interval_errors = isr_mod.align_glosses_scores(
         isr_scores,

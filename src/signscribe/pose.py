@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import json
+import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -34,19 +35,6 @@ BODY_DEFAULT_JOINTS = (
     "right_wrist",
     "left_hip",
     "right_hip",
-)
-
-BELOW_HIP_JOINTS = frozenset(
-    {
-        "left_knee",
-        "right_knee",
-        "left_ankle",
-        "right_ankle",
-        "left_heel",
-        "right_heel",
-        "left_foot_index",
-        "right_foot_index",
-    }
 )
 
 # Hand channel -> the PoseSequence field holding its per-frame presence.
@@ -209,15 +197,7 @@ class Hand(enum.Enum):
     RIGHT = "right"
 
 
-@dataclass(frozen=True)
-class HandednessReport:
-    dominant: Hand
-    valid_fraction_left: float
-    valid_fraction_right: float
-    flipped: bool
-
-
-def select_dominant_hand(seq: PoseSequence) -> HandednessReport:
+def select_dominant_hand(seq: PoseSequence) -> Hand:
     """Pick the hand present in more frames; ties break to the right hand."""
     n = len(seq)
     if not n:
@@ -226,13 +206,7 @@ def select_dominant_hand(seq: PoseSequence) -> HandednessReport:
     right = np.count_nonzero(seq.right_present) / n
     if left == 0.0 and right == 0.0:
         raise NoHandsError("no hand present in any frame")
-    dominant = Hand.LEFT if left > right else Hand.RIGHT
-    return HandednessReport(
-        dominant=dominant,
-        valid_fraction_left=left,
-        valid_fraction_right=right,
-        flipped=dominant is Hand.LEFT,
-    )
+    return Hand.LEFT if left > right else Hand.RIGHT
 
 
 def _mirror_joint_name(name: str) -> str:
@@ -319,14 +293,12 @@ def normalize_hand(hand: np.ndarray, std: np.ndarray | None = None) -> np.ndarra
     return centered.reshape(*hand.shape[:-2], -1)
 
 
-def normalize_body(
-    body: dict[str, np.ndarray], joints: tuple[str, ...] = BODY_DEFAULT_JOINTS
-) -> np.ndarray:
+def normalize_body(body: dict[str, np.ndarray]) -> np.ndarray:
     """Center on the shoulder midpoint and scale by shoulder width.
 
     Each joint maps to one frame's (2,) point or a video's (T, 2) points.
-    Joints below the hips are dropped from the output regardless of the
-    requested joint list.
+    The output holds the :data:`BODY_DEFAULT_JOINTS`, in that order; other
+    joints are ignored.
     """
     if "left_shoulder" not in body or "right_shoulder" not in body:
         raise NoShouldersError("both shoulders are required for body normalization")
@@ -338,9 +310,7 @@ def normalize_body(
     width = np.sqrt(np.matmul(gap[..., None, :], gap[..., :, None])[..., 0, 0])
     width = np.maximum(width, STD_EPS)[..., None]
     out = []
-    for name in joints:
-        if name in BELOW_HIP_JOINTS:
-            continue
+    for name in BODY_DEFAULT_JOINTS:
         if name not in body:
             raise PoseError(f"body joint {name!r} missing after imputation")
         out.append((body[name] - mid) / width)
@@ -354,18 +324,12 @@ class FeatureSpec:
     dominant_hand: bool = True
     non_dominant_hand: bool = False
     body: bool = False
-    body_joints: tuple[str, ...] = BODY_DEFAULT_JOINTS
-
-    @property
-    def body_dim(self) -> int:
-        visible = [j for j in self.body_joints if j not in BELOW_HIP_JOINTS]
-        return 2 * len(visible)
 
     @property
     def dim(self) -> int:
         dim = 0
         if self.body:
-            dim += self.body_dim
+            dim += 2 * len(BODY_DEFAULT_JOINTS)
         if self.dominant_hand:
             dim += 2 * HAND_JOINTS
         if self.non_dominant_hand:
@@ -375,7 +339,7 @@ class FeatureSpec:
     def channels(self) -> list[str]:
         names = []
         if self.body:
-            names.extend("body:" + j for j in self.body_joints if j not in BELOW_HIP_JOINTS)
+            names.extend("body:" + j for j in BODY_DEFAULT_JOINTS)
         if self.dominant_hand:
             names.append("hand_right")
         if self.non_dominant_hand:
@@ -407,7 +371,7 @@ def build_features(seq: PoseSequence, spec: FeatureSpec) -> np.ndarray:
             for j, name in enumerate(seq.joints)
             if seq.body_present[:, j].all()
         }
-        columns.append(normalize_body(body, spec.body_joints))
+        columns.append(normalize_body(body))
     for wanted, hands in (
         (spec.dominant_hand, seq.hand_right),
         (spec.non_dominant_hand, seq.hand_left),
@@ -420,15 +384,11 @@ def build_features(seq: PoseSequence, spec: FeatureSpec) -> np.ndarray:
     return rows
 
 
-def prepare_sequence(
-    seq: PoseSequence, spec: FeatureSpec
-) -> tuple[PoseSequence, HandednessReport]:
+def prepare_sequence(seq: PoseSequence, spec: FeatureSpec) -> PoseSequence:
     """Resolve handedness, mirror if left-dominant, impute needed channels."""
-    report = select_dominant_hand(seq)
-    if report.flipped:
+    if select_dominant_hand(seq) is Hand.LEFT:
         seq = mirror_flip(seq)
-    seq = impute_missing(seq, channels=spec.channels())
-    return seq, report
+    return impute_missing(seq, channels=spec.channels())
 
 
 # --- JSON Lines pose file format ------------------------------------------
@@ -458,11 +418,18 @@ def write_pose_jsonl(path: str | Path, seq: PoseSequence) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _is_number(value) -> bool:
+    """An int or float within the finite float range; JSON ``true`` decodes to a bool."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
 def _frame_records(path: str | Path, records: Iterable[tuple[int, object]]) -> Iterator[tuple]:
     """(t, hand_left, hand_right, body) of each (line number, decoded line) frame record."""
     for n, r in records:
         if type(r) is not dict or "t" not in r:
             raise PoseError(f"{path}:{n}: a frame must be an object with a 't'")
+        if not _is_number(r["t"]):
+            raise PoseError(f"{path}:{n}: 't' must be a finite number")
         body = r.get("body")
         if body is not None and type(body) is not dict:
             raise PoseError(f"{path}:{n}: 'body' must be an object or null")
@@ -480,5 +447,10 @@ def read_pose_jsonl(path: str | Path) -> PoseSequence:
         n, header = next(records)
         if type(header) is not dict or "fps" not in header:
             raise PoseError(f"{path}:{n}: the header must be an object with an 'fps'")
-        fps, video_id = float(header["fps"]), str(header.get("video_id", ""))
+        if not _is_number(header["fps"]):
+            raise PoseError(f"{path}:{n}: 'fps' must be a finite number")
+        video_id = header.get("video_id", "")
+        if type(video_id) is not str:
+            raise PoseError(f"{path}:{n}: 'video_id' must be a string")
+        fps = float(header["fps"])
         return _from_records(_frame_records(path, records), num_lines - 1, fps, video_id)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ctc import PIPE, Alphabet, toy_alphabet
-from .gloss import GlossSequence, GlossToken, TokenKind
+from .gloss import FINGERSPELLED_KINDS, GlossSequence, GlossToken, TokenKind
 from .isr import SignVocabulary
 from .pose import HAND_JOINTS, PoseFrame, PoseSequence
 
@@ -139,7 +139,6 @@ class FsSample:
     words: tuple[str, ...]
     poses: PoseSequence
     signer_id: str
-    word_spans: tuple[tuple[int, int], ...]  # inclusive frame span per word
 
 
 @dataclass(frozen=True)
@@ -240,8 +239,8 @@ def fingerspelling_clip(
     signer: Signer,
     rng: np.random.Generator,
     video_id: str = "",
-) -> tuple[PoseSequence, tuple[tuple[int, int], ...]]:
-    """Render a pure fingerspelling clip; also returns per-word frame spans.
+) -> PoseSequence:
+    """Render a pure fingerspelling clip.
 
     Clips carry lead-in and lead-out rest, and most include a stretch of
     non-letter distractor motion there, so the recognizer learns to emit
@@ -249,7 +248,6 @@ def fingerspelling_clip(
     """
     templates: list[np.ndarray] = []
     durations: list[int] = []
-    word_spans: list[tuple[int, int]] = []
 
     def push_rest(allow_distractor: bool) -> None:
         templates.append(world.rest_hand)
@@ -261,20 +259,13 @@ def fingerspelling_clip(
             durations.append(int(rng.integers(2, 5)))
 
     push_rest(allow_distractor=True)
-    cursor = sum(durations)
     for i, word in enumerate(words):
-        start = cursor
         seg_templates, seg_durations = _letter_segments(world, word, rng)
         templates.extend(seg_templates)
         durations.extend(seg_durations)
-        cursor += sum(seg_durations)
-        word_spans.append((start, cursor - 1))
-        before = sum(durations)
         push_rest(allow_distractor=(i == len(words) - 1))
-        cursor += sum(durations) - before
     track = _blend_segments(templates, durations)
-    poses = _frames_from_right_hand(track, rng, signer, video_id, drop_right=0.02)
-    return poses, tuple(word_spans)
+    return _frames_from_right_hand(track, rng, signer, video_id, drop_right=0.02)
 
 
 def _random_word(
@@ -309,17 +300,9 @@ def make_fingerspelling_corpus(
         n_words = int(rng.integers(1, 4))
         words = tuple(_random_word(rng, world.alphabet) for _ in range(n_words))
         sample_id = f"fs{i:05d}"
-        poses, spans = fingerspelling_clip(
-            world, words, signer, rng, video_id=sample_id
-        )
+        poses = fingerspelling_clip(world, words, signer, rng, video_id=sample_id)
         samples.append(
-            FsSample(
-                sample_id=sample_id,
-                words=words,
-                poses=poses,
-                signer_id=signer.signer_id,
-                word_spans=spans,
-            )
+            FsSample(sample_id=sample_id, words=words, poses=poses, signer_id=signer.signer_id)
         )
     return samples
 
@@ -424,14 +407,9 @@ def compose_sentence_video(
         durations.append(dur)
         cursor += dur
 
-    fingerspelled_kinds = (
-        TokenKind.FINGERSPELLED,
-        TokenKind.NAME_SIGN,
-        TokenKind.LEXICALIZED,
-    )
     for tok in glosses.tokens:
         start = cursor
-        if tok.kind in fingerspelled_kinds:
+        if tok.kind in FINGERSPELLED_KINDS:
             seg_templates, seg_durations = _letter_segments(world, tok.text, rng)
             for tpl, dur in zip(seg_templates, seg_durations):
                 push(tpl, world.rest_hand, np.zeros(2), dur)

@@ -10,6 +10,9 @@ from . import nn
 
 _TRAIN_FRACTION, _VAL_FRACTION = 0.7, 0.15  # the test split takes the rest
 
+# The optimisation settings both trainers pass to :func:`fit`.
+WEIGHT_DECAY, MIN_LR, PATIENCE, GRAD_CLIP = 1e-5, 1e-6, 10, 5.0
+
 
 class CorpusError(ValueError):
     pass

@@ -59,6 +59,7 @@ BAD_POSE_LINES = [
     ('{"fps": 30}\n\n[1, 2]', "3: a frame must be an object with a 't'"),
     ('{"fps": 30}\n{"hand_left": null}', "2: a frame must be an object with a 't'"),
     ('{"fps": 30}\n{"t": 0, "body": [1, 2]}', "2: 'body' must be an object or null"),
+    ('{"fps": null}', "1: 'fps' must be a finite number"),
 ]
 
 
@@ -83,12 +84,11 @@ def tiny_corpus_spec(tmp_path, kind):
 
 
 def test_cli_import_loads_no_process_pool():
-    """The pool is imported only by batch mode, and jsonschema only to report an
-    invalid document, so plain CLI start-up never pays for either."""
-    code = (
-        "import sys, signscribe.cli\n"
-        "print(sorted({'concurrent.futures.process', 'multiprocessing', 'jsonschema'} & set(sys.modules)))"
-    )
+    """The pool is imported only by batch mode, jsonschema only to report an
+    invalid document and requests only by the HTTP client, so plain CLI
+    start-up never pays for any of them."""
+    modules = {"concurrent.futures.process", "multiprocessing", "jsonschema", "requests"}
+    code = f"import sys, signscribe.cli\nprint(sorted({modules!r} & set(sys.modules)))"
     out = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True, text=True, check=True, timeout=120,
@@ -162,7 +162,7 @@ class TestTrain:
 class TestRecognize:
     def test_prints_transcript(self, world, model_root, tmp_path, capsys, rng):
         signer = syn.make_signers(1, rng)[0]
-        poses, _ = syn.fingerspelling_clip(world, ("CAT", "DOG"), signer, rng, video_id="r")
+        poses = syn.fingerspelling_clip(world, ("CAT", "DOG"), signer, rng, video_id="r")
         path = tmp_path / "clip.jsonl"
         write_pose_jsonl(path, poses)
         code = main([

@@ -72,12 +72,12 @@ def small_alphabet(num_classes):
     return Alphabet(chars=chars)
 
 
-def one_hot_scores(ids, size, fps=30.0):
+def one_hot_scores(ids, size):
     probs = np.full((len(ids), size), 1e-9)
     for t, i in enumerate(ids):
         probs[t, i] = 1.0
     probs /= probs.sum(axis=1, keepdims=True)
-    return FrameScores(probs=probs, fps=fps)
+    return FrameScores(probs=probs)
 
 
 class TestAlphabet:

@@ -42,7 +42,7 @@ class TestRecognize:
         exact = 0
         for i in range(8):
             words = (syn._random_word(rng, world.alphabet), "CAT")
-            poses, _ = syn.fingerspelling_clip(world, words, signer, rng, video_id=f"rec{i}")
+            poses = syn.fingerspelling_clip(world, words, signer, rng, video_id=f"rec{i}")
             if recognize(fs_model, poses) == " ".join(words):
                 exact += 1
         assert exact >= 6
@@ -58,7 +58,7 @@ class TestAlignWords:
     def test_true_words_score_high_and_ordered(self, world, fs_model, rng):
         signer = syn.make_signers(1, rng)[0]
         words = ("DOG", "BIT", "CAT")
-        poses, _ = syn.fingerspelling_clip(world, words, signer, rng, video_id="al")
+        poses = syn.fingerspelling_clip(world, words, signer, rng, video_id="al")
         scores = fs_mod.frame_scores(fs_model, poses)
         detections = align_words_scores(scores, list(words), fs_model.alphabet)
         assert [d.word for d in detections] == list(words)
@@ -70,7 +70,7 @@ class TestAlignWords:
 
     def test_decoy_scores_below_true_word(self, world, fs_model, rng):
         signer = syn.make_signers(1, rng)[0]
-        poses, _ = syn.fingerspelling_clip(world, ("HELLO",), signer, rng, video_id="d")
+        poses = syn.fingerspelling_clip(world, ("HELLO",), signer, rng, video_id="d")
         scores = fs_mod.frame_scores(fs_model, poses)
         (true_det,) = align_words_scores(scores, ["HELLO"], fs_model.alphabet)
         (decoy_det,) = align_words_scores(scores, ["WORLD"], fs_model.alphabet)
@@ -78,7 +78,7 @@ class TestAlignWords:
 
     def test_tokenization_error_names_word(self, fs_model, world, rng):
         signer = syn.make_signers(1, rng)[0]
-        poses, _ = syn.fingerspelling_clip(world, ("CAT",), signer, rng)
+        poses = syn.fingerspelling_clip(world, ("CAT",), signer, rng)
         with pytest.raises(TokenizationError) as exc_info:
             align_words_scores(fs_mod.frame_scores(fs_model, poses), ["C?T"], fs_model.alphabet)
         assert exc_info.value.word == "C?T"
@@ -91,11 +91,6 @@ class TestTrainToy:
         m2 = train_toy(corpus, world.alphabet, epochs=2, seed=7, channels=12)
         for name, arr in m1.tcn.state_arrays().items():
             np.testing.assert_array_equal(arr, m2.tcn.state_arrays()[name])
-
-    def test_patience_stops_early(self, world):
-        corpus = syn.make_fingerspelling_corpus(world, num_phrases=24, num_signers=3, seed=5)
-        model = train_toy(corpus, world.alphabet, epochs=30, seed=7, channels=12, patience=1)
-        assert len(model.history) < 30
 
     def test_corpus_too_small(self, world):
         corpus = syn.make_fingerspelling_corpus(world, num_phrases=2, num_signers=1, seed=5)
@@ -114,7 +109,7 @@ class TestPersistence:
         loaded = load_fingerspelling_model(tmp_path / "fs")
         assert loaded.alphabet.chars == fs_model.alphabet.chars
         signer = syn.make_signers(1, rng)[0]
-        poses, _ = syn.fingerspelling_clip(world, ("DOG",), signer, rng)
+        poses = syn.fingerspelling_clip(world, ("DOG",), signer, rng)
         # float32 storage rounds the weights; decode behavior must agree
         assert recognize(loaded, poses) == recognize(fs_model, poses)
 

@@ -69,7 +69,7 @@ class TestIsrScores:
 
         signer = syn.make_signers(1, rng)[0]
         poses, _ = syn.isr_clip(world, "DOG", signer, rng)
-        prepared, _ = prepare_sequence(poses, ISR_TWO_HAND_FEATURES)
+        prepared = prepare_sequence(poses, ISR_TWO_HAND_FEATURES)
         two, one = _branch_logits(isr_model, prepared)
         merged = np.maximum(two.data, one.data)
         assert np.all(merged >= two.data)

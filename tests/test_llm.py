@@ -81,10 +81,8 @@ class TestParseCandidateJson:
 class TestStubTranslate:
     def test_ten_candidates_for_example_phrase(self):
         result = translate_candidates(StubClient(), "I am happy", k=10)
-        assert result.k == 10
         assert len(result.candidates) == 10
         assert "I AM HAPPY" in result.candidates
-        assert result.model_id == "stub"
 
     def test_k_one(self):
         result = translate_candidates(StubClient(), "The dog sleeps", k=1)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from signscribe.pose import (
-    BELOW_HIP_JOINTS,
     BODY_DEFAULT_JOINTS,
     FINGERSPELLING_FEATURES,
     ISR_ONE_HAND_FEATURES,
@@ -74,20 +73,15 @@ class TestSelectDominantHand:
 
     def test_left_dominant_flips(self):
         seq = self._seq(left_frames=set(range(9)), right_frames={0, 1})
-        report = select_dominant_hand(seq)
-        assert report.dominant is Hand.LEFT
-        assert report.flipped
-        assert report.valid_fraction_left == pytest.approx(0.9)
+        assert select_dominant_hand(seq) is Hand.LEFT
 
     def test_right_only(self):
         seq = self._seq(left_frames=set(), right_frames=set(range(10)))
-        report = select_dominant_hand(seq)
-        assert report.dominant is Hand.RIGHT
-        assert not report.flipped
+        assert select_dominant_hand(seq) is Hand.RIGHT
 
     def test_tie_breaks_right(self):
         seq = self._seq(left_frames={0, 1, 2, 3, 4}, right_frames={5, 6, 7, 8, 9})
-        assert select_dominant_hand(seq).dominant is Hand.RIGHT
+        assert select_dominant_hand(seq) is Hand.RIGHT
 
     def test_no_hands_error(self):
         seq = self._seq(left_frames=set(), right_frames=set())
@@ -215,23 +209,22 @@ class TestNormalizeHand:
 
 class TestNormalizeBody:
     def test_worked_arithmetic(self):
-        body = {
-            "left_shoulder": np.array([0.4, 0.5]),
-            "right_shoulder": np.array([0.6, 0.5]),
-            "nose": np.array([0.5, 0.7]),
-        }
-        out = normalize_body(body, joints=("nose",))
-        np.testing.assert_allclose(out, [0.0, 1.0], atol=1e-12)
+        body = {name: np.array([0.5, 0.5]) for name in BODY_DEFAULT_JOINTS}
+        body.update(
+            left_shoulder=np.array([0.4, 0.5]),
+            right_shoulder=np.array([0.6, 0.5]),
+            nose=np.array([0.5, 0.7]),
+        )
+        out = normalize_body(body)
+        assert BODY_DEFAULT_JOINTS[:3] == ("nose", "left_shoulder", "right_shoulder")
+        np.testing.assert_allclose(out, [0.0, 1.0, -0.5, 0.0, 0.5, 0.0] + [0.0] * 12, atol=1e-12)
 
     def test_below_hip_joints_removed(self):
-        body = {
-            "left_shoulder": np.array([0.4, 0.5]),
-            "right_shoulder": np.array([0.6, 0.5]),
-            "left_knee": np.array([0.5, 0.9]),
-            "nose": np.array([0.5, 0.2]),
-        }
-        out = normalize_body(body, joints=("nose", "left_knee"))
-        assert out.shape == (2,)  # only the nose survives
+        rng = np.random.default_rng(11)
+        body = {name: rng.uniform(0.2, 0.8, size=2) for name in BODY_DEFAULT_JOINTS}
+        with_knee = {**body, "left_knee": np.array([0.5, 0.9])}
+        assert normalize_body(body).shape == (2 * len(BODY_DEFAULT_JOINTS),)
+        np.testing.assert_array_equal(normalize_body(with_knee), normalize_body(body))
 
     def test_scale_invariance_about_midpoint(self):
         rng = np.random.default_rng(11)
@@ -298,8 +291,7 @@ class TestPrepareSequence:
             for i in range(5)
         )
         seq = PoseSequence.from_frames(frames=frames, fps=30.0)
-        prepared, report = prepare_sequence(seq, FINGERSPELLING_FEATURES)
-        assert report.flipped
+        prepared = prepare_sequence(seq, FINGERSPELLING_FEATURES)
         mirrored = left.copy()
         mirrored[:, 0] = 1.0 - mirrored[:, 0]
         np.testing.assert_array_equal(prepared.frames[1].hand_right, mirrored)
@@ -363,6 +355,15 @@ class TestPoseJsonl:
             ({"fps": 30.0}, {"t": 0.0}),  # repeats the first frame's timestamp
             ({"fps": 0.0}, {}),
             ({"fps": -30.0}, {}),
+            ({"fps": 30.0}, {"t": "0.5"}),
+            ({"fps": 30.0}, {"t": True}),
+            ({"fps": 30.0}, {"t": float("inf")}),
+            ({"fps": None}, {}),
+            ({"fps": [30]}, {}),
+            ({"fps": "30"}, {}),
+            ({"fps": True}, {}),
+            ({"fps": 30.0, "video_id": 7}, {}),
+            ({"fps": 10**400}, {}),  # an int no float can hold
         ],
     )
     def test_reader_rejects(self, tmp_path, header, record):
@@ -371,6 +372,12 @@ class TestPoseJsonl:
         path = tmp_path / "bad.jsonl"
         path.write_text("\n".join(json.dumps(r) for r in (header, first, second)) + "\n")
         with pytest.raises(PoseError):
+            read_pose_jsonl(path)
+
+    def test_reader_rejects_one_frame_without_a_time(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"fps": 30}\n{"t": null, "hand_right": null}\n')
+        with pytest.raises(PoseError, match=":2: 't' must be a finite number"):
             read_pose_jsonl(path)
 
     @pytest.mark.parametrize("text", ["", "\n  \n"])
@@ -464,8 +471,7 @@ def _ref_features(frames, spec):
             ls, rs = f.body["left_shoulder"], f.body["right_shoulder"]
             mid = (ls + rs) / 2.0
             width = max(float(np.linalg.norm(ls - rs)), 1e-6)
-            visible = [j for j in spec.body_joints if j not in BELOW_HIP_JOINTS]
-            rows.append(np.concatenate([(f.body[j] - mid) / width for j in visible]))
+            rows.append(np.concatenate([(f.body[j] - mid) / width for j in BODY_DEFAULT_JOINTS]))
         columns.append(np.stack(rows))
     for wanted, slot in ((spec.dominant_hand, "hand_right"), (spec.non_dominant_hand, "hand_left")):
         if wanted:
@@ -494,10 +500,10 @@ def assert_matches_reference(frames, fps=30.0):
             expected = _ref_features(_ref_prepare(frames, prepare_spec), spec)
         except ChannelEmptyError as exc:
             with pytest.raises(ChannelEmptyError) as got:
-                build_features(prepare_sequence(seq, prepare_spec)[0], spec)
+                build_features(prepare_sequence(seq, prepare_spec), spec)
             assert got.value.channel == exc.channel
             continue
-        rows = build_features(prepare_sequence(seq, prepare_spec)[0], spec)
+        rows = build_features(prepare_sequence(seq, prepare_spec), spec)
         assert np.array_equal(rows, expected), name
         built.append(name)
     return built
@@ -528,7 +534,7 @@ class TestMatchesPerFrameReference:
     def test_left_dominant_is_mirrored(self, seed):
         rng = np.random.default_rng(100 + seed)
         frames = random_frames(rng, left=0.95, right=0.4, jitter=1e-3)
-        assert select_dominant_hand(PoseSequence.from_frames(frames, fps=30.0)).flipped
+        assert select_dominant_hand(PoseSequence.from_frames(frames, fps=30.0)) is Hand.LEFT
         assert len(assert_matches_reference(frames)) == 3
 
     @pytest.mark.parametrize("seed", range(10))
