@@ -150,8 +150,10 @@ def _lattice_pass(
     s - 2 (skip); paths start in state 0 or 1. With ``viterbi`` false the
     three are log-sum-exp'd, stay with prev first and then with skip (the
     CTC alpha pass); with it true the best is kept and ``back`` records it
-    as 0 stay, 1 prev, 2 skip. Viterbi tie rule: ``np.argmax`` over (stay,
-    prev, skip), so stay beats prev beats skip. The beta pass is this same
+    as 0 stay, 1 prev, 2 skip. Viterbi tie rule: stay beats prev beats
+    skip, as ``np.argmax`` over (stay, prev, skip) would pick; prev wins
+    only when strictly greater than stay, and skip only when strictly
+    greater than both. The beta pass is this same
     pass over the reversed lattice, so ``ctc_loss`` runs alpha and beta as
     rows 0 and 1 of one pass.
 
@@ -171,9 +173,11 @@ def _lattice_pass(
             before = table[t - 1]
             stay, prev, skip = before[:, 2:], before[:, 1:-1], before[:, :-2] + skip_mask
             if viterbi:
-                choices = np.stack([stay, prev, skip])
-                back[t] = np.argmax(choices, axis=0)
-                best = choices.max(axis=0)
+                # Strict > keeps the earlier choice on a tie: stay, then prev, then skip.
+                best = np.maximum(stay, prev)
+                np.greater(prev, stay, out=back[t])
+                np.copyto(back[t], 2, where=skip > best)
+                np.maximum(best, skip, out=best)
             else:
                 best = _logaddexp(_logaddexp(stay, prev), skip)
             np.add(best, emit[t], out=table[t, :, 2:])

@@ -238,6 +238,7 @@ def align_glosses_scores(
     entries: list[AlignEntry],
     anchors: list[tuple[int, WordDetection]],
     min_sign_frames: int = 3,
+    memo: dict | None = None,
 ) -> tuple[dict[int, GlossDetection], list[str]]:
     """Monotone alignment of gloss tokens within inter-anchor intervals.
 
@@ -252,7 +253,14 @@ def align_glosses_scores(
     on known signs. Tokens in an infeasible interval (more tokens than
     frames) come back with score 0 and the interval is reported in the
     error list; other intervals are unaffected.
+
+    ``memo`` maps (lo, hi, track of each entry, min_dur) to the (score,
+    peak frame, interval) of each segment placed there, so candidates of
+    one video that share an interval run its DP once. It must not outlive
+    ``scores``: pass one dict per video.
     """
+    if memo is None:
+        memo = {}
     T = scores.num_frames
     bounds: list[tuple[int, int]] = []  # inclusive frame intervals per group
     starts = [0] + [det.end_frame + 1 for _, det in anchors]
@@ -290,25 +298,24 @@ def align_glosses_scores(
                     interval=(lo_c, hi_c),
                 )
             continue
-        track_rows = []
-        vocab_flags = []
-        for entry in group:
-            track_idx, in_vocab = _track_for(entry, vocabulary)
-            track_rows.append(scores.probs[lo : hi + 1, track_idx])
-            vocab_flags.append(in_vocab)
-        tracks = np.stack(track_rows)
-        null_track = scores.probs[lo : hi + 1, vocabulary.null_index]
+        track_ids, vocab_flags = zip(*(_track_for(entry, vocabulary) for entry in group))
         min_dur = max(1, min(min_sign_frames, n // m))
-        _, segments = _segment_dp(tracks, null_track, min_dur)
-        for entry, in_vocab, track, (s, e) in zip(group, vocab_flags, track_rows, segments):
-            seg = track[s:e]
-            peak = s + int(np.argmax(seg))
+        key = (lo, hi, track_ids, min_dur)
+        if key not in memo:
+            rows = [scores.probs[lo : hi + 1, i] for i in track_ids]
+            null_track = scores.probs[lo : hi + 1, vocabulary.null_index]
+            _, segments = _segment_dp(np.stack(rows), null_track, min_dur)
+            memo[key] = [
+                (float(row[s:e].mean()), lo + s + int(np.argmax(row[s:e])), (lo + s, lo + e - 1))
+                for row, (s, e) in zip(rows, segments)
+            ]
+        for entry, in_vocab, (score, frame, interval) in zip(group, vocab_flags, memo[key]):
             out[entry.token_index] = GlossDetection(
                 gloss=entry.token.text,
                 in_vocabulary=in_vocab,
-                score=float(seg.mean()),
-                frame=lo + peak,
-                interval=(lo + s, lo + e - 1),
+                score=score,
+                frame=frame,
+                interval=interval,
             )
     return out, errors
 

@@ -4,8 +4,9 @@ Given an English sentence and a pose sequence: (1) obtain k candidate
 glossings from the LLM gateway, (2) force-align each candidate's
 fingerspelled-kind words (each distinct word list once per video) and keep
 confident detections as time anchors, (3) align the remaining glosses
-inside the inter-anchor intervals with the sign recognizer, then score and
-rank the candidates and emit a JSON annotation document.
+inside the inter-anchor intervals with the sign recognizer (each interval
+and track list once per video), then score and rank the candidates and
+emit a JSON annotation document.
 
 A token with no vocabulary class (an out-of-vocabulary gloss, a classifier,
 or a fingerspelled token demoted for want of a confident anchor) scores the
@@ -71,14 +72,14 @@ class PipelineConfig:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class Models:
+    """The trained networks; their digests are taken once, when built."""
+
     fingerspelling: FingerspellingModel
     isr: IsrModel
 
-    def fingerprints(self) -> dict[str, str]:
-        """Per network: the architecture digest, and a ``*_weights`` digest
-        that tells differently trained weights apart."""
+    def __post_init__(self):
         nets = {
             "fingerspelling": self.fingerspelling.tcn,
             "isr_two_hand": self.isr.two_hand,
@@ -87,7 +88,12 @@ class Models:
         out = {name: tcn.fingerprint for name, tcn in nets.items()}
         for name, tcn in nets.items():
             out[f"{name}_weights"] = nn.weights_digest(tcn.state_arrays())
-        return out
+        object.__setattr__(self, "_fingerprints", out)
+
+    def fingerprints(self) -> dict[str, str]:
+        """Per network: the architecture digest, and a ``*_weights`` digest
+        that tells differently trained weights apart."""
+        return dict(self._fingerprints)
 
 
 @dataclass(frozen=True)
@@ -178,8 +184,13 @@ def _score_sequence(
     isr_scores: FrameScores,
     models: Models,
     config: PipelineConfig,
+    gloss_memo: dict,
 ) -> tuple[list[SignScore], list[str]]:
-    """Steps 2 and 3 for one candidate against precomputed frame scores."""
+    """Steps 2 and 3 for one candidate against precomputed frame scores.
+
+    ``gloss_memo`` is the ``isr.align_glosses_scores`` memo of the video
+    the scores belong to.
+    """
     errors: list[str] = []
     alphabet = models.fingerspelling.alphabet
 
@@ -223,6 +234,7 @@ def _score_sequence(
         entries,
         anchors,
         min_sign_frames=config.min_sign_duration,
+        memo=gloss_memo,
     )
     errors.extend(interval_errors)
 
@@ -299,12 +311,15 @@ def annotate(
     fs_scores = fs_mod.frame_scores(models.fingerspelling, poses)
     align_words = _word_aligner(fs_scores, models.fingerspelling.alphabet)
     isr_scores = isr_mod.isr_scores(models.isr, poses)
+    gloss_memo: dict = {}  # inter-anchor placements, shared by this video's candidates
     for idx, line in enumerate(cand_set.candidates):
         seq = parse_gloss_sequence(line)
         if not seq.tokens:
             doc.errors.append(f"candidate {idx} is empty")
             continue
-        per_sign, errors = _score_sequence(seq, align_words, isr_scores, models, config)
+        per_sign, errors = _score_sequence(
+            seq, align_words, isr_scores, models, config, gloss_memo
+        )
         doc.candidates.append(
             CandidateAnnotation(
                 gloss_sequence=seq,
@@ -342,7 +357,7 @@ def score_manual_annotation(
     if isr_scores is None:
         isr_scores = isr_mod.isr_scores(models.isr, poses)
     align_words = _word_aligner(fs_scores, models.fingerspelling.alphabet)
-    per_sign, errors = _score_sequence(annotation, align_words, isr_scores, models, config)
+    per_sign, errors = _score_sequence(annotation, align_words, isr_scores, models, config, {})
     return CandidateAnnotation(
         gloss_sequence=annotation,
         per_sign=per_sign,

@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 HAND_JOINTS = 21
 STD_EPS = 1e-6
@@ -436,14 +437,27 @@ def _frame_records(path: str | Path, records: Iterable[tuple[int, object]]) -> I
         yield r["t"], r.get("hand_left"), r.get("hand_right"), body
 
 
+def _decode(path: str | Path, n: int, line: bytes):
+    try:
+        return orjson.loads(line)
+    except orjson.JSONDecodeError as exc:
+        raise PoseError(f"{path}:{n}: not a JSON value: {exc}") from None
+
+
 def read_pose_jsonl(path: str | Path) -> PoseSequence:
-    """Read a pose file, writing each frame straight into the sequence's arrays."""
-    with open(path, encoding="utf-8") as fh:
+    """Read a pose file, writing each frame straight into the sequence's arrays.
+
+    Each line is decoded on its own with ``orjson``, which takes only
+    strict JSON: a line that is not a JSON value (truncated, or with a
+    ``NaN``/``Infinity`` literal or a number beyond the float range) raises
+    :class:`PoseError` naming the file and its 1-based line.
+    """
+    with open(path, "rb") as fh:
         num_lines = sum(1 for line in fh if line.strip())
         if not num_lines:
             raise PoseError(f"{path} is empty")
         fh.seek(0)
-        records = ((n, json.loads(line)) for n, line in enumerate(fh, 1) if line.strip())
+        records = ((n, _decode(path, n, line)) for n, line in enumerate(fh, 1) if line.strip())
         n, header = next(records)
         if type(header) is not dict or "fps" not in header:
             raise PoseError(f"{path}:{n}: the header must be an object with an 'fps'")

@@ -60,6 +60,8 @@ BAD_POSE_LINES = [
     ('{"fps": 30}\n{"hand_left": null}', "2: a frame must be an object with a 't'"),
     ('{"fps": 30}\n{"t": 0, "body": [1, 2]}', "2: 'body' must be an object or null"),
     ('{"fps": null}', "1: 'fps' must be a finite number"),
+    ('{"fps": 30}\n{"t": 0, "hand_', "2: not a JSON value"),
+    ('{"fps": 30}\n{"t": NaN}', "2: not a JSON value"),
 ]
 
 

@@ -1,13 +1,21 @@
-"""No unused imports in the package or the tests.
+"""No unused imports in the package or the tests, and no undeclared
+dependency in the package.
 
-No linter is a dependency of this project, so the check is a plain
-``ast`` pass: a name an import binds must appear as a name somewhere in
-the same module. ``from __future__`` imports and the relative re-exports
-of ``__init__.py`` files are exempt.
+No linter is a dependency of this project, so the checks are plain
+``ast`` passes. Unused: a name an import binds must appear as a name
+somewhere in the same module; ``from __future__`` imports and the
+relative re-exports of ``__init__.py`` files are exempt. Undeclared: every
+top-level module the package imports, at any depth of the module, is the
+standard library's, the package's own, or a distribution listed in
+``pyproject.toml``'s ``[project].dependencies`` under the same name.
 """
 
 import ast
+import re
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -52,3 +60,46 @@ def test_no_unused_imports_in_src_and_tests():
         for line, name in unused_imports(path.read_text(), path.name == "__init__.py")
     ]
     assert found == []
+
+
+def third_party_imports(source: str, package: str) -> set[str]:
+    """Top-level modules that ``source`` imports from outside the standard
+    library and ``package``, function-level imports included."""
+    found: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found - set(sys.stdlib_module_names) - {package}
+
+
+def declared_dependencies(pyproject: str) -> set[str]:
+    """Normalised distribution names of ``[project].dependencies``."""
+    tomllib = pytest.importorskip("tomllib")
+    requirements = tomllib.loads(pyproject)["project"]["dependencies"]
+    return {re.match(r"[A-Za-z0-9._-]+", r)[0].lower().replace("-", "_") for r in requirements}
+
+
+def test_dependency_checker_flags_undeclared_modules():
+    source = (
+        "from __future__ import annotations\n"
+        "import json, numpy.linalg\n"
+        "from . import pose\n"
+        "from signscribe.gloss import render\n"
+        "def f():\n"
+        "    import requests\n"
+        "    from jsonschema import validators\n"
+    )
+    assert third_party_imports(source, "signscribe") == {"numpy", "requests", "jsonschema"}
+    pyproject = '[project]\ndependencies = ["numpy>=1.24", "Py-Json ; python_version<\'4\'"]\n'
+    assert declared_dependencies(pyproject) == {"numpy", "py_json"}
+
+
+def test_every_package_import_is_declared():
+    imported = set()
+    for path in (ROOT / "src" / "signscribe").rglob("*.py"):
+        imported |= third_party_imports(path.read_text(), "signscribe")
+    declared = declared_dependencies((ROOT / "pyproject.toml").read_text())
+    assert {"numpy", "orjson", "requests", "jsonschema"} <= imported
+    assert sorted(imported - declared) == []

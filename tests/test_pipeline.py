@@ -1,6 +1,7 @@
 """End-to-end pipeline: candidate scoring, ranking, document serialization."""
 
 import copy
+import dataclasses
 import hashlib
 import json
 import math
@@ -294,6 +295,55 @@ class TestAnnotate:
         for candidate in doc.candidates:
             alone = score_manual_annotation(candidate.gloss_sequence, poses, models)
             assert candidate.per_sign == alone.per_sign
+
+    def test_shared_intervals_reused_as_aligned_alone(self, world, models, monkeypatch):
+        """A long clip and nine perturbed candidates, two fingerspelled words
+        near the thirds: candidates share inter-anchor intervals, and each
+        still gets exactly the signs its line gets scored alone."""
+        rng = np.random.default_rng(1414)
+        vocab = world.vocabulary.glosses
+        tokens = [vocab[int(i)] for i in rng.integers(0, len(vocab), size=30)]
+        tokens[20:20] = ["fs-DEAN"]
+        tokens[10:10] = ["fs-KIM"]
+        seq = parse_gloss_sequence(" ".join(tokens))
+        poses, _ = syn.compose_sentence_video(world, seq, seed=1415, video_id="long")
+        lines = [render(seq)] + [render(syn.perturb_sequence(seq, world, rng)) for _ in range(9)]
+        client = StubClient(translations={"Long.": {str(i + 1): c for i, c in enumerate(lines)}})
+        dps = []
+        real = isr_mod._segment_dp
+        monkeypatch.setattr(isr_mod, "_segment_dp", lambda *args: dps.append(1) or real(*args))
+        doc = annotate("Long.", poses, models, PipelineConfig(k=len(lines)), client)
+        shared = len(dps)
+        assert len(doc.candidates) == len(lines)
+        for candidate in doc.candidates:
+            alone = score_manual_annotation(candidate.gloss_sequence, poses, models)
+            assert candidate.per_sign == alone.per_sign
+        assert sum(s.anchored for s in doc.candidates[0].per_sign) == 2
+        assert shared < len(dps) - shared  # fewer DPs than the lines alone ran
+
+    def test_memo_never_crosses_videos(self, world, models):
+        """Two clips of one length, the second the first's frames reversed,
+        and candidates with no fingerspelling: every candidate's interval
+        and tracks are the same in both, so only a memo per video gives each
+        clip its own placements."""
+        seq = parse_gloss_sequence("TRAVEL PARK DOG HOUSE")
+        first, _ = syn.compose_sentence_video(world, seq, seed=31, video_id="first")
+        fields = ("hand_left", "hand_right", "left_present", "right_present", "body", "body_present")
+        second = dataclasses.replace(
+            first, video_id="second", **{name: getattr(first, name)[::-1] for name in fields}
+        )
+        lines = ["TRAVEL PARK DOG HOUSE", "HOUSE DOG PARK TRAVEL", "PARK TRAVEL HOUSE DOG"]
+        client = StubClient(translations={"Two.": {str(i + 1): c for i, c in enumerate(lines)}})
+        config = PipelineConfig(k=len(lines))
+        alone = document_bytes(annotate("Two.", second, models, config, client))
+        docs = [annotate("Two.", poses, models, config, client) for poses in (first, second)]
+        assert document_bytes(docs[1]) == alone
+        for doc, poses in zip(docs, (first, second)):
+            for candidate in doc.candidates:
+                scored = score_manual_annotation(candidate.gloss_sequence, poses, models)
+                assert candidate.per_sign == scored.per_sign
+        intervals = [[s.interval for c in doc.candidates for s in c.per_sign] for doc in docs]
+        assert intervals[0] != intervals[1]
 
 
 class TestDocumentSerialization:
