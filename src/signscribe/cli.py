@@ -464,7 +464,7 @@ def main(argv: list[str] | None = None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError, KeyError, RuntimeError) as exc:
+    except (OSError, ValueError, KeyError, RuntimeError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

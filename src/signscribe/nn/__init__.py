@@ -1,15 +1,11 @@
 from .autograd import (
     Tensor,
-    add,
     bce_with_logits,
-    concat_cols,
     constant,
-    conv1d,
+    conv_block,
     external_loss,
-    gelu,
     linear,
     log_softmax,
-    matmul,
     maximum,
     parameter,
     sigmoid,

@@ -1,8 +1,8 @@
 """Minimal reverse-mode autograd over numpy arrays.
 
-Covers exactly the operations the temporal convolutional models need:
-dilated 1-D convolution, affine layers, GELU, channel concatenation,
-elementwise maximum, residual adds, and scalar reductions. Computation is
+Covers exactly the operations the temporal convolutional models need: a
+whole multi-scale block (dilated convolutions, GELU, residual) as one op,
+affine layers, elementwise maximum, and scalar reductions. Computation is
 float64 throughout; persisted weights are float32 (see serialize module).
 
 An op records a graph node (its parents and a backward closure) only when
@@ -102,26 +102,6 @@ def _node(data, parents: tuple, backward: Callable[[np.ndarray], None]) -> Tenso
     return Tensor(data)
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(g)
-        if b.requires_grad:
-            b._accumulate(g)
-
-    return _node(a.data + b.data, (a, b), bw)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(g @ b.data.T)
-        if b.requires_grad:
-            b._accumulate(a.data.T @ g)
-
-    return _node(a.data @ b.data, (a, b), bw)
-
-
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """x @ weight (+ bias broadcast over rows)."""
     data = x.data @ weight.data
@@ -140,18 +120,6 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     return _node(data, parents, bw)
 
 
-def gelu(x: Tensor) -> Tensor:
-    """Exact-erf GELU: x * Phi(x)."""
-    phi = 0.5 * (1.0 + erf(x.data / _SQRT2))
-
-    def bw(g):
-        if x.requires_grad:
-            pdf = _INV_SQRT_2PI * np.exp(-0.5 * x.data * x.data)
-            x._accumulate(g * (phi + x.data * pdf))
-
-    return _node(x.data * phi, (x,), bw)
-
-
 def maximum(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise max; on exact ties the gradient routes to ``a``."""
     take_a = a.data >= b.data
@@ -165,60 +133,77 @@ def maximum(a: Tensor, b: Tensor) -> Tensor:
     return _node(np.where(take_a, a.data, b.data), (a, b), bw)
 
 
-def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    widths = [p.data.shape[1] for p in parts]
+def conv_block(
+    h: Tensor,
+    weights: Sequence[Tensor],
+    biases: Sequence[Tensor],
+    dilations: Sequence[int],
+    proj: Tensor | None,
+) -> Tensor:
+    """One multi-scale TCN block over a (T, C_in) sequence, as one graph node.
 
-    def bw(g):
-        offset = 0
-        for p, w in zip(parts, widths):
-            if p.requires_grad:
-                p._accumulate(g[:, offset : offset + w])
-            offset += w
+    Branch i is a same-length convolution with ``weights[i]`` (k, C_in, C_i),
+    odd k, whose tap j reads h[t + (j - (k-1)//2) * dilations[i]] (zero outside
+    the sequence), plus ``biases[i]``. The branches fill consecutive columns of
+    one pre-activation, exact-erf GELU is applied once, and the residual
+    ``h @ proj`` (``h`` when ``proj`` is None) is added. Values and gradients
+    are bit-identical to one node per branch conv and GELU, a column concat, a
+    matmul and an add, because each element sees the same IEEE operations:
 
-    return _node(np.concatenate([p.data for p in parts], axis=1), tuple(parts), bw)
-
-
-def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None, dilation: int) -> Tensor:
-    """Same-length dilated 1-D convolution over a (T, C_in) sequence.
-
-    ``weight`` has shape (k, C_in, C_out) with odd k; taps are centered, so
-    tap j reads x[t + (j - (k-1)//2) * dilation] with zero padding outside
-    the sequence.
+    - each branch starts from zeros, adds taps j = 0..k-1 in order, then its bias;
+    - the gradient into ``h`` is ``((gx0 + gx1) + gx2) + g @ proj.T`` with a
+      projection and ``((g + gx0) + gx1) + gx2`` without one;
+    - branch gradient slices are made contiguous before the GEMMs and bias sums.
     """
-    if dilation < 1:
-        raise ValueError("dilation must be >= 1")
-    k, c_in, c_out = weight.data.shape
-    if k % 2 != 1:
-        raise ValueError("kernel size must be odd for same-length output")
-    if x.data.shape[1] != c_in:
-        raise ValueError(f"input width {x.data.shape[1]} != kernel C_in {c_in}")
-    T = x.data.shape[0]
+    T, c_in = h.data.shape
+    k = weights[0].data.shape[0]
+    if k % 2 != 1 or min(dilations) < 1 or any(w.data.shape[:2] != (k, c_in) for w in weights):
+        shapes = [w.data.shape for w in weights]
+        raise ValueError(f"branch kernels {shapes} need odd k and C_in {c_in}, dilations >= 1")
     half = (k - 1) // 2
-    pad = half * dilation
-    xp = np.zeros((T + 2 * pad, c_in), dtype=x.data.dtype)
-    xp[pad : pad + T] = x.data
-    y = np.zeros((T, c_out))
-    for j in range(k):
-        y += xp[j * dilation : j * dilation + T] @ weight.data[j]
-    if bias is not None:
-        y = y + bias.data
-    parents = (x, weight) if bias is None else (x, weight, bias)
+    pad = half * max(dilations)
+    xp = np.zeros((T + 2 * pad, c_in))
+    xp[pad : pad + T] = h.data
+    edges = np.cumsum([0] + [w.data.shape[2] for w in weights])
+    # Per branch: weight, bias, its columns, and the first xp row of each tap.
+    branches = [
+        (w, b, slice(lo, hi), [pad + (j - half) * d for j in range(k)])
+        for w, b, d, lo, hi in zip(weights, biases, dilations, edges, edges[1:])
+    ]
+    ys = [np.zeros((T, w.data.shape[2])) for w in weights]
+    for y, (w, b, _, rows) in zip(ys, branches):
+        for j, r in enumerate(rows):
+            y += xp[r : r + T] @ w.data[j]
+        y += b.data
+    z = np.concatenate(ys, axis=1)
+    phi = z / _SQRT2  # then 0.5 * (1 + erf(phi)), in place
+    erf(phi, out=phi)
+    phi += 1.0
+    phi *= 0.5
+    out = z * phi
+    out += h.data @ proj.data if proj is not None else h.data
+    parents = (h, *weights, *biases) if proj is None else (h, *weights, *biases, proj)
 
     def bw(g):
-        if weight.requires_grad:
-            gw = np.empty_like(weight.data)
-            for j in range(k):
-                gw[j] = xp[j * dilation : j * dilation + T].T @ g
-            weight._accumulate(gw)
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(g.sum(axis=0))
-        if x.requires_grad:
-            gxp = np.zeros_like(xp)
-            for j in range(k):
-                gxp[j * dilation : j * dilation + T] += g @ weight.data[j].T
-            x._accumulate(gxp[pad : pad + T])
+        gz = g * (phi + z * (_INV_SQRT_2PI * np.exp(-0.5 * z * z)))
+        gh = g if proj is None else None
+        for w, b, col, rows in branches:
+            gb = np.ascontiguousarray(gz[:, col])
+            if w.requires_grad:
+                w._accumulate(np.stack([xp[r : r + T].T @ gb for r in rows]))
+            if b.requires_grad:
+                b._accumulate(gb.sum(axis=0))
+            if h.requires_grad:
+                gxp = np.zeros_like(xp)
+                for j, r in enumerate(rows):
+                    gxp[r : r + T] += gb @ w.data[j].T
+                gh = gxp[pad : pad + T] if gh is None else gh + gxp[pad : pad + T]
+        if proj is not None and proj.requires_grad:
+            proj._accumulate(h.data.T @ g)
+        if h.requires_grad:
+            h._accumulate(gh if proj is None else gh + g @ proj.data.T)
 
-    return _node(y, parents, bw)
+    return _node(out, parents, bw)
 
 
 def sum_all(x: Tensor) -> Tensor:

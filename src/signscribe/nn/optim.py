@@ -26,33 +26,47 @@ def adamw_step(
     lr: float,
     weight_decay: float = 0.0,
 ) -> None:
-    """One in-place AdamW update with bias correction and decoupled decay."""
+    """One in-place AdamW update with bias correction and decoupled decay: per element,
+    m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g; param -= lr*(m/c1) / (sqrt(v/c2) + eps)."""
     state.t += 1
-    state.m = BETA1 * state.m + (1.0 - BETA1) * grad
-    state.v = BETA2 * state.v + (1.0 - BETA2) * grad * grad
-    m_hat = state.m / (1.0 - BETA1 ** state.t)
-    v_hat = state.v / (1.0 - BETA2 ** state.t)
-    param -= lr * m_hat / (np.sqrt(v_hat) + EPS)
+    state.m *= BETA1
+    state.m += (1.0 - BETA1) * grad
+    den = (1.0 - BETA2) * grad
+    den *= grad
+    state.v *= BETA2
+    state.v += den
+    np.sqrt(np.divide(state.v, 1.0 - BETA2 ** state.t, out=den), out=den)
+    den += EPS
+    step = state.m / (1.0 - BETA1 ** state.t)
+    step *= lr
+    step /= den
+    param -= step
     if weight_decay:
         param -= lr * weight_decay * param
 
 
 class AdamW:
+    """AdamW over one flat buffer that each parameter's ``.data`` is rebound to view,
+    so :meth:`step` makes one :func:`adamw_step` call over the concatenated gradients."""
+
     def __init__(self, params: list[Tensor], lr: float, weight_decay: float):
         if lr < 0:
             raise ValueError(f"invalid learning rate {lr}")
         self.params = params
         self.lr = lr
         self.weight_decay = weight_decay
-        self.state = [
-            AdamState(m=np.zeros_like(p.data), v=np.zeros_like(p.data)) for p in params
-        ]
+        self.flat = np.concatenate([p.data.ravel() for p in params])
+        for p, view in zip(params, np.split(self.flat, np.cumsum([p.data.size for p in params]))):
+            p.data = view.reshape(p.data.shape)
+        self.state = AdamState(m=np.zeros_like(self.flat), v=np.zeros_like(self.flat))
 
     def step(self) -> None:
-        for p, st in zip(self.params, self.state):
+        """Update every parameter; raises ``ValueError`` if one has no gradient."""
+        for i, p in enumerate(self.params):
             if p.grad is None:
-                continue
-            adamw_step(p.data, p.grad, st, lr=self.lr, weight_decay=self.weight_decay)
+                raise ValueError(f"parameter {i} ({p.name!r}) has no gradient")
+        grad = np.concatenate([p.grad.ravel() for p in self.params])
+        adamw_step(self.flat, grad, self.state, lr=self.lr, weight_decay=self.weight_decay)
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -39,6 +39,9 @@ class TcnConfig:
     channels: int = 48
 
     def __post_init__(self):
+        for name in ("input_dim", "output_classes", "channels"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.num_blocks != len(self.block_dilations):
             raise ValueError("block_dilations must list one dilation tuple per block")
         if self.kernel_size % 2 != 1:
@@ -148,15 +151,9 @@ class Tcn:
             )
         h = ag.constant(x)
         for b, dils in enumerate(self.config.block_dilations):
-            branches = []
-            for br, d in enumerate(dils):
-                w = self.params[f"block{b}.branch{br}.w"]
-                bias = self.params[f"block{b}.branch{br}.b"]
-                branches.append(ag.gelu(ag.conv1d(h, w, bias, dilation=d)))
-            merged = ag.concat_cols(branches)
-            proj = self.params.get(f"block{b}.proj")
-            residual = ag.matmul(h, proj) if proj is not None else h
-            h = ag.add(merged, residual)
+            ws = [self.params[f"block{b}.branch{br}.w"] for br in range(len(dils))]
+            bs = [self.params[f"block{b}.branch{br}.b"] for br in range(len(dils))]
+            h = ag.conv_block(h, ws, bs, dils, self.params.get(f"block{b}.proj"))
         return ag.linear(h, self.params["head.w"], self.params["head.b"])
 
     def state_arrays(self) -> dict[str, np.ndarray]:

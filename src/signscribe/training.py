@@ -81,7 +81,8 @@ def fit(
     ``train_loss``, ``val_loss`` and the last step's ``lr``. Training stops
     once ``patience`` epochs pass without a new best validation loss; the
     returned networks are inference-only (:meth:`nn.Tcn.from_arrays`) copies
-    of the best epoch's weights (the initial ones when ``epochs`` is 0).
+    of the best epoch's weights (the initial ones when ``epochs`` is 0). A
+    non-finite epoch loss raises ``FloatingPointError``: NaN is never a new best.
     """
     opt = nn.AdamW([p for tcn in tcns for p in tcn.parameters()], lr=lr, weight_decay=weight_decay)
 
@@ -108,13 +109,18 @@ def fit(
             opt.step()
             step += 1
             epoch_loss += loss.item()
+        train_loss = epoch_loss / n_batches
+        if not np.isfinite(train_loss):
+            raise FloatingPointError(f"epoch {epoch}: train loss is {train_loss}")
         for p in opt.params:
             p.requires_grad = False
         val_loss = float(np.mean([loss_fn([s], False).item() for s in val]))
         for p in opt.params:
             p.requires_grad = True
+        if not np.isfinite(val_loss):
+            raise FloatingPointError(f"epoch {epoch}: validation loss is {val_loss}")
         history.append(
-            {"epoch": epoch, "train_loss": epoch_loss / n_batches, "val_loss": val_loss, "lr": opt.lr}
+            {"epoch": epoch, "train_loss": train_loss, "val_loss": val_loss, "lr": opt.lr}
         )
         if val_loss < best_val:
             best_val = val_loss

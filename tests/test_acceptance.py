@@ -157,7 +157,11 @@ def test_criterion_5_synthetic_fingerspelling_task(world, fs_corpus, fs_model, t
     assert held_out <= 0.05, f"held-out CER {held_out:.4f}"
     train_time = training_times["fingerspelling"]
     assert train_time <= 600.0, f"training took {train_time:.0f}s"
-    _report(5, "synthetic fingerspelling", f"CER {held_out:.4f}, train {train_time:.0f}s")
+    digest = nn.weights_digest(fs_model.tcn.state_arrays())[:12]
+    _report(
+        5, "synthetic fingerspelling",
+        f"CER {held_out:.4f}, train {train_time:.0f}s, weights {digest}",
+    )
 
 
 def test_criterion_6_synthetic_isr_task(world, isr_corpus, isr_model):
@@ -183,7 +187,13 @@ def test_criterion_6_synthetic_isr_task(world, isr_corpus, isr_model):
         if not (same_label and same_scores):
             mismatches += 1
     assert mismatches == 0, f"{mismatches} mirrored twins diverged"
-    _report(6, "synthetic ISR", f"top-1 {top1:.3f}, 100 exact mirror twins")
+    two, one = (
+        nn.weights_digest(t.state_arrays())[:12] for t in (isr_model.two_hand, isr_model.one_hand)
+    )
+    _report(
+        6, "synthetic ISR",
+        f"top-1 {top1:.3f}, 100 exact mirror twins, weights two-hand {two} one-hand {one}",
+    )
 
 
 def _ranking_experiment(world, models, mode: ScoreMode):

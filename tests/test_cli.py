@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from signscribe import fingerspelling as fs_mod
 from signscribe import pipeline as pipe_mod
 from signscribe import synthetic as syn
 from signscribe.cli import main
@@ -150,6 +151,33 @@ class TestTrain:
             ]) == 0
             blobs.append((out / "weights.bin").read_bytes())
         assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("kind, channels", [("fingerspelling", 0), ("isr", -3)])
+    def test_non_positive_channels_is_an_error(self, tmp_path, capsys, kind, channels):
+        corpus = tiny_corpus_spec(tmp_path, kind)
+        out = tmp_path / "out"
+        code = main([
+            "train", "--kind", kind, "--corpus", str(corpus), "--out", str(out),
+            "--epochs", "1", "--channels", str(channels),
+        ])
+        assert code == 1
+        assert f"error: channels must be >= 1, got {channels}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_loss_is_an_error(self, tmp_path, capsys, monkeypatch):
+        def diverged(*args, **kwargs):
+            raise FloatingPointError("epoch 0: train loss is nan")
+
+        monkeypatch.setattr(fs_mod, "fit", diverged)
+        corpus = tiny_corpus_spec(tmp_path, "fingerspelling")
+        out = tmp_path / "out"
+        code = main([
+            "train", "--kind", "fingerspelling", "--corpus", str(corpus), "--out", str(out),
+            "--epochs", "1", "--channels", "12",
+        ])
+        assert code == 1
+        assert "error: epoch 0: train loss is nan" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_kind_mismatch_is_domain_error(self, tmp_path, capsys):
         corpus = tiny_corpus_spec(tmp_path, "isr")

@@ -122,3 +122,18 @@ def test_validation_runs_on_frozen_weights():
     assert loss.val_trainable == [False] * 3 * len(VAL)
     assert all(p.requires_grad for p in loss.tcn.parameters())
     assert not any(p.requires_grad for p in best.parameters())
+
+
+def test_non_finite_validation_loss_raises():
+    with pytest.raises(FloatingPointError, match="^epoch 1: validation loss is nan$"):
+        run([3.0, np.nan, 1.0], epochs=3)
+
+
+def test_non_finite_train_loss_raises():
+    tcn = tiny_tcn()
+    with pytest.raises(FloatingPointError, match="^epoch 0: train loss is nan$"):
+        fit(
+            [tcn], [1, np.nan, 3], VAL, Recorder(tcn, [1.0, 1.0]), np.random.default_rng(0),
+            epochs=2, batch_size=2, lr=LR, weight_decay=0.0, min_lr=MIN_LR, patience=5,
+            grad_clip=1.0,
+        )
