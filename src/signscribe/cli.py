@@ -268,15 +268,23 @@ def _annotate_in_pool(
     return results
 
 
+# The annotate option that sets each PipelineConfig field.
+_CONFIG_OPTIONS = {"k": "--k", "fs_threshold": "--threshold", "min_sign_duration": "--min-sign-duration"}
+
+
 def _cmd_annotate(args, parser) -> int:
     batch = args.transcripts is not None
     if batch == (args.english is not None or args.poses is not None):
         parser.error("use either --english/--poses or --transcripts/--poses-dir")
     if args.jobs < 1:
         parser.error("--jobs must be at least 1")
+    try:
+        config = _pipeline_config(args)
+    except pipe_mod.ConfigError as exc:
+        parser.error(f"argument {_CONFIG_OPTIONS[exc.field]}: {exc}")
     _require_paths(parser, args.model_dir, args.vocab)
     models = _load_models(args.model_dir, args.vocab)
-    pipeline = (models, _pipeline_config(args), llm_mod.make_client(args.llm))
+    pipeline = (models, config, llm_mod.make_client(args.llm))
 
     if not batch:
         if args.english is None or args.poses is None:

@@ -149,11 +149,11 @@ def _lattice_pass(
     is reached from s (stay), s - 1 (prev) or, where ``can_skip[n, s]``,
     s - 2 (skip); paths start in state 0 or 1. With ``viterbi`` false the
     three are log-sum-exp'd, stay with prev first and then with skip (the
-    CTC alpha pass); with it true the best is kept and ``back`` records it
-    as 0 stay, 1 prev, 2 skip. Viterbi tie rule: stay beats prev beats
-    skip, as ``np.argmax`` over (stay, prev, skip) would pick; prev wins
-    only when strictly greater than stay, and skip only when strictly
-    greater than both. The beta pass is this same
+    CTC alpha pass); with it true the best is kept, and once the table is
+    done ``back`` records each choice as 0 stay, 1 prev, 2 skip. Viterbi tie
+    rule: stay beats prev beats skip, as ``np.argmax`` over (stay, prev,
+    skip) would pick; prev wins only when strictly greater than stay, and
+    skip only when strictly greater than both. The beta pass is this same
     pass over the reversed lattice, so ``ctc_loss`` runs alpha and beta as
     rows 0 and 1 of one pass.
 
@@ -167,20 +167,26 @@ def _lattice_pass(
     table = np.full((T, N, S + 2), NEG_INF)
     table[0, :, 2:4] = emit[0, :, :2]
     skip_mask = np.where(can_skip, 0.0, NEG_INF)
-    back = np.zeros((T, N, S), dtype=np.int8) if viterbi else None
     with np.errstate(divide="ignore"):
         for t in range(1, T):
             before = table[t - 1]
             stay, prev, skip = before[:, 2:], before[:, 1:-1], before[:, :-2] + skip_mask
+            out = table[t, :, 2:]
             if viterbi:
-                # Strict > keeps the earlier choice on a tie: stay, then prev, then skip.
-                best = np.maximum(stay, prev)
-                np.greater(prev, stay, out=back[t])
-                np.copyto(back[t], 2, where=skip > best)
-                np.maximum(best, skip, out=best)
+                np.maximum(stay, prev, out=out)
+                np.maximum(out, skip, out=out)
+                np.add(out, emit[t], out=out)
             else:
-                best = _logaddexp(_logaddexp(stay, prev), skip)
-            np.add(best, emit[t], out=table[t, :, 2:])
+                np.add(_logaddexp(_logaddexp(stay, prev), skip), emit[t], out=out)
+    if not viterbi:
+        return table[:, :, 2:], None
+    # Every frame's choices at once, from the finished table. Strict > keeps
+    # the earlier choice on a tie: stay, then prev, then skip.
+    before = table[:-1]
+    stay, prev, skip = before[..., 2:], before[..., 1:-1], before[..., :-2] + skip_mask
+    back = np.zeros((T, N, S), dtype=np.int8)
+    np.greater(prev, stay, out=back[1:])
+    np.copyto(back[1:], 2, where=skip > np.maximum(stay, prev))
     return table[:, :, 2:], back
 
 

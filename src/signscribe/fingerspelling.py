@@ -18,7 +18,7 @@ from . import ctc as ctc_mod
 from . import nn
 from .ctc import Alphabet, FrameScores, aggregate_words, forced_align, greedy_decode
 from .gloss import TokenizationError, to_ctc_tokens
-from .pose import FINGERSPELLING_FEATURES, PoseSequence, build_features, prepare_sequence
+from .pose import FINGERSPELLING_FEATURES, PoseSequence, VideoFeatures
 from .training import GRAD_CLIP, MIN_LR, PATIENCE, WEIGHT_DECAY, CorpusError, fit, stratified_split
 
 LR = 7e-4  # peak of the cosine learning-rate schedule
@@ -48,13 +48,12 @@ class WordDetection:
         return (self.start_frame, self.end_frame)
 
 
-def _features(poses: PoseSequence) -> np.ndarray:
-    prepared = prepare_sequence(poses, FINGERSPELLING_FEATURES)
-    return build_features(prepared, FINGERSPELLING_FEATURES)
+def _features(poses: PoseSequence | VideoFeatures) -> np.ndarray:
+    return VideoFeatures.of(poses).rows(FINGERSPELLING_FEATURES)
 
 
-def frame_scores(model: FingerspellingModel, poses: PoseSequence) -> FrameScores:
-    """Softmax character probabilities per frame for a pose sequence."""
+def frame_scores(model: FingerspellingModel, poses: PoseSequence | VideoFeatures) -> FrameScores:
+    """Softmax character probabilities per frame for a video."""
     logits = model.tcn.forward(_features(poses))
     return FrameScores(probs=nn.softmax(logits.data), kind="softmax")
 
@@ -149,8 +148,8 @@ def train_toy(
     )
     tcn = nn.Tcn.init(config, rng)
     model = FingerspellingModel(tcn=tcn, alphabet=alphabet)
-    feats = {s.sample_id: _features(s.poses) for s in corpus}
-    targets = {s.sample_id: _sample_target(s, alphabet) for s in corpus}
+    feats = {s.sample_id: _features(s.poses) for s in train + val}
+    targets = {s.sample_id: _sample_target(s, alphabet) for s in train}
 
     def loss_fn(samples, train_mode: bool) -> nn.Tensor:
         (s,) = samples

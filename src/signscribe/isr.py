@@ -21,13 +21,7 @@ from . import nn
 from .ctc import FrameScores
 from .fingerspelling import WordDetection
 from .gloss import GlossToken, TokenKind
-from .pose import (
-    ISR_ONE_HAND_FEATURES,
-    ISR_TWO_HAND_FEATURES,
-    PoseSequence,
-    build_features,
-    prepare_sequence,
-)
+from .pose import ISR_ONE_HAND_FEATURES, ISR_TWO_HAND_FEATURES, PoseSequence, VideoFeatures
 from .stemming import stem_fixpoint
 from .training import GRAD_CLIP, MIN_LR, PATIENCE, WEIGHT_DECAY, CorpusError, fit, stratified_split
 
@@ -100,20 +94,20 @@ class IsrModel:
     history: list = field(default_factory=list)
 
 
-def _features(poses: PoseSequence) -> tuple[np.ndarray, np.ndarray]:
+def _features(poses: PoseSequence | VideoFeatures) -> tuple[np.ndarray, np.ndarray]:
     """Two-hand and one-hand branch features of a video."""
-    prepared = prepare_sequence(poses, ISR_TWO_HAND_FEATURES)
-    two = build_features(prepared, ISR_TWO_HAND_FEATURES)
-    one = build_features(prepared, ISR_ONE_HAND_FEATURES)
-    return two, one
+    video = VideoFeatures.of(poses)
+    return video.rows(ISR_TWO_HAND_FEATURES), video.rows(ISR_ONE_HAND_FEATURES)
 
 
-def _branch_logits(model: IsrModel, poses: PoseSequence) -> tuple[nn.Tensor, nn.Tensor]:
+def _branch_logits(
+    model: IsrModel, poses: PoseSequence | VideoFeatures
+) -> tuple[nn.Tensor, nn.Tensor]:
     two, one = _features(poses)
     return model.two_hand.forward(two), model.one_hand.forward(one)
 
 
-def isr_scores(model: IsrModel, poses: PoseSequence) -> FrameScores:
+def isr_scores(model: IsrModel, poses: PoseSequence | VideoFeatures) -> FrameScores:
     """Per-frame sigmoid scores over the vocabulary plus ANY and NULL.
 
     The two branches' logits are merged with an elementwise max before the
@@ -382,8 +376,8 @@ def train_toy_isr(
     )
     two = nn.Tcn.init(two_cfg, rng)
     one = nn.Tcn.init(one_cfg, rng)
-    feats = {s.sample_id: _features(s.poses) for s in corpus}
-    class_of = {s.sample_id: vocabulary.class_index(s.gloss) for s in corpus}
+    feats = {s.sample_id: _features(s.poses) for s in train + val}
+    class_of = {s.sample_id: vocabulary.class_index(s.gloss) for s in train + val}
 
     def batch_loss(samples, train_mode: bool) -> nn.Tensor:
         two_rows, one_rows, target_rows = [], [], []

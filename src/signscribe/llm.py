@@ -10,6 +10,7 @@ chat-completion shape configured via environment variables.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import logging
 import os
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Callable, Protocol
 
-from .gloss import GlossParseError, parse_gloss_sequence
+from .gloss import GlossParseError, GlossSequence, parse_gloss_sequence
 
 logger = logging.getLogger(__name__)
 
@@ -48,7 +49,9 @@ class PromptTemplate:
         return out
 
 
+@functools.cache
 def load_prompt(name: PromptName) -> PromptTemplate:
+    """The packaged template, read once per process."""
     path = resources.files("signscribe").joinpath("prompts", f"{name.value}.txt")
     return PromptTemplate(name=name, body=path.read_text("utf-8"))
 
@@ -70,7 +73,7 @@ class LlmClient(Protocol):
 
 @dataclass(frozen=True)
 class CandidateSet:
-    candidates: tuple[str, ...]
+    candidates: tuple[GlossSequence, ...]  # each keeps its raw line as ``source_text``
 
 
 # --- response parsing ---------------------------------------------------------
@@ -121,7 +124,7 @@ def _strip_wrapping(text: str) -> str:
 
 
 def translate_candidates(client: LlmClient, phrase: str, k: int = 10) -> CandidateSet:
-    """Ask for k candidate glossings and keep the ones that parse."""
+    """Ask for k candidate glossings and keep the ones that parse, parsed."""
     if k < 1:
         raise ValueError("k must be >= 1")
     prompt = load_prompt(PromptName.KSHOT_TRANSLATE).render(phrase=phrase, k=k)
@@ -133,11 +136,9 @@ def translate_candidates(client: LlmClient, phrase: str, k: int = 10) -> Candida
     candidates = []
     for _, raw in items[:k]:
         try:
-            parse_gloss_sequence(raw)
+            candidates.append(parse_gloss_sequence(raw))
         except GlossParseError as exc:
             logger.warning("dropping unparseable candidate %r: %s", raw, exc)
-            continue
-        candidates.append(raw)
     if not candidates:
         raise LlmError("no candidate parsed as a gloss line", raw=text)
     return CandidateSet(candidates=tuple(candidates))

@@ -161,17 +161,18 @@ class Tcn:
 
     @classmethod
     def from_arrays(cls, config: TcnConfig, arrays: dict[str, np.ndarray]) -> "Tcn":
-        """An inference-only network over ``arrays``, checked against ``config``.
+        """An inference-only network over copies of ``arrays``, checked against ``config``.
 
         Its parameters are constants, so its forward records no autograd graph
         and ``backward`` from its output raises; train a :meth:`init` network.
+        Later writes to ``arrays`` (an optimiser step, say) do not reach it.
         """
         shapes = param_shapes(config)
         params: dict[str, Tensor] = {}
         for name, shape in shapes.items():
             if name not in arrays:
                 raise ValueError(f"missing parameter {name!r}")
-            arr = np.asarray(arrays[name], dtype=np.float64)
+            arr = np.array(arrays[name], dtype=np.float64)
             if arr.shape != shape:
                 raise ValueError(f"parameter {name!r} has shape {arr.shape}, expected {shape}")
             params[name] = ag.constant(arr, name)

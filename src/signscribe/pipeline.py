@@ -33,10 +33,10 @@ from . import isr as isr_mod
 from . import nn
 from .ctc import Alphabet, FrameScores, InfeasibleTargetError
 from .fingerspelling import FingerspellingModel, WordDetection
-from .gloss import FINGERSPELLED_KINDS, GlossSequence, GlossToken, parse_gloss_sequence, render
+from .gloss import FINGERSPELLED_KINDS, GlossSequence, GlossToken, render
 from .isr import AlignEntry, GlossDetection, IsrModel
 from .llm import LlmClient, LlmError, StubClient, translate_candidates
-from .pose import PoseSequence
+from .pose import PoseSequence, VideoFeatures
 
 logger = logging.getLogger(__name__)
 
@@ -46,6 +46,14 @@ SCHEMA_VERSION = "v1"
 class ScoreMode(str, enum.Enum):
     MEAN = "mean"
     SUM = "sum"
+
+
+class ConfigError(ValueError):
+    """A :class:`PipelineConfig` value out of range; ``field`` names it."""
+
+    def __init__(self, field: str, message: str):
+        self.field = field
+        super().__init__(f"{field} {message}")
 
 
 @dataclass(frozen=True)
@@ -58,9 +66,11 @@ class PipelineConfig:
 
     def __post_init__(self):
         if self.k < 1:
-            raise ValueError("k must be >= 1")
+            raise ConfigError("k", f"must be >= 1, got {self.k}")
         if not 0.0 < self.fs_threshold < 1.0:
-            raise ValueError("fingerspelling threshold must lie in (0, 1)")
+            raise ConfigError("fs_threshold", f"must lie in (0, 1), got {self.fs_threshold}")
+        if self.min_sign_duration < 1:
+            raise ConfigError("min_sign_duration", f"must be >= 1, got {self.min_sign_duration}")
 
     def to_dict(self) -> dict:
         return {
@@ -274,6 +284,12 @@ def _score_sequence(
     return per_sign, errors
 
 
+def _frame_scores(models: Models, poses: PoseSequence) -> tuple[FrameScores, FrameScores]:
+    """Both recognizers' frame scores from one feature build, freed on return."""
+    video = VideoFeatures(poses)
+    return fs_mod.frame_scores(models.fingerspelling, video), isr_mod.isr_scores(models.isr, video)
+
+
 def _rank(candidates: list[CandidateAnnotation]) -> None:
     order = sorted(
         range(len(candidates)),
@@ -308,12 +324,10 @@ def annotate(
         doc.errors.append(f"translation failed: {exc}")
         return doc
 
-    fs_scores = fs_mod.frame_scores(models.fingerspelling, poses)
+    fs_scores, isr_scores = _frame_scores(models, poses)
     align_words = _word_aligner(fs_scores, models.fingerspelling.alphabet)
-    isr_scores = isr_mod.isr_scores(models.isr, poses)
     gloss_memo: dict = {}  # inter-anchor placements, shared by this video's candidates
-    for idx, line in enumerate(cand_set.candidates):
-        seq = parse_gloss_sequence(line)
+    for idx, seq in enumerate(cand_set.candidates):
         if not seq.tokens:
             doc.errors.append(f"candidate {idx} is empty")
             continue
@@ -352,10 +366,11 @@ def score_manual_annotation(
     config = config or PipelineConfig()
     if not annotation.tokens:
         raise ValueError("empty annotation")
+    video = VideoFeatures(poses)
     if fs_scores is None:
-        fs_scores = fs_mod.frame_scores(models.fingerspelling, poses)
+        fs_scores = fs_mod.frame_scores(models.fingerspelling, video)
     if isr_scores is None:
-        isr_scores = isr_mod.isr_scores(models.isr, poses)
+        isr_scores = isr_mod.isr_scores(models.isr, video)
     align_words = _word_aligner(fs_scores, models.fingerspelling.alphabet)
     per_sign, errors = _score_sequence(annotation, align_words, isr_scores, models, config, {})
     return CandidateAnnotation(
@@ -417,11 +432,74 @@ def document_to_json(doc: AnnotationDocument) -> dict:
 
 
 def document_bytes(doc: AnnotationDocument) -> bytes:
-    """Canonical serialized form: sorted keys, two-space indent, UTF-8."""
-    return (
-        json.dumps(document_to_json(doc), indent=2, sort_keys=True, ensure_ascii=False)
-        + "\n"
-    ).encode("utf-8")
+    """Canonical serialized form: sorted keys, two-space indent, UTF-8.
+
+    The bytes are those of ``json.dumps(indent=2, sort_keys=True,
+    ensure_ascii=False)`` plus a newline, written by :func:`_emit`.
+    """
+    out: list[str] = []
+    _emit(document_to_json(doc), "", out)
+    out.append("\n")
+    return "".join(out).encode("utf-8")
+
+
+_escape = json.encoder.encode_basestring  # json's own escaper, as ensure_ascii=False uses it
+
+
+def _emit(value, indent: str, out: list[str]) -> None:
+    """Append the JSON text of ``value``, whose first line starts after ``indent``.
+
+    Checks types in ``json``'s order and writes what its indenting encoder
+    writes: ``float.__repr__``, or ``NaN``/``Infinity``/``-Infinity`` for a
+    non-finite float. Object keys must be strings.
+    """
+    if isinstance(value, str):
+        out.append(_escape(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        if math.isfinite(value):
+            out.append(float.__repr__(value))
+        elif value != value:
+            out.append("NaN")
+        else:
+            out.append("Infinity" if value > 0 else "-Infinity")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        separator = ",\n" + inner  # one string object, appended between items
+        out.append("[\n" + inner)
+        for n, item in enumerate(value):
+            if n:
+                out.append(separator)
+            _emit(item, inner, out)
+        out.append("\n" + indent + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        separator = ",\n" + inner
+        out.append("{\n" + inner)
+        for n, key in enumerate(sorted(value)):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            if n:
+                out.append(separator)
+            out.append(_escape(key))
+            out.append(": ")
+            _emit(value[key], inner, out)
+        out.append("\n" + indent + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _load_schema() -> dict:

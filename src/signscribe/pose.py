@@ -251,6 +251,15 @@ def _nearest_present(ts: np.ndarray, present: np.ndarray) -> np.ndarray:
     return valid[np.where(take_later, later, earlier)]
 
 
+def _impute_channel(seq: PoseSequence, channel: str) -> None:
+    """Fill a channel's missing frames in place; raise if it is valid nowhere."""
+    points, present = seq.channel(channel)
+    if not present.any():
+        raise ChannelEmptyError(channel)
+    points[:] = points[_nearest_present(seq.timestamps, present)]
+    present[:] = True
+
+
 def impute_missing(seq: PoseSequence, channels: list[str] | None = None) -> PoseSequence:
     """Copy each missing channel from the temporally nearest valid frame.
 
@@ -263,11 +272,7 @@ def impute_missing(seq: PoseSequence, channels: list[str] | None = None) -> Pose
         channels = [c for c in channels if seq.channel(c)[1].any()]
     seq = replace(seq, **{name: getattr(seq, name).copy() for name in _ARRAY_FIELDS})
     for channel in channels:
-        points, present = seq.channel(channel)  # views into the copies
-        if not present.any():
-            raise ChannelEmptyError(channel)
-        points[:] = points[_nearest_present(seq.timestamps, present)]
-        present[:] = True
+        _impute_channel(seq, channel)
     return seq
 
 
@@ -318,9 +323,25 @@ def normalize_body(body: dict[str, np.ndarray]) -> np.ndarray:
     return np.concatenate(out, axis=-1)
 
 
+# Column groups of the network inputs, in column order: the channels each reads
+# and the columns it fills.
+_GROUP_CHANNELS = {
+    "body": tuple("body:" + joint for joint in BODY_DEFAULT_JOINTS),
+    "dominant_hand": ("hand_right",),
+    "non_dominant_hand": ("hand_left",),
+}
+_BODY_DIM = 2 * len(BODY_DEFAULT_JOINTS)
+_HAND_DIM = 2 * HAND_JOINTS
+_GROUP_COLUMNS = {
+    "body": slice(0, _BODY_DIM),
+    "dominant_hand": slice(_BODY_DIM, _BODY_DIM + _HAND_DIM),
+    "non_dominant_hand": slice(_BODY_DIM + _HAND_DIM, _BODY_DIM + 2 * _HAND_DIM),
+}
+
+
 @dataclass(frozen=True)
 class FeatureSpec:
-    """Channel groups concatenated per frame, in declaration order."""
+    """Channel groups concatenated per frame: body, dominant hand, non-dominant hand."""
 
     dominant_hand: bool = True
     non_dominant_hand: bool = False
@@ -328,24 +349,13 @@ class FeatureSpec:
 
     @property
     def dim(self) -> int:
-        dim = 0
-        if self.body:
-            dim += 2 * len(BODY_DEFAULT_JOINTS)
-        if self.dominant_hand:
-            dim += 2 * HAND_JOINTS
-        if self.non_dominant_hand:
-            dim += 2 * HAND_JOINTS
-        return dim
+        return sum(_GROUP_COLUMNS[g].stop - _GROUP_COLUMNS[g].start for g in self.groups())
+
+    def groups(self) -> list[str]:
+        return [group for group in _GROUP_CHANNELS if getattr(self, group)]
 
     def channels(self) -> list[str]:
-        names = []
-        if self.body:
-            names.extend("body:" + j for j in BODY_DEFAULT_JOINTS)
-        if self.dominant_hand:
-            names.append("hand_right")
-        if self.non_dominant_hand:
-            names.append("hand_left")
-        return names
+        return [channel for group in self.groups() for channel in _GROUP_CHANNELS[group]]
 
 
 FINGERSPELLING_FEATURES = FeatureSpec(dominant_hand=True)
@@ -353,43 +363,67 @@ ISR_TWO_HAND_FEATURES = FeatureSpec(dominant_hand=True, non_dominant_hand=True, 
 ISR_ONE_HAND_FEATURES = FeatureSpec(dominant_hand=True, non_dominant_hand=False, body=True)
 
 
-def build_features(seq: PoseSequence, spec: FeatureSpec) -> np.ndarray:
-    """(T, spec.dim) feature rows for an imputed, handedness-resolved sequence.
+class VideoFeatures:
+    """A video's network inputs, built from one shared preparation.
 
-    The dominant hand is read from the right-hand slot (sequences are
-    mirrored upstream when the signer is left-dominant).
+    The column groups sit side by side in one (T, body + dominant hand +
+    non-dominant hand) matrix, and each input is a column selection of it:
+    the fingerspelling input is the dominant-hand columns and the ISR
+    one-hand input the first columns of the two-hand input. The video is
+    resolved for handedness (and mirrored when left-dominant) once, each
+    channel is imputed once and each group normalised once, when an input
+    first needs it. The dominant hand is read from the right-hand slot.
+
+    Work runs in the order the inputs are asked for, so a bad video raises
+    the error that preparing each input on its own would: an empty or
+    handless video first, then the first of the spec's channels valid in no
+    frame, then non-finite feature values.
     """
-    if not len(seq):
-        raise PoseError("empty sequence")
-    for channel in spec.channels():
-        if not seq.channel(channel)[1].all():
-            raise ChannelEmptyError(channel)
 
-    columns: list[np.ndarray] = []
-    if spec.body:
-        body = {
-            name: seq.body[:, j]
-            for j, name in enumerate(seq.joints)
-            if seq.body_present[:, j].all()
-        }
-        columns.append(normalize_body(body))
-    for wanted, hands in (
-        (spec.dominant_hand, seq.hand_right),
-        (spec.non_dominant_hand, seq.hand_left),
-    ):
-        if wanted:
-            columns.append(normalize_hand(hands, hand_joint_std(hands)))
-    rows = np.concatenate(columns, axis=1)
-    if not np.all(np.isfinite(rows)):
-        raise PoseError("non-finite feature values")
-    return rows
+    def __init__(self, seq: PoseSequence):
+        self._source = seq
+        self._seq: PoseSequence | None = None  # prepared copy, until every group is built
+        self._imputed: set[str] = set()
+        self._built: set[str] = set()
+        self._columns = np.empty((len(seq), _BODY_DIM + 2 * _HAND_DIM))
 
+    @classmethod
+    def of(cls, video: PoseSequence | VideoFeatures) -> VideoFeatures:
+        return video if isinstance(video, VideoFeatures) else cls(video)
 
-def prepare_sequence(seq: PoseSequence, spec: FeatureSpec) -> PoseSequence:
-    """Resolve handedness, mirror if left-dominant, impute needed channels."""
-    if select_dominant_hand(seq) is Hand.LEFT:
-        seq = mirror_flip(seq)
-    return impute_missing(seq, channels=spec.channels())
+    def rows(self, spec: FeatureSpec) -> np.ndarray:
+        """(T, spec.dim) feature rows; the caller must not write to them."""
+        groups = spec.groups()
+        todo = [group for group in groups if group not in self._built]
+        if todo:
+            self._build([c for c in spec.channels() if c not in self._imputed], todo)
+        columns = [_GROUP_COLUMNS[group] for group in groups]
+        if columns[-1].stop - columns[0].start == spec.dim:  # adjacent groups
+            return np.ascontiguousarray(self._columns[:, columns[0].start : columns[-1].stop])
+        return np.concatenate([self._columns[:, c] for c in columns], axis=1)
+
+    def _build(self, channels: list[str], groups: list[str]) -> None:
+        if self._seq is None:
+            seq = self._source
+            if select_dominant_hand(seq) is Hand.LEFT:
+                seq = mirror_flip(seq)
+            self._seq = impute_missing(seq, channels=channels)
+        else:
+            for channel in channels:
+                _impute_channel(self._seq, channel)
+        self._imputed.update(channels)
+        for group in groups:
+            if group == "body":
+                rows = normalize_body({j: self._seq.channel("body:" + j)[0] for j in BODY_DEFAULT_JOINTS})
+            else:
+                hands = self._seq.channel(_GROUP_CHANNELS[group][0])[0]
+                rows = normalize_hand(hands, hand_joint_std(hands))
+            if not np.all(np.isfinite(rows)):
+                raise PoseError("non-finite feature values")
+            self._columns[:, _GROUP_COLUMNS[group]] = rows
+            self._built.add(group)
+        if len(self._built) == len(_GROUP_COLUMNS):
+            self._seq = None  # no input reads it again
 
 
 # --- JSON Lines pose file format ------------------------------------------

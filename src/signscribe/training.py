@@ -86,14 +86,14 @@ def fit(
     """
     opt = nn.AdamW([p for tcn in tcns for p in tcn.parameters()], lr=lr, weight_decay=weight_decay)
 
-    def snapshot() -> list[dict[str, np.ndarray]]:
-        return [{k: v.copy() for k, v in tcn.state_arrays().items()} for tcn in tcns]
+    def snapshot() -> list[nn.Tcn]:
+        return [nn.Tcn.from_arrays(tcn.config, tcn.state_arrays()) for tcn in tcns]
 
     n_batches = (len(train) + batch_size - 1) // batch_size
     total_steps = max(1, epochs * n_batches)
     step = 0
     best_val = np.inf
-    best_state = snapshot()
+    best = snapshot()
     best_epoch = -1
     history: list[dict] = []
     for epoch in range(epochs):
@@ -124,9 +124,8 @@ def fit(
         )
         if val_loss < best_val:
             best_val = val_loss
-            best_state = snapshot()
+            best = snapshot()
             best_epoch = epoch
         elif epoch - best_epoch >= patience:
             break
-    best = [nn.Tcn.from_arrays(tcn.config, state) for tcn, state in zip(tcns, best_state)]
     return best, history

@@ -4,6 +4,8 @@ Training runs once per session (a couple of minutes total) and is reused by
 the recognizer, pipeline, CLI, and acceptance tests.
 """
 
+import functools
+import json
 import time
 
 import numpy as np
@@ -11,8 +13,30 @@ import pytest
 
 from signscribe import fingerspelling as fs_mod
 from signscribe import isr as isr_mod
+from signscribe import pipeline as pipeline_mod
 from signscribe import synthetic as syn
 from signscribe.pipeline import Models
+
+
+def _checked(document_bytes):
+    """``document_bytes`` that also asserts its bytes equal those of the json
+    module's indenting encoder, which wrote documents before the direct
+    emitter. Installed before any test module imports the name, so every
+    document the suite serialises, in this process or a forked batch
+    worker, checks the emitter."""
+
+    @functools.wraps(document_bytes)
+    def checked(doc):
+        payload = document_bytes(doc)
+        tree = pipeline_mod.document_to_json(doc)
+        reference = json.dumps(tree, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+        assert payload == reference.encode("utf-8"), "document_bytes differs from json.dumps"
+        return payload
+
+    return checked
+
+
+pipeline_mod.document_bytes = _checked(pipeline_mod.document_bytes)
 
 FS_EPOCHS = 40
 ISR_EPOCHS = 25

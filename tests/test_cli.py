@@ -242,6 +242,28 @@ class TestAnnotate:
         assert f"error: {path}:{message}" in capsys.readouterr().err
         assert not (tmp_path / "doc.json").exists()
 
+    @pytest.mark.parametrize("option, value", [
+        ("--k", "0"),
+        ("--threshold", "1.5"),
+        ("--min-sign-duration", "0"),
+    ])
+    def test_out_of_range_option_is_usage_error(
+        self, worked_poses_file, model_root, tmp_path, capsys, option, value
+    ):
+        out = tmp_path / "doc.json"
+        with pytest.raises(SystemExit) as exc_info:
+            main([
+                "annotate", "--english", WORKED_ENGLISH,
+                "--poses", str(worked_poses_file),
+                "--model-dir", str(model_root), "--out", str(out),
+                option, value,
+            ])
+        assert exc_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {option}: " in err and value in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_k_flag(self, worked_poses_file, model_root, tmp_path):
         out = tmp_path / "doc.json"
         assert main([

@@ -543,3 +543,47 @@ class TestLatticeEquivalence:
                     if viterbi:
                         assert back[:, n, : len(k)].tobytes() == alone_back[:, 0].tobytes()
         assert min(seen.values()) >= 50, seen
+
+
+def ref_viterbi_pass(emit, can_skip):
+    """The Viterbi branch of ``_lattice_pass`` as it was, choices recorded inside the loop."""
+    T, N, S = emit.shape
+    table = np.full((T, N, S + 2), -np.inf)
+    table[0, :, 2:4] = emit[0, :, :2]
+    skip_mask = np.where(can_skip, 0.0, -np.inf)
+    back = np.zeros((T, N, S), dtype=np.int8)
+    for t in range(1, T):
+        before = table[t - 1]
+        stay, prev, skip = before[:, 2:], before[:, 1:-1], before[:, :-2] + skip_mask
+        best = np.maximum(stay, prev)
+        np.greater(prev, stay, out=back[t])
+        np.copyto(back[t], 2, where=skip > best)
+        np.maximum(best, skip, out=best)
+        np.add(best, emit[t], out=table[t, :, 2:])
+    return table[:, :, 2:], back
+
+
+class TestPostLoopBackPointers:
+    """The back pointers derived from the finished Viterbi table equal the ones
+    the loop recorded, ties and -inf states included."""
+
+    def test_bit_identical_on_random_lattices(self):
+        rng = np.random.default_rng(1616)
+        # Few distinct log values, -inf among them: stay, prev and skip often tie exactly.
+        levels = np.array([-np.inf, np.log(0.125), np.log(0.25), np.log(0.5), 0.0])
+        seen = {"tie": 0, "neg_inf": 0, "skip": 0}
+        for _ in range(400):
+            T, N, S = (int(rng.integers(1, 14)), int(rng.integers(1, 4)), int(rng.integers(1, 12)))
+            emit = levels[rng.integers(0, len(levels), size=(T, N, S))]
+            can_skip = rng.random((N, S)) < 0.5
+            can_skip[:, :2] = False
+            table, back = _lattice_pass(emit, can_skip, viterbi=True)
+            ref_table, ref_back = ref_viterbi_pass(emit, can_skip)
+            assert table.tobytes() == ref_table.tobytes()
+            assert back.tobytes() == ref_back.tobytes()
+            if T > 1:
+                stay, prev = ref_table[:-1, :, 1:], ref_table[:-1, :, :-1]
+                seen["tie"] += bool(np.any((stay == prev) & np.isfinite(stay)))
+                seen["neg_inf"] += bool(np.any(np.isneginf(ref_table[1:])))
+                seen["skip"] += bool(np.any(ref_back == 2))
+        assert min(seen.values()) >= 50, seen

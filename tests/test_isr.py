@@ -65,12 +65,10 @@ class TestIsrScores:
 
     def test_branch_max_dominates_each_branch(self, world, isr_model, rng):
         from signscribe.isr import _branch_logits
-        from signscribe.pose import ISR_TWO_HAND_FEATURES, prepare_sequence
 
         signer = syn.make_signers(1, rng)[0]
         poses, _ = syn.isr_clip(world, "DOG", signer, rng)
-        prepared = prepare_sequence(poses, ISR_TWO_HAND_FEATURES)
-        two, one = _branch_logits(isr_model, prepared)
+        two, one = _branch_logits(isr_model, poses)
         merged = np.maximum(two.data, one.data)
         assert np.all(merged >= two.data)
         assert np.all(merged >= one.data)

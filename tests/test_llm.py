@@ -49,6 +49,13 @@ class TestPromptAssets:
         assert "Please generate 10 different gloss translations" in rendered
         assert "{phrase}" not in rendered
 
+    def test_loaded_once_as_pinned(self):
+        for name in PromptName:
+            template = load_prompt(name)
+            assert load_prompt(name) is template
+            digest = hashlib.sha256(template.body.encode("utf-8")).hexdigest()
+            assert digest == pinned_digests()[f"{name.value}.txt"]
+
     def test_every_asset_is_covered(self):
         digests = pinned_digests()
         assert set(digests) == {f"{n.value}.txt" for n in PromptName}
@@ -82,7 +89,7 @@ class TestStubTranslate:
     def test_ten_candidates_for_example_phrase(self):
         result = translate_candidates(StubClient(), "I am happy", k=10)
         assert len(result.candidates) == 10
-        assert "I AM HAPPY" in result.candidates
+        assert "I AM HAPPY" in [c.source_text for c in result.candidates]
 
     def test_k_one(self):
         result = translate_candidates(StubClient(), "The dog sleeps", k=1)
@@ -98,12 +105,12 @@ class TestStubTranslate:
 
         result = translate_candidates(StubClient(), "Bob travels to the park", k=10)
         for candidate in result.candidates:
-            parse_gloss_sequence(candidate)
+            assert candidate == parse_gloss_sequence(candidate.source_text)
 
     def test_fixture_table_wins(self):
         fixtures = {"Hello there": {"1": "HELLO", "2": "HEY"}}
         result = translate_candidates(StubClient(translations=fixtures), "Hello there", k=2)
-        assert result.candidates == ("HELLO", "HEY")
+        assert [c.source_text for c in result.candidates] == ["HELLO", "HEY"]
 
 
 class TestShortCandidateList:

@@ -362,6 +362,20 @@ class TestTcn:
         with pytest.raises(ValueError, match="does not require a gradient"):
             loss.backward()
 
+    def test_frozen_copy_taken_after_adamw_keeps_its_logits(self):
+        """AdamW steps its parameters in place in one flat buffer; a copy taken
+        after the optimiser is built must not share that buffer."""
+        config, tcn = small_tcn(np.random.default_rng(7))
+        opt = nn.AdamW(tcn.parameters(), lr=0.1, weight_decay=0.01)
+        frozen = nn.Tcn.from_arrays(config, tcn.state_arrays())
+        x = np.random.default_rng(8).normal(size=(9, config.input_dim))
+        before = frozen.forward(x).data.copy()
+        for p in tcn.parameters():
+            p.grad = np.ones_like(p.data)
+        opt.step()
+        assert not np.array_equal(tcn.forward(x).data, before)
+        assert frozen.forward(x).data.tobytes() == before.tobytes()
+
     def test_from_arrays_missing_parameter(self):
         config, tcn = small_tcn(np.random.default_rng(3))
         arrays = tcn.state_arrays()

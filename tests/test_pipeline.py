@@ -711,3 +711,120 @@ class TestProvenance:
             first = (tmp_path / "one" / blob).read_bytes()
             assert (tmp_path / "two" / blob).read_bytes() == first
             assert hashlib.sha256(first).hexdigest() == prints[f"{name}_weights"]
+
+
+# --- canonical writer ----------------------------------------------------------
+# document_bytes writes with pipeline._emit; the json module's indenting
+# encoder, which it used before, is the reference. tests/conftest.py also
+# checks every document the tests serialise against it.
+
+
+def reference_document_bytes(doc):
+    text = json.dumps(document_to_json(doc), indent=2, sort_keys=True, ensure_ascii=False)
+    return (text + "\n").encode("utf-8")
+
+
+def golden_documents():
+    """Hand-built documents that cover what the canonical writer must get right.
+
+    The golden files under tests/data hold their bytes as the json module's
+    indenting encoder wrote them.
+    """
+    seq = parse_gloss_sequence("fs-BOB LIKE ZEBRA CL:3(car drives up) #OK")
+    signs = [
+        SignScore(
+            kind="fingerspelled", token="BOB", notation="fs-BOB", score=0.8731234567,
+            interval=(3, 17), anchored=True, fingerspelled_region=(4, 16),
+        ),
+        SignScore(
+            kind="gloss", token="LIKE", notation="LIKE", score=4.6e-06,
+            interval=(18, 25), in_vocabulary=True, peak_frame=21,
+        ),
+        SignScore(
+            kind="gloss", token="ZEBRA", notation="ZEBRA", score=9.9e-06,
+            interval=(26, 30), in_vocabulary=False, peak_frame=26,
+        ),
+        SignScore(
+            kind="gloss", token="CL:3(car drives up)", notation="CL:3(car drives up)",
+            score=0.0, interval=(31, 31), in_vocabulary=False, peak_frame=31,
+        ),
+        SignScore(
+            kind="fingerspelled", token="OK", notation="#OK", score=1.0,
+            interval=(32, 40), anchored=True,
+        ),
+    ]
+    config = PipelineConfig(k=3, fs_threshold=0.25, score_mode=ScoreMode.SUM, min_sign_duration=2)
+    prints = {"isr_two_hand": "b" * 64, "fingerspelling": "a" * 64, "fingerspelling_weights": "0" * 64}
+    english = 'Zoë said "hi"\\ to Bob\tand 👋 — ünïcödé, a \x01 control and a \u2028 separator'
+    document = AnnotationDocument(
+        video_id="golden-01",
+        english=english,
+        fps=29.97,
+        candidates=[
+            CandidateAnnotation(
+                gloss_sequence=seq, per_sign=signs, aggregate_score=1.8731376,
+                rank=1, candidate_index=2,
+                errors=["token 'ZEBRA' is out of vocabulary", "interval [31, 31] has 1 frames for 2 glosses"],
+            ),
+            CandidateAnnotation(
+                gloss_sequence=parse_gloss_sequence("LIKE"), per_sign=signs[1:2],
+                aggregate_score=1e-05, rank=2, candidate_index=0,
+            ),
+        ],
+        model_fingerprints=prints,
+        config=config,
+    )
+    failed = AnnotationDocument(
+        video_id="golden-02",
+        english="",
+        fps=25.0,
+        candidates=[],
+        model_fingerprints=prints,
+        config=PipelineConfig(),
+        errors=["translation failed: no candidate parsed as a gloss line"],
+    )
+    return {"document_golden.json": document, "document_golden_failed.json": failed}
+
+
+_JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=40,
+)
+
+
+class TestCanonicalWriter:
+    @pytest.mark.parametrize("name", ["document_golden.json", "document_golden_failed.json"])
+    def test_golden_bytes(self, name):
+        doc = golden_documents()[name]
+        golden = (Path("tests/data") / name).read_bytes()
+        assert document_bytes(doc) == golden
+        assert reference_document_bytes(doc) == golden
+        validate_document(json.loads(golden))
+
+    @settings(max_examples=400, deadline=None)
+    @given(_JSON_TREES)
+    def test_emitter_matches_json_dumps(self, tree):
+        out = []
+        pipeline_mod._emit(tree, "", out)
+        assert "".join(out) == json.dumps(tree, indent=2, sort_keys=True, ensure_ascii=False)
+
+    @pytest.mark.parametrize("value, text", [
+        (math.nan, "NaN"), (math.inf, "Infinity"), (-math.inf, "-Infinity"), (-0.0, "-0.0"),
+        (np.float64(0.1), "0.1"), (ScoreMode.SUM, '"sum"'), ((1, "a"), '[\n  1,\n  "a"\n]'),
+    ])
+    def test_emitter_writes_what_json_writes(self, value, text):
+        out = []
+        pipeline_mod._emit(value, "", out)
+        assert "".join(out) == text == json.dumps(value, indent=2, ensure_ascii=False)
+
+    @pytest.mark.parametrize("value", [{1: "int key"}, {"a": object()}, b"bytes"])
+    def test_emitter_refuses_what_documents_never_hold(self, value):
+        with pytest.raises(TypeError):
+            pipeline_mod._emit(value, "", [])
+
+    def test_every_serialised_document_is_checked(self):
+        """The conftest wrapper is in place, so each document_bytes call in the
+        suite compares the emitter's bytes with the reference's."""
+        assert pipeline_mod.document_bytes.__wrapped__.__module__ == "signscribe.pipeline"
+        assert document_bytes is pipeline_mod.document_bytes

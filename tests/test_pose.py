@@ -11,19 +11,19 @@ from signscribe.pose import (
     ISR_ONE_HAND_FEATURES,
     ISR_TWO_HAND_FEATURES,
     ChannelEmptyError,
+    FeatureSpec,
     Hand,
     NoHandsError,
     NoShouldersError,
     PoseError,
     PoseFrame,
     PoseSequence,
-    build_features,
+    VideoFeatures,
     hand_joint_std,
     impute_missing,
     mirror_flip,
     normalize_body,
     normalize_hand,
-    prepare_sequence,
     read_pose_jsonl,
     select_dominant_hand,
     write_pose_jsonl,
@@ -244,24 +244,31 @@ class TestBuildFeatures:
     def test_fingerspelling_dim(self):
         rng = np.random.default_rng(12)
         seq = make_sequence(rng, n=7)
-        assert build_features(seq, FINGERSPELLING_FEATURES).shape == (7, 42)
+        assert VideoFeatures(seq).rows(FINGERSPELLING_FEATURES).shape == (7, 42)
 
     def test_isr_dims(self):
         rng = np.random.default_rng(13)
         seq = make_sequence(rng, n=4)
-        two = build_features(seq, ISR_TWO_HAND_FEATURES)
-        one = build_features(seq, ISR_ONE_HAND_FEATURES)
+        video = VideoFeatures(seq)
+        two = video.rows(ISR_TWO_HAND_FEATURES)
+        one = video.rows(ISR_ONE_HAND_FEATURES)
         assert two.shape == (4, 18 + 42 + 42)
         assert one.shape == (4, 18 + 42)
         # body columns first, then the dominant hand, then the other hand
         np.testing.assert_array_equal(two[:, :60], one)
+
+    def test_columns_of_groups_that_are_not_adjacent(self):
+        seq = make_sequence(np.random.default_rng(17), n=5)
+        two = VideoFeatures(seq).rows(ISR_TWO_HAND_FEATURES)
+        rows = VideoFeatures(seq).rows(FeatureSpec(dominant_hand=False, non_dominant_hand=True, body=True))
+        assert rows.tobytes() == np.concatenate([two[:, :18], two[:, 60:]], axis=1).tobytes()
 
     def test_missing_channel_rejected(self):
         rng = np.random.default_rng(14)
         frames = (PoseFrame(timestamp=0.0, hand_right=grid_hand(rng)),)
         seq = PoseSequence.from_frames(frames=frames, fps=30.0)
         with pytest.raises(ChannelEmptyError):
-            build_features(seq, ISR_TWO_HAND_FEATURES)
+            VideoFeatures(seq).rows(ISR_TWO_HAND_FEATURES)
 
     def test_feature_translation_invariance(self):
         rng = np.random.default_rng(15)
@@ -277,8 +284,8 @@ class TestBuildFeatures:
             for f in seq.frames
         )
         shifted = PoseSequence.from_frames(frames=shifted_frames, fps=30.0)
-        a = build_features(seq, ISR_TWO_HAND_FEATURES)
-        b = build_features(shifted, ISR_TWO_HAND_FEATURES)
+        a = VideoFeatures(seq).rows(ISR_TWO_HAND_FEATURES)
+        b = VideoFeatures(shifted).rows(ISR_TWO_HAND_FEATURES)
         np.testing.assert_allclose(a, b, atol=1e-9)
 
 
@@ -291,10 +298,13 @@ class TestPrepareSequence:
             for i in range(5)
         )
         seq = PoseSequence.from_frames(frames=frames, fps=30.0)
-        prepared = prepare_sequence(seq, FINGERSPELLING_FEATURES)
         mirrored = left.copy()
         mirrored[:, 0] = 1.0 - mirrored[:, 0]
-        np.testing.assert_array_equal(prepared.frames[1].hand_right, mirrored)
+        hands = np.stack([mirrored] * 5)
+        np.testing.assert_array_equal(
+            VideoFeatures(seq).rows(FINGERSPELLING_FEATURES),
+            normalize_hand(hands, hand_joint_std(hands)),
+        )
 
 
 class TestSequenceValidation:
@@ -491,19 +501,23 @@ SPECS = {
 def assert_matches_reference(frames, fps=30.0):
     """Feature rows equal to the reference's for every spec, or the same error.
 
-    Returns the names of the specs whose features were built.
+    The specs are asked of one shared :class:`VideoFeatures`, in the order
+    the pipeline asks for them; an expected error is asked of a fresh one
+    with the spec the reference prepared for. Returns the names of the
+    specs whose features were built.
     """
     seq = PoseSequence.from_frames(frames, fps=fps)
+    video = VideoFeatures(seq)
     built = []
     for name, (prepare_spec, spec) in SPECS.items():
         try:
             expected = _ref_features(_ref_prepare(frames, prepare_spec), spec)
         except ChannelEmptyError as exc:
             with pytest.raises(ChannelEmptyError) as got:
-                build_features(prepare_sequence(seq, prepare_spec), spec)
+                VideoFeatures(seq).rows(prepare_spec)
             assert got.value.channel == exc.channel
             continue
-        rows = build_features(prepare_sequence(seq, prepare_spec), spec)
+        rows = video.rows(spec)
         assert np.array_equal(rows, expected), name
         built.append(name)
     return built
@@ -565,7 +579,7 @@ class TestMatchesPerFrameReference:
         assert assert_matches_reference(frames) == ["fingerspelling"]
         seq = PoseSequence.from_frames(frames, fps=30.0)
         with pytest.raises(ChannelEmptyError) as got:
-            prepare_sequence(seq, ISR_TWO_HAND_FEATURES)
+            VideoFeatures(seq).rows(ISR_TWO_HAND_FEATURES)
         assert got.value.channel == "hand_left"
 
     def test_composed_sentence_video_and_its_mirror(self, world):
@@ -576,3 +590,118 @@ class TestMatchesPerFrameReference:
         seq, _ = syn.compose_sentence_video(world, line, seed=5)
         for video in (seq, mirror_flip(seq)):
             assert len(assert_matches_reference(list(video.frames))) == 3
+
+
+# --- per-network reference ----------------------------------------------------
+# The columnar builders each network input was made with before the inputs
+# shared one VideoFeatures: each network prepared the video (handedness,
+# mirror, imputation of its spec's channels) and normalised its own groups.
+# The shared features must give every input bit for bit, and a bad video
+# must raise the same first error, in the order the pipeline asks: the
+# fingerspelling input, then the two ISR inputs.
+
+
+def _old_prepare_sequence(seq, spec):
+    if select_dominant_hand(seq) is Hand.LEFT:
+        seq = mirror_flip(seq)
+    return impute_missing(seq, channels=spec.channels())
+
+
+def _old_build_features(seq, spec):
+    if not len(seq):
+        raise PoseError("empty sequence")
+    for channel in spec.channels():
+        if not seq.channel(channel)[1].all():
+            raise ChannelEmptyError(channel)
+    columns = []
+    if spec.body:
+        body = {
+            name: seq.body[:, j]
+            for j, name in enumerate(seq.joints)
+            if seq.body_present[:, j].all()
+        }
+        columns.append(normalize_body(body))
+    for wanted, hands in ((spec.dominant_hand, seq.hand_right), (spec.non_dominant_hand, seq.hand_left)):
+        if wanted:
+            columns.append(normalize_hand(hands, hand_joint_std(hands)))
+    rows = np.concatenate(columns, axis=1)
+    if not np.all(np.isfinite(rows)):
+        raise PoseError("non-finite feature values")
+    return rows
+
+
+def _old_inputs(seq):
+    fs = _old_build_features(_old_prepare_sequence(seq, FINGERSPELLING_FEATURES), FINGERSPELLING_FEATURES)
+    yield fs
+    prepared = _old_prepare_sequence(seq, ISR_TWO_HAND_FEATURES)
+    yield _old_build_features(prepared, ISR_TWO_HAND_FEATURES)
+    yield _old_build_features(prepared, ISR_ONE_HAND_FEATURES)
+
+
+def _new_inputs(seq):
+    from signscribe import fingerspelling, isr
+
+    video = VideoFeatures(seq)
+    yield fingerspelling._features(video)
+    yield from isr._features(video)
+
+
+def _outcomes(inputs):
+    """Each input's bytes until the first error, then that error."""
+    out = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            for rows in inputs:
+                out.append((rows.shape, rows.tobytes()))
+        except PoseError as exc:
+            out.append((type(exc), str(exc), getattr(exc, "channel", None)))
+    return out
+
+
+class TestSharedFeaturesMatchPerNetworkBuilders:
+    def _check(self, frames):
+        seq = PoseSequence.from_frames(frames, fps=30.0)
+        got, want = _outcomes(_new_inputs(seq)), _outcomes(_old_inputs(seq))
+        assert got == want
+        return want
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_left_dominant(self, seed):
+        rng = np.random.default_rng(600 + seed)
+        frames = random_frames(rng, left=0.95, right=0.4, joint=0.8, jitter=1e-3)
+        assert len(self._check(frames)) == 3
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_missing_channels(self, seed):
+        rng = np.random.default_rng(700 + seed)
+        frames = random_frames(rng, left=0.5, right=0.7, joint=0.6, jitter=1e-3)
+        assert len(self._check(frames)) == 3
+
+    @pytest.mark.parametrize("absent, channel", [
+        ("left", "hand_left"),
+        ("nose", "body:nose"),
+        ("left_hip", "body:left_hip"),
+    ])
+    def test_channel_absent_everywhere(self, absent, channel):
+        rng = np.random.default_rng(800)
+        frames = random_frames(rng, left=0.0 if absent == "left" else 0.9)
+        frames = [
+            PoseFrame(f.timestamp, f.hand_left, f.hand_right, {k: v for k, v in f.body.items() if k != absent})
+            for f in frames
+        ]
+        outcome = self._check(frames)
+        assert len(outcome) == 2 and outcome[1][2] == channel
+
+    def test_first_error_is_the_fingerspelling_one(self):
+        """Huge dominant-hand coordinates overflow its features before the ISR
+        input finds the nose absent: the fingerspelling error comes first."""
+        rng = np.random.default_rng(801)
+        frames = [
+            PoseFrame(f.timestamp, f.hand_left, f.hand_right * 1e308, {k: v for k, v in f.body.items() if k != "nose"})
+            for f in random_frames(rng, right=1.0)
+        ]
+        assert self._check(frames) == [(PoseError, "non-finite feature values", None)]
+
+    def test_no_hands(self):
+        frames = [PoseFrame(i / 30) for i in range(4)]
+        assert self._check(frames) == [(NoHandsError, "no hand present in any frame", None)]
