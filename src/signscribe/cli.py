@@ -98,6 +98,8 @@ def _require_paths(parser: argparse.ArgumentParser, *paths: str | None) -> None:
 
 
 def _cmd_train(args, parser) -> int:
+    if args.epochs is not None and args.epochs < 1:
+        parser.error(f"argument --epochs: must be at least 1, got {args.epochs}")
     _require_paths(parser, args.corpus)
     spec = json.loads(Path(args.corpus).read_text(encoding="utf-8"))
     world = synth_mod.make_world(seed=int(spec.get("world_seed", synth_mod.DEFAULT_WORLD_SEED)))

@@ -147,20 +147,21 @@ def train_toy(
         input_dim=FINGERSPELLING_FEATURES.dim, output_classes=alphabet.size, channels=channels
     )
     tcn = nn.Tcn.init(config, rng)
-    model = FingerspellingModel(tcn=tcn, alphabet=alphabet)
     feats = {s.sample_id: _features(s.poses) for s in train + val}
     targets = {s.sample_id: _sample_target(s, alphabet) for s in train}
 
-    def loss_fn(samples, train_mode: bool) -> nn.Tensor:
-        (s,) = samples
+    def loss_fn(nets, samples, train_mode: bool) -> float:
+        (net,), (s,) = nets, samples
         if not train_mode:
-            return nn.constant(per_character_loss(model, s, feats[s.sample_id]))
-        logits = tcn.forward(feats[s.sample_id])
+            model = FingerspellingModel(tcn=net, alphabet=alphabet)
+            return per_character_loss(model, s, feats[s.sample_id])
+        logits = net.forward(feats[s.sample_id])
         probs = nn.softmax(logits.data)
         loss, grad = ctc_mod.ctc_loss(
             FrameScores(probs=probs, kind="softmax"), targets[s.sample_id]
         )
-        return nn.external_loss(logits, loss, grad)
+        logits.backward(grad)
+        return loss
 
     (best,), history = fit(
         [tcn], train, val, loss_fn, rng, epochs=epochs, batch_size=1, lr=LR,

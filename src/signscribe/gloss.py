@@ -66,6 +66,21 @@ class GlossToken:
         if is_classifier != (self.handshape is not None and self.motion is not None):
             raise ValueError("handshape/motion are present iff kind is CLASSIFIER")
 
+    @property
+    def notation(self) -> str:
+        """The token as a gloss line writes it: ``fs-BOB``, ``ns-JO``, ``#JOB``,
+        ``CL:3(CAR-PASSES)`` or ``DOG``."""
+        if self.kind is TokenKind.CLASSIFIER:
+            return f"CL:{self.handshape}({self.motion})"
+        return _NOTATION_PREFIX.get(self.kind, "") + self.text
+
+
+_NOTATION_PREFIX = {
+    TokenKind.FINGERSPELLED: "fs-",
+    TokenKind.NAME_SIGN: "ns-",
+    TokenKind.LEXICALIZED: "#",
+}
+
 
 @dataclass(frozen=True)
 class GlossSequence:
@@ -166,19 +181,7 @@ def parse_gloss_sequence(line: str) -> GlossSequence:
 
 def render(seq: GlossSequence) -> str:
     """Canonical single-space rendering; inverse of parse on canonical lines."""
-    parts = []
-    for tok in seq.tokens:
-        if tok.kind is TokenKind.FINGERSPELLED:
-            parts.append("fs-" + tok.text)
-        elif tok.kind is TokenKind.NAME_SIGN:
-            parts.append("ns-" + tok.text)
-        elif tok.kind is TokenKind.LEXICALIZED:
-            parts.append("#" + tok.text)
-        elif tok.kind is TokenKind.CLASSIFIER:
-            parts.append(f"CL:{tok.handshape}({tok.motion})")
-        else:
-            parts.append(tok.text)
-    return " ".join(parts)
+    return " ".join(tok.notation for tok in seq.tokens)
 
 
 def stem_normalize(seq: GlossSequence) -> GlossSequence:

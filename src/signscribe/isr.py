@@ -345,6 +345,17 @@ def _jitter_window(
     return max(0, s - lead), min(num_frames - 1, e + tail)
 
 
+def _max_bce(out_two: nn.Tensor, out_one: nn.Tensor, targets: np.ndarray, train: bool) -> float:
+    """BCE of the branches' elementwise max logits. With ``train``, each logit's
+    gradient goes back through the branch that won it, the two-hand one on exact ties."""
+    take_two = out_two.data >= out_one.data
+    loss, dlogits = nn.bce_with_logits(np.where(take_two, out_two.data, out_one.data), targets)
+    if train:
+        out_two.backward(np.where(take_two, dlogits, 0.0))
+        out_one.backward(np.where(take_two, 0.0, dlogits))
+    return loss
+
+
 def train_toy_isr(
     corpus: list,
     vocabulary: SignVocabulary,
@@ -379,7 +390,7 @@ def train_toy_isr(
     feats = {s.sample_id: _features(s.poses) for s in train + val}
     class_of = {s.sample_id: vocabulary.class_index(s.gloss) for s in train + val}
 
-    def batch_loss(samples, train_mode: bool) -> nn.Tensor:
+    def batch_loss(nets, samples, train_mode: bool) -> float:
         two_rows, one_rows, target_rows = [], [], []
         for s in samples:
             f2, f1 = feats[s.sample_id]
@@ -395,11 +406,10 @@ def train_toy_isr(
                     vocabulary, hi - lo + 1, class_of[s.sample_id], span_local
                 )
             )
-        x2 = np.concatenate(two_rows)
-        x1 = np.concatenate(one_rows)
-        targets = np.concatenate(target_rows)
-        logits = nn.maximum(two.forward(x2), one.forward(x1))
-        return nn.bce_with_logits(logits, targets)
+        two_net, one_net = nets
+        out_two = two_net.forward(np.concatenate(two_rows))
+        out_one = one_net.forward(np.concatenate(one_rows))
+        return _max_bce(out_two, out_one, np.concatenate(target_rows), train_mode)
 
     (best_two, best_one), history = fit(
         [two, one], train, val, batch_loss, rng, epochs=epochs, batch_size=BATCH_CLIPS,

@@ -242,11 +242,10 @@ class HttpClient:
         if not self.endpoint:
             raise LlmError(f"no endpoint configured (set {ENV_ENDPOINT})")
         self._sleep = sleep
-        import requests  # only this client needs it; it stays off the CLI import path
-
-        self._session = requests.Session()
 
     def complete(self, prompt: str, temperature: float = 1.0, max_tokens: int = 1024) -> str:
+        import http.client  # only this client needs it; it stays off the CLI import path
+
         payload = {
             "model": self.model_id,
             "messages": [{"role": "user", "content": prompt}],
@@ -261,24 +260,35 @@ class HttpClient:
             if attempt:
                 self._sleep(BACKOFF_INITIAL_SECONDS * (2 ** (attempt - 1)))
             try:
-                response = self._session.post(
-                    self.endpoint, json=payload, headers=headers, timeout=60
-                )
-                if response.status_code >= 500:
-                    last_error = LlmError(f"server error {response.status_code}")
-                    continue
-                if response.status_code != 200:
-                    raise LlmError(
-                        f"request failed with status {response.status_code}",
-                        raw=response.text,
-                    )
-                body = response.json()
-                return body["choices"][0]["message"]["content"]
-            except LlmError:
-                raise
-            except Exception as exc:  # transport errors, malformed body
+                status, text = _post_json(self.endpoint, payload, headers)
+            except (OSError, http.client.HTTPException) as exc:  # transport errors
+                last_error = exc
+                continue
+            if status >= 500:
+                last_error = LlmError(f"server error {status}")
+                continue
+            if status != 200:
+                raise LlmError(f"request failed with status {status}", raw=text)
+            try:
+                return json.loads(text)["choices"][0]["message"]["content"]
+            except (ValueError, LookupError, TypeError) as exc:  # malformed body
                 last_error = exc
         raise LlmError(f"request failed after {MAX_ATTEMPTS} attempts: {last_error}")
+
+
+def _post_json(url: str, payload: dict, headers: dict[str, str]) -> tuple[int, str]:
+    """POST ``payload`` as JSON; the response status and body text, whatever the status."""
+    import urllib.error  # only the HTTP client needs these; they stay off the CLI import path
+    import urllib.request
+
+    body = json.dumps(payload).encode("utf-8")
+    request = urllib.request.Request(url, data=body, headers=headers, method="POST")
+    try:
+        with urllib.request.urlopen(request, timeout=60) as response:
+            return response.status, response.read().decode("utf-8", "replace")
+    except urllib.error.HTTPError as exc:  # a status urllib raises for; it carries the body
+        with exc:
+            return exc.code, exc.read().decode("utf-8", "replace")
 
 
 def make_client(mode: str) -> LlmClient:

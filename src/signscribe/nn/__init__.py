@@ -1,18 +1,4 @@
-from .autograd import (
-    Tensor,
-    bce_with_logits,
-    constant,
-    conv_block,
-    external_loss,
-    linear,
-    log_softmax,
-    maximum,
-    parameter,
-    sigmoid,
-    softmax,
-    sum_all,
-    zero_grads,
-)
+from .autograd import Tensor, bce_with_logits, conv_block, log_softmax, sigmoid, softmax
 from .optim import AdamState, AdamW, adamw_step, clip_grad_norm, cosine_lr
 from .serialize import ModelWeights, WeightsError, load_weights, save_weights, weights_digest
 from .tcn import (

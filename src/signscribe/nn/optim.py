@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .autograd import Tensor
+from .tcn import Tcn
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # moment decay rates and the denominator floor
 
@@ -46,45 +47,48 @@ def adamw_step(
 
 
 class AdamW:
-    """AdamW over one flat buffer that each parameter's ``.data`` is rebound to view,
-    so :meth:`step` makes one :func:`adamw_step` call over the concatenated gradients."""
+    """AdamW over trainable networks (:meth:`Tcn.init`) whose parameters and
+    gradients are rebound to view two flat buffers, so :meth:`step` makes one
+    :func:`adamw_step` call and :meth:`zero_grad` one fill."""
 
-    def __init__(self, params: list[Tensor], lr: float, weight_decay: float):
+    def __init__(self, tcns: Sequence[Tcn], lr: float, weight_decay: float):
         if lr < 0:
             raise ValueError(f"invalid learning rate {lr}")
-        self.params = params
+        if any(tcn.grads is None for tcn in tcns):
+            raise ValueError("a frozen network (Tcn.from_arrays) has no gradient to step on")
         self.lr = lr
         self.weight_decay = weight_decay
-        self.flat = np.concatenate([p.data.ravel() for p in params])
-        for p, view in zip(params, np.split(self.flat, np.cumsum([p.data.size for p in params]))):
-            p.data = view.reshape(p.data.shape)
+        slots = [(tcn, name) for tcn in tcns for name in sorted(tcn.params)]
+        self.flat = np.concatenate([tcn.params[name].ravel() for tcn, name in slots])
+        self.grad = np.zeros_like(self.flat)
+        self.grads: list[np.ndarray] = []  # per parameter, in the buffers' order
+        start = 0
+        for tcn, name in slots:
+            shape = tcn.params[name].shape
+            stop = start + math.prod(shape)
+            tcn.params[name] = self.flat[start:stop].reshape(shape)
+            tcn.grads[name] = self.grad[start:stop].reshape(shape)
+            self.grads.append(tcn.grads[name])
+            start = stop
         self.state = AdamState(m=np.zeros_like(self.flat), v=np.zeros_like(self.flat))
 
     def step(self) -> None:
-        """Update every parameter; raises ``ValueError`` if one has no gradient."""
-        for i, p in enumerate(self.params):
-            if p.grad is None:
-                raise ValueError(f"parameter {i} ({p.name!r}) has no gradient")
-        grad = np.concatenate([p.grad.ravel() for p in self.params])
-        adamw_step(self.flat, grad, self.state, lr=self.lr, weight_decay=self.weight_decay)
+        adamw_step(self.flat, self.grad, self.state, lr=self.lr, weight_decay=self.weight_decay)
 
     def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad = None
+        self.grad.fill(0.0)
 
 
-def clip_grad_norm(params: list[Tensor], max_norm: float) -> float:
-    """Scale gradients so their global L2 norm is at most ``max_norm``."""
+def clip_grad_norm(grads: list[np.ndarray], max_norm: float) -> float:
+    """Scale gradients in place so their global L2 norm is at most ``max_norm``."""
     total = 0.0
-    for p in params:
-        if p.grad is not None:
-            total += float(np.sum(p.grad * p.grad))
+    for g in grads:
+        total += float(np.sum(g * g))
     norm = float(np.sqrt(total))
     if norm > max_norm and norm > 0.0:
         scale = max_norm / norm
-        for p in params:
-            if p.grad is not None:
-                p.grad *= scale
+        for g in grads:
+            g *= scale
     return norm
 
 

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autograd as ag
-from .autograd import Tensor
+from .autograd import Tensor, conv_block
 
 FINGERSPELLING_MAX_DILATIONS = (1, 2, 4, 8, 1, 1)  # receptive field 35
 ISR_MAX_DILATIONS = (1, 2, 4, 2, 1, 1)  # receptive field 23
@@ -120,63 +119,95 @@ def param_shapes(config: TcnConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-class Tcn:
-    """A TCN instance owning its parameter tensors."""
+def _block_arrays(arrays: dict, b: int, dils: tuple[int, ...]) -> tuple:
+    """Block ``b``'s branch weights, branch biases and projection (None without one)."""
+    names = [f"block{b}.branch{br}" for br in range(len(dils))]
+    weights = [arrays[n + ".w"] for n in names]
+    return weights, [arrays[n + ".b"] for n in names], arrays.get(f"block{b}.proj")
 
-    def __init__(self, config: TcnConfig, params: dict[str, Tensor]):
+
+class Tcn:
+    """A TCN over named float64 parameter arrays.
+
+    A network built by :meth:`init` is trainable: ``grads`` holds a gradient
+    array beside each parameter, and :meth:`forward` returns logits whose
+    ``backward`` adds into them. One built by :meth:`from_arrays` is frozen:
+    ``grads`` is None, and its forward keeps no activations.
+    """
+
+    def __init__(
+        self,
+        config: TcnConfig,
+        params: dict[str, np.ndarray],
+        grads: dict[str, np.ndarray] | None,
+    ):
         self.config = config
         self.params = params
+        self.grads = grads
         self.fingerprint = config_fingerprint(config)
 
     @classmethod
     def init(cls, config: TcnConfig, rng: np.random.Generator) -> "Tcn":
         """Weights drawn from N(0, 1/fan_in) in :func:`param_shapes` order; biases zero."""
-        params: dict[str, Tensor] = {}
+        params: dict[str, np.ndarray] = {}
         for name, shape in param_shapes(config).items():
             if len(shape) == 1:
-                data = np.zeros(shape)
+                params[name] = np.zeros(shape)
             else:
-                data = rng.normal(0.0, 1.0 / math.sqrt(math.prod(shape[:-1])), size=shape)
-            params[name] = ag.parameter(data, name)
-        return cls(config, params)
-
-    def parameters(self) -> list[Tensor]:
-        return [self.params[name] for name in sorted(self.params)]
+                params[name] = rng.normal(0.0, 1.0 / math.sqrt(math.prod(shape[:-1])), size=shape)
+        return cls(config, params, {name: np.zeros_like(p) for name, p in params.items()})
 
     def forward(self, x: np.ndarray) -> Tensor:
-        """Per-frame logits for a (T, input_dim) feature matrix."""
+        """Per-frame logits for a (T, input_dim) feature matrix.
+
+        On a trainable network, ``backward(dlogits)`` on the result runs each
+        block's backward in reverse order, skipping the input gradient of block 0.
+        """
         if x.ndim != 2 or x.shape[1] != self.config.input_dim:
             raise ValueError(
                 f"expected (T, {self.config.input_dim}) input, got {x.shape}"
             )
-        h = ag.constant(x)
+        h, steps = x, []
         for b, dils in enumerate(self.config.block_dilations):
-            ws = [self.params[f"block{b}.branch{br}.w"] for br in range(len(dils))]
-            bs = [self.params[f"block{b}.branch{br}.b"] for br in range(len(dils))]
-            h = ag.conv_block(h, ws, bs, dils, self.params.get(f"block{b}.proj"))
-        return ag.linear(h, self.params["head.w"], self.params["head.b"])
+            ws, bs, proj = _block_arrays(self.params, b, dils)
+            grads = None if self.grads is None else _block_arrays(self.grads, b, dils)
+            h, step = conv_block(h, ws, bs, dils, proj, grads)
+            steps.append(step)
+        g, w = self.grads, self.params["head.w"]
+        logits = h @ w + self.params["head.b"]
+        if g is None:
+            return Tensor(logits)
+
+        def backward(dlogits: np.ndarray) -> None:
+            g["head.w"] += h.T @ dlogits
+            g["head.b"] += dlogits.sum(axis=0)
+            gh = dlogits @ w.T
+            for b in reversed(range(len(steps))):
+                gh = steps[b](gh, b > 0)
+
+        return Tensor(logits, backward)
 
     def state_arrays(self) -> dict[str, np.ndarray]:
-        return {name: t.data for name, t in self.params.items()}
+        return dict(self.params)
 
     @classmethod
     def from_arrays(cls, config: TcnConfig, arrays: dict[str, np.ndarray]) -> "Tcn":
-        """An inference-only network over copies of ``arrays``, checked against ``config``.
+        """A frozen network over copies of ``arrays``, checked against ``config``.
 
-        Its parameters are constants, so its forward records no autograd graph
-        and ``backward`` from its output raises; train a :meth:`init` network.
-        Later writes to ``arrays`` (an optimiser step, say) do not reach it.
+        Its forward keeps no activations and ``backward`` from its output
+        raises; train a :meth:`init` network. Later writes to ``arrays`` (an
+        optimiser step, say) do not reach it.
         """
         shapes = param_shapes(config)
-        params: dict[str, Tensor] = {}
+        params: dict[str, np.ndarray] = {}
         for name, shape in shapes.items():
             if name not in arrays:
                 raise ValueError(f"missing parameter {name!r}")
             arr = np.array(arrays[name], dtype=np.float64)
             if arr.shape != shape:
                 raise ValueError(f"parameter {name!r} has shape {arr.shape}, expected {shape}")
-            params[name] = ag.constant(arr, name)
+            params[name] = arr
         extra = set(arrays) - set(shapes)
         if extra:
             raise ValueError(f"unexpected parameters: {sorted(extra)}")
-        return cls(config, params)
+        return cls(config, params, None)

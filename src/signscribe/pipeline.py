@@ -33,7 +33,7 @@ from . import isr as isr_mod
 from . import nn
 from .ctc import Alphabet, FrameScores, InfeasibleTargetError
 from .fingerspelling import FingerspellingModel, WordDetection
-from .gloss import FINGERSPELLED_KINDS, GlossSequence, GlossToken, render
+from .gloss import FINGERSPELLED_KINDS, GlossSequence, render
 from .isr import AlignEntry, GlossDetection, IsrModel
 from .llm import LlmClient, LlmError, StubClient, translate_candidates
 from .pose import PoseSequence, VideoFeatures
@@ -150,10 +150,6 @@ def score_candidate(scores: Sequence[float], mode: ScoreMode = ScoreMode.MEAN) -
     return total / len(scores) if mode is ScoreMode.MEAN else total
 
 
-def _notation(tok: GlossToken) -> str:
-    return render(GlossSequence(tokens=(tok,)))
-
-
 def _unknown_sign_score(
     isr_scores: FrameScores, vocab: isr_mod.SignVocabulary, interval: tuple[int, int]
 ) -> float:
@@ -256,7 +252,7 @@ def _score_sequence(
                 SignScore(
                     kind="fingerspelled",
                     token=det.word,
-                    notation=_notation(tok),
+                    notation=tok.notation,
                     score=det.score,
                     interval=(det.start_frame, det.end_frame),
                     anchored=True,
@@ -273,7 +269,7 @@ def _score_sequence(
                 SignScore(
                     kind="gloss",
                     token=tok.text,
-                    notation=_notation(tok),
+                    notation=tok.notation,
                     score=score,
                     interval=gd.interval,
                     anchored=False,

@@ -58,7 +58,7 @@ def fit(
     tcns: Sequence[nn.Tcn],
     train: Sequence,
     val: Sequence,
-    loss_fn: Callable[[list, bool], nn.Tensor],
+    loss_fn: Callable[[list[nn.Tcn], list, bool], float],
     rng: np.random.Generator,
     *,
     epochs: int,
@@ -73,27 +73,28 @@ def fit(
 
     Each epoch draws ``rng.permutation`` of the training samples and steps
     AdamW once per batch of ``batch_size`` (the last may be partial) on
-    ``loss_fn(batch, True)``, with the learning rate on a cosine from ``lr``
-    to ``min_lr`` over all steps and gradients clipped to a global L2 norm of
-    ``grad_clip``. The validation loss is the mean of ``loss_fn([s], False)``
-    over ``val``, run on frozen weights (``requires_grad`` off), so it records
-    no autograd graph. A history row per epoch holds ``epoch``, the mean batch
-    ``train_loss``, ``val_loss`` and the last step's ``lr``. Training stops
-    once ``patience`` epochs pass without a new best validation loss; the
-    returned networks are inference-only (:meth:`nn.Tcn.from_arrays`) copies
-    of the best epoch's weights (the initial ones when ``epochs`` is 0). A
+    ``loss_fn(tcns, batch, True)``, which returns the batch loss after calling
+    ``backward`` on the networks' outputs. The learning rate follows a cosine
+    from ``lr`` to ``min_lr`` over all steps and gradients are clipped to a
+    global L2 norm of ``grad_clip``. The validation loss is the mean of
+    ``loss_fn(frozen, [s], False)`` over ``val``, where ``frozen`` holds
+    :meth:`nn.Tcn.from_arrays` copies of the epoch's weights. A history row
+    per epoch holds ``epoch``, the mean batch ``train_loss``, ``val_loss`` and
+    the last step's ``lr``. Training stops once ``patience`` epochs pass
+    without a new best validation loss; the frozen copies of the best epoch
+    are returned (copies of the initial weights when ``epochs`` is 0). A
     non-finite epoch loss raises ``FloatingPointError``: NaN is never a new best.
     """
-    opt = nn.AdamW([p for tcn in tcns for p in tcn.parameters()], lr=lr, weight_decay=weight_decay)
+    opt = nn.AdamW(tcns, lr=lr, weight_decay=weight_decay)
 
-    def snapshot() -> list[nn.Tcn]:
-        return [nn.Tcn.from_arrays(tcn.config, tcn.state_arrays()) for tcn in tcns]
+    def frozen() -> list[nn.Tcn]:
+        return [nn.Tcn.from_arrays(tcn.config, tcn.params) for tcn in tcns]
 
     n_batches = (len(train) + batch_size - 1) // batch_size
     total_steps = max(1, epochs * n_batches)
     step = 0
     best_val = np.inf
-    best = snapshot()
+    best = frozen()
     best_epoch = -1
     history: list[dict] = []
     for epoch in range(epochs):
@@ -102,21 +103,16 @@ def fit(
         for b in range(n_batches):
             batch = [train[i] for i in order[b * batch_size : (b + 1) * batch_size]]
             opt.lr = nn.cosine_lr(step, total_steps, lr, min_lr)
-            loss = loss_fn(batch, True)
             opt.zero_grad()
-            loss.backward()
-            nn.clip_grad_norm(opt.params, grad_clip)
+            epoch_loss += loss_fn(tcns, batch, True)
+            nn.clip_grad_norm(opt.grads, grad_clip)
             opt.step()
             step += 1
-            epoch_loss += loss.item()
         train_loss = epoch_loss / n_batches
         if not np.isfinite(train_loss):
             raise FloatingPointError(f"epoch {epoch}: train loss is {train_loss}")
-        for p in opt.params:
-            p.requires_grad = False
-        val_loss = float(np.mean([loss_fn([s], False).item() for s in val]))
-        for p in opt.params:
-            p.requires_grad = True
+        nets = frozen()
+        val_loss = float(np.mean([loss_fn(nets, [s], False) for s in val]))
         if not np.isfinite(val_loss):
             raise FloatingPointError(f"epoch {epoch}: validation loss is {val_loss}")
         history.append(
@@ -124,7 +120,7 @@ def fit(
         )
         if val_loss < best_val:
             best_val = val_loss
-            best = snapshot()
+            best = nets
             best_epoch = epoch
         elif epoch - best_epoch >= patience:
             break

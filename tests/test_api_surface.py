@@ -35,8 +35,6 @@ USERS = ("src", "demos", "perfbench")
 # The public names that only tests call, each kept for a stated reason.
 ALLOWED_NAMES = {
     "receptive_field": "acceptance criterion 3 checks the TCN receptive fields with it",
-    "zero_grads": "tests/test_acceptance.py calls it between gradient checks",
-    "sum_all": "the scalar root of the gradient tests",
     "score_manual_annotation": "acceptance criterion 7 scores manual annotations with it",
 }
 
@@ -45,7 +43,6 @@ ALLOWED_PARAMETERS = {
     "complete(max_tokens)": "the client protocol that outside clients implement",
     "HttpClient(endpoint, api_key, model_id)": "deployment settings, read from the environment",
     "HttpClient(sleep)": "lets tests substitute a fake",
-    "backward(grad)": "seeds non-scalar roots in the gradient checks",
     "score_manual_annotation(config, fs_scores, isr_scores)": "acceptance criterion 7",
 }
 

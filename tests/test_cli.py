@@ -88,9 +88,9 @@ def tiny_corpus_spec(tmp_path, kind):
 
 def test_cli_import_loads_no_process_pool():
     """The pool is imported only by batch mode, jsonschema only to report an
-    invalid document and requests only by the HTTP client, so plain CLI
+    invalid document and urllib.request only by the HTTP client, so plain CLI
     start-up never pays for any of them."""
-    modules = {"concurrent.futures.process", "multiprocessing", "jsonschema", "requests"}
+    modules = {"concurrent.futures.process", "multiprocessing", "jsonschema", "urllib.request"}
     code = f"import sys, signscribe.cli\nprint(sorted({modules!r} & set(sys.modules)))"
     out = subprocess.run(
         [sys.executable, "-c", code],
@@ -177,6 +177,20 @@ class TestTrain:
         ])
         assert code == 1
         assert "error: epoch 0: train loss is nan" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("epochs", ["0", "-2"])
+    def test_epochs_below_one_is_usage_error(self, tmp_path, capsys, epochs):
+        corpus = tiny_corpus_spec(tmp_path, "fingerspelling")
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc_info:
+            main([
+                "train", "--kind", "fingerspelling", "--corpus", str(corpus),
+                "--out", str(out), "--epochs", epochs,
+            ])
+        assert exc_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --epochs: must be at least 1, got {epochs}" in err
         assert not out.exists()
 
     def test_kind_mismatch_is_domain_error(self, tmp_path, capsys):

@@ -1,5 +1,5 @@
-"""No unused imports in the package or the tests, and no undeclared
-dependency in the package.
+"""No unused imports in the package or the tests, and the package's
+dependencies declared exactly.
 
 No linter is a dependency of this project, so the checks are plain
 ``ast`` passes. Unused: a name an import binds must appear as a name
@@ -8,6 +8,7 @@ relative re-exports of ``__init__.py`` files are exempt. Undeclared: every
 top-level module the package imports, at any depth of the module, is the
 standard library's, the package's own, or a distribution listed in
 ``pyproject.toml``'s ``[project].dependencies`` under the same name.
+Unneeded: every distribution listed there is imported by the package.
 """
 
 import ast
@@ -97,9 +98,12 @@ def test_dependency_checker_flags_undeclared_modules():
 
 
 def test_every_package_import_is_declared():
+    """Both directions: no undeclared import, and no declared dependency the
+    package never imports."""
     imported = set()
     for path in (ROOT / "src" / "signscribe").rglob("*.py"):
         imported |= third_party_imports(path.read_text(), "signscribe")
     declared = declared_dependencies((ROOT / "pyproject.toml").read_text())
-    assert {"numpy", "orjson", "requests", "jsonschema"} <= imported
+    assert {"numpy", "scipy", "orjson", "jsonschema"} <= imported
     assert sorted(imported - declared) == []
+    assert sorted(declared - imported) == []

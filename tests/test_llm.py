@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 import signscribe
 from signscribe.llm import (
+    MAX_ATTEMPTS,
     HttpClient,
     LlmError,
     PromptName,
@@ -186,6 +188,39 @@ def flaky_server():
     server.shutdown()
 
 
+class _FixedHandler(BaseHTTPRequestHandler):
+    """Answers every POST with ``status`` and ``body``; records each request's
+    ``Authorization`` header (None when absent)."""
+
+    status = 200
+    body = b""
+    authorizations: list = []
+
+    def do_POST(self):
+        type(self).authorizations.append(self.headers.get("Authorization"))
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self.send_response(self.status)
+        self.send_header("Content-Length", str(len(self.body)))
+        self.end_headers()
+        self.wfile.write(self.body)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture()
+def fixed_server(monkeypatch):
+    monkeypatch.setattr(_FixedHandler, "authorizations", [])
+    server = HTTPServer(("127.0.0.1", 0), _FixedHandler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{server.server_port}/v1/chat"
+    server.shutdown()
+
+
+OK_BODY = json.dumps({"choices": [{"message": {"content": "DOG"}}]}).encode()
+
+
 class TestHttpClient:
     def test_retries_through_transient_failures(self, flaky_server):
         sleeps = []
@@ -205,6 +240,41 @@ class TestHttpClient:
             assert _FlakyHandler.calls == 3
         finally:
             _FlakyHandler.failures = 2
+
+    def test_client_error_raises_after_one_call(self, fixed_server, monkeypatch):
+        monkeypatch.setattr(_FixedHandler, "status", 400)
+        monkeypatch.setattr(_FixedHandler, "body", b'{"error": "bad model"}')
+        client = HttpClient(endpoint=fixed_server, api_key="", sleep=lambda s: None)
+        with pytest.raises(LlmError, match="status 400") as exc_info:
+            client.complete("hello")
+        assert exc_info.value.raw == '{"error": "bad model"}'
+        assert len(_FixedHandler.authorizations) == 1
+
+    @pytest.mark.parametrize("api_key, header", [("sekrit", "Bearer sekrit"), ("", None)])
+    def test_bearer_header_only_with_an_api_key(self, fixed_server, monkeypatch, api_key, header):
+        monkeypatch.setattr(_FixedHandler, "body", OK_BODY)
+        client = HttpClient(endpoint=fixed_server, api_key=api_key, sleep=lambda s: None)
+        assert client.complete("hello") == "DOG"
+        assert _FixedHandler.authorizations == [header]
+
+    def test_malformed_ok_body_is_retried_then_raises(self, fixed_server, monkeypatch):
+        monkeypatch.setattr(_FixedHandler, "body", b"<html>not json</html>")
+        sleeps = []
+        client = HttpClient(endpoint=fixed_server, api_key="", sleep=sleeps.append)
+        with pytest.raises(LlmError, match=f"after {MAX_ATTEMPTS} attempts"):
+            client.complete("hello")
+        assert len(_FixedHandler.authorizations) == MAX_ATTEMPTS
+        assert sleeps == [1.0, 2.0]
+
+    def test_transport_error_is_retried_then_raises(self):
+        with socket.socket() as sock:  # a local port with nothing listening once closed
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        sleeps = []
+        client = HttpClient(endpoint=f"http://127.0.0.1:{port}/v1/chat", api_key="", sleep=sleeps.append)
+        with pytest.raises(LlmError, match=f"after {MAX_ATTEMPTS} attempts"):
+            client.complete("hello")
+        assert sleeps == [1.0, 2.0]
 
     def test_requires_endpoint(self, monkeypatch):
         monkeypatch.delenv("SIGNSCRIBE_LLM_ENDPOINT", raising=False)

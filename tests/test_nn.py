@@ -1,4 +1,5 @@
-"""Autograd engine, TCN forward/backward, optimizer, and weight container."""
+"""TCN forward and reverse pass against the graph-engine reference, optimizer,
+the training steps, and the weight container."""
 
 from typing import Sequence
 
@@ -6,18 +7,125 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+from signscribe import isr as isr_mod
 from signscribe import nn
 from signscribe.ctc import FrameScores, ctc_loss
-from signscribe.nn.autograd import _INV_SQRT_2PI, _SQRT2, Tensor, _node
+from signscribe.nn import tcn as tcn_mod
+from signscribe.nn.autograd import _INV_SQRT_2PI, _SQRT2
 from signscribe.nn.optim import BETA1, BETA2, EPS
 from signscribe.pose import (
     FINGERSPELLING_FEATURES,
     ISR_ONE_HAND_FEATURES,
     ISR_TWO_HAND_FEATURES,
 )
+from signscribe.training import fit
 
-# The op-by-op reference that nn.conv_block is pinned to: the ops a TCN block
-# was built from before it became one graph node, one node per op.
+# The reference that the explicit reverse pass is pinned to: the reverse-mode
+# graph engine the TCN ran on before, and the ops a TCN block was built from
+# before it became one function, one graph node per op. Every gradient is
+# accumulated into zeros, as the engine did.
+
+
+class Tensor:
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+
+    def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
+        self.data = np.asarray(data, dtype=np.float64)
+        self.grad = None
+        self.requires_grad = requires_grad
+        self._parents = _parents
+        self._backward = _backward
+
+    def item(self) -> float:
+        return float(self.data)
+
+    def _accumulate(self, grad):
+        if self.grad is None:
+            self.grad = np.zeros_like(self.data)
+        self.grad += grad
+
+    def backward(self, grad=None):
+        """Backpropagate from this node; scalar roots default to grad 1."""
+        if not self.requires_grad:
+            raise ValueError("backward() from a tensor that does not require a gradient")
+        if grad is None:
+            grad = np.ones_like(self.data)
+        order, seen, stack = [], set(), [(self, False)]
+        while stack:  # iterative post-order: parents before children
+            cur, expanded = stack.pop()
+            if expanded:
+                order.append(cur)
+            elif id(cur) not in seen:
+                seen.add(id(cur))
+                stack.append((cur, True))
+                stack.extend((p, False) for p in cur._parents)
+        self._accumulate(np.asarray(grad, dtype=np.float64))
+        for node in reversed(order):
+            if node._backward is not None and node.grad is not None:
+                node._backward(node.grad)
+
+
+def parameter(data) -> Tensor:
+    return Tensor(data, requires_grad=True)
+
+
+def constant(data) -> Tensor:
+    return Tensor(data)
+
+
+def _node(data, parents, backward) -> Tensor:
+    """An op's output: a graph node if any parent requires a gradient, else plain data."""
+    if any(p.requires_grad for p in parents):
+        return Tensor(data, requires_grad=True, _parents=parents, _backward=backward)
+    return Tensor(data)
+
+
+def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    def bw(g):
+        if x.requires_grad:
+            x._accumulate(g @ weight.data.T)
+        if weight.requires_grad:
+            weight._accumulate(x.data.T @ g)
+        if bias.requires_grad:
+            bias._accumulate(g.sum(axis=0))
+
+    return _node(x.data @ weight.data + bias.data, (x, weight, bias), bw)
+
+
+def maximum(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise max; on exact ties the gradient routes to ``a``."""
+    take_a = a.data >= b.data
+
+    def bw(g):
+        if a.requires_grad:
+            a._accumulate(np.where(take_a, g, 0.0))
+        if b.requires_grad:
+            b._accumulate(np.where(take_a, 0.0, g))
+
+    return _node(np.where(take_a, a.data, b.data), (a, b), bw)
+
+
+def sum_all(x: Tensor) -> Tensor:
+    def bw(g):
+        if x.requires_grad:
+            x._accumulate(np.full_like(x.data, float(g)))
+
+    return _node(np.float64(x.data.sum()), (x,), bw)
+
+
+def external_loss(logits: Tensor, value: float, grad_wrt_logits) -> Tensor:
+    """A scalar loss whose gradient with respect to ``logits`` was computed outside."""
+
+    def bw(g):
+        if logits.requires_grad:
+            logits._accumulate(float(g) * grad_wrt_logits)
+
+    return _node(np.float64(value), (logits,), bw)
+
+
+def zero_grads(params) -> None:
+    for p in params:
+        p.grad = None
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -156,7 +264,7 @@ class TestConv1d:
                     c_in, c_out = (int(c) for c in rng.integers(1, 6, size=2))
                     x, g = rng.normal(size=(T, c_in)), rng.normal(size=(T, c_out))
                     w, b = rng.normal(size=(k, c_in, c_out)), rng.normal(size=c_out)
-                    xt, wt, bt = nn.parameter(x), nn.parameter(w), nn.parameter(b)
+                    xt, wt, bt = parameter(x), parameter(w), parameter(b)
                     y = conv1d(xt, wt, bt, dilation)
                     y.backward(g)
                     want = padded_conv1d(x, w, b, dilation, g)
@@ -167,16 +275,16 @@ class TestConv1d:
 
     def test_identity_kernel(self):
         rng = np.random.default_rng(0)
-        x = nn.constant(rng.normal(size=(9, 4)))
+        x = constant(rng.normal(size=(9, 4)))
         w = np.zeros((3, 4, 4))
         for i in range(4):
             w[1, i, i] = 1.0
-        y = conv1d(x, nn.parameter(w), None, dilation=3)
+        y = conv1d(x, parameter(w), None, dilation=3)
         np.testing.assert_allclose(y.data, x.data)
 
     def test_zero_input(self):
-        x = nn.constant(np.zeros((6, 2)))
-        w = nn.parameter(np.ones((3, 2, 5)))
+        x = constant(np.zeros((6, 2)))
+        w = parameter(np.ones((3, 2, 5)))
         y = conv1d(x, w, None, dilation=2)
         np.testing.assert_array_equal(y.data, np.zeros((6, 5)))
 
@@ -187,8 +295,8 @@ class TestConv1d:
         expected = hand_dilated_conv(x_vals, [1.0, 1.0, 1.0], 2)
         np.testing.assert_array_equal(expected, [1.0, 0.0, 2.0, 0.0, 1.0])
         y = conv1d(
-            nn.constant(x_vals.reshape(-1, 1)),
-            nn.parameter(np.ones((3, 1, 1))),
+            constant(x_vals.reshape(-1, 1)),
+            parameter(np.ones((3, 1, 1))),
             None,
             dilation=2,
         )
@@ -200,70 +308,66 @@ class TestConv1d:
             x = rng.normal(size=12)
             kernel = rng.normal(size=3)
             w = kernel.reshape(3, 1, 1)
-            y = conv1d(nn.constant(x.reshape(-1, 1)), nn.parameter(w), None, dilation)
+            y = conv1d(constant(x.reshape(-1, 1)), parameter(w), None, dilation)
             np.testing.assert_allclose(
                 y.data.ravel(), hand_dilated_conv(x, kernel, dilation), atol=1e-12
             )
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError, match="odd k"):
-            nn.conv_block(
-                nn.constant(np.zeros((4, 2))), [nn.parameter(np.zeros((2, 2, 2)))],
-                [nn.parameter(np.zeros(2))], (1,), None,
-            )
+            nn.conv_block(np.zeros((4, 2)), [np.zeros((2, 2, 2))], [np.zeros(2)], (1,), None, None)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="need odd k and C_in 3"):
             nn.conv_block(
-                nn.constant(np.zeros((4, 3))), [nn.parameter(np.zeros((3, 2, 2)))],
-                [nn.parameter(np.zeros(2))], (1,), nn.parameter(np.zeros((3, 2))),
+                np.zeros((4, 3)), [np.zeros((3, 2, 2))], [np.zeros(2)], (1,), np.zeros((3, 2)), None
             )
 
 
 class TestAutogradBasics:
     def test_constant_loss_zero_gradients(self):
-        p = nn.parameter(np.ones((3, 2)))
-        loss = nn.sum_all(matmul(p, nn.constant(np.zeros((2, 4)))))
+        p = parameter(np.ones((3, 2)))
+        loss = sum_all(matmul(p, constant(np.zeros((2, 4)))))
         loss.backward()
         np.testing.assert_array_equal(p.grad, np.zeros((3, 2)))
 
     def test_linear_layer_analytic_gradient(self):
         # y = x @ W, loss = sum(y): dL/dW = outer(x, ones) summed over rows.
         x = np.array([[1.0, 2.0], [3.0, 4.0]])
-        w = nn.parameter(np.zeros((2, 3)))
-        loss = nn.sum_all(nn.linear(nn.constant(x), w))
+        w = parameter(np.zeros((2, 3)))
+        loss = sum_all(linear(constant(x), w, constant(np.zeros(3))))
         loss.backward()
         expected = x.T @ np.ones((2, 3))
         np.testing.assert_allclose(w.grad, expected)
 
     def test_gelu_zero_is_zero(self):
-        y = gelu(nn.constant(np.array([0.0])))
+        y = gelu(constant(np.array([0.0])))
         assert y.data[0] == 0.0
 
     def test_maximum_routes_gradient(self):
-        a = nn.parameter(np.array([1.0, 5.0]))
-        b = nn.parameter(np.array([2.0, 3.0]))
-        loss = nn.sum_all(nn.maximum(a, b))
+        a = parameter(np.array([1.0, 5.0]))
+        b = parameter(np.array([2.0, 3.0]))
+        loss = sum_all(maximum(a, b))
         loss.backward()
         np.testing.assert_array_equal(a.grad, [0.0, 1.0])
         np.testing.assert_array_equal(b.grad, [1.0, 0.0])
 
     def test_residual_reuse_accumulates(self):
-        p = nn.parameter(np.array([2.0]))
-        loss = nn.sum_all(add(p, p))
+        p = parameter(np.array([2.0]))
+        loss = sum_all(add(p, p))
         loss.backward()
         np.testing.assert_array_equal(p.grad, [2.0])
 
     def test_constant_inputs_record_no_graph(self):
-        a, b = nn.constant(np.ones((2, 3))), nn.constant(np.ones((3, 2)))
-        out = nn.sum_all(gelu(matmul(a, b)))
+        a, b = constant(np.ones((2, 3))), constant(np.ones((3, 2)))
+        out = sum_all(gelu(matmul(a, b)))
         assert not out.requires_grad
         assert out._parents == () and out._backward is None
         with pytest.raises(ValueError, match="does not require a gradient"):
             out.backward()
 
     def test_one_trainable_input_records_the_node(self):
-        a, w = nn.constant(np.ones((2, 3))), nn.parameter(np.ones((3, 2)))
+        a, w = constant(np.ones((2, 3))), parameter(np.ones((3, 2)))
         out = matmul(a, w)
         assert out.requires_grad
         assert out._parents == (a, w)
@@ -308,26 +412,25 @@ class TestTcn:
         x = rng.normal(size=(8, 4))
         target = [0, 1]
 
-        def loss_value():
+        def loss_value(backward=False):
             logits = tcn.forward(x)
-            probs = nn.softmax(logits.data)
-            value, grad = ctc_loss(FrameScores(probs=probs), target)
-            return nn.external_loss(logits, value, grad)
+            value, grad = ctc_loss(FrameScores(probs=nn.softmax(logits.data)), target)
+            if backward:
+                logits.backward(grad)
+            return value
 
-        loss = loss_value()
-        nn.zero_grads(tcn.parameters())
-        loss.backward()
+        loss_value(backward=True)
         h = 1e-5
         probes = 0
-        for p in tcn.parameters():
-            flat = p.data.reshape(-1)
-            grads = p.grad.reshape(-1)
+        for name in sorted(tcn.params):
+            flat = tcn.params[name].reshape(-1)
+            grads = tcn.grads[name].reshape(-1)
             for i in rng.choice(flat.size, size=min(3, flat.size), replace=False):
                 orig = flat[i]
                 flat[i] = orig + h
-                up = loss_value().item()
+                up = loss_value()
                 flat[i] = orig - h
-                down = loss_value().item()
+                down = loss_value()
                 flat[i] = orig
                 numeric = (up - down) / (2 * h)
                 assert abs(numeric - grads[i]) <= 1e-4 * max(1e-4, abs(numeric), abs(grads[i]))
@@ -349,29 +452,34 @@ class TestTcn:
         trainable = nn.Tcn.init(config, rng)
         frozen = nn.Tcn.from_arrays(config, trainable.state_arrays())
         x = rng.normal(size=(T, config.input_dim))
-        graph, plain = trainable.forward(x), frozen.forward(x)
-        assert np.array_equal(graph.data, plain.data)
-        assert graph.requires_grad and graph._parents
-        assert not plain.requires_grad and plain._parents == ()
+        recorded, plain = trainable.forward(x), frozen.forward(x)
+        assert np.array_equal(recorded.data, plain.data)
+        assert recorded._backward is not None
+        assert frozen.grads is None and plain._backward is None
 
     def test_backward_from_loaded_net_raises(self):
         config, tcn = small_tcn(np.random.default_rng(6))
         loaded = nn.Tcn.from_arrays(config, tcn.state_arrays())
-        assert not any(p.requires_grad for p in loaded.parameters())
-        loss = nn.sum_all(loaded.forward(np.ones((5, 4))))
-        with pytest.raises(ValueError, match="does not require a gradient"):
-            loss.backward()
+        assert loaded.grads is None
+        out = loaded.forward(np.ones((5, 4)))
+        with pytest.raises(ValueError, match="frozen network"):
+            out.backward(np.ones_like(out.data))
+
+    def test_backward_rejects_a_gradient_of_another_shape(self):
+        _, tcn = small_tcn(np.random.default_rng(6))
+        out = tcn.forward(np.ones((5, 4)))
+        with pytest.raises(ValueError, match=r"gradient shape \(4, 4\) does not match \(5, 4\)"):
+            out.backward(np.ones((4, 4)))
 
     def test_frozen_copy_taken_after_adamw_keeps_its_logits(self):
         """AdamW steps its parameters in place in one flat buffer; a copy taken
         after the optimiser is built must not share that buffer."""
         config, tcn = small_tcn(np.random.default_rng(7))
-        opt = nn.AdamW(tcn.parameters(), lr=0.1, weight_decay=0.01)
+        opt = nn.AdamW([tcn], lr=0.1, weight_decay=0.01)
         frozen = nn.Tcn.from_arrays(config, tcn.state_arrays())
         x = np.random.default_rng(8).normal(size=(9, config.input_dim))
         before = frozen.forward(x).data.copy()
-        for p in tcn.parameters():
-            p.grad = np.ones_like(p.data)
+        opt.grad[:] = 1.0
         opt.step()
         assert not np.array_equal(tcn.forward(x).data, before)
         assert frozen.forward(x).data.tobytes() == before.tobytes()
@@ -386,14 +494,14 @@ class TestTcn:
     def test_from_arrays_extra_parameter(self):
         config, tcn = small_tcn(np.random.default_rng(4))
         arrays = {**tcn.state_arrays(), "block9.proj": np.zeros((6, 6))}
-        with pytest.raises(ValueError, match="unexpected parameters: \\['block9.proj'\\]"):
+        with pytest.raises(ValueError, match=r"unexpected parameters: \['block9.proj'\]"):
             nn.Tcn.from_arrays(config, arrays)
 
     def test_from_arrays_wrong_shape(self):
         config, tcn = small_tcn(np.random.default_rng(5))
         arrays = tcn.state_arrays()
         arrays["block0.branch1.w"] = arrays["block0.branch1.w"][:, :, :1]
-        with pytest.raises(ValueError, match="expected \\(3, 4, 3\\)"):
+        with pytest.raises(ValueError, match=r"expected \(3, 4, 3\)"):
             nn.Tcn.from_arrays(config, arrays)
 
 
@@ -412,22 +520,40 @@ BLOCK_CONFIGS = {
 }
 
 
-def logits_and_grads(tcn, x, g, block):
-    """Logits of ``tcn`` built from ``block`` over a trainable input, then the
-    input's and every parameter's gradient for the upstream gradient ``g``."""
-    nn.zero_grads(tcn.parameters())
-    h = xt = nn.parameter(x)
-    for b, dils in enumerate(tcn.config.block_dilations):
-        h = block(
-            h,
-            [tcn.params[f"block{b}.branch{br}.w"] for br in range(len(dils))],
-            [tcn.params[f"block{b}.branch{br}.b"] for br in range(len(dils))],
-            dils,
-            tcn.params.get(f"block{b}.proj"),
-        )
-    logits = nn.linear(h, tcn.params["head.w"], tcn.params["head.b"])
+def reference_forward(params, config, h):
+    """Logits of the op-by-op reference over reference-engine ``params``, from input node ``h``."""
+    for b, dils in enumerate(config.block_dilations):
+        ws, bs, proj = tcn_mod._block_arrays(params, b, dils)
+        h = reference_block(h, ws, bs, dils, proj)
+    return linear(h, params["head.w"], params["head.b"])
+
+
+def reference_logits_and_grads(tcn, x, g):
+    """Logits of the reference over copies of ``tcn``'s weights and a trainable
+    input, then the input's and every parameter's gradient for upstream ``g``."""
+    params = {name: parameter(a.copy()) for name, a in tcn.params.items()}
+    xt = parameter(x)
+    logits = reference_forward(params, tcn.config, xt)
     logits.backward(g)
-    return [logits.data, xt.grad] + [p.grad for p in tcn.parameters()]
+    return [logits.data, xt.grad] + [params[n].grad for n in sorted(params)]
+
+
+def chained_logits_and_grads(tcn, x, g):
+    """The same from ``nn.conv_block`` chained by hand as ``Tcn.forward`` chains
+    it, but with block 0 asked for its input gradient too. ``+ 0.0`` turns a
+    -0.0 into the +0.0 that the reference's accumulation into zeros gives."""
+    p, grads = tcn.params, {name: np.zeros_like(a) for name, a in tcn.params.items()}
+    h, steps = x, []
+    for b, dils in enumerate(tcn.config.block_dilations):
+        ws, bs, proj = tcn_mod._block_arrays(p, b, dils)
+        h, step = nn.conv_block(h, ws, bs, dils, proj, tcn_mod._block_arrays(grads, b, dils))
+        steps.append(step)
+    grads["head.w"] += h.T @ g
+    grads["head.b"] += g.sum(axis=0)
+    gx = g @ p["head.w"].T
+    for step in reversed(steps):
+        gx = step(gx, True)
+    return [h @ p["head.w"] + p["head.b"], gx + 0.0] + [grads[n] for n in sorted(grads)]
 
 
 class TestConvBlockEquivalence:
@@ -437,24 +563,57 @@ class TestConvBlockEquivalence:
         config = BLOCK_CONFIGS[name]
         rng = np.random.default_rng(T)
         tcn = nn.Tcn.init(config, rng)
-        for p in tcn.parameters():  # nonzero biases, so the bias adds are exercised
-            p.data += 0.1 * rng.normal(size=p.data.shape)
+        for a in tcn.params.values():  # nonzero biases, so the bias adds are exercised
+            a += 0.1 * rng.normal(size=a.shape)
         x = rng.normal(size=(T, config.input_dim))
-        # Exact zeros in the upstream gradient, as isr's maximum routes to the losing net.
+        # Exact zeros in the upstream gradient, as isr's max routes to the losing net.
         g = rng.normal(size=(T, config.output_classes)) * (rng.random((T, 1)) < 0.7)
-        got = logits_and_grads(tcn, x, g, nn.conv_block)
-        want = logits_and_grads(tcn, x, g, reference_block)
+        want = reference_logits_and_grads(tcn, x, g)
+        got = chained_logits_and_grads(tcn, x, g)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
-        assert tcn.forward(x).data.tobytes() == got[0].tobytes()
+        out = tcn.forward(x)
+        out.backward(g)
+        assert out.data.tobytes() == want[0].tobytes()
+        assert [tcn.grads[n].tobytes() for n in sorted(tcn.grads)] == [
+            a.tobytes() for a in want[2:]
+        ]
 
-    def test_one_node_per_block(self):
+    def test_one_node_per_block(self, monkeypatch):
+        """A forward makes one conv_block call per block, and backward runs
+        their backwards once each in reverse, skipping block 0's input gradient."""
         config = BLOCK_CONFIGS["fingerspelling"]
         tcn = nn.Tcn.init(config, np.random.default_rng(0))
-        node, blocks = tcn.forward(np.ones((5, config.input_dim))), 0
-        while node._parents:  # the head, then one node per block back to the input
-            node = node._parents[0]
-            blocks += 1
-        assert blocks == 1 + config.num_blocks
+        forwards, backwards = [], []
+        real = tcn_mod.conv_block
+
+        def spy(*args):
+            out, step = real(*args)
+            block = len(forwards)
+            forwards.append(block)
+
+            def step_spy(g, input_grad):
+                backwards.append((block, input_grad))
+                return step(g, input_grad)
+
+            return out, step_spy
+
+        monkeypatch.setattr(tcn_mod, "conv_block", spy)
+        out = tcn.forward(np.ones((5, config.input_dim)))
+        assert forwards == list(range(config.num_blocks)) and backwards == []
+        out.backward(np.ones_like(out.data))
+        assert backwards == [(b, b > 0) for b in reversed(range(config.num_blocks))]
+
+
+def reference_clip_grad_norm(params, max_norm):
+    """Global-norm clipping over reference-engine tensors, one tensor at a time."""
+    total = 0.0
+    for p in params:
+        total += float(np.sum(p.grad * p.grad))
+    norm = float(np.sqrt(total))
+    if norm > max_norm and norm > 0.0:
+        for p in params:
+            p.grad *= max_norm / norm
+    return norm
 
 
 def reference_adamw_step(param, grad, state, lr, weight_decay):
@@ -467,6 +626,114 @@ def reference_adamw_step(param, grad, state, lr, weight_decay):
     param -= lr * m_hat / (np.sqrt(v_hat) + EPS)
     if weight_decay:
         param -= lr * weight_decay * param
+
+
+FIT = dict(epochs=3, lr=0.05, weight_decay=0.01, min_lr=1e-4, grad_clip=0.5)
+
+
+def reference_fit(params_list, train, loss_fn, rng, batch_size):
+    """``training.fit``'s steps as they ran on the graph engine: the loss node,
+    zeroed gradients, backward, clipping, then one AdamW step per tensor.
+    Returns each step's gradient norm and each epoch's mean loss."""
+    params = [ps[n] for ps in params_list for n in sorted(ps)]
+    states = [nn.AdamState(m=np.zeros_like(p.data), v=np.zeros_like(p.data)) for p in params]
+    n_batches = -(-len(train) // batch_size)
+    total_steps, step, norms, losses = FIT["epochs"] * n_batches, 0, [], []
+    for _ in range(FIT["epochs"]):
+        order = rng.permutation(len(train))
+        epoch_loss = 0.0
+        for b in range(n_batches):
+            lr = nn.cosine_lr(step, total_steps, FIT["lr"], FIT["min_lr"])
+            batch = [train[i] for i in order[b * batch_size : (b + 1) * batch_size]]
+            loss = loss_fn(params_list, batch)
+            zero_grads(params)
+            loss.backward()
+            norms.append(reference_clip_grad_norm(params, FIT["grad_clip"]))
+            for p, st in zip(params, states):
+                reference_adamw_step(p.data, p.grad, st, lr=lr, weight_decay=FIT["weight_decay"])
+            epoch_loss += loss.item()
+            step += 1
+        losses.append(epoch_loss / n_batches)
+    return norms, losses
+
+
+def assert_fit_matches_reference(nets, loss_fn, reference_loss_fn, train, batch_size):
+    """Train ``nets`` with ``training.fit`` and copies of them on the reference;
+    every parameter's bytes and every epoch's mean loss must agree."""
+    params_list = [{n: parameter(a.copy()) for n, a in net.params.items()} for net in nets]
+    norms, losses = reference_fit(
+        params_list, train, reference_loss_fn, np.random.default_rng(5), batch_size
+    )
+    _, history = fit(
+        nets, train, train[:1], loss_fn, np.random.default_rng(5), batch_size=batch_size,
+        patience=100, **FIT,
+    )
+    assert min(norms) > 0.0 and max(norms) > FIT["grad_clip"]  # clipping was active
+    assert [h["train_loss"] for h in history] == losses
+    for net, params in zip(nets, params_list):
+        assert [net.params[n].tobytes() for n in sorted(params)] == [
+            params[n].data.tobytes() for n in sorted(params)
+        ]
+
+
+class TestFitEquivalence:
+    def test_fingerspelling_steps_match_the_graph_engine(self):
+        rng = np.random.default_rng(21)
+        config = nn.fingerspelling_config(input_dim=5, output_classes=6, channels=6)
+        xs = [rng.normal(size=(int(T), 5)) for T in rng.integers(8, 20, size=5)]
+        targets = [[int(c) for c in rng.integers(0, 5, size=3)] for _ in xs]
+
+        def loss_fn(nets, samples, train_mode):
+            (net,), (i,) = nets, samples
+            logits = net.forward(xs[i])
+            value, grad = ctc_loss(FrameScores(probs=nn.softmax(logits.data)), targets[i])
+            if train_mode:
+                logits.backward(grad)
+            return value
+
+        def reference_loss(params_list, samples):
+            (params,), (i,) = params_list, samples
+            logits = reference_forward(params, config, constant(xs[i]))
+            value, grad = ctc_loss(FrameScores(probs=nn.softmax(logits.data)), targets[i])
+            return external_loss(logits, value, grad)
+
+        net = nn.Tcn.init(config, rng)
+        assert_fit_matches_reference([net], loss_fn, reference_loss, list(range(5)), batch_size=1)
+
+    def test_two_branch_isr_steps_match_the_graph_engine(self):
+        """The one-hand net starts as a copy of the two-hand one and sees the
+        same input outside one window, so many logits tie exactly at the first
+        step; their gradient must go to the two-hand net, as ``maximum`` sent it."""
+        rng = np.random.default_rng(22)
+        config = nn.isr_config(input_dim=5, output_classes=4, channels=6)
+        two = nn.Tcn.init(config, rng)
+        one = nn.Tcn(config, {n: a.copy() for n, a in two.params.items()},
+                     {n: np.zeros_like(a) for n, a in two.params.items()})
+        x2 = [rng.normal(size=(int(T), 5)) for T in rng.integers(40, 60, size=5)]
+        x1 = [x.copy() for x in x2]
+        for x in x1:
+            x[:3] = rng.normal(size=(3, 5))
+        targets = [(rng.random((len(x), 4)) < 0.3).astype(float) for x in x2]
+        ties = two.forward(np.concatenate(x2)).data == one.forward(np.concatenate(x1)).data
+        assert 0.2 < ties.mean() < 0.9
+
+        def batch(xs, samples):
+            return np.concatenate([xs[i] for i in samples])
+
+        def loss_fn(nets, samples, train_mode):
+            out_two, out_one = nets[0].forward(batch(x2, samples)), nets[1].forward(batch(x1, samples))
+            return isr_mod._max_bce(out_two, out_one, batch(targets, samples), train_mode)
+
+        def reference_loss(params_list, samples):
+            logits = maximum(
+                reference_forward(params_list[0], config, constant(batch(x2, samples))),
+                reference_forward(params_list[1], config, constant(batch(x1, samples))),
+            )
+            return external_loss(logits, *nn.bce_with_logits(logits.data, batch(targets, samples)))
+
+        assert_fit_matches_reference(
+            [two, one], loss_fn, reference_loss, list(range(5)), batch_size=2
+        )
 
 
 class TestAdamW:
@@ -491,39 +758,50 @@ class TestAdamW:
 
     def test_flat_in_place_step_matches_per_tensor_reference(self):
         rng = np.random.default_rng(15)
-        shapes = [(3, 4, 2), (2,), (4, 5), (1,), (6, 3)]
-        flat = [nn.parameter(rng.normal(size=s)) for s in shapes]
-        each = [nn.parameter(p.data.copy()) for p in flat]
-        opt = nn.AdamW(flat, lr=0.05, weight_decay=0.1)
+        nets = [small_tcn(rng)[1], small_tcn(rng, input_dim=3, classes=2)[1]]
+        each = [parameter(net.params[n].copy()) for net in nets for n in sorted(net.params)]
+        opt = nn.AdamW(nets, lr=0.05, weight_decay=0.1)
+        assert len(opt.grads) == len(each)
         states = [nn.AdamState(m=np.zeros_like(p.data), v=np.zeros_like(p.data)) for p in each]
         norms = []
         for step in range(25):
             opt.lr = nn.cosine_lr(step, 25, 0.05, 1e-4)
-            for a, b in zip(flat, each):
-                a.grad = rng.normal(size=a.data.shape) * (step % 5 + 1)
-                b.grad = a.grad.copy()
-            norms.append(nn.clip_grad_norm(flat, 12.0))
-            assert nn.clip_grad_norm(each, 12.0) == norms[-1]
+            for g, p in zip(opt.grads, each):
+                g[...] = rng.normal(size=g.shape) * (step % 5 + 1)
+                p.grad = g.copy()
+            norms.append(nn.clip_grad_norm(opt.grads, 50.0))
+            assert reference_clip_grad_norm(each, 50.0) == norms[-1]
             opt.step()
             for p, st in zip(each, states):
                 reference_adamw_step(p.data, p.grad, st, lr=opt.lr, weight_decay=0.1)
-            assert [p.data.tobytes() for p in flat] == [p.data.tobytes() for p in each]
-        assert min(norms) < 12.0 < max(norms)
+            flat = [net.params[n].tobytes() for net in nets for n in sorted(net.params)]
+            assert flat == [p.data.tobytes() for p in each]
+        assert min(norms) < 50.0 < max(norms)
 
     def test_step_rejects_a_parameter_without_gradient(self):
-        a, b = nn.parameter(np.ones(2), "a"), nn.parameter(np.ones(3), "b")
-        opt = nn.AdamW([a, b], lr=0.1, weight_decay=0.0)
-        a.grad = np.ones(2)
-        with pytest.raises(ValueError, match="parameter 1 \\('b'\\) has no gradient"):
-            opt.step()
-        assert a.data.tobytes() == np.ones(2).tobytes()
+        """A frozen network has no gradients; AdamW refuses it before rebinding anything."""
+        config, tcn = small_tcn(np.random.default_rng(16))
+        frozen = nn.Tcn.from_arrays(config, tcn.state_arrays())
+        before = dict(tcn.params)
+        with pytest.raises(ValueError, match="frozen network"):
+            nn.AdamW([tcn, frozen], lr=0.1, weight_decay=0.0)
+        assert all(tcn.params[n] is a for n, a in before.items())
+
+    def test_zero_grad_clears_every_gradient(self):
+        _, tcn = small_tcn(np.random.default_rng(17))
+        opt = nn.AdamW([tcn], lr=0.1, weight_decay=0.0)
+        out = tcn.forward(np.ones((4, 4)))
+        out.backward(np.ones_like(out.data))
+        assert all(np.shares_memory(g, opt.grad) for g in tcn.grads.values())
+        assert np.any(opt.grad != 0.0)
+        opt.zero_grad()
+        assert not np.any(opt.grad)
 
     def test_clip_grad_norm(self):
-        p = nn.parameter(np.array([3.0, 4.0]))
-        p.grad = np.array([3.0, 4.0])
-        norm = nn.clip_grad_norm([p], max_norm=1.0)
+        g = np.array([3.0, 4.0])
+        norm = nn.clip_grad_norm([g], max_norm=1.0)
         assert norm == pytest.approx(5.0)
-        np.testing.assert_allclose(p.grad, [0.6, 0.8])
+        np.testing.assert_allclose(g, [0.6, 0.8])
 
 
 class TestCosineLr:

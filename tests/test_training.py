@@ -19,9 +19,9 @@ def tiny_tcn(seed=0):
 class Recorder:
     """Hand-made loss: training steps on the summed logits; validation reads a schedule.
 
-    Records each training batch and, at every epoch's validation, the
-    network's weights at that point; records at every call whether the
-    network's parameters required a gradient.
+    Records each training batch and, at every epoch's validation, the weights
+    of the network it was handed; records at every call whether that network
+    was the trainable one or a frozen copy (no gradients).
     """
 
     def __init__(self, tcn, val_schedule):
@@ -30,22 +30,25 @@ class Recorder:
         self.batches: list[list] = []
         self.val_weights: list[dict] = []
         self.train_trainable: list[bool] = []
-        self.val_trainable: list[bool] = []
+        self.val_frozen: list[bool] = []
         self._val_calls = 0
 
-    def __call__(self, samples, train_mode):
-        trainable = [p.requires_grad for p in self.tcn.parameters()]
+    def __call__(self, nets, samples, train_mode):
+        (net,) = nets
         if train_mode:
-            self.train_trainable.append(all(trainable))
+            self.train_trainable.append(net is self.tcn and net.grads is not None)
             self.batches.append(list(samples))
             x = np.concatenate([np.full((3, 1), float(s)) for s in samples])
-            return nn.sum_all(self.tcn.forward(x))
-        self.val_trainable.append(any(trainable))
+            out = net.forward(x)
+            out.backward(np.ones_like(out.data))
+            return float(out.data.sum())
+        self.val_frozen.append(net is not self.tcn and net.grads is None)
         epoch, first = divmod(self._val_calls, len(VAL))
         self._val_calls += 1
         if first == 0:
-            self.val_weights.append({k: v.copy() for k, v in self.tcn.state_arrays().items()})
-        return nn.constant(self.val_schedule[epoch])
+            assert same_weights(net.state_arrays(), self.tcn.state_arrays())
+            self.val_weights.append({k: v.copy() for k, v in net.state_arrays().items()})
+        return self.val_schedule[epoch]
 
 
 TRAIN = [1, 2, 3, 4, 5]
@@ -119,9 +122,9 @@ def test_one_epoch_steps_once_per_batch(batch_size):
 def test_validation_runs_on_frozen_weights():
     best, _, loss = run([3.0, 1.0, 2.0], epochs=3)
     assert loss.train_trainable == [True] * 3 * 3
-    assert loss.val_trainable == [False] * 3 * len(VAL)
-    assert all(p.requires_grad for p in loss.tcn.parameters())
-    assert not any(p.requires_grad for p in best.parameters())
+    assert loss.val_frozen == [True] * 3 * len(VAL)
+    assert loss.tcn.grads is not None
+    assert best.grads is None
 
 
 def test_non_finite_validation_loss_raises():
