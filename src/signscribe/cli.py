@@ -19,6 +19,7 @@ from . import fingerspelling as fs_mod
 from . import isr as isr_mod
 from . import llm as llm_mod
 from . import metrics as metrics_mod
+from . import nn
 from . import pipeline as pipe_mod
 from . import synthetic as synth_mod
 from . import timeline as timeline_mod
@@ -100,6 +101,13 @@ def _require_paths(parser: argparse.ArgumentParser, *paths: str | None) -> None:
 def _cmd_train(args, parser) -> int:
     if args.epochs is not None and args.epochs < 1:
         parser.error(f"argument --epochs: must be at least 1, got {args.epochs}")
+    if args.channels is not None:
+        # The network's own rule, checked before the corpus is built.
+        make_config = nn.fingerspelling_config if args.kind == "fingerspelling" else nn.isr_config
+        try:
+            make_config(input_dim=1, output_classes=1, channels=args.channels)
+        except ValueError as exc:
+            parser.error(f"argument --channels: {exc}")
     _require_paths(parser, args.corpus)
     spec = json.loads(Path(args.corpus).read_text(encoding="utf-8"))
     world = synth_mod.make_world(seed=int(spec.get("world_seed", synth_mod.DEFAULT_WORLD_SEED)))
@@ -438,6 +446,10 @@ def _eval_report(docs: list[dict], truths: dict[str, dict], threshold: float) ->
 
 
 def _cmd_eval(args, parser) -> int:
+    try:  # annotate's detection threshold, so annotate's range
+        pipe_mod.PipelineConfig(fs_threshold=args.threshold)
+    except pipe_mod.ConfigError as exc:
+        parser.error(f"argument --threshold: {exc}")
     _require_paths(parser, args.truth, *args.pred)
     docs = _collect_docs(args.pred)
     if not docs:

@@ -221,6 +221,38 @@ def _check_target(scores: FrameScores, target: list[int]) -> None:
         )
 
 
+def _blank_path_loss(y: np.ndarray) -> float:
+    """The loss of an empty target: only the all-blank path remains."""
+    return -float(np.log(np.maximum(y[:, -1], _LOG_EPS)).sum())
+
+
+def _path_log_p(alpha: np.ndarray) -> float:
+    """Log-likelihood of the target from its (T, S) alpha table: the paths
+    ending in the last symbol or the blank after it."""
+    with np.errstate(divide="ignore"):
+        log_p = _logaddexp(alpha[-1, -1], alpha[-1, -2])
+    if not np.isfinite(log_p):
+        raise InfeasibleTargetError("no feasible path for target")
+    return log_p
+
+
+def ctc_nll(scores: FrameScores, target: list[int]) -> float:
+    """The loss of :func:`ctc_loss` without its gradient, from the alpha pass alone.
+
+    By ``_lattice_pass``'s padding rule the alpha row passed alone (N = 1)
+    has the bytes of ``ctc_loss``'s stacked row 0, so the loss is the same
+    float; this skips the beta row and the occupancy posteriors.
+    """
+    _check_target(scores, target)
+    y = scores.probs
+    if not target:
+        return _blank_path_loss(y)
+    ext, can_skip = _lattice(list(target), y.shape[1] - 1)
+    emit = np.log(np.maximum(y, _LOG_EPS))[:, ext]
+    table, _ = _lattice_pass(emit[:, None], can_skip[None], viterbi=False)
+    return -float(_path_log_p(table[:, 0]))
+
+
 def ctc_loss(scores: FrameScores, target: list[int]) -> tuple[float, np.ndarray]:
     """Negative log-likelihood of the target plus its gradient w.r.t. logits.
 
@@ -236,12 +268,9 @@ def ctc_loss(scores: FrameScores, target: list[int]) -> tuple[float, np.ndarray]
     T, C = y.shape
     blank = C - 1
     if not target:
-        # Only the all-blank path remains.
-        logs = np.log(np.maximum(y[:, blank], _LOG_EPS))
-        loss = -float(logs.sum())
         grad = y.copy()
         grad[:, blank] -= 1.0
-        return loss, grad
+        return _blank_path_loss(y), grad
 
     ext, can_skip = _lattice(list(target), blank)
     _, rev_skip = _lattice(list(target)[::-1], blank)
@@ -251,10 +280,7 @@ def ctc_loss(scores: FrameScores, target: list[int]) -> tuple[float, np.ndarray]
         np.stack([emit, emit[::-1, ::-1]], axis=1), np.stack([can_skip, rev_skip]), viterbi=False
     )
     alpha, beta = table[:, 0], table[::-1, 1, ::-1]
-    with np.errstate(divide="ignore"):
-        log_p = _logaddexp(alpha[T - 1, -1], alpha[T - 1, -2])
-    if not np.isfinite(log_p):
-        raise InfeasibleTargetError("no feasible path for target")
+    log_p = _path_log_p(alpha)
 
     # gamma[t, k]: posterior that class k is emitted at frame t, summed over
     # the states of class k in state order; -inf cells add exp(-inf) = 0.

@@ -118,7 +118,7 @@ def per_character_loss(
         feats = _features(sample.poses)
     target = _sample_target(sample, model.alphabet)
     scores = FrameScores(probs=nn.softmax(model.tcn.forward(feats).data), kind="softmax")
-    loss, _ = ctc_mod.ctc_loss(scores, target)
+    loss = ctc_mod.ctc_nll(scores, target)
     n_chars = sum(len(w) for w in sample.words)
     return loss / max(1, n_chars)
 

@@ -9,10 +9,48 @@ persisted weights are float32 (see serialize module).
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import sys
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erf
+
+
+def _load_erf() -> np.ufunc:
+    """``scipy.special.erf``, loaded without running ``scipy.special/__init__.py``.
+
+    That package init costs about 0.3 s and 20 MB per process: through its
+    array-API layer it imports ``numpy.testing``, ``numpy.f2py``, ``numpy.ma``,
+    ``numpy.random`` and more. ``erf`` itself is a ufunc of the compiled
+    ``scipy.special._special_ufuncs``, so this loads that file alone, under
+    its own name; a later ``import scipy.special`` reuses the module, and its
+    ``erf`` is the same object. Without the file or the attribute it falls
+    back to the package import.
+    """
+    special = sys.modules.get("scipy.special")
+    if special is not None:
+        return special.erf
+    module = None
+    scipy_spec = importlib.util.find_spec("scipy")  # finds scipy without importing it
+    if scipy_spec is not None and scipy_spec.submodule_search_locations:
+        stem = Path(scipy_spec.submodule_search_locations[0], "special", "_special_ufuncs")
+        paths = (Path(f"{stem}{suffix}") for suffix in importlib.machinery.EXTENSION_SUFFIXES)
+        path = next((p for p in paths if p.is_file()), None)
+        if path is not None:
+            name = "scipy.special._special_ufuncs"
+            loader = importlib.machinery.ExtensionFileLoader(name, str(path))
+            module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+            loader.exec_module(module)
+            sys.modules[name] = module
+    erf = getattr(module, "erf", None)
+    if not isinstance(erf, np.ufunc):
+        from scipy.special import erf
+    return erf
+
+
+erf = _load_erf()
 
 _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)

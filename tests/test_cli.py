@@ -152,17 +152,36 @@ class TestTrain:
             blobs.append((out / "weights.bin").read_bytes())
         assert blobs[0] == blobs[1]
 
-    @pytest.mark.parametrize("kind, channels", [("fingerspelling", 0), ("isr", -3)])
-    def test_non_positive_channels_is_an_error(self, tmp_path, capsys, kind, channels):
+    def bad_channels(self, tmp_path, capsys, monkeypatch, kind, channels):
+        """The usage error of ``train --channels channels``, raised before any corpus is built."""
+
+        def no_corpus(*args, **kwargs):
+            raise AssertionError("a corpus was built")
+
+        monkeypatch.setattr(syn, "make_fingerspelling_corpus", no_corpus)
+        monkeypatch.setattr(syn, "make_isr_corpus", no_corpus)
         corpus = tiny_corpus_spec(tmp_path, kind)
         out = tmp_path / "out"
-        code = main([
-            "train", "--kind", kind, "--corpus", str(corpus), "--out", str(out),
-            "--epochs", "1", "--channels", str(channels),
-        ])
-        assert code == 1
-        assert f"error: channels must be >= 1, got {channels}" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc_info:
+            main([
+                "train", "--kind", kind, "--corpus", str(corpus), "--out", str(out),
+                "--epochs", "1", "--channels", str(channels),
+            ])
+        assert exc_info.value.code == 2
         assert not out.exists()
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, channels", [("fingerspelling", 0), ("isr", -3)])
+    def test_non_positive_channels_is_an_error(self, tmp_path, capsys, monkeypatch, kind, channels):
+        err = self.bad_channels(tmp_path, capsys, monkeypatch, kind, channels)
+        assert f"argument --channels: channels must be >= 1, got {channels}" in err
+
+    @pytest.mark.parametrize("kind", ["fingerspelling", "isr"])
+    def test_channels_not_divisible_by_branches_is_usage_error(
+        self, tmp_path, capsys, monkeypatch, kind
+    ):
+        err = self.bad_channels(tmp_path, capsys, monkeypatch, kind, 5)
+        assert "argument --channels: channels must divide evenly across branches" in err
 
     def test_non_finite_loss_is_an_error(self, tmp_path, capsys, monkeypatch):
         def diverged(*args, **kwargs):
@@ -502,6 +521,20 @@ class TestEval:
         assert metrics[("gloss_cer", "all")] == 0.0
         assert metrics[("gloss_chrf", "all")] == 1.0
         assert metrics[("fs_temporal_f1", "all")] == 1.0
+
+    @pytest.mark.parametrize("value", ["2", "-1", "0", "1", "nan"])
+    def test_threshold_outside_unit_interval_is_usage_error(self, tmp_path, capsys, value):
+        out = tmp_path / "report.json"
+        with pytest.raises(SystemExit) as exc_info:
+            main([
+                "eval", "--pred", "tests/data/doc_fixture.json",
+                "--truth", str(self._truth_file(tmp_path)), "--out", str(out),
+                "--threshold", value,
+            ])
+        assert exc_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --threshold: fs_threshold must lie in (0, 1), got {float(value)}" in err
+        assert not out.exists()
 
     def test_no_matching_truth_is_domain_error(self, tmp_path, capsys):
         truth = self._truth_file(tmp_path, video_id="someone-else")

@@ -19,6 +19,7 @@ from signscribe.ctc import (
     _lattice_pass,
     aggregate_words,
     ctc_loss,
+    ctc_nll,
     forced_align,
     greedy_decode,
     min_frames_required,
@@ -484,6 +485,26 @@ class TestLatticeEquivalence:
             assert got[0] == want[0]
             assert got[1].tobytes() == want[1].tobytes()
         assert min(kinds.values()) >= 20, kinds
+
+    def test_ctc_nll_is_ctc_loss_without_its_gradient(self):
+        """The alpha row alone gives the loss bytes of the stacked alpha/beta pass."""
+        rng = np.random.default_rng(2019)
+        feasible = 0
+        for _ in range(self.CASES):
+            probs, target = _equivalence_case(rng)
+            got = _outcome(ctc_nll, FrameScores(probs=probs), target)
+            want = _outcome(ctc_loss, FrameScores(probs=probs), target)
+            if isinstance(want[0], type):
+                assert got == want
+                continue
+            feasible += 1
+            assert np.float64(got).tobytes() == np.float64(want[0]).tobytes()
+        assert feasible >= self.CASES // 2
+        for T, L in [(55, 12), (120, 12), (300, 40)]:  # lattices as long as validation's
+            scores = FrameScores(probs=random_softmax(rng, T, 28))
+            target = [int(x) for x in rng.integers(0, 27, size=L)]
+            want = ctc_loss(scores, target)[0]
+            assert np.float64(ctc_nll(scores, target)).tobytes() == np.float64(want).tobytes()
 
     def test_forced_align_bit_identical(self):
         rng = np.random.default_rng(1944)
