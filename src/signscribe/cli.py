@@ -109,8 +109,8 @@ def _cmd_train(args, parser) -> int:
         except ValueError as exc:
             parser.error(f"argument --channels: {exc}")
     _require_paths(parser, args.corpus)
-    spec = json.loads(Path(args.corpus).read_text(encoding="utf-8"))
-    world = synth_mod.make_world(seed=int(spec.get("world_seed", synth_mod.DEFAULT_WORLD_SEED)))
+    spec = _read_spec(Path(args.corpus))
+    world = synth_mod.make_world(seed=spec.get("world_seed", synth_mod.DEFAULT_WORLD_SEED))
     out = Path(args.out)
     kwargs = {}
     if args.epochs is not None:
@@ -125,9 +125,9 @@ def _cmd_train(args, parser) -> int:
     if args.kind == "fingerspelling":
         corpus = synth_mod.make_fingerspelling_corpus(
             world,
-            num_phrases=int(spec.get("num_phrases", 500)),
-            num_signers=int(spec.get("num_signers", 10)),
-            seed=int(spec.get("seed", 7)),
+            num_phrases=spec.get("num_phrases", 500),
+            num_signers=spec.get("num_signers", 10),
+            seed=spec.get("seed", 7),
         )
         model = fs_mod.train_toy(corpus, world.alphabet, seed=args.seed, **kwargs)
         fs_mod.save_fingerspelling_model(out, model)
@@ -135,9 +135,9 @@ def _cmd_train(args, parser) -> int:
     else:
         corpus = synth_mod.make_isr_corpus(
             world,
-            clips_per_class=int(spec.get("clips_per_class", 15)),
-            num_signers=int(spec.get("num_signers", 10)),
-            seed=int(spec.get("seed", 11)),
+            clips_per_class=spec.get("clips_per_class", 15),
+            num_signers=spec.get("num_signers", 10),
+            seed=spec.get("seed", 11),
         )
         model = isr_mod.train_toy_isr(corpus, world.vocabulary, seed=args.seed, **kwargs)
         isr_mod.save_isr_model(out, model)
@@ -148,6 +148,23 @@ def _cmd_train(args, parser) -> int:
     )
     print(f"wrote model to {out} ({len(history)} epochs)")
     return 0
+
+
+def _read_spec(path: Path) -> dict:
+    """The corpus spec, its counts and seeds made integers; a malformed spec is a domain error."""
+    try:
+        spec = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(spec, dict):
+            raise ValueError(f"a corpus spec is a JSON object, not a JSON {type(spec).__name__}")
+        for key in ("world_seed", "num_phrases", "num_signers", "seed", "clips_per_class"):
+            if key in spec:
+                try:
+                    spec[key] = int(spec[key])
+                except (TypeError, ValueError, OverflowError):
+                    raise ValueError(f"{key!r} must be an integer, not {spec[key]!r}") from None
+    except ValueError as exc:
+        raise DomainError(f"{path}: {exc}") from exc
+    return spec
 
 
 # --- recognize --------------------------------------------------------------
@@ -232,7 +249,7 @@ def _annotate_record(state: tuple, line_no: int, line: str) -> dict | None:
 def _parse_record(line: str) -> dict:
     rec = json.loads(line)
     if not isinstance(rec, dict):
-        raise TypeError(f"transcript line is a JSON {type(rec).__name__}, not an object")
+        raise TypeError(f"the line is a JSON {type(rec).__name__}, not an object")
     return rec
 
 
@@ -330,16 +347,12 @@ def _cmd_annotate(args, parser) -> int:
 
 
 def _read_document(path: Path) -> dict:
-    """Load an annotation document from outside; a schema violation is a domain error."""
-    doc = json.loads(path.read_text(encoding="utf-8"))
+    """Load an annotation document from outside; bad JSON or a schema fault is a domain error."""
     try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
         pipe_mod.validate_document(doc)
-    except Exception as exc:
-        import jsonschema
-
-        if not isinstance(exc, jsonschema.ValidationError):
-            raise
-        raise DomainError(f"{path} is not a valid annotation document: {exc.message}") from exc
+    except ValueError as exc:  # json.JSONDecodeError or pipeline.DocumentError
+        raise DomainError(f"{path} is not a valid annotation document: {exc}") from exc
     return doc
 
 
@@ -445,6 +458,39 @@ def _eval_report(docs: list[dict], truths: dict[str, dict], threshold: float) ->
     return report
 
 
+def _read_truth(path: Path) -> dict[str, dict]:
+    """Truth records by video id; a malformed line is a domain error naming its file and line."""
+    truths = {}
+    for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            rec = _parse_record(line)
+            _check_truth(rec)
+        except (ValueError, TypeError) as exc:
+            raise DomainError(f"{path}:{n}: {exc}") from exc
+        truths[rec["video_id"]] = rec
+    return truths
+
+
+def _check_truth(rec: dict) -> None:
+    for key in ("video_id", "gloss"):
+        if not isinstance(rec.get(key), str):
+            raise ValueError(f"{key!r} must be a string")
+    words = rec.get("fs_words", [])
+    if not isinstance(words, list):
+        raise ValueError("'fs_words' must be a list")
+    for i, word in enumerate(words):
+        if not isinstance(word, dict) or not word.keys() >= {"word", "start", "end"}:
+            raise ValueError(f"fs_words[{i}] must be an object with 'word', 'start' and 'end'")
+        if not isinstance(word["word"], str):
+            raise ValueError(f"fs_words[{i}]: 'word' must be a string")
+        try:  # the frames are read with int()
+            int(word["start"]), int(word["end"])
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"fs_words[{i}]: 'start' and 'end' must be integers") from None
+
+
 def _cmd_eval(args, parser) -> int:
     try:  # annotate's detection threshold, so annotate's range
         pipe_mod.PipelineConfig(fs_threshold=args.threshold)
@@ -454,12 +500,7 @@ def _cmd_eval(args, parser) -> int:
     docs = _collect_docs(args.pred)
     if not docs:
         raise DomainError("empty prediction set")
-    truths = {}
-    for line in Path(args.truth).read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            rec = json.loads(line)
-            truths[rec["video_id"]] = rec
-    report = _eval_report(docs, truths, args.threshold)
+    report = _eval_report(docs, _read_truth(Path(args.truth)), args.threshold)
     payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:
         Path(args.out).write_text(payload, encoding="utf-8")

@@ -63,43 +63,33 @@ def recognize(model: FingerspellingModel, poses: PoseSequence) -> str:
     return greedy_decode(frame_scores(model, poses), model.alphabet)
 
 
-def normalize_word(word: str, alphabet: Alphabet, on_unknown: str = "error") -> str:
-    """Case-fold a word into the recognizer alphabet.
-
-    ``on_unknown`` is "error" (raise TokenizationError) or "strip" (drop
-    characters outside the alphabet).
-    """
-    out = []
-    for ch in word.upper():
-        try:
-            alphabet.index(ch)
-        except KeyError:
-            if on_unknown == "strip":
-                continue
-            raise TokenizationError(ch, word) from None
-        out.append(ch)
-    return "".join(out)
+def normalize_word(word: str, alphabet: Alphabet) -> str:
+    """Case-fold a word into the recognizer alphabet, dropping the characters outside it."""
+    return "".join(ch for ch in word.upper() if ch in alphabet.chars)
 
 
 def align_words_scores(
-    scores: FrameScores, words: list[str], alphabet: Alphabet, on_unknown: str = "error"
+    scores: FrameScores, words: list[str], alphabet: Alphabet
 ) -> list[WordDetection]:
-    """Force-align a word list against precomputed character scores."""
-    norm = [normalize_word(w, alphabet, on_unknown) for w in words]
-    if any(not w for w in norm):
-        empty = words[norm.index("")]
-        raise TokenizationError("", empty)
-    tokens = to_ctc_tokens(norm, alphabet)
+    """Force-align a word list against precomputed character scores.
+
+    A character outside the alphabet raises :class:`TokenizationError`
+    naming it and its word; so does an empty word. Detected words are
+    upper-cased.
+    """
+    if "" in words:
+        raise TokenizationError("", "")
+    tokens = to_ctc_tokens(words, alphabet)
     chars = forced_align(scores, tokens, alphabet)
     word_units = aggregate_words(chars).units
     return [
         WordDetection(
-            word=w,
+            word=w.upper(),
             score=unit.score,
             start_frame=unit.start_frame,
             end_frame=unit.end_frame,
         )
-        for w, unit in zip(norm, word_units)
+        for w, unit in zip(words, word_units)
     ]
 
 

@@ -177,9 +177,7 @@ def _word_aligner(fs_scores: FrameScores, alphabet: Alphabet) -> WordAligner:
 
     @functools.cache
     def align(words: tuple[str, ...]) -> tuple[WordDetection, ...]:
-        return tuple(
-            fs_mod.align_words_scores(fs_scores, list(words), alphabet, on_unknown="strip")
-        )
+        return tuple(fs_mod.align_words_scores(fs_scores, list(words), alphabet))
 
     return align
 
@@ -205,7 +203,7 @@ def _score_sequence(
     for i, tok in enumerate(seq.tokens):
         if tok.kind in FINGERSPELLED_KINDS:
             fs_positions.append(i)
-            word = fs_mod.normalize_word(tok.text, alphabet, on_unknown="strip")
+            word = fs_mod.normalize_word(tok.text, alphabet)
             if word:
                 fs_words[i] = word
             else:
@@ -503,103 +501,116 @@ def _load_schema() -> dict:
     return json.loads(text)
 
 
-# --- compiled accept check ------------------------------------------------------
+# --- document validation --------------------------------------------------------
 #
 # ``_compile`` turns the draft-07 keywords the shipped schema uses into nested
-# closures that return True only for documents jsonschema accepts too: each
-# type test is a strict subset of jsonschema's (``integer`` is ``type(x) is
-# int``, ``number`` a finite non-bool int or float), and any keyword or form
-# outside this list is refused when the check is built, never skipped.
+# closures that raise DocumentError, with jsonschema's verdict on every value
+# ``json.loads`` returns: an integral float is an ``integer``, a bool is never a
+# number, and a bound fails where jsonschema's comparison does (NaN fails none).
+# Each (sub)schema compiles to one node, which makes the type test itself.
+# Any keyword or form outside this list is refused when the check is built.
 
 _DRAFT_07 = "http://json-schema.org/draft-07/schema#"
 _IGNORED = frozenset({"$schema", "title", "definitions"})
 _OBJECT = frozenset({"required", "properties", "additionalProperties"})
 _ARRAY = frozenset({"items", "minItems", "maxItems"})
-_BOUNDS = {
-    "minimum": operator.ge,
-    "maximum": operator.le,
-    "exclusiveMinimum": operator.gt,
-    "exclusiveMaximum": operator.lt,
+_BOUNDS = {  # the comparison that fails a value, as jsonschema makes it, and the rule broken
+    "minimum": (operator.lt, ">="),
+    "maximum": (operator.gt, "<="),
+    "exclusiveMinimum": (operator.le, ">"),
+    "exclusiveMaximum": (operator.ge, "<"),
 }
-_KEYWORDS = _IGNORED | _OBJECT | _ARRAY | _BOUNDS.keys() | {"type", "const", "enum", "$ref"}
-
-
-def _is_number(x) -> bool:
-    return (type(x) is int or type(x) is float) and -math.inf < x < math.inf
-
+_MEMBERS = frozenset({"const", "enum"})
+_NUMERIC = _BOUNDS.keys() | _MEMBERS
+# The keywords each type takes; any other type, or none, takes only _MEMBERS.
+_FAMILIES = dict(object=_OBJECT, array=_ARRAY, integer=_NUMERIC, number=_NUMERIC)
 
 _TYPES: dict[str, Callable[[object], bool]] = {
     "object": lambda x: type(x) is dict,
     "array": lambda x: type(x) is list,
     "string": lambda x: type(x) is str,
-    "integer": lambda x: type(x) is int,
-    "number": _is_number,
+    "integer": lambda x: type(x) is int or type(x) is float and x.is_integer(),
+    "number": lambda x: type(x) is int or type(x) is float,
     "boolean": lambda x: type(x) is bool,
 }
 
 
-def _accept(x) -> bool:
-    return True
+class DocumentError(ValueError):
+    """A document value that breaks the annotation schema: ``path`` holds the
+    keys and indices from the root to it, ``rule`` the rule it broke."""
+
+    def __init__(self, rule: str):
+        super().__init__(rule)
+        self.rule = rule
+        self.path: tuple = ()  # filled in by the enclosing nodes as the error passes them
+
+    def __str__(self) -> str:
+        steps = (f".{s}" if str(s).isidentifier() else f"[{json.dumps(s)}]" for s in self.path)
+        return "$" + "".join(steps) + ": " + self.rule
 
 
-def _reject(x) -> bool:
-    return False
+def _accept(x) -> None:
+    pass
+
+
+def _reject(x) -> None:
+    raise DocumentError("is not allowed")
+
+
+def _leaf_check(is_type: Callable, type_rule: str, tests: list) -> Callable:
+    """A type test, then ``(fails, arg, rule)`` tests: ``fails(x, arg)`` breaks ``rule``."""
+
+    def check_type(x) -> None:
+        if not is_type(x):
+            raise DocumentError(type_rule)
+
+    def check(x) -> None:
+        if not is_type(x):
+            raise DocumentError(type_rule)
+        for fails, arg, rule in tests:
+            if fails(x, arg):
+                raise DocumentError(rule)
+
+    return check if tests else check_type  # most leaves are a bare type test
 
 
 def _object_check(required: frozenset, properties: dict, additional: Callable) -> Callable:
-    def check(x) -> bool:
-        if type(x) is not dict or not x.keys() >= required:
-            return False
-        for key, value in x.items():
-            if not properties.get(key, additional)(value):
-                return False
-        return True
+    def check(x) -> None:
+        if type(x) is not dict:
+            raise DocumentError("is not of type 'object'")
+        if not x.keys() >= required:
+            raise DocumentError(f"lacks required property {min(required - x.keys())!r}")
+        try:
+            for key, value in x.items():
+                properties.get(key, additional)(value)
+        except DocumentError as exc:
+            exc.path = (key, *exc.path)
+            raise
 
     return check
 
 
 def _array_check(items: Callable, min_items, max_items) -> Callable:
-    def check(x) -> bool:
-        return type(x) is list and min_items <= len(x) <= max_items and all(map(items, x))
+    def check(x) -> None:
+        if type(x) is not list:
+            raise DocumentError("is not of type 'array'")
+        if not min_items <= len(x) <= max_items:
+            raise DocumentError(f"must have {min_items} to {max_items} items, not {len(x)}")
+        try:
+            for i, item in enumerate(x):
+                items(item)
+        except DocumentError as exc:
+            exc.path = (i, *exc.path)
+            raise
 
     return check
 
 
-def _bounds_check(kind: Callable, tests: list) -> Callable:
-    """``kind`` admits only finite numbers, so each ``op(x, bound)`` compares two numbers."""
-
-    def check(x) -> bool:
-        if not kind(x):
-            return False
-        for op, bound in tests:
-            if not op(x, bound):
-                return False
-        return True
-
-    return check
-
-
-def _all_of(checks: list) -> Callable:
-    if len(checks) == 1:
-        return checks[0]
-
-    def check(x) -> bool:
-        for c in checks:
-            if not c(x):
-                return False
-        return True
-
-    return check
-
-
-def _compile(schema, definitions: dict) -> Callable[[object], bool]:
-    """The accept check of one (sub)schema; ``definitions`` maps each name under
-    the root's ``definitions`` to its check, looked up when a ``$ref`` runs."""
+def _compile(schema, definitions: dict) -> Callable[[object], None]:
+    """The check of one (sub)schema; ``definitions`` maps each name under the
+    root's ``definitions`` to its check, looked up when a ``$ref`` runs."""
     if type(schema) is bool:
         return _accept if schema else _reject
-    unknown = schema.keys() - _KEYWORDS
-    if unknown:
-        raise ValueError(f"schema keywords {sorted(unknown)} have no compiled check")
     if "$ref" in schema:
         ref = schema["$ref"]
         if len(schema) > 1:
@@ -612,40 +623,40 @@ def _compile(schema, definitions: dict) -> Callable[[object], bool]:
     kind = schema.get("type")
     if "type" in schema and (not isinstance(kind, str) or kind not in _TYPES):
         raise ValueError(f"type {kind!r} has no compiled check")
-    tests = [(op, schema[key]) for key, op in _BOUNDS.items() if key in schema]
-    # A numeric type check admits only finite numbers, so it can guard the bounds itself.
-    numeric = kind in ("integer", "number")
-    checks = []
-    if "type" in schema and not (tests and numeric):
-        checks.append(_TYPES[kind])
+    # Besides unknown keywords: jsonschema skips object, array and bound keywords on a value
+    # of another type, so there they are no rule, and const/enum beside an object or array
+    # type would need a second node.
+    stray = schema.keys() - _IGNORED - {"type"} - _FAMILIES.get(kind, _MEMBERS)
+    if stray:
+        raise ValueError(f"keywords {sorted(stray)} have no compiled check for type {kind!r}")
+    if schema.keys() & _OBJECT:
+        return _object_check(
+            frozenset(schema.get("required", ())),
+            {k: _compile(v, definitions) for k, v in schema.get("properties", {}).items()},
+            _compile(schema.get("additionalProperties", True), definitions),
+        )
+    if schema.keys() & _ARRAY:
+        if isinstance(schema.get("items"), list):
+            raise ValueError("array-form items has no compiled check")
+        return _array_check(
+            _compile(schema.get("items", True), definitions),
+            schema.get("minItems", 0),
+            schema.get("maxItems", math.inf),
+        )
+    tests = [(fails, schema[key], f"must be {op} {schema[key]!r}")
+             for key, (fails, op) in _BOUNDS.items() if key in schema]
     for key in ("const", "enum"):
         if key in schema:
             members = [schema[key]] if key == "const" else schema[key]
             if not all(type(m) is str for m in members):
                 raise ValueError(f"{key} {schema[key]!r} has a member that is not a string")
-            members = frozenset(members)
-            checks.append(lambda x, members=members: type(x) is str and x in members)
-    if schema.keys() & _OBJECT:
-        checks.append(_object_check(
-            frozenset(schema.get("required", ())),
-            {k: _compile(v, definitions) for k, v in schema.get("properties", {}).items()},
-            _compile(schema.get("additionalProperties", True), definitions),
-        ))
-    if schema.keys() & _ARRAY:
-        if isinstance(schema.get("items"), list):
-            raise ValueError("array-form items has no compiled check")
-        checks.append(_array_check(
-            _compile(schema.get("items", True), definitions),
-            schema.get("minItems", 0),
-            schema.get("maxItems", math.inf),
-        ))
-    if tests:
-        checks.append(_bounds_check(_TYPES[kind] if numeric else _is_number, tests))
-    return _all_of(checks)
+            rule = f"is not {members[0]!r}" if key == "const" else f"is not one of {members!r}"
+            tests.append((lambda x, m: type(x) is not str or x not in m, frozenset(members), rule))
+    return _leaf_check(_TYPES.get(kind, lambda x: True), f"is not of type {kind!r}", tests)
 
 
 @functools.cache
-def _document_check() -> Callable[[object], bool]:
+def _document_check() -> Callable[[object], None]:
     schema = _load_schema()
     if schema.get("$schema") != _DRAFT_07:
         raise ValueError(f"$schema {schema.get('$schema')!r} is not {_DRAFT_07}")
@@ -655,27 +666,11 @@ def _document_check() -> Callable[[object], bool]:
     return _compile(schema, definitions)
 
 
-@functools.cache
-def _document_validator():
-    import jsonschema
+def validate_document(data) -> None:
+    """Raise :class:`DocumentError`, naming the failing value's path and the rule
+    it broke, unless ``data`` is a valid ``schema/annotation_v1.json`` document.
 
-    schema = _load_schema()
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
-
-
-def validate_document(data: dict) -> None:
-    """Raise the jsonschema.ValidationError ``jsonschema.validate`` would raise.
-
-    A document the compiled check accepts is valid and returns at once;
-    any other goes to jsonschema, which gives the verdict and the error.
-    Both are built once per process and hold no per-call state.
+    The check is compiled once per process and holds no per-call state. Its
+    verdict is jsonschema's (Draft 7) on every value ``json.loads`` returns.
     """
-    if _document_check()(data):
-        return
-    import jsonschema
-
-    error = jsonschema.exceptions.best_match(_document_validator().iter_errors(data))
-    if error is not None:
-        raise error
+    _document_check()(data)

@@ -13,7 +13,6 @@ import pytest
 from signscribe import fingerspelling as fs_mod
 from signscribe import isr as isr_mod
 from signscribe import nn
-from signscribe import pipeline as pipeline_mod
 from signscribe import synthetic as syn
 from signscribe.cli import main
 from signscribe.ctc import Alphabet, FrameScores, ctc_loss, forced_align, greedy_decode, min_frames_required, toy_alphabet
@@ -300,7 +299,6 @@ def test_criterion_10_hermetic_end_to_end(world, model_root, tmp_path):
         assert code == 0
         payloads.append(out.read_bytes())
         validate_document(json.loads(payloads[-1]))
-        assert pipeline_mod._document_check()(json.loads(payloads[-1]))
         svg_out = tmp_path / f"timeline_{run}.svg"
         assert main([
             "render-timeline", "--doc", str(out), "--rank", "1",

@@ -53,6 +53,33 @@ def malformed_document(directory):
     return path
 
 
+# (key path in the fixture document, the value put there or None to delete
+# the key, the "<path>: <rule>" the CLI names): one case per kind of fault.
+INVALID_DOCUMENTS = [
+    pytest.param(("candidates", 0, "per_sign"), None,
+                 "$.candidates[0]: lacks required property 'per_sign'", id="missing-key"),
+    pytest.param(("config", "seed"), 1, "$.config.seed: is not allowed", id="extra-key"),
+    pytest.param(("fps",), "30", "$.fps: is not of type 'number'", id="wrong-type"),
+    pytest.param(("config", "k"), 0, "$.config.k: must be >= 1", id="out-of-range"),
+    pytest.param(("config", "score_mode"), "median",
+                 "$.config.score_mode: is not one of ['mean', 'sum']", id="unknown-member"),
+]
+
+
+def invalid_document(directory, path, value):
+    doc = json.loads(Path("tests/data/doc_fixture.json").read_text())
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    if value is None:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    out = directory / "invalid.json"
+    out.write_text(json.dumps(doc))
+    return out
+
+
 # (malformed pose file text, the error text after "<path>:")
 BAD_POSE_LINES = [
     ("[1, 2]", "1: the header must be an object with an 'fps'"),
@@ -87,9 +114,9 @@ def tiny_corpus_spec(tmp_path, kind):
 
 
 def test_cli_import_loads_no_process_pool():
-    """The pool is imported only by batch mode, jsonschema only to report an
-    invalid document and urllib.request only by the HTTP client, so plain CLI
-    start-up never pays for any of them."""
+    """The pool is imported only by batch mode and urllib.request only by the
+    HTTP client, so plain CLI start-up never pays for either; jsonschema is no
+    dependency at all."""
     modules = {"concurrent.futures.process", "multiprocessing", "jsonschema", "urllib.request"}
     code = f"import sys, signscribe.cli\nprint(sorted({modules!r} & set(sys.modules)))"
     out = subprocess.run(
@@ -98,6 +125,28 @@ def test_cli_import_loads_no_process_pool():
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_invalid_document_is_reported_without_jsonschema(tmp_path):
+    """jsonschema is blocked from import; both readers still refuse the document."""
+    doc_path = malformed_document(tmp_path)
+    truth = tmp_path / "truth.jsonl"
+    truth.write_text(json.dumps({"video_id": "fixture01", "gloss": "CAT"}) + "\n")
+    render = ["render-timeline", "--doc", str(doc_path), "--out", str(tmp_path / "t.svg")]
+    evaluate = ["eval", "--pred", str(doc_path), "--truth", str(truth)]
+    code = (
+        "import sys\n"
+        "sys.modules['jsonschema'] = None  # any import of it now fails\n"
+        "from signscribe.cli import main\n"
+        f"print(main({render!r}), main({evaluate!r}))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert done.stdout == "1 1\n", done.stderr
+    assert done.stderr.count(f"{doc_path} is not a valid annotation document: $.candidates[0]: ") == 2
 
 
 class TestUsageErrors:
@@ -212,6 +261,19 @@ class TestTrain:
         assert f"argument --epochs: must be at least 1, got {epochs}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ("[1, 2]", "a corpus spec is a JSON object, not a JSON list"),
+        ('{"kind": "isr", "clips_per_class": null}', "'clips_per_class' must be an integer, not None"),
+    ])
+    def test_malformed_spec_is_domain_error(self, tmp_path, capsys, text, message):
+        corpus = tmp_path / "spec.json"
+        corpus.write_text(text)
+        out = tmp_path / "out"
+        code = main(["train", "--kind", "isr", "--corpus", str(corpus), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {corpus}: {message}\n"
+        assert not out.exists()
+
     def test_kind_mismatch_is_domain_error(self, tmp_path, capsys):
         corpus = tiny_corpus_spec(tmp_path, "isr")
         code = main([
@@ -262,7 +324,7 @@ class TestAnnotate:
         assert doc["schema_version"] == "v1"
         assert doc["video_id"] == "cli01"
         assert len(doc["candidates"]) >= 1
-        assert pipe_mod._document_check()(doc)
+        pipe_mod.validate_document(doc)
 
     @pytest.mark.parametrize("line, message", BAD_POSE_LINES)
     def test_malformed_pose_line_is_an_error(self, model_root, tmp_path, capsys, line, message):
@@ -338,7 +400,8 @@ class TestAnnotate:
             documents[jobs] = {p.name: p.read_bytes() for p in sorted(out_dir.glob("*.json"))}
             summaries[jobs] = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert sorted(documents["1"]) == ["b0.json", "b1.json", "b2.json"]
-        assert all(pipe_mod._document_check()(json.loads(d)) for d in documents["1"].values())
+        for payload in documents["1"].values():
+            pipe_mod.validate_document(json.loads(payload))
         assert documents["2"] == documents["1"]
         assert documents["5"] == documents["1"]
         assert summaries["1"] == summaries["2"] == summaries["5"] == {"written": 3, "failed": []}
@@ -477,6 +540,13 @@ class TestRenderTimeline:
         assert f"{doc_path} is not a valid annotation document" in capsys.readouterr().err
         assert not (tmp_path / "t.svg").exists()
 
+    @pytest.mark.parametrize("path, value, fault", INVALID_DOCUMENTS)
+    def test_invalid_document_names_path_and_rule(self, tmp_path, capsys, path, value, fault):
+        doc_path = invalid_document(tmp_path, path, value)
+        code = main(["render-timeline", "--doc", str(doc_path), "--out", str(tmp_path / "t.svg")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {doc_path} is not a valid annotation document: {fault}\n"
+
 
 class TestEval:
     def _truth_file(self, tmp_path, video_id="fixture01"):
@@ -561,3 +631,47 @@ class TestEval:
         code = main(["eval", "--pred", str(pred_dir), "--truth", str(truth)])
         assert code == 1
         assert f"{doc_path} is not a valid annotation document" in capsys.readouterr().err
+
+    def test_unparsable_document_names_its_file(self, tmp_path, capsys):
+        pred_dir = tmp_path / "pred"
+        pred_dir.mkdir()
+        (pred_dir / "a.json").write_text('{"video_id": ')
+        code = main(["eval", "--pred", str(pred_dir), "--truth", str(self._truth_file(tmp_path))])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {pred_dir / 'a.json'} is not a valid annotation document: Expecting value"
+        )
+
+    @pytest.mark.parametrize("path, value, fault", INVALID_DOCUMENTS)
+    def test_invalid_document_names_path_and_rule(self, tmp_path, capsys, path, value, fault):
+        doc_path = invalid_document(tmp_path, path, value)
+        code = main(["eval", "--pred", str(doc_path), "--truth", str(self._truth_file(tmp_path))])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {doc_path} is not a valid annotation document: {fault}\n"
+
+    @pytest.mark.parametrize("line, message", [
+        pytest.param("{", "Expecting property name enclosed in double quotes", id="not-json"),
+        pytest.param("[1, 2]", "the line is a JSON list, not an object", id="not-an-object"),
+        pytest.param('{"gloss": "CAT"}', "'video_id' must be a string", id="no-video-id"),
+        pytest.param('{"video_id": 7, "gloss": "CAT"}', "'video_id' must be a string", id="video-id-type"),
+        pytest.param('{"video_id": "v"}', "'gloss' must be a string", id="no-gloss"),
+        pytest.param('{"video_id": "v", "gloss": ["CAT"]}', "'gloss' must be a string", id="gloss-type"),
+        pytest.param('{"video_id": "v", "gloss": "CAT", "fs_words": [{"word": "BOB", "start": 3}]}',
+                     "fs_words[0] must be an object with 'word', 'start' and 'end'", id="fs-word-no-end"),
+        pytest.param('{"video_id": "v", "gloss": "CAT", "fs_words": [{"start": 3, "end": 4}]}',
+                     "fs_words[0] must be an object with 'word', 'start' and 'end'", id="fs-word-no-word"),
+        pytest.param('{"video_id": "v", "gloss": "CAT", "fs_words": [{"word": 5, "start": 3, "end": 4}]}',
+                     "fs_words[0]: 'word' must be a string", id="fs-word-type"),
+        pytest.param('{"video_id": "v", "gloss": "CAT", "fs_words": [{"word": "BOB", "start": null, "end": 4}]}',
+                     "fs_words[0]: 'start' and 'end' must be integers", id="fs-word-null-start"),
+        pytest.param('{"video_id": "v", "gloss": "CAT", "fs_words": {"word": "BOB"}}',
+                     "'fs_words' must be a list", id="fs-words-type"),
+    ])
+    def test_malformed_truth_line_names_file_and_line(self, tmp_path, capsys, line, message):
+        truth = self._truth_file(tmp_path)
+        truth.write_text(truth.read_text() + "\n" + line + "\n")
+        code = main(["eval", "--pred", "tests/data/doc_fixture.json", "--truth", str(truth)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {truth}:3: {message}")
+        assert "Traceback" not in err

@@ -28,12 +28,8 @@ class TestNormalizeWord:
     def test_uppercases(self):
         assert normalize_word("cat", toy_alphabet()) == "CAT"
 
-    def test_error_on_unknown(self):
-        with pytest.raises(TokenizationError):
-            normalize_word("A?B", toy_alphabet())
-
     def test_strip_mode(self):
-        assert normalize_word("A?B!", toy_alphabet(), on_unknown="strip") == "AB"
+        assert normalize_word("a?B!", toy_alphabet()) == "AB"
 
 
 class TestRecognize:
@@ -82,6 +78,17 @@ class TestAlignWords:
         with pytest.raises(TokenizationError) as exc_info:
             align_words_scores(fs_mod.frame_scores(fs_model, poses), ["C?T"], fs_model.alphabet)
         assert exc_info.value.word == "C?T"
+        assert exc_info.value.char == "?"
+
+    def test_words_are_upper_cased(self, fs_model, world, rng):
+        signer = syn.make_signers(1, rng)[0]
+        poses = syn.fingerspelling_clip(world, ("CAT",), signer, rng)
+        scores = fs_mod.frame_scores(fs_model, poses)
+        (lower,) = align_words_scores(scores, ["cat"], fs_model.alphabet)
+        assert lower == align_words_scores(scores, ["CAT"], fs_model.alphabet)[0]
+        assert lower.word == "CAT"
+        with pytest.raises(TokenizationError):
+            align_words_scores(scores, ["CAT", ""], fs_model.alphabet)
 
 
 class TestTrainToy:

@@ -104,6 +104,7 @@ def test_every_package_import_is_declared():
     for path in (ROOT / "src" / "signscribe").rglob("*.py"):
         imported |= third_party_imports(path.read_text(), "signscribe")
     declared = declared_dependencies((ROOT / "pyproject.toml").read_text())
-    assert {"numpy", "scipy", "orjson", "jsonschema"} <= imported
+    assert {"numpy", "scipy", "orjson"} <= imported
+    assert "jsonschema" not in imported  # the test oracle of the document check, not a dependency
     assert sorted(imported - declared) == []
     assert sorted(declared - imported) == []

@@ -28,6 +28,7 @@ from signscribe.llm import LlmError, StubClient
 from signscribe.pipeline import (
     AnnotationDocument,
     CandidateAnnotation,
+    DocumentError,
     Models,
     PipelineConfig,
     ScoreMode,
@@ -359,35 +360,54 @@ class TestDocumentSerialization:
     def test_schema_rejects_corruption(self, worked_video, models):
         data = document_to_json(self._doc(worked_video, models))
         data["candidates"][0]["per_sign"][0]["kind"] = "telepathy"
-        with pytest.raises(jsonschema.ValidationError):
+        with pytest.raises(DocumentError):
             validate_document(data)
 
-    def test_error_matches_jsonschema_validate(self, worked_video, models):
+    @pytest.mark.parametrize("path, value, message", [
+        pytest.param(("fps",), None, "$: lacks required property 'fps'", id="missing"),
+        pytest.param(("config", "extra"), 1, "$.config.extra: is not allowed", id="extra"),
+        pytest.param(("model_fingerprints", "a b"), 1,
+                     '$.model_fingerprints["a b"]: is not of type \'string\'', id="quoted-key"),
+        pytest.param(("candidates", 0, "rank"), 1.5,
+                     "$.candidates[0].rank: is not of type 'integer'", id="type"),
+        pytest.param(("candidates", 0, "per_sign", 1, "score"), 1.5,
+                     "$.candidates[0].per_sign[1].score: must be <= 1", id="range"),
+        pytest.param(("candidates", 0, "per_sign", 0, "kind"), "telepathy",
+                     "$.candidates[0].per_sign[0].kind: is not one of ['fingerspelled', 'gloss']",
+                     id="enum"),
+        pytest.param(("candidates", 0, "per_sign", 0, "interval"), [0],
+                     "$.candidates[0].per_sign[0].interval: must have 2 to 2 items, not 1", id="length"),
+        pytest.param(("schema_version",), "v2", "$.schema_version: is not 'v1'", id="const"),
+    ])
+    def test_error_names_path_and_rule(self, worked_video, models, path, value, message):
+        """``value`` None deletes the key."""
         data = document_to_json(self._doc(worked_video, models))
-        data["candidates"][0]["per_sign"][0]["kind"] = "telepathy"
-        del data["fps"]
-        with pytest.raises(jsonschema.ValidationError) as ours:
+        parent = data
+        for step in path[:-1]:
+            parent = parent[step]
+        if value is None:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+        with pytest.raises(DocumentError) as exc_info:
             validate_document(data)
-        with pytest.raises(jsonschema.ValidationError) as reference:
-            jsonschema.validate(instance=data, schema=pipeline_mod._document_validator().schema)
-        assert ours.value.message == reference.value.message
-        assert str(ours.value) == str(reference.value)
+        assert str(exc_info.value) == message
+        assert message.endswith(": " + exc_info.value.rule)
 
     def test_validator_shared_across_threads(self, worked_video, models):
         good = document_to_json(self._doc(worked_video, models))
         bad = json.loads(json.dumps(good))
         bad["candidates"][0]["rank"] = "first"
-        with pytest.raises(jsonschema.ValidationError) as reference:
-            jsonschema.validate(instance=bad, schema=pipeline_mod._document_validator().schema)
+        with pytest.raises(DocumentError) as reference:
+            validate_document(bad)
 
         def check(i):
             try:
                 validate_document(bad if i % 2 else good)
-            except jsonschema.ValidationError as exc:
-                return exc.message
+            except DocumentError as exc:
+                return str(exc)
             return None
 
-        pipeline_mod._document_validator.cache_clear()
         pipeline_mod._document_check.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -396,7 +416,7 @@ class TestDocumentSerialization:
                 results = list(pool.map(check, range(40), timeout=120))
         finally:
             sys.setswitchinterval(interval)
-        assert results == [reference.value.message if i % 2 else None for i in range(40)]
+        assert results == [str(reference.value) if i % 2 else None for i in range(40)]
 
     def test_scores_have_six_decimals(self, worked_video, models):
         data = document_to_json(self._doc(worked_video, models))
@@ -477,13 +497,15 @@ def _mutated(draw, base):
     return doc
 
 
-def _reference_error(doc) -> str | None:
-    schema = pipeline_mod._load_schema()
+_REFERENCE = jsonschema.Draft7Validator(pipeline_mod._load_schema())
+
+
+def _accepted(doc) -> bool:
     try:
-        jsonschema.validate(instance=doc, schema=schema)
-    except jsonschema.ValidationError as exc:
-        return str(exc)
-    return None
+        validate_document(doc)
+    except DocumentError:
+        return False
+    return True
 
 
 _FIXTURE_DOCUMENT = json.loads(Path("tests/data/doc_fixture.json").read_text(encoding="utf-8"))
@@ -546,22 +568,18 @@ def worked_document(worked_video, models):
 
 
 class TestCompiledCheck:
-    """The accept path in front of jsonschema: it may only accept what jsonschema
-    accepts, and every document the writer produces must take it."""
+    """The one document check: its verdict is jsonschema's (Draft 7) in both
+    directions, and every document the writer produces passes it."""
 
     def test_shipped_schema_is_a_valid_draft7_schema(self):
         schema = pipeline_mod._load_schema()
         jsonschema.Draft7Validator.check_schema(schema)
         assert jsonschema.validators.validator_for(schema) is jsonschema.Draft7Validator
 
-    def test_written_documents_never_reach_jsonschema(self, worked_document, monkeypatch):
-        def unreachable():
-            raise AssertionError("jsonschema ran on a document the compiled check accepts")
-
-        monkeypatch.setattr(pipeline_mod, "_document_validator", unreachable)
+    def test_written_documents_are_valid(self, worked_document):
         for doc in (worked_document, _FIXTURE_DOCUMENT):
-            assert pipeline_mod._document_check()(doc)
             validate_document(doc)
+            assert _REFERENCE.is_valid(doc)
 
     def test_demo_document_takes_the_compiled_path(self, worked_video, models):
         """The recipe of demos/05_annotation_pipeline.py: k=5, two candidates signs short."""
@@ -574,36 +592,36 @@ class TestCompiledCheck:
             "5": "fs-BOB TRAVEL fs-FRICK PARK",
         }})
         doc = annotate(WORKED_ENGLISH, poses, models, PipelineConfig(k=5), stub)
-        assert pipeline_mod._document_check()(json.loads(document_bytes(doc)))
+        validate_document(json.loads(document_bytes(doc)))
 
     @settings(max_examples=150, deadline=None)
     @given(_DOCUMENTS)
     def test_built_documents_take_the_compiled_path(self, doc):
         data = json.loads(document_bytes(doc))
-        assert pipeline_mod._document_check()(data)
-        assert list(pipeline_mod._document_validator().iter_errors(data)) == []
+        validate_document(data)
+        assert _REFERENCE.is_valid(data)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_sound_against_jsonschema(self, worked_document, data):
+        """Sound and complete: the check rejects exactly what jsonschema rejects."""
         base = data.draw(st.sampled_from([worked_document, _FIXTURE_DOCUMENT]))
         doc = data.draw(_mutated(base))
-        reference = _reference_error(doc)
-        if pipeline_mod._document_check()(doc):
-            assert list(pipeline_mod._document_validator().iter_errors(doc)) == []
-        try:
-            validate_document(doc)
-        except jsonschema.ValidationError as exc:
-            assert str(exc) == reference
-        else:
-            assert reference is None
+        assert _accepted(doc) == _REFERENCE.is_valid(doc)
 
+    # Edge values of draft-07's type and bound rules, and whether the schema admits each.
     @pytest.mark.parametrize("path, value, accepted", [
         (("fps",), 30, True),  # an int is a number
         (("candidates", 0, "per_sign", 0, "score"), 1, True),
-        (("config", "k"), 2.0, False),  # an integral float is an integer to jsonschema
-        (("candidates", 0, "aggregate_score"), math.nan, False),  # NaN is a number to jsonschema
-        (("candidates", 0, "aggregate_score"), math.inf, False),
+        (("config", "k"), 2.0, True),  # an integral float is an integer
+        (("candidates", 0, "aggregate_score"), math.nan, True),  # NaN and inf are numbers
+        (("candidates", 0, "aggregate_score"), math.inf, True),
+        (("config", "k"), 1.5, False),
+        (("fps",), True, False),  # a bool is not a number
+        (("fps",), math.nan, True),  # NaN fails no bound
+        (("candidates", 0, "per_sign", 0, "score"), math.inf, False),  # inf exceeds the maximum
+        (("config", "k"), math.inf, False),  # inf is no integer
+        (("candidates", 0, "rank"), True, False),
     ])
     def test_verdict_is_jsonschemas_where_the_check_is_stricter(self, path, value, accepted):
         doc = copy.deepcopy(_FIXTURE_DOCUMENT)
@@ -611,8 +629,7 @@ class TestCompiledCheck:
         for step in path[:-1]:
             parent = parent[step]
         parent[path[-1]] = value
-        assert pipeline_mod._document_check()(doc) == accepted
-        validate_document(doc)  # valid to jsonschema, either way
+        assert _accepted(doc) == accepted == _REFERENCE.is_valid(doc)
 
     @pytest.mark.parametrize("schema", [
         {"type": "string", "pattern": "^a"},
@@ -638,13 +655,26 @@ class TestCompiledCheck:
         {"$ref": "#/definitions/a~1b"},
         {"type": ["string", "integer"]},
         {"type": "null"},
-        {"items": [{"type": "integer"}]},
+        {"type": "array", "items": [{"type": "integer"}]},
         {"enum": ["mean", 1]},
         {"const": True},
+        {"type": "object", "enum": ["a"]},
     ])
     def test_compiler_refuses_other_forms(self, schema):
         with pytest.raises(ValueError):
             pipeline_mod._compile(schema, {"interval": pipeline_mod._accept, "a~1b": pipeline_mod._accept})
+
+    @pytest.mark.parametrize("schema", [
+        {"type": "string", "minimum": 0},
+        {"maximum": 1},
+        {"required": ["a"]},
+        {"type": "array", "additionalProperties": False},
+        {"type": "object", "minItems": 1},
+    ])
+    def test_compiler_refuses_keywords_outside_their_type(self, schema):
+        """jsonschema skips these keywords on values of other types, so a check must not apply them."""
+        with pytest.raises(ValueError, match="no compiled check for type"):
+            pipeline_mod._compile(schema, {})
 
     def test_compiler_refuses_other_drafts(self, monkeypatch):
         schema = dict(pipeline_mod._load_schema(), **{"$schema": "http://json-schema.org/draft-04/schema#"})
