@@ -71,8 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="batch mode: videos annotated at once, each in a worker process "
                             "(forked where available) holding its own copy of the models; "
                             "1 annotates in this process")
-    p_ann.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                       help="reserved; has no effect on annotate")
 
     p_tl = sub.add_parser("render-timeline", help="render one candidate as SVG")
     p_tl.add_argument("--doc", required=True, help="annotation document JSON")
@@ -214,9 +212,21 @@ def _pipeline_config(args) -> pipe_mod.PipelineConfig:
 _worker_state: tuple | None = None
 
 
-def _init_worker(state: tuple) -> None:
+def _init_worker(state: tuple, parent: int) -> None:
+    """Take the shared state, and end this worker once ``parent``, the pid
+    that forked it, is gone: a killed batch leaves no worker behind."""
+    import os
+    import threading
+    import time
+
+    def exit_when_orphaned() -> None:
+        while os.getppid() == parent:
+            time.sleep(0.25)
+        os._exit(1)
+
     global _worker_state
     _worker_state = state
+    threading.Thread(target=exit_when_orphaned, daemon=True).start()
 
 
 def _annotate_in_worker(line_no: int, line: str) -> dict | None:
@@ -274,6 +284,7 @@ def _annotate_in_pool(
 ) -> list[dict | None]:
     """Annotate ``lines`` in ``workers`` processes; a dead worker fails what it left undone."""
     import multiprocessing
+    import os
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
@@ -283,7 +294,7 @@ def _annotate_in_pool(
         max_workers=workers,
         mp_context=multiprocessing.get_context(method),
         initializer=_init_worker,
-        initargs=(state,),
+        initargs=(state, os.getpid()),
     ) as pool:
         futures = [pool.submit(_annotate_in_worker, *item) for item in lines]
         results = []

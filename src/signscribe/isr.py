@@ -2,6 +2,9 @@
 NULL auxiliary classes, whole-clip classification, and in-context gloss
 alignment between fingerspelling anchors.
 
+Alignment also scores every aligned sign, unknown ones included: a sign on
+the ANY track scores "some sign, but not a known one" (``_segment_score``).
+
 The model runs two branches over different channel groups (body + both
 hands, and body + dominant hand only) and merges them with an elementwise
 max over logits, which suppresses spurious cross-hand correlations on
@@ -226,6 +229,21 @@ def _segment_dp(
     return float(dp[n]), segments
 
 
+def _segment_score(probs: np.ndarray, track: int, vocab: SignVocabulary) -> float:
+    """Score of a segment with frame scores ``probs`` placed on ``track``.
+
+    A class track scores its mean. The ANY track scores the mean of P(ANY) x
+    (1 - max in-vocabulary P): ANY fires on every sign span, known or not,
+    and discounting it by the best vocabulary class keeps a wrong
+    out-of-vocabulary gloss from outscoring the correct in-vocabulary gloss
+    where a known sign is signed.
+    """
+    if track != vocab.any_index:
+        return float(probs[:, track].mean())
+    known = probs[:, : len(vocab.glosses)].max(axis=1, initial=0.0)
+    return float(np.mean(probs[:, track] * (1.0 - known)))
+
+
 def align_glosses_scores(
     scores: FrameScores,
     vocabulary: SignVocabulary,
@@ -240,18 +258,18 @@ def align_glosses_scores(
     are (token_index, detection) pairs, ordered in both sequence position
     and time. Each entry is aligned on its own class track when in
     vocabulary, otherwise on the ANY track, with NULL-scored gaps allowed
-    around segments. Out-of-vocabulary glosses, classifiers and
-    ``force_any`` entries are placed on the ANY track and report the
-    ANY-track mean over their segment as ``score``; the pipeline rescores
-    them as P(ANY) x (1 - max in-vocabulary P), since ANY alone also fires
-    on known signs. Tokens in an infeasible interval (more tokens than
-    frames) come back with score 0 and the interval is reported in the
-    error list; other intervals are unaffected.
+    around segments. An in-vocabulary entry scores its class track's mean
+    over its segment. Out-of-vocabulary glosses, classifiers and
+    ``force_any`` entries are placed on the ANY track and score the mean of
+    P(ANY) x (1 - max in-vocabulary P) there (:func:`_segment_score`); the
+    peak frame is still the ANY track's. Tokens in an infeasible interval
+    (more tokens than frames) come back with score 0 and the interval is
+    reported in the error list; other intervals are unaffected.
 
     ``memo`` maps (lo, hi, track of each entry, min_dur) to the (score,
     peak frame, interval) of each segment placed there, so candidates of
-    one video that share an interval run its DP once. It must not outlive
-    ``scores``: pass one dict per video.
+    one video that share an interval run its DP and score its segments
+    once. It must not outlive ``scores``: pass one dict per video.
     """
     if memo is None:
         memo = {}
@@ -296,12 +314,16 @@ def align_glosses_scores(
         min_dur = max(1, min(min_sign_frames, n // m))
         key = (lo, hi, track_ids, min_dur)
         if key not in memo:
-            rows = [scores.probs[lo : hi + 1, i] for i in track_ids]
-            null_track = scores.probs[lo : hi + 1, vocabulary.null_index]
-            _, segments = _segment_dp(np.stack(rows), null_track, min_dur)
+            window = scores.probs[lo : hi + 1]
+            rows = [window[:, i] for i in track_ids]
+            _, segments = _segment_dp(np.stack(rows), window[:, vocabulary.null_index], min_dur)
             memo[key] = [
-                (float(row[s:e].mean()), lo + s + int(np.argmax(row[s:e])), (lo + s, lo + e - 1))
-                for row, (s, e) in zip(rows, segments)
+                (
+                    _segment_score(window[s:e], track, vocabulary),
+                    lo + s + int(np.argmax(row[s:e])),
+                    (lo + s, lo + e - 1),
+                )
+                for track, row, (s, e) in zip(track_ids, rows, segments)
             ]
         for entry, in_vocab, (score, frame, interval) in zip(group, vocab_flags, memo[key]):
             out[entry.token_index] = GlossDetection(

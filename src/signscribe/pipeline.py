@@ -6,12 +6,12 @@ fingerspelled-kind words (each distinct word list once per video) and keep
 confident detections as time anchors, (3) align the remaining glosses
 inside the inter-anchor intervals with the sign recognizer (each interval
 and track list once per video), then score and rank the candidates and
-emit a JSON annotation document.
+emit a JSON annotation document. :func:`annotate` is the one scorer.
 
-A token with no vocabulary class (an out-of-vocabulary gloss, a classifier,
-or a fingerspelled token demoted for want of a confident anchor) scores the
-mean, over its aligned segment, of P(ANY) x (1 - the largest in-vocabulary
-class probability): "some sign, but not a known one".
+Each gloss scores what ``isr.align_glosses_scores`` reports for it. That
+includes a token with no vocabulary class (an out-of-vocabulary gloss, a
+classifier, or a fingerspelled token demoted for want of a confident
+anchor): the ISR scores it as "some sign, but not a known one".
 """
 
 from __future__ import annotations
@@ -26,12 +26,10 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Callable, Sequence
 
-import numpy as np
-
 from . import fingerspelling as fs_mod
 from . import isr as isr_mod
 from . import nn
-from .ctc import Alphabet, FrameScores, InfeasibleTargetError
+from .ctc import FrameScores, InfeasibleTargetError
 from .fingerspelling import FingerspellingModel, WordDetection
 from .gloss import FINGERSPELLED_KINDS, GlossSequence, render
 from .isr import AlignEntry, GlossDetection, IsrModel
@@ -150,59 +148,22 @@ def score_candidate(scores: Sequence[float], mode: ScoreMode = ScoreMode.MEAN) -
     return total / len(scores) if mode is ScoreMode.MEAN else total
 
 
-def _unknown_sign_score(
-    isr_scores: FrameScores, vocab: isr_mod.SignVocabulary, interval: tuple[int, int]
-) -> float:
-    """Mean of P(ANY) x (1 - max in-vocabulary P) over an inclusive interval.
-
-    ANY fires on every sign span, known or not; discounting it by the best
-    vocabulary class keeps a wrong out-of-vocabulary gloss from outscoring
-    the correct in-vocabulary gloss where a known sign is signed.
-    """
-    probs = isr_scores.probs[interval[0] : interval[1] + 1]
-    known = probs[:, : len(vocab.glosses)].max(axis=1, initial=0.0)
-    return float(np.mean(probs[:, vocab.any_index] * (1.0 - known)))
-
-
-WordAligner = Callable[[tuple[str, ...]], tuple[WordDetection, ...]]
-
-
-def _word_aligner(fs_scores: FrameScores, alphabet: Alphabet) -> WordAligner:
-    """Step 2 for one video: force-align each distinct word tuple once.
-
-    Candidates mostly share their fingerspelled words, so the aligner
-    caches by normalised word tuple. It lives as long as one video's
-    scores; an infeasible tuple is not cached and raises again.
-    """
-
-    @functools.cache
-    def align(words: tuple[str, ...]) -> tuple[WordDetection, ...]:
-        return tuple(fs_mod.align_words_scores(fs_scores, list(words), alphabet))
-
-    return align
-
-
 def _score_sequence(
     seq: GlossSequence,
-    align_words: WordAligner,
+    align_words: Callable[[tuple[str, ...]], tuple[WordDetection, ...]],
     isr_scores: FrameScores,
     models: Models,
     config: PipelineConfig,
     gloss_memo: dict,
 ) -> tuple[list[SignScore], list[str]]:
-    """Steps 2 and 3 for one candidate against precomputed frame scores.
-
-    ``gloss_memo`` is the ``isr.align_glosses_scores`` memo of the video
-    the scores belong to.
-    """
+    """Steps 2 and 3 for one candidate, with its video's word aligner, ISR
+    scores and ``isr.align_glosses_scores`` memo (see :func:`_score_candidates`)."""
     errors: list[str] = []
     alphabet = models.fingerspelling.alphabet
 
-    fs_positions: list[int] = []
-    fs_words: dict[int, str] = {}
+    fs_words: dict[int, str] = {}  # token index -> normalised word, in token order
     for i, tok in enumerate(seq.tokens):
         if tok.kind in FINGERSPELLED_KINDS:
-            fs_positions.append(i)
             word = fs_mod.normalize_word(tok.text, alphabet)
             if word:
                 fs_words[i] = word
@@ -210,33 +171,23 @@ def _score_sequence(
                 errors.append(f"token {tok.text!r} has no characters in the alphabet")
 
     detections: dict[int, WordDetection] = {}
-    alignable = [i for i in fs_positions if i in fs_words]
-    if alignable:
+    if fs_words:
         try:
-            dets = align_words(tuple(fs_words[i] for i in alignable))
-            detections = dict(zip(alignable, dets))
+            detections = dict(zip(fs_words, align_words(tuple(fs_words.values()))))
         except InfeasibleTargetError as exc:
             errors.append(f"fingerspelling alignment infeasible: {exc}")
 
-    anchors = [
-        (i, detections[i])
-        for i in alignable
-        if i in detections and detections[i].score >= config.fs_threshold
+    anchored = {i: det for i, det in detections.items() if det.score >= config.fs_threshold}
+    entries = [
+        AlignEntry(token_index=i, token=tok, force_any=tok.kind in FINGERSPELLED_KINDS)
+        for i, tok in enumerate(seq.tokens)
+        if i not in anchored
     ]
-
-    entries: list[AlignEntry] = []
-    anchor_set = {i for i, _ in anchors}
-    for i, tok in enumerate(seq.tokens):
-        if i in anchor_set:
-            continue
-        entries.append(
-            AlignEntry(token_index=i, token=tok, force_any=tok.kind in FINGERSPELLED_KINDS)
-        )
     gloss_dets, interval_errors = isr_mod.align_glosses_scores(
         isr_scores,
         models.isr.vocabulary,
         entries,
-        anchors,
+        list(anchored.items()),
         min_sign_frames=config.min_sign_duration,
         memo=gloss_memo,
     )
@@ -244,8 +195,8 @@ def _score_sequence(
 
     per_sign: list[SignScore] = []
     for i, tok in enumerate(seq.tokens):
-        if i in anchor_set:
-            det = detections[i]
+        if i in anchored:
+            det = anchored[i]
             per_sign.append(
                 SignScore(
                     kind="fingerspelled",
@@ -259,16 +210,12 @@ def _score_sequence(
             )
         else:
             gd: GlossDetection = gloss_dets[i]
-            score = gd.score
-            # score 0 marks a token of an infeasible interval: nothing was placed
-            if not gd.in_vocabulary and score > 0.0:
-                score = _unknown_sign_score(isr_scores, models.isr.vocabulary, gd.interval)
             per_sign.append(
                 SignScore(
                     kind="gloss",
                     token=tok.text,
                     notation=tok.notation,
-                    score=score,
+                    score=gd.score,
                     interval=gd.interval,
                     anchored=False,
                     in_vocabulary=gd.in_vocabulary,
@@ -284,14 +231,50 @@ def _frame_scores(models: Models, poses: PoseSequence) -> tuple[FrameScores, Fra
     return fs_mod.frame_scores(models.fingerspelling, video), isr_mod.isr_scores(models.isr, video)
 
 
-def _rank(candidates: list[CandidateAnnotation]) -> None:
-    order = sorted(
-        range(len(candidates)),
-        key=lambda i: (-candidates[i].aggregate_score, candidates[i].candidate_index),
+def _score_candidates(
+    candidates: Sequence[GlossSequence],
+    fs_scores: FrameScores,
+    isr_scores: FrameScores,
+    models: Models,
+    config: PipelineConfig,
+) -> tuple[list[CandidateAnnotation], list[str]]:
+    """Steps 2 and 3 for every candidate of one video: the candidates scored
+    and ranked, and an error for each empty one.
+
+    The candidates share one word aligner, which force-aligns each distinct
+    fingerspelled word tuple once (an infeasible tuple is not cached and
+    raises again), and one interval memo, so each inter-anchor interval and
+    track list runs one DP. Both live only as long as this call. Ranks go by
+    aggregate score, ties to the lower candidate index.
+    """
+    alphabet = models.fingerspelling.alphabet
+    align_words = functools.cache(
+        lambda words: tuple(fs_mod.align_words_scores(fs_scores, list(words), alphabet))
     )
-    for rank, i in enumerate(order, start=1):
-        candidates[i].rank = rank
-    candidates.sort(key=lambda c: c.rank)
+    gloss_memo: dict = {}
+    scored: list[CandidateAnnotation] = []
+    errors: list[str] = []
+    for idx, seq in enumerate(candidates):
+        if not seq.tokens:
+            errors.append(f"candidate {idx} is empty")
+            continue
+        per_sign, seq_errors = _score_sequence(
+            seq, align_words, isr_scores, models, config, gloss_memo
+        )
+        scored.append(
+            CandidateAnnotation(
+                gloss_sequence=seq,
+                per_sign=per_sign,
+                aggregate_score=score_candidate([s.score for s in per_sign], config.score_mode),
+                rank=0,
+                candidate_index=idx,
+                errors=seq_errors,
+            )
+        )
+    scored.sort(key=lambda c: (-c.aggregate_score, c.candidate_index))
+    for rank, candidate in enumerate(scored, start=1):
+        candidate.rank = rank
+    return scored, errors
 
 
 def annotate(
@@ -319,62 +302,11 @@ def annotate(
         return doc
 
     fs_scores, isr_scores = _frame_scores(models, poses)
-    align_words = _word_aligner(fs_scores, models.fingerspelling.alphabet)
-    gloss_memo: dict = {}  # inter-anchor placements, shared by this video's candidates
-    for idx, seq in enumerate(cand_set.candidates):
-        if not seq.tokens:
-            doc.errors.append(f"candidate {idx} is empty")
-            continue
-        per_sign, errors = _score_sequence(
-            seq, align_words, isr_scores, models, config, gloss_memo
-        )
-        doc.candidates.append(
-            CandidateAnnotation(
-                gloss_sequence=seq,
-                per_sign=per_sign,
-                aggregate_score=score_candidate(
-                    [s.score for s in per_sign], config.score_mode
-                ),
-                rank=0,
-                candidate_index=idx,
-                errors=errors,
-            )
-        )
-    _rank(doc.candidates)
-    return doc
-
-
-def score_manual_annotation(
-    annotation: GlossSequence,
-    poses: PoseSequence,
-    models: Models,
-    config: PipelineConfig | None = None,
-    fs_scores: FrameScores | None = None,
-    isr_scores: FrameScores | None = None,
-) -> CandidateAnnotation:
-    """Score a known gloss line against a video, skipping the LLM step.
-
-    Precomputed frame scores may be passed in when scoring many candidates
-    against the same video.
-    """
-    config = config or PipelineConfig()
-    if not annotation.tokens:
-        raise ValueError("empty annotation")
-    video = VideoFeatures(poses)
-    if fs_scores is None:
-        fs_scores = fs_mod.frame_scores(models.fingerspelling, video)
-    if isr_scores is None:
-        isr_scores = isr_mod.isr_scores(models.isr, video)
-    align_words = _word_aligner(fs_scores, models.fingerspelling.alphabet)
-    per_sign, errors = _score_sequence(annotation, align_words, isr_scores, models, config, {})
-    return CandidateAnnotation(
-        gloss_sequence=annotation,
-        per_sign=per_sign,
-        aggregate_score=score_candidate([s.score for s in per_sign], config.score_mode),
-        rank=1,
-        candidate_index=0,
-        errors=errors,
+    doc.candidates, errors = _score_candidates(
+        cand_set.candidates, fs_scores, isr_scores, models, config
     )
+    doc.errors.extend(errors)
+    return doc
 
 
 # --- document serialization ----------------------------------------------------

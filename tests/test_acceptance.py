@@ -16,9 +16,10 @@ from signscribe import nn
 from signscribe import synthetic as syn
 from signscribe.cli import main
 from signscribe.ctc import Alphabet, FrameScores, ctc_loss, forced_align, greedy_decode, min_frames_required, toy_alphabet
-from signscribe.gloss import GlossSequence, GlossToken, TokenKind, parse_gloss_sequence, to_ctc_tokens
+from signscribe.gloss import GlossSequence, GlossToken, TokenKind, parse_gloss_sequence, render, to_ctc_tokens
+from signscribe.llm import StubClient
 from signscribe.metrics import LabeledScore, cer, chrf, op_point, roc_auc
-from signscribe.pipeline import PipelineConfig, ScoreMode, score_manual_annotation, validate_document
+from signscribe.pipeline import PipelineConfig, ScoreMode, annotate, validate_document
 from signscribe.pose import mirror_flip, write_pose_jsonl
 from signscribe.training import stratified_split
 
@@ -209,18 +210,12 @@ def _ranking_experiment(world, models, mode: ScoreMode):
         video, _ = syn.compose_sentence_video(
             world, true_seq, seed=trial, video_id=f"rank{trial}"
         )
-        fs_scores = fs_mod.frame_scores(models.fingerspelling, video)
-        isr_scores = isr_mod.isr_scores(models.isr, video)
         candidates = [true_seq] + [
             syn.perturb_sequence(true_seq, world, rng) for _ in range(9)
         ]
-        scored = [
-            score_manual_annotation(
-                c, video, models, config, fs_scores=fs_scores, isr_scores=isr_scores
-            ).aggregate_score
-            for c in candidates
-        ]
-        if int(np.argmax(scored)) == 0:
+        table = {str(i + 1): render(c) for i, c in enumerate(candidates)}
+        doc = annotate("Rank.", video, models, config, StubClient(translations={"Rank.": table}))
+        if doc.candidates[0].candidate_index == 0:  # ties rank the lower index first
             wins += 1
     return wins
 
@@ -294,7 +289,6 @@ def test_criterion_10_hermetic_end_to_end(world, model_root, tmp_path):
             "--model-dir", str(model_root),
             "--out", str(out),
             "--llm", "stub",
-            "--seed", "12345",
         ])
         assert code == 0
         payloads.append(out.read_bytes())

@@ -35,7 +35,6 @@ USERS = ("src", "demos", "perfbench")
 # The public names that only tests call, each kept for a stated reason.
 ALLOWED_NAMES = {
     "receptive_field": "acceptance criterion 3 checks the TCN receptive fields with it",
-    "score_manual_annotation": "acceptance criterion 7 scores manual annotations with it",
 }
 
 # The defaulted parameters that no call outside the tests passes, each kept for a stated reason.
@@ -43,7 +42,6 @@ ALLOWED_PARAMETERS = {
     "complete(max_tokens)": "the client protocol that outside clients implement",
     "HttpClient(endpoint, api_key, model_id)": "deployment settings, read from the environment",
     "HttpClient(sleep)": "lets tests substitute a fake",
-    "score_manual_annotation(config, fs_scores, isr_scores)": "acceptance criterion 7",
 }
 
 

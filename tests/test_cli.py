@@ -3,8 +3,10 @@
 import json
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -97,6 +99,37 @@ def bad_pose_file(tmp_path, text):
     path = tmp_path / "bad.jsonl"
     path.write_text(text + "\n")
     return path
+
+
+def _proc_stat(pid):
+    """The fields of ``/proc/<pid>/stat`` after the command name, or None once
+    the process is gone; field 0 is the state and field 1 the parent pid."""
+    try:
+        text = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return None
+    return text.rsplit(")", 1)[1].split()
+
+
+def _alive(pid):
+    stat = _proc_stat(pid)
+    return stat is not None and stat[0] not in ("Z", "X")
+
+
+def _forked_children(parent):
+    """Pids of the children of ``parent`` that run its own command line: the
+    forked workers, not any helper process that was exec'd."""
+    cmdline = Path(f"/proc/{parent}/cmdline").read_bytes()
+    found = []
+    for entry in Path("/proc").iterdir():
+        if entry.name.isdigit():
+            stat = _proc_stat(entry.name)
+            try:
+                if stat and int(stat[1]) == parent and (entry / "cmdline").read_bytes() == cmdline:
+                    found.append(int(entry.name))
+            except OSError:
+                pass
+    return found
 
 
 def tiny_corpus_spec(tmp_path, kind):
@@ -513,6 +546,50 @@ class TestAnnotate:
         assert all(error.startswith("BrokenProcessPool: ") for error in failed.values())
         for video_id in {"b0", "b1", "b2"} - set(failed):
             assert (out_dir / f"{video_id}.json").is_file()
+
+    @pytest.mark.skipif(
+        not hasattr(os, "mkfifo") or not Path("/proc/self/stat").exists(),
+        reason="finds the workers through /proc and blocks them on named pipes",
+    )
+    def test_killed_batch_leaves_no_worker(self, model_root, tmp_path):
+        """Both workers block opening a pose file that is a named pipe with no
+        writer, so only their parent's death can end them."""
+        poses_dir = tmp_path / "poses"
+        poses_dir.mkdir()
+        for video_id in ("p0", "p1"):
+            os.mkfifo(poses_dir / f"{video_id}.jsonl")
+        transcripts = tmp_path / "transcripts.jsonl"
+        transcripts.write_text("".join(
+            json.dumps({"video_id": v, "english": "The cat sleeps"}) + "\n" for v in ("p0", "p1")
+        ))
+        parent = subprocess.Popen(
+            [sys.executable, "-m", "signscribe.cli", "annotate",
+             "--transcripts", str(transcripts), "--poses-dir", str(poses_dir),
+             "--model-dir", str(model_root), "--out", str(tmp_path / "docs"), "--jobs", "2"],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        workers = []
+        try:
+            deadline = time.monotonic() + 60
+            while len(workers) < 2:
+                assert parent.poll() is None, parent.stderr.read().decode()
+                assert time.monotonic() < deadline, "the workers never started"
+                time.sleep(0.05)
+                workers = _forked_children(parent.pid)
+            assert len(workers) == 2
+            parent.send_signal(signal.SIGTERM)
+            assert parent.wait(timeout=10) == -signal.SIGTERM
+            deadline = time.monotonic() + 5
+            while any(_alive(pid) for pid in workers) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(_alive(pid) for pid in workers), "a worker outlived its parent"
+        finally:
+            for pid in [parent.pid, *workers]:
+                if _alive(pid):
+                    os.kill(pid, signal.SIGKILL)
+            parent.wait(timeout=10)
+            parent.stderr.close()
 
 
 class TestRenderTimeline:

@@ -314,6 +314,10 @@ def _hot_scores(vocab, hot, T=20, span=(5, 14)):
     return FrameScores(probs=probs, kind="sigmoid")
 
 
+# An unknown sign over _hot_scores' span: P(ANY) x (1 - max in-vocabulary P) on every frame.
+UNKNOWN_SIGN_IN_HOT_SPAN = 0.9 * (1 - 0.97)
+
+
 class TestAlignGlossesScores:
     def test_one_hot_forcing(self):
         vocab = SignVocabulary(glosses=("CAT", "DOG"))
@@ -334,7 +338,8 @@ class TestAlignGlossesScores:
         detections, _ = align_glosses_scores(scores, vocab, entries, anchors=[])
         det = detections[0]
         assert not det.in_vocabulary
-        assert det.score > 0.5  # ANY fires inside the span
+        assert det.interval == (5, 14)
+        assert det.score == pytest.approx(UNKNOWN_SIGN_IN_HOT_SPAN, rel=1e-12)
 
     def test_classifier_uses_any_track(self):
         vocab = SignVocabulary(glosses=("CAT",))
@@ -346,6 +351,8 @@ class TestAlignGlossesScores:
             scores, vocab, [AlignEntry(0, token)], anchors=[]
         )
         assert not detections[0].in_vocabulary
+        assert detections[0].interval == (5, 14)
+        assert detections[0].score == pytest.approx(UNKNOWN_SIGN_IN_HOT_SPAN, rel=1e-12)
 
     def test_anchor_partitioning(self):
         vocab = SignVocabulary(glosses=("CAT", "DOG"))

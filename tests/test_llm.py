@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import signscribe
+from signscribe.gloss import FINGERSPELLED_KINDS, parse_gloss_sequence
 from signscribe.llm import (
     MAX_ATTEMPTS,
     HttpClient,
@@ -58,6 +59,17 @@ class TestPromptAssets:
             digest = hashlib.sha256(template.body.encode("utf-8")).hexdigest()
             assert digest == pinned_digests()[f"{name.value}.txt"]
 
+    def test_translation_example_uses_the_parsed_notation(self):
+        """The example answer parses, and it fingerspells in the notation the
+        pipeline anchors (fs-, ns-, #), so a model that follows it reaches the
+        fingerspelling step."""
+        body = load_prompt(PromptName.KSHOT_TRANSLATE).body
+        example = body[body.index("EXAMPLE:") : body.index("NOW COMPLETE:")]
+        lines = [line for _, line in parse_candidate_json(example)]
+        assert len(lines) == 10
+        tokens = [tok for line in lines for tok in parse_gloss_sequence(line).tokens]
+        assert any(tok.kind in FINGERSPELLED_KINDS for tok in tokens)
+
     def test_every_asset_is_covered(self):
         digests = pinned_digests()
         assert set(digests) == {f"{n.value}.txt" for n in PromptName}
@@ -103,8 +115,6 @@ class TestStubTranslate:
         assert a.candidates == b.candidates
 
     def test_candidates_parse_as_gloss_lines(self):
-        from signscribe.gloss import parse_gloss_sequence
-
         result = translate_candidates(StubClient(), "Bob travels to the park", k=10)
         for candidate in result.candidates:
             assert candidate == parse_gloss_sequence(candidate.source_text)

@@ -22,7 +22,7 @@ from signscribe import pipeline as pipeline_mod
 from signscribe import synthetic as syn
 from signscribe.ctc import FrameScores, toy_alphabet
 from signscribe.fingerspelling import FingerspellingModel
-from signscribe.gloss import GlossSequence, parse_gloss_sequence, render
+from signscribe.gloss import parse_gloss_sequence, render
 from signscribe.isr import IsrModel, SignVocabulary
 from signscribe.llm import LlmError, StubClient
 from signscribe.pipeline import (
@@ -37,10 +37,8 @@ from signscribe.pipeline import (
     document_bytes,
     document_to_json,
     score_candidate,
-    score_manual_annotation,
     validate_document,
 )
-from signscribe.pose import PoseSequence
 
 WORKED_LINE = "fs-BOB TRAVEL TO fs-FRICK PARK WITH DOG"
 WORKED_ENGLISH = "Bob travels to Frick Park with his dog."
@@ -65,6 +63,13 @@ def stub_with_worked_example():
         "10": "PARK WITH DOG fs-BOB TRAVEL TO fs-FRICK",
     }
     return StubClient(translations={WORKED_ENGLISH: candidates})
+
+
+def score_line(seq, poses, models):
+    """``seq`` scored alone: ``annotate`` with a one-line stub table."""
+    client = StubClient(translations={"Alone.": {"1": render(seq)}})
+    (candidate,) = annotate("Alone.", poses, models, PipelineConfig(), client).candidates
+    return candidate
 
 
 @pytest.fixture(scope="module")
@@ -102,10 +107,12 @@ class TestScoreCandidate:
 
 
 class TestScoreManualAnnotation:
+    """A known gloss line scored alone, through ``annotate``."""
+
     def test_worked_example_anchors_and_intervals(self, worked_video, models):
         poses, _ = worked_video
         seq = parse_gloss_sequence(WORKED_LINE)
-        result = score_manual_annotation(seq, poses, models)
+        result = score_line(seq, poses, models)
         assert len(result.per_sign) == len(seq.tokens)
         by_token = {s.token: s for s in result.per_sign}
         assert by_token["BOB"].anchored and by_token["FRICK"].anchored
@@ -120,22 +127,17 @@ class TestScoreManualAnnotation:
     def test_no_fingerspelling_gives_whole_clip_interval(self, world, models):
         seq = parse_gloss_sequence("TRAVEL PARK DOG")
         poses, _ = syn.compose_sentence_video(world, seq, seed=11, video_id="nofs")
-        result = score_manual_annotation(seq, poses, models)
+        result = score_line(seq, poses, models)
         assert all(not s.anchored for s in result.per_sign)
         assert all(s.kind == "gloss" for s in result.per_sign)
-
-    def test_empty_annotation_rejected(self, worked_video, models):
-        poses, _ = worked_video
-        with pytest.raises(ValueError):
-            score_manual_annotation(GlossSequence(tokens=()), poses, models)
 
     def test_true_sequence_beats_perturbations(self, world, models, rng):
         seq = parse_gloss_sequence("fs-CAT TRAVEL HOUSE")
         poses, _ = syn.compose_sentence_video(world, seq, seed=21, video_id="ranked")
-        true_score = score_manual_annotation(seq, poses, models).aggregate_score
+        true_score = score_line(seq, poses, models).aggregate_score
         for _ in range(3):
             other = syn.perturb_sequence(seq, world, rng)
-            other_score = score_manual_annotation(other, poses, models).aggregate_score
+            other_score = score_line(other, poses, models).aggregate_score
             assert true_score > other_score
 
 
@@ -174,13 +176,15 @@ class TestOutOfVocabularyScore:
                 probs[s : e + 1, self.VOCAB.class_index(cls)] = 0.85
         alphabet = toy_alphabet()
         fs = np.full((60, alphabet.size), 1.0 / alphabet.size)
-        return score_manual_annotation(
-            parse_gloss_sequence(line),
-            PoseSequence.from_frames(frames=(), fps=30.0, video_id="handmade"),
+        (result,), errors = pipeline_mod._score_candidates(
+            [parse_gloss_sequence(line)],
+            FrameScores(probs=fs, kind="softmax"),
+            FrameScores(probs=probs, kind="sigmoid"),
             self._models(),
-            fs_scores=FrameScores(probs=fs, kind="softmax"),
-            isr_scores=FrameScores(probs=probs, kind="sigmoid"),
+            PipelineConfig(),
         )
+        assert errors == []
+        return result
 
     def test_known_sign_beats_oov_substitute(self):
         signed = ("CAT", "TRAVEL", "DOG")
@@ -217,6 +221,17 @@ class TestAnnotate:
         assert doc.candidates[0].rank == 1
         assert doc.model_fingerprints == models.fingerprints()
         assert len(doc.model_fingerprints["isr_one_hand_weights"]) == 64
+
+    def test_empty_candidates_reported_and_others_ranked(self, worked_video, models):
+        poses, _ = worked_video
+        lines = ["fs-BOB TRAVEL TO fs-FRICK", "", "PARK WITH DOG", "   ", "DOG"]
+        client = StubClient(
+            translations={WORKED_ENGLISH: {str(i + 1): line for i, line in enumerate(lines)}}
+        )
+        doc = annotate(WORKED_ENGLISH, poses, models, PipelineConfig(k=len(lines)), client)
+        assert doc.errors == ["candidate 1 is empty", "candidate 3 is empty"]
+        assert [c.rank for c in doc.candidates] == [1, 2, 3]
+        assert sorted(c.candidate_index for c in doc.candidates) == [0, 2, 4]
 
     def test_llm_failure_produces_error_document(self, worked_video, models):
         poses, _ = worked_video
@@ -293,7 +308,7 @@ class TestAnnotate:
         assert len(calls) == 1
         assert len(doc.candidates) == len(lines)
         for candidate in doc.candidates:
-            alone = score_manual_annotation(candidate.gloss_sequence, poses, models)
+            alone = score_line(candidate.gloss_sequence, poses, models)
             assert candidate.per_sign == alone.per_sign
 
     def test_shared_intervals_reused_as_aligned_alone(self, world, models, monkeypatch):
@@ -316,7 +331,7 @@ class TestAnnotate:
         shared = len(dps)
         assert len(doc.candidates) == len(lines)
         for candidate in doc.candidates:
-            alone = score_manual_annotation(candidate.gloss_sequence, poses, models)
+            alone = score_line(candidate.gloss_sequence, poses, models)
             assert candidate.per_sign == alone.per_sign
         assert sum(s.anchored for s in doc.candidates[0].per_sign) == 2
         assert shared < len(dps) - shared  # fewer DPs than the lines alone ran
@@ -340,7 +355,7 @@ class TestAnnotate:
         assert document_bytes(docs[1]) == alone
         for doc, poses in zip(docs, (first, second)):
             for candidate in doc.candidates:
-                scored = score_manual_annotation(candidate.gloss_sequence, poses, models)
+                scored = score_line(candidate.gloss_sequence, poses, models)
                 assert candidate.per_sign == scored.per_sign
         intervals = [[s.interval for c in doc.candidates for s in c.per_sign] for doc in docs]
         assert intervals[0] != intervals[1]
