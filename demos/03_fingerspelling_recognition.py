@@ -17,8 +17,9 @@ corpus = syn.make_fingerspelling_corpus(world, num_phrases=150, num_signers=6, s
 print(f"corpus: {len(corpus)} phrases, e.g. {' '.join(corpus[0].words)!r}")
 
 model = train_toy(corpus, world.alphabet, epochs=25, seed=0, channels=48)
-print(f"trained {len(model.history)} epochs; last val loss "
-      f"{model.history[-1]['val_loss']:.3f}")
+best = min(model.history, key=lambda h: h["val_loss"])
+print(f"trained {len(model.history)} epochs; kept epoch {best['epoch']}, "
+      f"validation CER {best['val_loss']:.3f}")
 
 _, _, test = stratified_split(corpus, np.random.default_rng(0))
 errors = [cer(" ".join(s.words), recognize(model, s.poses)) for s in test]

@@ -5,7 +5,8 @@ fingerspelling decode), ``annotate`` (full pipeline to a JSON document,
 single video or batch), ``render-timeline`` (SVG plot of one candidate),
 and ``eval`` (metrics report against truth annotations).
 
-Exit codes: 0 success, 1 domain error, 2 usage error.
+Exit codes: 0 success, 1 domain error, 2 usage error, 130 a batch
+``annotate`` stopped by Ctrl-C (SIGINT) after its summary.
 """
 
 from __future__ import annotations
@@ -213,11 +214,15 @@ _worker_state: tuple | None = None
 
 
 def _init_worker(state: tuple, parent: int) -> None:
-    """Take the shared state, and end this worker once ``parent``, the pid
-    that forked it, is gone: a killed batch leaves no worker behind."""
+    """Take the shared state, leave Ctrl-C to the parent, and end this worker
+    once ``parent``, the pid that forked it, is gone: a killed batch leaves
+    no worker behind."""
     import os
+    import signal
     import threading
     import time
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
 
     def exit_when_orphaned() -> None:
         while os.getppid() == parent:
@@ -282,27 +287,40 @@ def _failure(line_no: int, line: str, exc: BaseException) -> dict:
 def _annotate_in_pool(
     state: tuple, lines: list[tuple[int, str]], workers: int
 ) -> list[dict | None]:
-    """Annotate ``lines`` in ``workers`` processes; a dead worker fails what it left undone."""
+    """Annotate ``lines`` in ``workers`` processes; a dead worker fails what it left undone.
+
+    Ctrl-C cancels the records no worker has taken and waits for the taken
+    ones, so the outcomes returned, in line order, are those of the records
+    that ran.
+    """
     import multiprocessing
     import os
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import ProcessPoolExecutor, wait
     from concurrent.futures.process import BrokenProcessPool
 
     # Forked workers inherit the loaded models instead of unpickling a copy.
     method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+    futures = []
     with ProcessPoolExecutor(
         max_workers=workers,
         mp_context=multiprocessing.get_context(method),
         initializer=_init_worker,
         initargs=(state, os.getpid()),
     ) as pool:
-        futures = [pool.submit(_annotate_in_worker, *item) for item in lines]
-        results = []
-        for item, future in zip(lines, futures):
-            try:
-                results.append(future.result())
-            except BrokenProcessPool as exc:
-                results.append(_failure(*item, exc))
+        try:
+            for item in lines:
+                futures.append(pool.submit(_annotate_in_worker, *item))
+            wait(futures)
+        except KeyboardInterrupt:
+            pool.shutdown(cancel_futures=True)
+    results = []
+    for item, future in zip(lines, futures):
+        if future.cancelled():
+            continue
+        try:
+            results.append(future.result())
+        except BrokenProcessPool as exc:
+            results.append(_failure(*item, exc))
     return results
 
 
@@ -343,14 +361,22 @@ def _cmd_annotate(args, parser) -> int:
     ]
     state = (pipeline, Path(args.poses_dir), out_dir)
     workers = min(args.jobs, len(lines))
+    results: list[dict | None] = []
     if workers <= 1:
-        results = [_annotate_record(state, *item) for item in lines]
+        try:
+            for item in lines:
+                results.append(_annotate_record(state, *item))
+        except KeyboardInterrupt:
+            pass
     else:
         results = _annotate_in_pool(state, lines, workers)
     failed = [f for f in results if f is not None]
-    written = len(lines) - len(failed)
-    print(json.dumps({"written": written, "failed": failed}), file=sys.stderr)
+    written, not_run = len(results) - len(failed), len(lines) - len(results)
+    summary = {"written": written, "failed": failed, **({"not_run": not_run} if not_run else {})}
+    print(json.dumps(summary), file=sys.stderr)
     print(f"wrote {written} documents to {out_dir}")
+    if not_run:
+        return 130  # 128 + SIGINT, as a shell reports a process Ctrl-C ended
     return 1 if failed else 0
 
 

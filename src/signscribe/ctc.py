@@ -154,13 +154,15 @@ def _lattice_pass(
     rule: stay beats prev beats skip, as ``np.argmax`` over (stay, prev,
     skip) would pick; prev wins only when strictly greater than stay, and
     skip only when strictly greater than both. The beta pass is this same
-    pass over the reversed lattice, so ``ctc_loss`` runs alpha and beta as
-    rows 0 and 1 of one pass.
+    pass over the reversed lattice, so ``ctc_losses`` runs every alpha and
+    beta row of a batch in one pass.
 
     Padding rule: a lattice shorter than S is padded at its end with -inf
     emissions and no skips. States only feed later states, so the padding
     stays -inf and leaves the real states' values unchanged: every row gets
-    the same bytes it would get alone with N = 1.
+    the same bytes it would get alone with N = 1. Frames only feed later
+    frames, so a row with fewer than T frames may be padded at its end with
+    any emissions and read up to its own length.
     """
     T, N, S = emit.shape
     # Two -inf columns ahead of state 0 make prev and skip plain views.
@@ -221,74 +223,75 @@ def _check_target(scores: FrameScores, target: list[int]) -> None:
         )
 
 
-def _blank_path_loss(y: np.ndarray) -> float:
-    """The loss of an empty target: only the all-blank path remains."""
-    return -float(np.log(np.maximum(y[:, -1], _LOG_EPS)).sum())
-
-
-def _path_log_p(alpha: np.ndarray) -> float:
-    """Log-likelihood of the target from its (T, S) alpha table: the paths
-    ending in the last symbol or the blank after it."""
-    with np.errstate(divide="ignore"):
-        log_p = _logaddexp(alpha[-1, -1], alpha[-1, -2])
-    if not np.isfinite(log_p):
-        raise InfeasibleTargetError("no feasible path for target")
-    return log_p
-
-
-def ctc_nll(scores: FrameScores, target: list[int]) -> float:
-    """The loss of :func:`ctc_loss` without its gradient, from the alpha pass alone.
-
-    By ``_lattice_pass``'s padding rule the alpha row passed alone (N = 1)
-    has the bytes of ``ctc_loss``'s stacked row 0, so the loss is the same
-    float; this skips the beta row and the occupancy posteriors.
-    """
-    _check_target(scores, target)
-    y = scores.probs
-    if not target:
-        return _blank_path_loss(y)
-    ext, can_skip = _lattice(list(target), y.shape[1] - 1)
-    emit = np.log(np.maximum(y, _LOG_EPS))[:, ext]
-    table, _ = _lattice_pass(emit[:, None], can_skip[None], viterbi=False)
-    return -float(_path_log_p(table[:, 0]))
-
-
 def ctc_loss(scores: FrameScores, target: list[int]) -> tuple[float, np.ndarray]:
-    """Negative log-likelihood of the target plus its gradient w.r.t. logits.
+    """Negative log-likelihood of the target plus its gradient w.r.t. logits:
+    the one-pair case of :func:`ctc_losses`."""
+    return ctc_losses([scores], [target])[0]
+
+
+def ctc_losses(
+    scores_list: list[FrameScores], targets: list[list[int]]
+) -> list[tuple[float, np.ndarray]]:
+    """:func:`ctc_loss` of each (scores, target) pair, all lattices in one pass.
 
     The gradient assumes ``scores.probs`` came from a softmax over logits;
     by the standard posterior identity dL/dz[t,k] = y[t,k] - gamma[t,k]
-    where gamma is the symbol-occupancy posterior. Alpha and beta come
-    from one stacked ``_lattice_pass``: row 0 is the lattice, row 1 the
-    reversed lattice (reversed frames, states and skip mask), whose table
-    read backwards is beta. Both rows have the same S, so neither is padded.
+    where gamma is the symbol-occupancy posterior. Each non-empty target
+    puts two rows into one stacked ``_lattice_pass``: its lattice, whose
+    table is alpha, and its reversed lattice (reversed frames, states and
+    skip mask), whose table read backwards is beta. Rows with fewer frames
+    or states are padded at the end, and each is read only up to its own
+    size: by the pass's padding rule every pair gets the bytes it would get
+    alone. An empty target has only the all-blank path.
     """
-    _check_target(scores, target)
-    y = scores.probs
-    T, C = y.shape
-    blank = C - 1
-    if not target:
-        grad = y.copy()
-        grad[:, blank] -= 1.0
-        return _blank_path_loss(y), grad
+    for scores, target in zip(scores_list, targets, strict=True):
+        _check_target(scores, target)
+    lattices = []  # (log emissions, lattice) of each non-empty target, in order
+    rows = []  # (log emissions, skip mask): alpha and beta row of each lattice
+    for scores, target in zip(scores_list, targets):
+        if target:
+            blank = scores.probs.shape[1] - 1
+            ext, can_skip = _lattice(list(target), blank)
+            _, rev_skip = _lattice(list(target)[::-1], blank)
+            emit = np.log(np.maximum(scores.probs, _LOG_EPS))[:, ext]
+            lattices.append((emit, ext))
+            rows += [(emit, can_skip), (emit[::-1, ::-1], rev_skip)]
+    if rows:
+        stacked = np.full(
+            (max(e.shape[0] for e, _ in rows), len(rows), max(len(k) for _, k in rows)), NEG_INF
+        )
+        skips = np.zeros(stacked.shape[1:], dtype=bool)
+        for n, (e, k) in enumerate(rows):
+            stacked[: len(e), n, : len(k)] = e
+            skips[n, : len(k)] = k
+        table, _ = _lattice_pass(stacked, skips, viterbi=False)
 
-    ext, can_skip = _lattice(list(target), blank)
-    _, rev_skip = _lattice(list(target)[::-1], blank)
-    emit = np.log(np.maximum(y, _LOG_EPS))[:, ext]
-    # Row 0 is alpha; row 1, the pass over the reversed lattice, is beta reversed.
-    table, _ = _lattice_pass(
-        np.stack([emit, emit[::-1, ::-1]], axis=1), np.stack([can_skip, rev_skip]), viterbi=False
-    )
-    alpha, beta = table[:, 0], table[::-1, 1, ::-1]
-    log_p = _path_log_p(alpha)
-
-    # gamma[t, k]: posterior that class k is emitted at frame t, summed over
-    # the states of class k in state order; -inf cells add exp(-inf) = 0.
-    contrib = np.exp(alpha + beta - emit - log_p)  # emission counted once
-    gamma = np.zeros((T, C))
-    np.add.at(gamma, (slice(None), ext), contrib)
-    grad = y - gamma
-    return -float(log_p), grad
+    out = []
+    pending = enumerate(lattices)
+    for scores, target in zip(scores_list, targets):
+        y = scores.probs
+        T, C = y.shape
+        if not target:
+            grad = y.copy()
+            grad[:, -1] -= 1.0
+            out.append((-float(np.log(np.maximum(y[:, -1], _LOG_EPS)).sum()), grad))
+            continue
+        j, (emit, ext) = next(pending)
+        S = len(ext)
+        alpha = table[:T, 2 * j, :S]
+        beta = table[T - 1 :: -1, 2 * j + 1, S - 1 :: -1]
+        # The paths that end in the last symbol or the blank after it.
+        with np.errstate(divide="ignore"):
+            log_p = _logaddexp(alpha[-1, -1], alpha[-1, -2])
+        if not np.isfinite(log_p):
+            raise InfeasibleTargetError("no feasible path for target")
+        # gamma[t, k]: posterior that class k is emitted at frame t, summed over
+        # the states of class k in state order; -inf cells add exp(-inf) = 0.
+        contrib = np.exp(alpha + beta - emit - log_p)  # emission counted once
+        gamma = np.zeros((T, C))
+        np.add.at(gamma, (slice(None), ext), contrib)
+        out.append((-float(log_p), y - gamma))
+    return out
 
 
 def greedy_decode(scores: FrameScores, alphabet: Alphabet) -> str:

@@ -26,13 +26,14 @@ from .fingerspelling import WordDetection
 from .gloss import GlossToken, TokenKind
 from .pose import ISR_ONE_HAND_FEATURES, ISR_TWO_HAND_FEATURES, PoseSequence, VideoFeatures
 from .stemming import stem_fixpoint
-from .training import GRAD_CLIP, MIN_LR, PATIENCE, WEIGHT_DECAY, CorpusError, fit, stratified_split
+from .training import (
+    BATCH_SIZE, GRAD_CLIP, MIN_LR, PATIENCE, WEIGHT_DECAY, CorpusError, fit, stratified_split,
+)
 
 ANY_CLASS = "ANY"
 NULL_CLASS = "NULL"
 _TRACK_EPS = 1e-12
 _TIE_TOL = 1e-9  # log-score difference below which two DP choices tie
-BATCH_CLIPS = 8  # training clips concatenated per optimiser step
 JITTER = 0.25  # training windows widen by up to this share of the sign span per side
 
 
@@ -434,7 +435,7 @@ def train_toy_isr(
         return _max_bce(out_two, out_one, np.concatenate(target_rows), train_mode)
 
     (best_two, best_one), history = fit(
-        [two, one], train, val, batch_loss, rng, epochs=epochs, batch_size=BATCH_CLIPS,
+        [two, one], train, val, batch_loss, rng, epochs=epochs, batch_size=BATCH_SIZE,
         lr=lr, weight_decay=WEIGHT_DECAY, min_lr=MIN_LR, patience=PATIENCE, grad_clip=GRAD_CLIP,
     )
     return IsrModel(

@@ -10,8 +10,9 @@ from . import nn
 
 _TRAIN_FRACTION, _VAL_FRACTION = 0.7, 0.15  # the test split takes the rest
 
-# The optimisation settings both trainers pass to :func:`fit`.
-WEIGHT_DECAY, MIN_LR, PATIENCE, GRAD_CLIP = 1e-5, 1e-6, 10, 5.0
+# The optimisation settings both trainers pass to :func:`fit`; a batch is
+# ``BATCH_SIZE`` samples concatenated in time.
+BATCH_SIZE, WEIGHT_DECAY, MIN_LR, PATIENCE, GRAD_CLIP = 8, 1e-5, 1e-6, 10, 5.0
 
 
 class CorpusError(ValueError):
@@ -76,14 +77,16 @@ def fit(
     ``loss_fn(tcns, batch, True)``, which returns the batch loss after calling
     ``backward`` on the networks' outputs. The learning rate follows a cosine
     from ``lr`` to ``min_lr`` over all steps and gradients are clipped to a
-    global L2 norm of ``grad_clip``. The validation loss is the mean of
-    ``loss_fn(frozen, [s], False)`` over ``val``, where ``frozen`` holds
-    :meth:`nn.Tcn.from_arrays` copies of the epoch's weights. A history row
-    per epoch holds ``epoch``, the mean batch ``train_loss``, ``val_loss`` and
-    the last step's ``lr``. Training stops once ``patience`` epochs pass
-    without a new best validation loss; the frozen copies of the best epoch
-    are returned (copies of the initial weights when ``epochs`` is 0). A
-    non-finite epoch loss raises ``FloatingPointError``: NaN is never a new best.
+    global L2 norm of ``grad_clip``. The validation score, lower is better, is
+    the mean of ``loss_fn(frozen, [s], False)`` over ``val``, where ``frozen``
+    holds :meth:`nn.Tcn.from_arrays` copies of the epoch's weights: a loss, or
+    any other per-sample score such as the fingerspelling trainer's greedy CER.
+    A history row per epoch holds ``epoch``, the mean batch ``train_loss``, the
+    validation score as ``val_loss`` and the last step's ``lr``. Training stops
+    once ``patience`` epochs pass without a strictly lower validation score;
+    the frozen copies of the best epoch, the earliest on a tie, are returned
+    (copies of the initial weights when ``epochs`` is 0). A non-finite epoch
+    loss or score raises ``FloatingPointError``: NaN is never a new best.
     """
     opt = nn.AdamW(tcns, lr=lr, weight_decay=weight_decay)
 

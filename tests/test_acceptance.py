@@ -158,9 +158,11 @@ def test_criterion_5_synthetic_fingerspelling_task(world, fs_corpus, fs_model, t
     train_time = training_times["fingerspelling"]
     assert train_time <= 600.0, f"training took {train_time:.0f}s"
     digest = nn.weights_digest(fs_model.tcn.state_arrays())[:12]
+    best = min(fs_model.history, key=lambda h: h["val_loss"])  # the earliest on a tie, as fit
     _report(
         5, "synthetic fingerspelling",
-        f"CER {held_out:.4f}, train {train_time:.0f}s, weights {digest}",
+        f"CER {held_out:.4f}, {len(fs_model.history)} epochs, best epoch {best['epoch']}, "
+        f"train {train_time:.0f}s, weights {digest}",
     )
 
 

@@ -592,6 +592,95 @@ class TestAnnotate:
             parent.stderr.close()
 
 
+    @pytest.mark.skipif(
+        not hasattr(os, "mkfifo") or not Path("/proc/self/stat").exists(),
+        reason="finds the workers through /proc and blocks them on named pipes",
+    )
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_interrupted_batch_summarises_what_it_wrote(self, world, model_root, tmp_path, jobs):
+        """Ctrl-C stops a batch: the records no worker has taken are not run, the
+        taken ones finish, and the summary counts what was written and exits 130.
+
+        Records b0 and b1 have pose files; the eight after them have named pipes,
+        so each blocks its worker until this test closes the pipe's write end,
+        which ends the record as a failure. SIGINT comes once every worker is
+        blocked, so b0 and b1 are written by then."""
+        transcripts, poses_dir = batch_inputs(world, tmp_path, count=2)
+        fifos = [f"p{i}" for i in range(8)]
+        for video_id in fifos:
+            os.mkfifo(poses_dir / f"{video_id}.jsonl")
+        with transcripts.open("a") as fh:
+            fh.writelines(
+                json.dumps({"video_id": v, "english": "The cat sleeps at home"}) + "\n"
+                for v in fifos
+            )
+        out_dir = tmp_path / "docs"
+        parent = subprocess.Popen(
+            [sys.executable, "-m", "signscribe.cli", "annotate",
+             "--transcripts", str(transcripts), "--poses-dir", str(poses_dir),
+             "--model-dir", str(model_root), "--out", str(out_dir), "--jobs", str(jobs)],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            # A shell without job control starts background commands with SIGINT
+            # ignored, and a Python started so never raises KeyboardInterrupt.
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+        )
+        opened = {}  # video id -> write end of its pipe, or None once closed
+
+        def open_taken_pipes():
+            """Open the write end of every pipe a record is reading."""
+            for video_id in fifos:
+                if video_id not in opened:
+                    try:
+                        fd = os.open(poses_dir / f"{video_id}.jsonl", os.O_WRONLY | os.O_NONBLOCK)
+                    except OSError:  # ENXIO: no reader yet
+                        continue
+                    opened[video_id] = fd
+
+        def close_pipes():
+            for video_id, fd in opened.items():
+                if fd is not None:
+                    os.close(fd)
+                    opened[video_id] = None
+
+        workers = []
+        try:
+            deadline = time.monotonic() + 60
+            while len(opened) < jobs:
+                assert parent.poll() is None, parent.stderr.read().decode()
+                assert time.monotonic() < deadline, "the workers never reached the pipes"
+                time.sleep(0.05)
+                open_taken_pipes()
+            workers = _forked_children(parent.pid)
+            assert len(workers) == (jobs if jobs > 1 else 0)
+            parent.send_signal(signal.SIGINT)
+            time.sleep(1.0)  # let the parent cancel before the blocked records end
+            deadline = time.monotonic() + 30
+            while parent.poll() is None:
+                assert time.monotonic() < deadline, "the batch did not stop"
+                close_pipes()
+                time.sleep(0.05)
+                open_taken_pipes()
+            err = parent.stderr.read().decode()
+            assert parent.returncode == 130, err
+            assert "Traceback" not in err
+            summary = json.loads(err.strip().splitlines()[-1])
+            assert sorted(p.name for p in out_dir.glob("*.json")) == ["b0.json", "b1.json"]
+            assert summary["written"] == 2
+            assert {f["video_id"] for f in summary["failed"]} <= set(opened)
+            assert summary["written"] + len(summary["failed"]) + summary["not_run"] == 10
+            # Each pool worker holds one record, and the pool's call queue up to
+            # one more than there are workers; the rest were cancelled.
+            assert len(summary["failed"]) <= (2 * jobs + 1 if jobs > 1 else 0)
+            assert not any(_alive(pid) for pid in workers), "a worker outlived the batch"
+        finally:
+            for pid in [parent.pid, *workers]:
+                if _alive(pid):
+                    os.kill(pid, signal.SIGKILL)
+            parent.wait(timeout=10)
+            parent.stderr.close()
+            close_pipes()
+
 class TestRenderTimeline:
     def test_renders_fixture(self, tmp_path):
         out = tmp_path / "t.svg"

@@ -19,7 +19,7 @@ from signscribe.ctc import (
     _lattice_pass,
     aggregate_words,
     ctc_loss,
-    ctc_nll,
+    ctc_losses,
     forced_align,
     greedy_decode,
     min_frames_required,
@@ -459,6 +459,14 @@ def _equivalence_case(rng):
     return probs, target
 
 
+def _feasible_pair(rng, T, C):
+    """(scores, target) with T frames, C classes and a target that fits, maybe empty."""
+    target = [int(x) for x in rng.integers(0, C - 1, size=rng.integers(0, T + 1))]
+    while min_frames_required(target) > T:
+        target.pop()
+    return FrameScores(probs=random_softmax(rng, T, C)), target
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -486,25 +494,43 @@ class TestLatticeEquivalence:
             assert got[1].tobytes() == want[1].tobytes()
         assert min(kinds.values()) >= 20, kinds
 
-    def test_ctc_nll_is_ctc_loss_without_its_gradient(self):
-        """The alpha row alone gives the loss bytes of the stacked alpha/beta pass."""
-        rng = np.random.default_rng(2019)
-        feasible = 0
-        for _ in range(self.CASES):
-            probs, target = _equivalence_case(rng)
-            got = _outcome(ctc_nll, FrameScores(probs=probs), target)
-            want = _outcome(ctc_loss, FrameScores(probs=probs), target)
-            if isinstance(want[0], type):
-                assert got == want
-                continue
-            feasible += 1
-            assert np.float64(got).tobytes() == np.float64(want[0]).tobytes()
-        assert feasible >= self.CASES // 2
-        for T, L in [(55, 12), (120, 12), (300, 40)]:  # lattices as long as validation's
-            scores = FrameScores(probs=random_softmax(rng, T, 28))
-            target = [int(x) for x in rng.integers(0, 27, size=L)]
-            want = ctc_loss(scores, target)[0]
-            assert np.float64(ctc_nll(scores, target)).tobytes() == np.float64(want).tobytes()
+    def test_ctc_losses_rows_match_ctc_loss(self):
+        """Each pair of a stacked batch gets the loss and gradient bytes of its own
+        ``ctc_loss`` and of the hand-written recurrences: stacks of 1-8 pairs with
+        their own frame counts and target lengths, empty and repeated targets."""
+        rng = np.random.default_rng(2022)
+        seen = {"empty": 0, "ragged_t": 0, "ragged_s": 0, "stacks": 0}
+        for _ in range(300):
+            C = int(rng.integers(2, 7))
+            batch = [_feasible_pair(rng, int(rng.integers(1, 13)), C) for _ in range(rng.integers(1, 9))]
+            got = ctc_losses([s for s, _ in batch], [t for _, t in batch])
+            assert len(got) == len(batch)
+            for (scores, target), (loss, grad) in zip(batch, got):
+                alone, alone_grad = ctc_loss(scores, target)
+                ref, ref_grad = ref_ctc_loss(scores.probs, target)
+                assert np.float64(loss).tobytes() == np.float64(alone).tobytes() == np.float64(ref).tobytes()
+                assert grad.tobytes() == alone_grad.tobytes() == ref_grad.tobytes()
+            seen["empty"] += any(not t for _, t in batch)
+            seen["ragged_t"] += len({s.num_frames for s, t in batch if t}) > 1
+            seen["ragged_s"] += len({len(t) for _, t in batch if t}) > 1
+            seen["stacks"] += len(batch) > 1
+        assert min(seen.values()) >= 50, seen
+        for T in (30, 55, 104):  # lattices as long as training's
+            batch = [_feasible_pair(rng, T - i, 30) for i in range(8)]
+            got = ctc_losses([s for s, _ in batch], [t for _, t in batch])
+            for (scores, target), (loss, grad) in zip(batch, got):
+                alone, alone_grad = ctc_loss(scores, target)
+                assert np.float64(loss).tobytes() == np.float64(alone).tobytes()
+                assert grad.tobytes() == alone_grad.tobytes()
+
+    def test_ctc_losses_raises_what_one_pair_raises(self):
+        rng = np.random.default_rng(7)
+        fine = (FrameScores(probs=random_softmax(rng, 6, 4)), [0, 1])
+        bad = (FrameScores(probs=random_softmax(rng, 2, 4)), [0, 0])
+        with pytest.raises(InfeasibleTargetError, match="needs at least 3 frames"):
+            ctc_losses([fine[0], bad[0]], [fine[1], bad[1]])
+        with pytest.raises(ValueError):
+            ctc_losses([fine[0]], [fine[1], fine[1]])
 
     def test_forced_align_bit_identical(self):
         rng = np.random.default_rng(1944)

@@ -78,6 +78,13 @@ def test_returns_best_validation_epoch_not_last():
     assert best is not loss.tcn
 
 
+def test_tied_validation_scores_keep_the_earlier_epoch():
+    best, history, loss = run([3.0, 1.0, 1.0, 2.0], epochs=4)
+    assert [h["val_loss"] for h in history] == [3.0, 1.0, 1.0, 2.0]
+    assert same_weights(best.state_arrays(), loss.val_weights[1])
+    assert not same_weights(best.state_arrays(), loss.val_weights[2])
+
+
 def test_patience_stops_at_the_right_epoch():
     # Best at epoch 1; epochs 2 and 3 do not improve, so patience 2 stops after epoch 3.
     _, history, loss = run([3.0, 1.0, 2.0, 1.5, 0.5, 0.1], epochs=6, patience=2)
