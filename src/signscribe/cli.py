@@ -209,14 +209,17 @@ def _pipeline_config(args) -> pipe_mod.PipelineConfig:
     )
 
 
-# Shared state of a batch worker process, set once by the pool initializer.
-_worker_state: tuple | None = None
+# Shared state of a batch worker process and the parent's stop event, set
+# once by the pool initializer.
+_worker: tuple | None = None
+# What a worker returns for a record it took after the parent was interrupted.
+_NOT_RUN = "not run"
 
 
-def _init_worker(state: tuple, parent: int) -> None:
-    """Take the shared state, leave Ctrl-C to the parent, and end this worker
-    once ``parent``, the pid that forked it, is gone: a killed batch leaves
-    no worker behind."""
+def _init_worker(state: tuple, parent: int, stop) -> None:
+    """Take the shared state and the stop event, leave Ctrl-C to the parent,
+    and end this worker once ``parent``, the pid that forked it, is gone: a
+    killed batch leaves no worker behind."""
     import os
     import signal
     import threading
@@ -229,13 +232,14 @@ def _init_worker(state: tuple, parent: int) -> None:
             time.sleep(0.25)
         os._exit(1)
 
-    global _worker_state
-    _worker_state = state
+    global _worker
+    _worker = (state, stop)
     threading.Thread(target=exit_when_orphaned, daemon=True).start()
 
 
-def _annotate_in_worker(line_no: int, line: str) -> dict | None:
-    return _annotate_record(_worker_state, line_no, line)
+def _annotate_in_worker(line_no: int, line: str) -> dict | str | None:
+    state, stop = _worker
+    return _NOT_RUN if stop.is_set() else _annotate_record(state, line_no, line)
 
 
 def _write_document(pipeline: tuple, english: str, poses_path: Path, out_path: Path) -> None:
@@ -289,9 +293,9 @@ def _annotate_in_pool(
 ) -> list[dict | None]:
     """Annotate ``lines`` in ``workers`` processes; a dead worker fails what it left undone.
 
-    Ctrl-C cancels the records no worker has taken and waits for the taken
-    ones, so the outcomes returned, in line order, are those of the records
-    that ran.
+    Ctrl-C cancels the records still in the parent and waits for the rest;
+    a worker returns the records it takes after that unrun. The outcomes
+    returned, in line order, are those of the records that ran.
     """
     import multiprocessing
     import os
@@ -300,27 +304,34 @@ def _annotate_in_pool(
 
     # Forked workers inherit the loaded models instead of unpickling a copy.
     method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+    context = multiprocessing.get_context(method)
+    stop = context.Event()
     futures = []
     with ProcessPoolExecutor(
         max_workers=workers,
-        mp_context=multiprocessing.get_context(method),
+        mp_context=context,
         initializer=_init_worker,
-        initargs=(state, os.getpid()),
+        initargs=(state, os.getpid(), stop),
     ) as pool:
         try:
             for item in lines:
                 futures.append(pool.submit(_annotate_in_worker, *item))
             wait(futures)
         except KeyboardInterrupt:
+            # The pool's call queue holds up to workers + 1 records that
+            # shutdown cannot cancel; the event stops them in the workers.
+            stop.set()
             pool.shutdown(cancel_futures=True)
     results = []
     for item, future in zip(lines, futures):
         if future.cancelled():
             continue
         try:
-            results.append(future.result())
+            result = future.result()
         except BrokenProcessPool as exc:
-            results.append(_failure(*item, exc))
+            result = _failure(*item, exc)
+        if result != _NOT_RUN:
+            results.append(result)
     return results
 
 

@@ -448,34 +448,31 @@ def train_toy_isr(
 VOCAB_FILE = "vocabulary.json"
 
 
+# Each branch's subdirectory, which is also its IsrModel field.
+_BRANCHES = ("two_hand", "one_hand")
+
+
 def save_isr_model(directory: str | Path, model: IsrModel) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    nn.save_weights(
-        directory / "two_hand",
-        nn.ModelWeights.from_float64(
-            model.two_hand.config, model.two_hand.state_arrays(), extra={"model_kind": "isr_two_hand"}
-        ),
-    )
-    nn.save_weights(
-        directory / "one_hand",
-        nn.ModelWeights.from_float64(
-            model.one_hand.config, model.one_hand.state_arrays(), extra={"model_kind": "isr_one_hand"}
-        ),
-    )
+    for branch in _BRANCHES:
+        tcn = getattr(model, branch)
+        weights = nn.ModelWeights.from_float64(
+            tcn.config, tcn.state_arrays(), extra={"model_kind": f"isr_{branch}"}
+        )
+        nn.save_weights(directory / branch, weights)
     save_vocabulary(directory / VOCAB_FILE, model.vocabulary)
 
 
 def load_isr_model(directory: str | Path) -> IsrModel:
     directory = Path(directory)
     vocab = load_vocabulary(directory / VOCAB_FILE)
-    two_w = nn.load_weights(directory / "two_hand")
-    one_w = nn.load_weights(directory / "one_hand")
-    model = IsrModel(
-        vocabulary=vocab,
-        two_hand=nn.Tcn.from_arrays(two_w.config, two_w.as_float64()),
-        one_hand=nn.Tcn.from_arrays(one_w.config, one_w.as_float64()),
-    )
-    if two_w.config.output_classes != vocab.size or one_w.config.output_classes != vocab.size:
-        raise nn.WeightsError("model head width does not match the vocabulary size")
-    return model
+    tcns = {}
+    for branch in _BRANCHES:
+        weights = nn.load_weights(directory / branch)
+        if weights.extra.get("model_kind") != f"isr_{branch}":
+            raise nn.WeightsError(f"{directory / branch} does not hold an ISR {branch} branch")
+        if weights.config.output_classes != vocab.size:
+            raise nn.WeightsError("model head width does not match the vocabulary size")
+        tcns[branch] = nn.Tcn.from_arrays(weights.config, weights.as_float64())
+    return IsrModel(vocabulary=vocab, **tcns)

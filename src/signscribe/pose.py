@@ -3,7 +3,8 @@
 Coordinates are image-normalized (x, y in [0, 1]). A :class:`PoseSequence`
 holds a video column by column: (T,) timestamps, each hand as (T, 21, 2),
 the named upper-body joints as (T, J, 2), and presence masks per frame
-(and per joint). Missing channels are filled from the temporally nearest
+(and per joint). A sequence is built from these arrays or read from a
+JSON Lines pose file. Missing channels are filled from the temporally nearest
 valid frame before feature extraction; all of this works on whole arrays.
 
 Handedness is resolved per video from the fraction of valid frames per
@@ -61,22 +62,12 @@ class NoShouldersError(PoseError):
     pass
 
 
-@dataclass(frozen=True)
-class PoseFrame:
-    """One frame's channels; an absent hand or body is ``None``."""
-
-    timestamp: float
-    hand_left: np.ndarray | None = None
-    hand_right: np.ndarray | None = None
-    body: dict[str, np.ndarray] | None = None
-
-
 @dataclass(frozen=True, eq=False)
 class PoseSequence:
     """A video's keypoints, one array row per frame.
 
     Rows whose presence flag is off hold filler and are never read. Build
-    a sequence from per-frame records with :meth:`from_frames`.
+    a sequence from these arrays, or read one with :func:`read_pose_jsonl`.
     """
 
     timestamps: np.ndarray  # (T,) seconds, strictly increasing
@@ -101,31 +92,13 @@ class PoseSequence:
         if bad.any():
             raise PoseError(f"non-finite body joint {self.joints[int(np.argmax(bad))]!r}")
 
-    @classmethod
-    def from_frames(
-        cls, frames: Iterable[PoseFrame], fps: float, video_id: str = ""
-    ) -> PoseSequence:
-        """Build a sequence from per-frame records, as :attr:`frames` returns them."""
-        frames = tuple(frames)
-        records = ((f.timestamp, f.hand_left, f.hand_right, f.body) for f in frames)
-        return _from_records(records, len(frames), fps, video_id)
-
     def __len__(self) -> int:
         return len(self.timestamps)
 
-    def __getitem__(self, i: int) -> PoseFrame:
-        """Frame i, built on access."""
-        body = {name: self.body[i, j] for j, name in enumerate(self.joints) if self.body_present[i, j]}
-        return PoseFrame(
-            timestamp=float(self.timestamps[i]),
-            hand_left=self.hand_left[i] if self.left_present[i] else None,
-            hand_right=self.hand_right[i] if self.right_present[i] else None,
-            body=body or None,
-        )
-
     @property
     def frames(self) -> PoseSequence:
-        """The per-frame view: this sequence, indexed and iterated frame by frame."""
+        """This sequence. Kept only because the benchmark harness
+        (``perfbench/workloads.py``) counts frames with ``len(seq.frames)``."""
         return self
 
     def channel(self, name: str) -> tuple[np.ndarray | None, np.ndarray]:
@@ -256,6 +229,8 @@ def _impute_channel(seq: PoseSequence, channel: str) -> None:
     points, present = seq.channel(channel)
     if not present.any():
         raise ChannelEmptyError(channel)
+    if present.all():
+        return
     points[:] = points[_nearest_present(seq.timestamps, present)]
     present[:] = True
 
@@ -299,28 +274,28 @@ def normalize_hand(hand: np.ndarray, std: np.ndarray | None = None) -> np.ndarra
     return centered.reshape(*hand.shape[:-2], -1)
 
 
-def normalize_body(body: dict[str, np.ndarray]) -> np.ndarray:
+def normalize_body(body: np.ndarray, joints: tuple[str, ...]) -> np.ndarray:
     """Center on the shoulder midpoint and scale by shoulder width.
 
-    Each joint maps to one frame's (2,) point or a video's (T, 2) points.
-    The output holds the :data:`BODY_DEFAULT_JOINTS`, in that order; other
-    joints are ignored.
+    ``body`` is one frame's (J, 2) points or a video's (T, J, 2), column j
+    holding joint ``joints[j]``. The output holds the
+    :data:`BODY_DEFAULT_JOINTS`, in that order, flattened to 2 values each;
+    other joints are ignored.
     """
-    if "left_shoulder" not in body or "right_shoulder" not in body:
+    if "left_shoulder" not in joints or "right_shoulder" not in joints:
         raise NoShouldersError("both shoulders are required for body normalization")
-    ls, rs = body["left_shoulder"], body["right_shoulder"]
+    missing = [name for name in BODY_DEFAULT_JOINTS if name not in joints]
+    if missing:
+        raise PoseError(f"body joint {missing[0]!r} missing after imputation")
+    points = body[..., [joints.index(name) for name in BODY_DEFAULT_JOINTS], :]
+    ls, rs = points[..., 1, :], points[..., 2, :]  # BODY_DEFAULT_JOINTS[1:3]
     mid = (ls + rs) / 2.0
     gap = ls - rs
     # A dot product, as np.linalg.norm takes for one vector: BLAS may fuse
     # its multiply-add, so a plain sum of squares can round differently.
     width = np.sqrt(np.matmul(gap[..., None, :], gap[..., :, None])[..., 0, 0])
-    width = np.maximum(width, STD_EPS)[..., None]
-    out = []
-    for name in BODY_DEFAULT_JOINTS:
-        if name not in body:
-            raise PoseError(f"body joint {name!r} missing after imputation")
-        out.append((body[name] - mid) / width)
-    return np.concatenate(out, axis=-1)
+    width = np.maximum(width, STD_EPS)[..., None, None]
+    return ((points - mid[..., None, :]) / width).reshape(*points.shape[:-2], -1)
 
 
 # Column groups of the network inputs, in column order: the channels each reads
@@ -414,7 +389,7 @@ class VideoFeatures:
         self._imputed.update(channels)
         for group in groups:
             if group == "body":
-                rows = normalize_body({j: self._seq.channel("body:" + j)[0] for j in BODY_DEFAULT_JOINTS})
+                rows = normalize_body(self._seq.body, self._seq.joints)
             else:
                 hands = self._seq.channel(_GROUP_CHANNELS[group][0])[0]
                 rows = normalize_hand(hands, hand_joint_std(hands))
@@ -436,17 +411,19 @@ class VideoFeatures:
 
 
 def write_pose_jsonl(path: str | Path, seq: PoseSequence) -> None:
+    """Write one line per frame; absent hands are null and absent joints left out."""
+    by_name = sorted(range(len(seq.joints)), key=seq.joints.__getitem__)
     lines = [json.dumps({"fps": seq.fps, "video_id": seq.video_id})]
-    for f in seq.frames:
+    columns = (getattr(seq, name).tolist() for name in ("timestamps", *_ARRAY_FIELDS))
+    for t, left, right, has_left, has_right, body, has_body in zip(*columns):
+        joints = {seq.joints[j]: body[j] for j in by_name if has_body[j]}
         lines.append(
             json.dumps(
                 {
-                    "t": f.timestamp,
-                    "hand_left": None if f.hand_left is None else f.hand_left.tolist(),
-                    "hand_right": None if f.hand_right is None else f.hand_right.tolist(),
-                    "body": None
-                    if f.body is None
-                    else {k: v.tolist() for k, v in sorted(f.body.items())},
+                    "t": t,
+                    "hand_left": left if has_left else None,
+                    "hand_right": right if has_right else None,
+                    "body": joints or None,
                 }
             )
         )

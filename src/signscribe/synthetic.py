@@ -4,7 +4,8 @@ Each fingerspelling symbol and each vocabulary sign gets a fixed random
 keypoint template; clips are rendered by holding a template for a few
 frames with linear coarticulation blending at segment boundaries, Gaussian
 jitter, per-signer offset/scale, and quantization of all coordinates to a
-1/1024 grid (so mirroring x -> 1 - x is exact in floating point).
+1/1024 grid (so mirroring x -> 1 - x is exact in floating point). A clip
+is written frame by frame straight into a :class:`PoseSequence`'s arrays.
 
 The same world object backs the fingerspelling corpus, the isolated-sign
 corpus, and the sentence-video composer used for end-to-end tests, so a
@@ -20,7 +21,7 @@ import numpy as np
 from .ctc import PIPE, Alphabet, toy_alphabet
 from .gloss import FINGERSPELLED_KINDS, GlossSequence, GlossToken, TokenKind
 from .isr import SignVocabulary
-from .pose import HAND_JOINTS, PoseFrame, PoseSequence
+from .pose import HAND_JOINTS, PoseSequence
 
 DEFAULT_WORLD_SEED = 1207
 GRID = 1024.0
@@ -44,6 +45,9 @@ _REST_BODY = {
     "left_hip": (0.44, 0.78),
     "right_hip": (0.56, 0.78),
 }
+_JOINTS = tuple(_REST_BODY)
+_REST_POINTS = np.array(list(_REST_BODY.values()))  # (J, 2), in _JOINTS order
+_RIGHT_WRIST = _JOINTS.index("right_wrist")
 
 _RIGHT_HAND_CENTER = np.array([0.64, 0.58])
 _LEFT_HAND_CENTER = np.array([0.36, 0.60])
@@ -160,9 +164,14 @@ def _frames_from_right_hand(
     body_wrist_track: np.ndarray | None = None,
     drop_right: float = 0.0,
 ) -> PoseSequence:
+    """Fill a clip's arrays frame by frame, in the order of random draws
+    that the corpora depend on (``tests/test_synthetic.py`` pins it)."""
     T = len(right_track)
-    frames = []
-    base_body = {k: np.asarray(v) for k, v in _REST_BODY.items()}
+    hand_left = np.zeros((T, HAND_JOINTS, 2))
+    hand_right = np.zeros((T, HAND_JOINTS, 2))
+    has_left = np.zeros(T, dtype=bool)
+    has_right = np.zeros(T, dtype=bool)
+    body = np.zeros((T, len(_JOINTS), 2))
     for t in range(T):
         right = (
             _RIGHT_HAND_CENTER
@@ -170,8 +179,9 @@ def _frames_from_right_hand(
             + signer.scale * right_track[t]
             + rng.normal(0.0, _NOISE, size=(HAND_JOINTS, 2))
         )
-        hand_right = None if rng.random() < drop_right else quantize(right)
-        hand_left = None
+        if rng.random() >= drop_right:
+            hand_right[t] = quantize(right)
+            has_right[t] = True
         if left_track is not None and rng.random() < left_present:
             left = (
                 _LEFT_HAND_CENTER
@@ -179,22 +189,16 @@ def _frames_from_right_hand(
                 + signer.scale * left_track[t]
                 + rng.normal(0.0, _NOISE, size=(HAND_JOINTS, 2))
             )
-            hand_left = quantize(left)
-        body = {}
-        for name, xy in base_body.items():
-            pos = xy + signer.offset + rng.normal(0.0, _NOISE, size=2)
-            if body_wrist_track is not None and name == "right_wrist":
-                pos = pos + body_wrist_track[t]
-            body[name] = quantize(pos)
-        frames.append(
-            PoseFrame(
-                timestamp=t / _FPS,
-                hand_left=hand_left,
-                hand_right=hand_right,
-                body=body,
-            )
-        )
-    return PoseSequence.from_frames(frames, fps=_FPS, video_id=video_id)
+            hand_left[t] = quantize(left)
+            has_left[t] = True
+        pos = _REST_POINTS + signer.offset + rng.normal(0.0, _NOISE, size=(len(_JOINTS), 2))
+        if body_wrist_track is not None:
+            pos[_RIGHT_WRIST] += body_wrist_track[t]
+        body[t] = quantize(pos)
+    return PoseSequence(
+        np.arange(T) / _FPS, hand_left, hand_right, has_left, has_right,
+        body, np.ones((T, len(_JOINTS)), dtype=bool), _JOINTS, _FPS, video_id,
+    )
 
 
 def _distractor(rng: np.random.Generator) -> np.ndarray:

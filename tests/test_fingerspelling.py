@@ -6,6 +6,7 @@ contracts and use the session-trained toy model where a real model helps.
 
 import numpy as np
 import pytest
+from sequences import pose_sequence
 
 from signscribe import fingerspelling as fs_mod
 from signscribe import synthetic as syn
@@ -19,7 +20,7 @@ from signscribe.fingerspelling import (
     train_toy,
 )
 from signscribe.gloss import TokenizationError
-from signscribe.pose import NoHandsError, PoseFrame, PoseSequence
+from signscribe.pose import NoHandsError
 from signscribe.training import CorpusError
 
 
@@ -43,8 +44,7 @@ class TestRecognize:
         assert exact >= 6
 
     def test_all_missing_video_errors(self, fs_model):
-        frames = tuple(PoseFrame(timestamp=i / 30.0) for i in range(10))
-        poses = PoseSequence.from_frames(frames=frames, fps=30.0)
+        poses = pose_sequence(np.arange(10) / 30.0)
         with pytest.raises(NoHandsError):
             recognize(fs_model, poses)
 

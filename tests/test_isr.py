@@ -1,11 +1,14 @@
 """Isolated sign recognizer: vocabulary, scores, classification, alignment."""
 
+import shutil
+
 import numpy as np
 import pytest
 
+from signscribe import nn
 from signscribe import synthetic as syn
 from signscribe.ctc import FrameScores
-from signscribe.fingerspelling import WordDetection
+from signscribe.fingerspelling import WordDetection, save_fingerspelling_model
 from signscribe.gloss import GlossToken, TokenKind, parse_gloss_sequence
 from signscribe.isr import (
     AlignEntry,
@@ -421,3 +424,18 @@ class TestPersistence:
         signer = syn.make_signers(1, rng)[0]
         poses, _ = syn.isr_clip(world, "BOOK", signer, rng)
         assert classify(loaded, poses) == classify(isr_model, poses)
+
+    def test_swapped_branches_rejected(self, isr_model, tmp_path):
+        save_isr_model(tmp_path / "isr", isr_model)
+        (tmp_path / "isr" / "two_hand").rename(tmp_path / "isr" / "swap")
+        (tmp_path / "isr" / "one_hand").rename(tmp_path / "isr" / "two_hand")
+        (tmp_path / "isr" / "swap").rename(tmp_path / "isr" / "one_hand")
+        with pytest.raises(nn.WeightsError, match="two_hand does not hold an ISR two_hand branch"):
+            load_isr_model(tmp_path / "isr")
+
+    def test_foreign_branch_rejected(self, isr_model, fs_model, tmp_path):
+        save_isr_model(tmp_path / "isr", isr_model)
+        shutil.rmtree(tmp_path / "isr" / "one_hand")
+        save_fingerspelling_model(tmp_path / "isr" / "one_hand", fs_model)
+        with pytest.raises(nn.WeightsError, match="one_hand does not hold an ISR one_hand branch"):
+            load_isr_model(tmp_path / "isr")

@@ -1,9 +1,12 @@
 """Pose ingestion, handedness, imputation, normalization, features."""
 
 import json
+from collections import namedtuple
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from sequences import pose_sequence
 
 from signscribe.pose import (
     BODY_DEFAULT_JOINTS,
@@ -16,8 +19,6 @@ from signscribe.pose import (
     NoHandsError,
     NoShouldersError,
     PoseError,
-    PoseFrame,
-    PoseSequence,
     VideoFeatures,
     hand_joint_std,
     impute_missing,
@@ -30,6 +31,7 @@ from signscribe.pose import (
 )
 
 GRID = 1024.0
+ARRAYS = ("timestamps", "hand_left", "hand_right", "left_present", "right_present", "body", "body_present")
 
 
 def grid_hand(rng):
@@ -37,39 +39,49 @@ def grid_hand(rng):
 
 
 def grid_body(rng):
-    body = {}
-    for name in BODY_DEFAULT_JOINTS:
-        body[name] = np.round(rng.uniform(0.1, 0.9, size=2) * GRID) / GRID
-    return body
+    return np.round(rng.uniform(0.1, 0.9, size=(len(BODY_DEFAULT_JOINTS), 2)) * GRID) / GRID
 
 
-def make_sequence(rng, n=6, left_every=1, right_every=1, body=True):
-    frames = []
+def hands_at(n, present):
+    """(n, 21, 2) hands, NaN (absent) but for the given {frame: points}."""
+    hands = np.full((n, 21, 2), np.nan)
+    for i, points in present.items():
+        hands[i] = points
+    return hands
+
+
+def make_sequence(rng, n=6, left_every=1, right_every=1):
+    """Grid-valued hands on every left_every-th / right_every-th frame; every body joint on all."""
+    left, right, body = {}, {}, np.empty((n, len(BODY_DEFAULT_JOINTS), 2))
     for i in range(n):
-        frames.append(
-            PoseFrame(
-                timestamp=i / 30.0,
-                hand_left=grid_hand(rng) if i % left_every == 0 else None,
-                hand_right=grid_hand(rng) if i % right_every == 0 else None,
-                body=grid_body(rng) if body else None,
-            )
-        )
-    return PoseSequence.from_frames(frames=tuple(frames), fps=30.0, video_id="t")
+        if i % left_every == 0:
+            left[i] = grid_hand(rng)
+        if i % right_every == 0:
+            right[i] = grid_hand(rng)
+        body[i] = grid_body(rng)
+    return pose_sequence(np.arange(n) / 30.0, hands_at(n, left), hands_at(n, right), body, video_id="t")
+
+
+def drop(seq, frames, hands=(), joints=()):
+    """``seq`` with the named hands ("left", "right") and body joints absent on ``frames``."""
+    present = {name: getattr(seq, name).copy() for name in ("left_present", "right_present", "body_present")}
+    for hand in hands:
+        present[f"{hand}_present"][frames] = False
+    for name in joints:
+        present["body_present"][frames, seq.joints.index(name)] = False
+    return replace(seq, **present)
 
 
 class TestSelectDominantHand:
     def _seq(self, left_frames, right_frames, n=10):
         rng = np.random.default_rng(0)
-        frames = []
+        left, right = {}, {}
         for i in range(n):
-            frames.append(
-                PoseFrame(
-                    timestamp=i / 30.0,
-                    hand_left=grid_hand(rng) if i in left_frames else None,
-                    hand_right=grid_hand(rng) if i in right_frames else None,
-                )
-            )
-        return PoseSequence.from_frames(frames=tuple(frames), fps=30.0)
+            if i in left_frames:
+                left[i] = grid_hand(rng)
+            if i in right_frames:
+                right[i] = grid_hand(rng)
+        return pose_sequence(np.arange(n) / 30.0, hands_at(n, left), hands_at(n, right))
 
     def test_left_dominant_flips(self):
         seq = self._seq(left_frames=set(range(9)), right_frames={0, 1})
@@ -93,90 +105,70 @@ class TestMirrorFlip:
     def test_x_reflection(self):
         hand = np.full((21, 2), 0.25)
         hand[:, 1] = 0.6
-        seq = PoseSequence.from_frames(
-            frames=(PoseFrame(timestamp=0.0, hand_right=hand),), fps=30.0
-        )
-        flipped = mirror_flip(seq)
-        assert flipped.frames[0].hand_left[0, 0] == pytest.approx(0.75)
-        assert flipped.frames[0].hand_left[0, 1] == pytest.approx(0.6)
-        assert flipped.frames[0].hand_right is None
+        flipped = mirror_flip(pose_sequence([0.0], hand_right=hand[None]))
+        assert flipped.hand_left[0, 0, 0] == pytest.approx(0.75)
+        assert flipped.hand_left[0, 0, 1] == pytest.approx(0.6)
+        assert flipped.left_present.tolist() == [True]
+        assert flipped.right_present.tolist() == [False]
 
     def test_involution_exact_on_grid(self):
         rng = np.random.default_rng(4)
         seq = make_sequence(rng, n=8, left_every=2)
         twice = mirror_flip(mirror_flip(seq))
-        for f, g in zip(seq.frames, twice.frames):
-            assert f.timestamp == g.timestamp
-            np.testing.assert_array_equal(f.hand_right, g.hand_right)
-            if f.hand_left is None:
-                assert g.hand_left is None
-            else:
-                np.testing.assert_array_equal(f.hand_left, g.hand_left)
-            for name in f.body:
-                np.testing.assert_array_equal(f.body[name], g.body[name])
+        assert twice.joints == seq.joints
+        for name in ARRAYS:
+            np.testing.assert_array_equal(getattr(twice, name), getattr(seq, name))
 
     def test_body_names_swapped(self):
-        body = {"left_shoulder": np.array([0.25, 0.3]), "right_shoulder": np.array([0.75, 0.3])}
-        seq = PoseSequence.from_frames(frames=(PoseFrame(timestamp=0.0, body=body),), fps=30.0)
+        body = np.array([[[0.25, 0.3], [0.75, 0.3]]])
+        seq = pose_sequence([0.0], body=body, joints=("left_shoulder", "right_shoulder"))
         flipped = mirror_flip(seq)
-        np.testing.assert_allclose(flipped.frames[0].body["left_shoulder"], [0.25, 0.3])
-        np.testing.assert_allclose(flipped.frames[0].body["right_shoulder"], [0.75, 0.3])
+        np.testing.assert_allclose(flipped.channel("body:left_shoulder")[0][0], [0.25, 0.3])
+        np.testing.assert_allclose(flipped.channel("body:right_shoulder")[0][0], [0.75, 0.3])
 
 
 class TestImputeMissing:
     def test_nearest_rule(self):
         rng = np.random.default_rng(1)
         h0, h3 = grid_hand(rng), grid_hand(rng)
-        frames = (
-            PoseFrame(timestamp=0.0, hand_right=h0),
-            PoseFrame(timestamp=1 / 30, hand_right=None),
-            PoseFrame(timestamp=2 / 30, hand_right=None),
-            PoseFrame(timestamp=3 / 30, hand_right=h3),
-        )
-        seq = impute_missing(PoseSequence.from_frames(frames=frames, fps=30.0), ["hand_right"])
-        np.testing.assert_array_equal(seq.frames[1].hand_right, h0)
-        np.testing.assert_array_equal(seq.frames[2].hand_right, h3)
+        seq = pose_sequence(np.arange(4) / 30, hand_right=hands_at(4, {0: h0, 3: h3}))
+        seq = impute_missing(seq, ["hand_right"])
+        np.testing.assert_array_equal(seq.hand_right[1], h0)
+        np.testing.assert_array_equal(seq.hand_right[2], h3)
+        assert seq.right_present.all()
 
     def test_tie_prefers_earlier(self):
         rng = np.random.default_rng(2)
         h0, h2 = grid_hand(rng), grid_hand(rng)
-        frames = (
-            PoseFrame(timestamp=0.0, hand_right=h0),
-            PoseFrame(timestamp=1 / 30, hand_right=None),
-            PoseFrame(timestamp=2 / 30, hand_right=h2),
-        )
-        seq = impute_missing(PoseSequence.from_frames(frames=frames, fps=30.0), ["hand_right"])
-        np.testing.assert_array_equal(seq.frames[1].hand_right, h0)
+        seq = pose_sequence(np.arange(3) / 30, hand_right=hands_at(3, {0: h0, 2: h2}))
+        seq = impute_missing(seq, ["hand_right"])
+        np.testing.assert_array_equal(seq.hand_right[1], h0)
 
     def test_identity_when_fully_populated(self):
         rng = np.random.default_rng(3)
         seq = make_sequence(rng, n=5)
         imputed = impute_missing(seq)
-        for f, g in zip(seq.frames, imputed.frames):
-            np.testing.assert_array_equal(f.hand_right, g.hand_right)
+        for name in ARRAYS:
+            np.testing.assert_array_equal(getattr(imputed, name), getattr(seq, name))
 
     def test_idempotent(self):
         rng = np.random.default_rng(6)
         seq = make_sequence(rng, n=9, left_every=3)
         once = impute_missing(seq)
         twice = impute_missing(once)
-        for f, g in zip(once.frames, twice.frames):
-            np.testing.assert_array_equal(f.hand_left, g.hand_left)
+        np.testing.assert_array_equal(once.hand_left, twice.hand_left)
 
     def test_single_valid_frame_broadcasts(self):
         rng = np.random.default_rng(7)
         h = grid_hand(rng)
-        frames = tuple(
-            PoseFrame(timestamp=i / 30, hand_right=h if i == 1 else None) for i in range(4)
-        )
-        seq = impute_missing(PoseSequence.from_frames(frames=frames, fps=30.0), ["hand_right"])
-        for f in seq.frames:
-            np.testing.assert_array_equal(f.hand_right, h)
+        seq = impute_missing(pose_sequence(np.arange(4) / 30, hand_right=hands_at(4, {1: h})), ["hand_right"])
+        for points in seq.hand_right:
+            np.testing.assert_array_equal(points, h)
 
     def test_channel_empty_error(self):
-        frames = (PoseFrame(timestamp=0.0, hand_right=np.full((21, 2), 0.5)),)
+        seq = pose_sequence([0.0], hand_right=np.full((1, 21, 2), 0.5))
         with pytest.raises(ChannelEmptyError):
-            impute_missing(PoseSequence.from_frames(frames=frames, fps=30.0), ["hand_left"])
+            impute_missing(seq, ["hand_left"])
 
 
 class TestNormalizeHand:
@@ -209,35 +201,40 @@ class TestNormalizeHand:
 
 class TestNormalizeBody:
     def test_worked_arithmetic(self):
-        body = {name: np.array([0.5, 0.5]) for name in BODY_DEFAULT_JOINTS}
-        body.update(
-            left_shoulder=np.array([0.4, 0.5]),
-            right_shoulder=np.array([0.6, 0.5]),
-            nose=np.array([0.5, 0.7]),
-        )
-        out = normalize_body(body)
         assert BODY_DEFAULT_JOINTS[:3] == ("nose", "left_shoulder", "right_shoulder")
+        body = np.full((len(BODY_DEFAULT_JOINTS), 2), 0.5)
+        body[:3] = [[0.5, 0.7], [0.4, 0.5], [0.6, 0.5]]
+        out = normalize_body(body, BODY_DEFAULT_JOINTS)
         np.testing.assert_allclose(out, [0.0, 1.0, -0.5, 0.0, 0.5, 0.0] + [0.0] * 12, atol=1e-12)
 
     def test_below_hip_joints_removed(self):
         rng = np.random.default_rng(11)
-        body = {name: rng.uniform(0.2, 0.8, size=2) for name in BODY_DEFAULT_JOINTS}
-        with_knee = {**body, "left_knee": np.array([0.5, 0.9])}
-        assert normalize_body(body).shape == (2 * len(BODY_DEFAULT_JOINTS),)
-        np.testing.assert_array_equal(normalize_body(with_knee), normalize_body(body))
+        body = rng.uniform(0.2, 0.8, size=(len(BODY_DEFAULT_JOINTS), 2))
+        with_knee = np.concatenate([body, [[0.5, 0.9]]])
+        joints = (*BODY_DEFAULT_JOINTS, "left_knee")
+        assert normalize_body(body, BODY_DEFAULT_JOINTS).shape == (2 * len(BODY_DEFAULT_JOINTS),)
+        np.testing.assert_array_equal(normalize_body(with_knee, joints), normalize_body(body, BODY_DEFAULT_JOINTS))
+        # columns are found by name, in any order
+        np.testing.assert_array_equal(
+            normalize_body(with_knee[::-1], joints[::-1]), normalize_body(body, BODY_DEFAULT_JOINTS)
+        )
 
     def test_scale_invariance_about_midpoint(self):
         rng = np.random.default_rng(11)
-        body = {name: rng.uniform(0.2, 0.8, size=2) for name in BODY_DEFAULT_JOINTS}
-        mid = (body["left_shoulder"] + body["right_shoulder"]) / 2
-        scaled = {name: mid + 2.5 * (xy - mid) for name, xy in body.items()}
+        body = rng.uniform(0.2, 0.8, size=(len(BODY_DEFAULT_JOINTS), 2))
+        mid = (body[1] + body[2]) / 2
+        scaled = mid + 2.5 * (body - mid)
         np.testing.assert_allclose(
-            normalize_body(body), normalize_body(scaled), atol=1e-9
+            normalize_body(body, BODY_DEFAULT_JOINTS), normalize_body(scaled, BODY_DEFAULT_JOINTS), atol=1e-9
         )
 
     def test_missing_shoulders(self):
         with pytest.raises(NoShouldersError):
-            normalize_body({"nose": np.array([0.5, 0.2])})
+            normalize_body(np.array([[0.5, 0.2]]), ("nose",))
+
+    def test_missing_joint(self):
+        with pytest.raises(PoseError, match="'left_hip' missing"):
+            normalize_body(np.zeros((8, 2)), tuple(j for j in BODY_DEFAULT_JOINTS if j != "left_hip"))
 
 
 class TestBuildFeatures:
@@ -265,8 +262,7 @@ class TestBuildFeatures:
 
     def test_missing_channel_rejected(self):
         rng = np.random.default_rng(14)
-        frames = (PoseFrame(timestamp=0.0, hand_right=grid_hand(rng)),)
-        seq = PoseSequence.from_frames(frames=frames, fps=30.0)
+        seq = pose_sequence([0.0], hand_right=grid_hand(rng)[None])
         with pytest.raises(ChannelEmptyError):
             VideoFeatures(seq).rows(ISR_TWO_HAND_FEATURES)
 
@@ -274,16 +270,9 @@ class TestBuildFeatures:
         rng = np.random.default_rng(15)
         seq = make_sequence(rng, n=6)
         shift = np.array([0.05, -0.02])
-        shifted_frames = tuple(
-            PoseFrame(
-                timestamp=f.timestamp,
-                hand_left=f.hand_left + shift,
-                hand_right=f.hand_right + shift,
-                body={k: v + shift for k, v in f.body.items()},
-            )
-            for f in seq.frames
+        shifted = replace(
+            seq, hand_left=seq.hand_left + shift, hand_right=seq.hand_right + shift, body=seq.body + shift
         )
-        shifted = PoseSequence.from_frames(frames=shifted_frames, fps=30.0)
         a = VideoFeatures(seq).rows(ISR_TWO_HAND_FEATURES)
         b = VideoFeatures(shifted).rows(ISR_TWO_HAND_FEATURES)
         np.testing.assert_allclose(a, b, atol=1e-9)
@@ -293,11 +282,7 @@ class TestPrepareSequence:
     def test_left_dominant_lands_in_right_slot(self):
         rng = np.random.default_rng(16)
         left = grid_hand(rng)
-        frames = tuple(
-            PoseFrame(timestamp=i / 30, hand_left=left, hand_right=grid_hand(rng) if i == 0 else None)
-            for i in range(5)
-        )
-        seq = PoseSequence.from_frames(frames=frames, fps=30.0)
+        seq = pose_sequence(np.arange(5) / 30, np.stack([left] * 5), hands_at(5, {0: grid_hand(rng)}))
         mirrored = left.copy()
         mirrored[:, 0] = 1.0 - mirrored[:, 0]
         hands = np.stack([mirrored] * 5)
@@ -309,21 +294,17 @@ class TestPrepareSequence:
 
 class TestSequenceValidation:
     def test_timestamps_strictly_increasing(self):
-        frames = (
-            PoseFrame(timestamp=0.0),
-            PoseFrame(timestamp=0.0),
-        )
         with pytest.raises(PoseError):
-            PoseSequence.from_frames(frames=frames, fps=30.0)
+            pose_sequence([0.0, 0.0])
 
     def test_bad_fps(self):
         with pytest.raises(PoseError):
-            PoseSequence.from_frames(frames=(), fps=0.0)
+            replace(pose_sequence([]), fps=0.0)
 
     def test_non_finite_rejected(self):
-        hand = np.full((21, 2), np.nan)
+        seq = pose_sequence([0.0], hand_right=np.full((1, 21, 2), 0.5))
         with pytest.raises(PoseError):
-            PoseSequence.from_frames(frames=(PoseFrame(timestamp=0.0, hand_right=hand),), fps=30.0)
+            replace(seq, hand_right=np.full((1, 21, 2), np.nan))
 
 
 class TestPoseJsonl:
@@ -336,20 +317,21 @@ class TestPoseJsonl:
         assert loaded.fps == seq.fps
         assert loaded.video_id == seq.video_id
         assert len(loaded) == len(seq)
-        for f, g in zip(seq.frames, loaded.frames):
-            np.testing.assert_array_equal(f.hand_right, g.hand_right)
-            if f.hand_left is None:
-                assert g.hand_left is None
-            for name in f.body:
-                np.testing.assert_array_equal(f.body[name], g.body[name])
+        np.testing.assert_array_equal(loaded.timestamps, seq.timestamps)
+        np.testing.assert_array_equal(loaded.hand_right, seq.hand_right)
+        np.testing.assert_array_equal(loaded.left_present, seq.left_present)
+        np.testing.assert_array_equal(loaded.hand_left[seq.left_present], seq.hand_left[seq.left_present])
+        assert sorted(loaded.joints) == sorted(seq.joints)
+        for name in seq.joints:
+            np.testing.assert_array_equal(loaded.channel("body:" + name)[0], seq.channel("body:" + name)[0])
+        assert loaded.body_present.all()
 
     def test_write_read_write_byte_identical(self, tmp_path):
         rng = np.random.default_rng(18)
-        frames = list(make_sequence(rng, n=7, left_every=3).frames)
-        frames[2] = PoseFrame(timestamp=frames[2].timestamp, hand_right=frames[2].hand_right)
-        del frames[4].body["nose"]
+        seq = make_sequence(rng, n=7, left_every=3)
+        seq = drop(drop(seq, 2, joints=seq.joints), 4, joints=["nose"])
         first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        write_pose_jsonl(first, PoseSequence.from_frames(frames, fps=30.0, video_id="v"))
+        write_pose_jsonl(first, replace(seq, video_id="v"))
         write_pose_jsonl(second, read_pose_jsonl(first))
         assert first.read_bytes() == second.read_bytes()
 
@@ -401,7 +383,23 @@ class TestPoseJsonl:
 # --- per-frame reference ----------------------------------------------------
 # The per-frame prepare_sequence + build_features that the columnar code
 # replaced, kept as the oracle: the array code must give the same feature
-# rows bit for bit, and fail on the same channel.
+# rows bit for bit, and fail on the same channel. The oracle reads a video
+# as per-frame records: an absent hand is None, the body a dict of the
+# present joints (or None when there are none).
+
+Frame = namedtuple("Frame", "timestamp hand_left hand_right body")
+
+
+def frames_of(seq):
+    return [
+        Frame(
+            timestamp=float(seq.timestamps[i]),
+            hand_left=seq.hand_left[i] if seq.left_present[i] else None,
+            hand_right=seq.hand_right[i] if seq.right_present[i] else None,
+            body={name: seq.body[i, j] for j, name in enumerate(seq.joints) if seq.body_present[i, j]} or None,
+        )
+        for i in range(len(seq))
+    ]
 
 
 def _ref_channel(frame, channel):
@@ -432,7 +430,7 @@ def _ref_prepare(frames, spec):
         raise NoHandsError("no hand present in any frame")
     if left > right:
         frames = [
-            PoseFrame(
+            Frame(
                 timestamp=f.timestamp,
                 hand_left=None if f.hand_right is None else _ref_flip(f.hand_right),
                 hand_right=None if f.hand_left is None else _ref_flip(f.hand_left),
@@ -459,7 +457,7 @@ def _ref_prepare(frames, spec):
         body = dict(f.body) if f.body else {}
         body.update({c[5:]: v[i] for c, v in filled.items() if c.startswith("body:")})
         out.append(
-            PoseFrame(
+            Frame(
                 timestamp=f.timestamp,
                 hand_left=filled["hand_left"][i] if "hand_left" in filled else f.hand_left,
                 hand_right=filled["hand_right"][i] if "hand_right" in filled else f.hand_right,
@@ -498,7 +496,7 @@ SPECS = {
 }
 
 
-def assert_matches_reference(frames, fps=30.0):
+def assert_matches_reference(seq):
     """Feature rows equal to the reference's for every spec, or the same error.
 
     The specs are asked of one shared :class:`VideoFeatures`, in the order
@@ -506,7 +504,7 @@ def assert_matches_reference(frames, fps=30.0):
     with the spec the reference prepared for. Returns the names of the
     specs whose features were built.
     """
-    seq = PoseSequence.from_frames(frames, fps=fps)
+    frames = frames_of(seq)
     video = VideoFeatures(seq)
     built = []
     for name, (prepare_spec, spec) in SPECS.items():
@@ -523,39 +521,33 @@ def assert_matches_reference(frames, fps=30.0):
     return built
 
 
-def random_frames(rng, n=40, step=1 / 30, left=0.8, right=0.9, joint=1.0, jitter=0.0):
+def random_video(rng, n=40, step=1 / 30, left=0.8, right=0.9, joint=1.0, jitter=0.0):
     """Grid-valued frames; each hand and body joint present with the given odds."""
-    frames = []
+    hands = np.full((2, n, 21, 2), np.nan)
+    body = np.full((n, len(BODY_DEFAULT_JOINTS), 2), np.nan)
     for i in range(n):
-        body = {
-            name: np.round(rng.uniform(0.1, 0.9, size=2) * GRID) / GRID + rng.normal(0, jitter, 2)
-            for name in BODY_DEFAULT_JOINTS
-            if rng.random() < joint
-        }
-        frames.append(
-            PoseFrame(
-                timestamp=i * step,
-                hand_left=grid_hand(rng) + rng.normal(0, jitter, (21, 2)) if rng.random() < left else None,
-                hand_right=grid_hand(rng) + rng.normal(0, jitter, (21, 2)) if rng.random() < right else None,
-                body=body or None,
-            )
-        )
-    return frames
+        for j in range(len(BODY_DEFAULT_JOINTS)):
+            if rng.random() < joint:
+                body[i, j] = np.round(rng.uniform(0.1, 0.9, size=2) * GRID) / GRID + rng.normal(0, jitter, 2)
+        for k, odds in enumerate((left, right)):
+            if rng.random() < odds:
+                hands[k, i] = grid_hand(rng) + rng.normal(0, jitter, (21, 2))
+    return pose_sequence(np.arange(n) * step, hands[0], hands[1], body)
 
 
 class TestMatchesPerFrameReference:
     @pytest.mark.parametrize("seed", range(10))
     def test_left_dominant_is_mirrored(self, seed):
         rng = np.random.default_rng(100 + seed)
-        frames = random_frames(rng, left=0.95, right=0.4, jitter=1e-3)
-        assert select_dominant_hand(PoseSequence.from_frames(frames, fps=30.0)) is Hand.LEFT
-        assert len(assert_matches_reference(frames)) == 3
+        seq = random_video(rng, left=0.95, right=0.4, jitter=1e-3)
+        assert select_dominant_hand(seq) is Hand.LEFT
+        assert len(assert_matches_reference(seq)) == 3
 
     @pytest.mark.parametrize("seed", range(10))
     def test_left_hand_missing_on_some_frames(self, seed):
         rng = np.random.default_rng(200 + seed)
-        frames = random_frames(rng, left=0.5, right=1.0, jitter=1e-3)
-        assert len(assert_matches_reference(frames)) == 3
+        seq = random_video(rng, left=0.5, right=1.0, jitter=1e-3)
+        assert len(assert_matches_reference(seq)) == 3
 
     @pytest.mark.parametrize("seed", range(10))
     def test_equidistant_ties(self, seed):
@@ -563,21 +555,20 @@ class TestMatchesPerFrameReference:
         # are exact binary fractions, so each odd frame is exactly as far
         # from the frame before it as from the frame after it.
         rng = np.random.default_rng(300 + seed)
-        frames = random_frames(rng, n=21, step=0.125, left=1.0, right=1.0)
-        frames = [f if i % 2 == 0 else PoseFrame(timestamp=f.timestamp) for i, f in enumerate(frames)]
-        assert len(assert_matches_reference(frames, fps=8.0)) == 3
+        seq = random_video(rng, n=21, step=0.125, left=1.0, right=1.0)
+        seq = drop(seq, slice(1, None, 2), hands=("left", "right"), joints=seq.joints)
+        assert len(assert_matches_reference(seq)) == 3
 
     @pytest.mark.parametrize("seed", range(10))
     def test_body_joints_absent_on_some_frames(self, seed):
         rng = np.random.default_rng(400 + seed)
-        frames = random_frames(rng, joint=0.7, jitter=1e-3)
-        assert len(assert_matches_reference(frames)) == 3
+        seq = random_video(rng, joint=0.7, jitter=1e-3)
+        assert len(assert_matches_reference(seq)) == 3
 
     def test_one_handed_video(self):
         rng = np.random.default_rng(500)
-        frames = random_frames(rng, left=0.0, right=0.9)
-        assert assert_matches_reference(frames) == ["fingerspelling"]
-        seq = PoseSequence.from_frames(frames, fps=30.0)
+        seq = random_video(rng, left=0.0, right=0.9)
+        assert assert_matches_reference(seq) == ["fingerspelling"]
         with pytest.raises(ChannelEmptyError) as got:
             VideoFeatures(seq).rows(ISR_TWO_HAND_FEATURES)
         assert got.value.channel == "hand_left"
@@ -589,7 +580,7 @@ class TestMatchesPerFrameReference:
         line = parse_gloss_sequence("fs-BOB TRAVEL TO fs-FRICK PARK WITH DOG")
         seq, _ = syn.compose_sentence_video(world, line, seed=5)
         for video in (seq, mirror_flip(seq)):
-            assert len(assert_matches_reference(list(video.frames))) == 3
+            assert len(assert_matches_reference(video)) == 3
 
 
 # --- per-network reference ----------------------------------------------------
@@ -615,12 +606,7 @@ def _old_build_features(seq, spec):
             raise ChannelEmptyError(channel)
     columns = []
     if spec.body:
-        body = {
-            name: seq.body[:, j]
-            for j, name in enumerate(seq.joints)
-            if seq.body_present[:, j].all()
-        }
-        columns.append(normalize_body(body))
+        columns.append(normalize_body(seq.body, seq.joints))
     for wanted, hands in ((spec.dominant_hand, seq.hand_right), (spec.non_dominant_hand, seq.hand_left)):
         if wanted:
             columns.append(normalize_hand(hands, hand_joint_std(hands)))
@@ -659,8 +645,7 @@ def _outcomes(inputs):
 
 
 class TestSharedFeaturesMatchPerNetworkBuilders:
-    def _check(self, frames):
-        seq = PoseSequence.from_frames(frames, fps=30.0)
+    def _check(self, seq):
         got, want = _outcomes(_new_inputs(seq)), _outcomes(_old_inputs(seq))
         assert got == want
         return want
@@ -668,14 +653,14 @@ class TestSharedFeaturesMatchPerNetworkBuilders:
     @pytest.mark.parametrize("seed", range(8))
     def test_left_dominant(self, seed):
         rng = np.random.default_rng(600 + seed)
-        frames = random_frames(rng, left=0.95, right=0.4, joint=0.8, jitter=1e-3)
-        assert len(self._check(frames)) == 3
+        seq = random_video(rng, left=0.95, right=0.4, joint=0.8, jitter=1e-3)
+        assert len(self._check(seq)) == 3
 
     @pytest.mark.parametrize("seed", range(8))
     def test_missing_channels(self, seed):
         rng = np.random.default_rng(700 + seed)
-        frames = random_frames(rng, left=0.5, right=0.7, joint=0.6, jitter=1e-3)
-        assert len(self._check(frames)) == 3
+        seq = random_video(rng, left=0.5, right=0.7, joint=0.6, jitter=1e-3)
+        assert len(self._check(seq)) == 3
 
     @pytest.mark.parametrize("absent, channel", [
         ("left", "hand_left"),
@@ -684,24 +669,19 @@ class TestSharedFeaturesMatchPerNetworkBuilders:
     ])
     def test_channel_absent_everywhere(self, absent, channel):
         rng = np.random.default_rng(800)
-        frames = random_frames(rng, left=0.0 if absent == "left" else 0.9)
-        frames = [
-            PoseFrame(f.timestamp, f.hand_left, f.hand_right, {k: v for k, v in f.body.items() if k != absent})
-            for f in frames
-        ]
-        outcome = self._check(frames)
+        seq = random_video(rng, left=0.0 if absent == "left" else 0.9)
+        if absent != "left":
+            seq = drop(seq, slice(None), joints=[absent])
+        outcome = self._check(seq)
         assert len(outcome) == 2 and outcome[1][2] == channel
 
     def test_first_error_is_the_fingerspelling_one(self):
         """Huge dominant-hand coordinates overflow its features before the ISR
         input finds the nose absent: the fingerspelling error comes first."""
         rng = np.random.default_rng(801)
-        frames = [
-            PoseFrame(f.timestamp, f.hand_left, f.hand_right * 1e308, {k: v for k, v in f.body.items() if k != "nose"})
-            for f in random_frames(rng, right=1.0)
-        ]
-        assert self._check(frames) == [(PoseError, "non-finite feature values", None)]
+        seq = drop(random_video(rng, right=1.0), slice(None), joints=["nose"])
+        seq = replace(seq, hand_right=seq.hand_right * 1e308)
+        assert self._check(seq) == [(PoseError, "non-finite feature values", None)]
 
     def test_no_hands(self):
-        frames = [PoseFrame(i / 30) for i in range(4)]
-        assert self._check(frames) == [(NoHandsError, "no hand present in any frame", None)]
+        assert self._check(pose_sequence(np.arange(4) / 30)) == [(NoHandsError, "no hand present in any frame", None)]
