@@ -8,7 +8,8 @@ import itertools
 
 import numpy as np
 
-from signscribe import Alphabet, FrameScores, aggregate_words, ctc_loss, forced_align
+from signscribe import Alphabet, FrameScores, ctc_loss, forced_align
+from signscribe.fingerspelling import align_words_scores
 from signscribe.gloss import to_ctc_tokens
 
 alpha = Alphabet(chars=("A", "B", "|"))
@@ -51,6 +52,5 @@ result = forced_align(scores, target, alpha)
 print("\nper-character alignment:")
 for unit in result.units:
     print(f"  {unit.symbol!r}: frames {unit.start_frame}-{unit.end_frame}, score {unit.score:.3f}")
-words = aggregate_words(result)
-for word in words.units:
-    print(f"word {word.symbol!r}: frames {word.start_frame}-{word.end_frame}, score {word.score:.3f}")
+for word in align_words_scores(scores, ["AB"], alpha):
+    print(f"word {word.word!r}: frames {word.start_frame}-{word.end_frame}, score {word.score:.3f}")

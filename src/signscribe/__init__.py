@@ -6,7 +6,7 @@ time-stamped candidate gloss annotations. The submodules hold the API;
 the names below are the few the quick-start demos use.
 """
 
-from .ctc import Alphabet, FrameScores, aggregate_words, ctc_loss, forced_align
+from .ctc import Alphabet, FrameScores, ctc_loss, forced_align
 from .gloss import parse_gloss_sequence, render, stem_normalize
 
 __version__ = "0.1.0"

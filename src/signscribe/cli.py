@@ -97,6 +97,14 @@ def _require_paths(parser: argparse.ArgumentParser, *paths: str | None) -> None:
 # --- train ----------------------------------------------------------------
 
 
+# The keys a corpus spec of each kind may set besides "kind" and "world_seed":
+# the parameters of its synthetic.make_*_corpus builder.
+_CORPUS_KEYS = {
+    "fingerspelling": ("num_phrases", "num_signers", "seed"),
+    "isr": ("clips_per_class", "num_signers", "seed"),
+}
+
+
 def _cmd_train(args, parser) -> int:
     if args.epochs is not None and args.epochs < 1:
         parser.error(f"argument --epochs: must be at least 1, got {args.epochs}")
@@ -108,7 +116,8 @@ def _cmd_train(args, parser) -> int:
         except ValueError as exc:
             parser.error(f"argument --channels: {exc}")
     _require_paths(parser, args.corpus)
-    spec = _read_spec(Path(args.corpus))
+    spec = _read_spec(Path(args.corpus), args.kind)
+    corpus_args = {key: spec[key] for key in _CORPUS_KEYS[args.kind] if key in spec}
     world = synth_mod.make_world(seed=spec.get("world_seed", synth_mod.DEFAULT_WORLD_SEED))
     out = Path(args.out)
     kwargs = {}
@@ -117,27 +126,13 @@ def _cmd_train(args, parser) -> int:
     if args.channels is not None:
         kwargs["channels"] = args.channels
 
-    if args.kind != spec.get("kind"):
-        raise DomainError(
-            f"corpus spec is for kind {spec.get('kind')!r}, requested {args.kind!r}"
-        )
     if args.kind == "fingerspelling":
-        corpus = synth_mod.make_fingerspelling_corpus(
-            world,
-            num_phrases=spec.get("num_phrases", 500),
-            num_signers=spec.get("num_signers", 10),
-            seed=spec.get("seed", 7),
-        )
+        corpus = synth_mod.make_fingerspelling_corpus(world, **corpus_args)
         model = fs_mod.train_toy(corpus, world.alphabet, seed=args.seed, **kwargs)
         fs_mod.save_fingerspelling_model(out, model)
         history = model.history
     else:
-        corpus = synth_mod.make_isr_corpus(
-            world,
-            clips_per_class=spec.get("clips_per_class", 15),
-            num_signers=spec.get("num_signers", 10),
-            seed=spec.get("seed", 11),
-        )
+        corpus = synth_mod.make_isr_corpus(world, **corpus_args)
         model = isr_mod.train_toy_isr(corpus, world.vocabulary, seed=args.seed, **kwargs)
         isr_mod.save_isr_model(out, model)
         history = model.history
@@ -149,13 +144,23 @@ def _cmd_train(args, parser) -> int:
     return 0
 
 
-def _read_spec(path: Path) -> dict:
-    """The corpus spec, its counts and seeds made integers; a malformed spec is a domain error."""
+def _read_spec(path: Path, kind: str) -> dict:
+    """The spec of a ``kind`` corpus, its counts and seeds made integers.
+
+    A malformed spec, one for another kind or one with a key the kind does
+    not take is a domain error.
+    """
     try:
         spec = json.loads(path.read_text(encoding="utf-8"))
         if not isinstance(spec, dict):
             raise ValueError(f"a corpus spec is a JSON object, not a JSON {type(spec).__name__}")
-        for key in ("world_seed", "num_phrases", "num_signers", "seed", "clips_per_class"):
+        if spec.get("kind") != kind:
+            raise ValueError(f"corpus spec is for kind {spec.get('kind')!r}, requested {kind!r}")
+        keys = ("world_seed", *_CORPUS_KEYS[kind])
+        unknown = [key for key in spec if key not in ("kind", *keys)]
+        if unknown:
+            raise ValueError(f"a corpus spec of kind {kind!r} takes no key {unknown[0]!r}")
+        for key in keys:
             if key in spec:
                 try:
                     spec[key] = int(spec[key])

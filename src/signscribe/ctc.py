@@ -357,44 +357,3 @@ def forced_align(
             )
         )
     return AlignmentResult(units=tuple(units), total_log_score=total)
-
-
-class EmptyWordError(ValueError):
-    pass
-
-
-def aggregate_words(align: AlignmentResult) -> AlignmentResult:
-    """Collapse a character alignment into per-word units.
-
-    Words are delimited by ``|`` separator units, which are structural and
-    contribute neither to scores nor to word intervals. A word's score is
-    the arithmetic mean of its characters' scores; its interval runs from
-    the first character's start to the last character's end.
-    """
-    words: list[AlignedUnit] = []
-    current: list[AlignedUnit] = []
-
-    def flush():
-        if not current:
-            return
-        words.append(
-            AlignedUnit(
-                symbol="".join(u.symbol for u in current),
-                score=float(np.mean([u.score for u in current])),
-                start_frame=current[0].start_frame,
-                end_frame=current[-1].end_frame,
-            )
-        )
-        current.clear()
-
-    saw_separator = False
-    for unit in align.units:
-        if unit.symbol == PIPE:
-            if saw_separator and not current:
-                raise EmptyWordError("empty word between separators")
-            flush()
-            saw_separator = True
-        else:
-            current.append(unit)
-    flush()
-    return AlignmentResult(units=tuple(words), total_log_score=align.total_log_score)

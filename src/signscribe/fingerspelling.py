@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-from .ctc import Alphabet, FrameScores, aggregate_words, ctc_losses, forced_align, greedy_decode
+from .ctc import PIPE, Alphabet, FrameScores, ctc_losses, forced_align, greedy_decode
 from .gloss import TokenizationError, to_ctc_tokens
 from .metrics import cer
 from .pose import FINGERSPELLING_FEATURES, PoseSequence, VideoFeatures
@@ -66,8 +66,9 @@ def recognize(model: FingerspellingModel, poses: PoseSequence) -> str:
 
 
 def normalize_word(word: str, alphabet: Alphabet) -> str:
-    """Case-fold a word into the recognizer alphabet, dropping the characters outside it."""
-    return "".join(ch for ch in word.upper() if ch in alphabet.chars)
+    """Case-fold a word into the recognizer alphabet, dropping the characters
+    outside it and the word separator ``|``."""
+    return "".join(ch for ch in word.upper() if ch in alphabet.chars and ch != PIPE)
 
 
 def align_words_scores(
@@ -75,24 +76,29 @@ def align_words_scores(
 ) -> list[WordDetection]:
     """Force-align a word list against precomputed character scores.
 
-    A character outside the alphabet raises :class:`TokenizationError`
-    naming it and its word; so does an empty word. Detected words are
-    upper-cased.
+    A character outside the alphabet, or the separator ``|``, raises
+    :class:`TokenizationError` naming it and its word; so does an empty
+    word. A word's score is the mean of its letters' scores, and its
+    interval runs from its first letter's first frame to its last letter's
+    last frame. Detected words are upper-cased.
     """
     if "" in words:
         raise TokenizationError("", "")
-    tokens = to_ctc_tokens(words, alphabet)
-    chars = forced_align(scores, tokens, alphabet)
-    word_units = aggregate_words(chars).units
-    return [
-        WordDetection(
-            word=w.upper(),
-            score=unit.score,
-            start_frame=unit.start_frame,
-            end_frame=unit.end_frame,
+    units = forced_align(scores, to_ctc_tokens(words, alphabet), alphabet).units
+    letters = iter(unit for unit in units if unit.symbol != PIPE)
+    detections = []
+    for w in words:
+        word = w.upper()
+        spelled = [next(letters) for _ in word]
+        detections.append(
+            WordDetection(
+                word=word,
+                score=float(np.mean([unit.score for unit in spelled])),
+                start_frame=spelled[0].start_frame,
+                end_frame=spelled[-1].end_frame,
+            )
         )
-        for w, unit in zip(words, word_units)
-    ]
+    return detections
 
 
 # --- training ---------------------------------------------------------------
@@ -123,7 +129,7 @@ def train_toy(
         raise CorpusError("corpus too small to stratify")
 
     config = nn.fingerspelling_config(
-        input_dim=FINGERSPELLING_FEATURES.dim, output_classes=alphabet.size, channels=channels
+        input_dim=len(FINGERSPELLING_FEATURES), output_classes=alphabet.size, channels=channels
     )
     tcn = nn.Tcn.init(config, rng)
     feats = {s.sample_id: _features(s.poses) for s in train + val}

@@ -32,12 +32,12 @@ class GlossParseError(ValueError):
 
 
 class TokenizationError(ValueError):
-    """A word contains a character outside the CTC alphabet."""
+    """A word contains a character outside the CTC alphabet, or the word separator."""
 
     def __init__(self, char: str, word: str):
         self.char = char
         self.word = word
-        super().__init__(f"character {char!r} in word {word!r} is not in the alphabet")
+        super().__init__(f"character {char!r} in word {word!r} cannot be spelled with the alphabet")
 
 
 class TokenKind(enum.Enum):
@@ -204,8 +204,8 @@ def to_ctc_tokens(words: Sequence[str], alphabet) -> list[int]:
 
     The emitted layout is a leading separator, then each word's characters
     followed by a separator: ``| C A T | A N D | D O G |``. Characters are
-    case-folded to uppercase before lookup; an unmapped character raises
-    :class:`TokenizationError`.
+    case-folded to uppercase before lookup; an unmapped character, or a
+    separator inside a word, raises :class:`TokenizationError`.
     """
     ids = [alphabet.pipe_id]
     for word in words:
@@ -214,5 +214,7 @@ def to_ctc_tokens(words: Sequence[str], alphabet) -> list[int]:
                 ids.append(alphabet.index(ch))
             except KeyError:
                 raise TokenizationError(ch, word) from None
+            if ids[-1] == alphabet.pipe_id:
+                raise TokenizationError(ch, word)
         ids.append(alphabet.pipe_id)
     return ids

@@ -403,10 +403,10 @@ def train_toy_isr(
             raise CorpusError(f"corpus gloss {s.gloss!r} is not in the vocabulary")
 
     two_cfg = nn.isr_config(
-        input_dim=ISR_TWO_HAND_FEATURES.dim, output_classes=vocabulary.size, channels=channels
+        input_dim=len(ISR_TWO_HAND_FEATURES), output_classes=vocabulary.size, channels=channels
     )
     one_cfg = nn.isr_config(
-        input_dim=ISR_ONE_HAND_FEATURES.dim, output_classes=vocabulary.size, channels=channels
+        input_dim=len(ISR_ONE_HAND_FEATURES), output_classes=vocabulary.size, channels=channels
     )
     two = nn.Tcn.init(two_cfg, rng)
     one = nn.Tcn.init(one_cfg, rng)

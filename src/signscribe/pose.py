@@ -39,8 +39,6 @@ BODY_DEFAULT_JOINTS = (
     "right_hip",
 )
 
-# Hand channel -> the PoseSequence field holding its per-frame presence.
-_PRESENT = {"hand_left": "left_present", "hand_right": "right_present"}
 _ARRAY_FIELDS = ("hand_left", "hand_right", "left_present", "right_present", "body", "body_present")
 
 
@@ -56,10 +54,6 @@ class ChannelEmptyError(PoseError):
     def __init__(self, channel: str):
         self.channel = channel
         super().__init__(f"channel {channel!r} is absent in every frame")
-
-
-class NoShouldersError(PoseError):
-    pass
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,20 +94,6 @@ class PoseSequence:
         """This sequence. Kept only because the benchmark harness
         (``perfbench/workloads.py``) counts frames with ``len(seq.frames)``."""
         return self
-
-    def channel(self, name: str) -> tuple[np.ndarray | None, np.ndarray]:
-        """Points (T, ..., 2) and (T,) presence flags of a channel, as views.
-
-        Channels are ``"hand_left"``, ``"hand_right"`` and ``"body:<joint>"``;
-        an unknown one has no points and is present nowhere.
-        """
-        if name in _PRESENT:
-            return getattr(self, name), getattr(self, _PRESENT[name])
-        joint = name.removeprefix("body:")
-        if name.startswith("body:") and joint in self.joints:
-            j = self.joints.index(joint)
-            return self.body[:, j], self.body_present[:, j]
-        return None, np.zeros(len(self), dtype=bool)
 
 
 def _points(value, shape: tuple[int, int], what: str) -> np.ndarray:
@@ -224,31 +204,17 @@ def _nearest_present(ts: np.ndarray, present: np.ndarray) -> np.ndarray:
     return valid[np.where(take_later, later, earlier)]
 
 
-def _impute_channel(seq: PoseSequence, channel: str) -> None:
-    """Fill a channel's missing frames in place; raise if it is valid nowhere."""
-    points, present = seq.channel(channel)
+def _imputed(ts: np.ndarray, points: np.ndarray, present: np.ndarray, channel: str) -> np.ndarray:
+    """``points`` (T, ..., 2) with each absent frame filled from the temporally
+    nearest present frame (ties to the earlier one), as a new array; the
+    points themselves when every frame is present. Raises
+    :class:`ChannelEmptyError` naming ``channel`` when no frame is present.
+    """
     if not present.any():
         raise ChannelEmptyError(channel)
     if present.all():
-        return
-    points[:] = points[_nearest_present(seq.timestamps, present)]
-    present[:] = True
-
-
-def impute_missing(seq: PoseSequence, channels: list[str] | None = None) -> PoseSequence:
-    """Copy each missing channel from the temporally nearest valid frame.
-
-    Distance is measured on timestamps; ties prefer the earlier frame.
-    Raises :class:`ChannelEmptyError` for a requested channel valid nowhere.
-    By default every channel present in some frame is filled.
-    """
-    if channels is None:
-        channels = [*_PRESENT, *("body:" + joint for joint in seq.joints)]
-        channels = [c for c in channels if seq.channel(c)[1].any()]
-    seq = replace(seq, **{name: getattr(seq, name).copy() for name in _ARRAY_FIELDS})
-    for channel in channels:
-        _impute_channel(seq, channel)
-    return seq
+        return points
+    return points[_nearest_present(ts, present)]
 
 
 def hand_joint_std(hands: np.ndarray | list[np.ndarray]) -> np.ndarray:
@@ -274,91 +240,75 @@ def normalize_hand(hand: np.ndarray, std: np.ndarray | None = None) -> np.ndarra
     return centered.reshape(*hand.shape[:-2], -1)
 
 
-def normalize_body(body: np.ndarray, joints: tuple[str, ...]) -> np.ndarray:
+def normalize_body(body: np.ndarray) -> np.ndarray:
     """Center on the shoulder midpoint and scale by shoulder width.
 
-    ``body`` is one frame's (J, 2) points or a video's (T, J, 2), column j
-    holding joint ``joints[j]``. The output holds the
-    :data:`BODY_DEFAULT_JOINTS`, in that order, flattened to 2 values each;
-    other joints are ignored.
+    ``body`` is one frame's (9, 2) or a video's (T, 9, 2)
+    :data:`BODY_DEFAULT_JOINTS`, in that order; the output flattens them
+    to 2 values each.
     """
-    if "left_shoulder" not in joints or "right_shoulder" not in joints:
-        raise NoShouldersError("both shoulders are required for body normalization")
-    missing = [name for name in BODY_DEFAULT_JOINTS if name not in joints]
-    if missing:
-        raise PoseError(f"body joint {missing[0]!r} missing after imputation")
-    points = body[..., [joints.index(name) for name in BODY_DEFAULT_JOINTS], :]
-    ls, rs = points[..., 1, :], points[..., 2, :]  # BODY_DEFAULT_JOINTS[1:3]
+    ls, rs = body[..., 1, :], body[..., 2, :]  # BODY_DEFAULT_JOINTS[1:3]
     mid = (ls + rs) / 2.0
     gap = ls - rs
     # A dot product, as np.linalg.norm takes for one vector: BLAS may fuse
     # its multiply-add, so a plain sum of squares can round differently.
     width = np.sqrt(np.matmul(gap[..., None, :], gap[..., :, None])[..., 0, 0])
     width = np.maximum(width, STD_EPS)[..., None, None]
-    return ((points - mid[..., None, :]) / width).reshape(*points.shape[:-2], -1)
+    return ((body - mid[..., None, :]) / width).reshape(*body.shape[:-2], -1)
 
 
-# Column groups of the network inputs, in column order: the channels each reads
-# and the columns it fills.
-_GROUP_CHANNELS = {
-    "body": tuple("body:" + joint for joint in BODY_DEFAULT_JOINTS),
-    "dominant_hand": ("hand_right",),
-    "non_dominant_hand": ("hand_left",),
-}
+# The network inputs are column ranges of one (T, body + dominant hand +
+# non-dominant hand) matrix; the width of each is its network's input_dim.
 _BODY_DIM = 2 * len(BODY_DEFAULT_JOINTS)
 _HAND_DIM = 2 * HAND_JOINTS
-_GROUP_COLUMNS = {
-    "body": slice(0, _BODY_DIM),
-    "dominant_hand": slice(_BODY_DIM, _BODY_DIM + _HAND_DIM),
-    "non_dominant_hand": slice(_BODY_DIM + _HAND_DIM, _BODY_DIM + 2 * _HAND_DIM),
-}
+FINGERSPELLING_FEATURES = range(_BODY_DIM, _BODY_DIM + _HAND_DIM)
+ISR_TWO_HAND_FEATURES = range(0, _BODY_DIM + 2 * _HAND_DIM)
+ISR_ONE_HAND_FEATURES = range(0, _BODY_DIM + _HAND_DIM)
+# The column groups, in column order, named by the prepared sequence's
+# field they read: the dominant hand sits in the right-hand slot.
+_GROUPS = (
+    ("body", range(0, _BODY_DIM)),
+    ("hand_right", range(_BODY_DIM, _BODY_DIM + _HAND_DIM)),
+    ("hand_left", range(_BODY_DIM + _HAND_DIM, _BODY_DIM + 2 * _HAND_DIM)),
+)
 
 
-@dataclass(frozen=True)
-class FeatureSpec:
-    """Channel groups concatenated per frame: body, dominant hand, non-dominant hand."""
-
-    dominant_hand: bool = True
-    non_dominant_hand: bool = False
-    body: bool = False
-
-    @property
-    def dim(self) -> int:
-        return sum(_GROUP_COLUMNS[g].stop - _GROUP_COLUMNS[g].start for g in self.groups())
-
-    def groups(self) -> list[str]:
-        return [group for group in _GROUP_CHANNELS if getattr(self, group)]
-
-    def channels(self) -> list[str]:
-        return [channel for group in self.groups() for channel in _GROUP_CHANNELS[group]]
-
-
-FINGERSPELLING_FEATURES = FeatureSpec(dominant_hand=True)
-ISR_TWO_HAND_FEATURES = FeatureSpec(dominant_hand=True, non_dominant_hand=True, body=True)
-ISR_ONE_HAND_FEATURES = FeatureSpec(dominant_hand=True, non_dominant_hand=False, body=True)
+def _group_points(seq: PoseSequence, group: str) -> np.ndarray:
+    """A column group's points with absent frames imputed: the (T, 9, 2)
+    default body joints, or a (T, 21, 2) hand."""
+    ts = seq.timestamps
+    if group == "hand_right":
+        return _imputed(ts, seq.hand_right, seq.right_present, group)
+    if group == "hand_left":
+        return _imputed(ts, seq.hand_left, seq.left_present, group)
+    body = np.empty((len(seq), len(BODY_DEFAULT_JOINTS), 2))
+    for k, joint in enumerate(BODY_DEFAULT_JOINTS):
+        if joint not in seq.joints:
+            raise ChannelEmptyError("body:" + joint)
+        j = seq.joints.index(joint)
+        body[:, k] = _imputed(ts, seq.body[:, j], seq.body_present[:, j], "body:" + joint)
+    return body
 
 
 class VideoFeatures:
     """A video's network inputs, built from one shared preparation.
 
-    The column groups sit side by side in one (T, body + dominant hand +
-    non-dominant hand) matrix, and each input is a column selection of it:
-    the fingerspelling input is the dominant-hand columns and the ISR
-    one-hand input the first columns of the two-hand input. The video is
-    resolved for handedness (and mirrored when left-dominant) once, each
-    channel is imputed once and each group normalised once, when an input
-    first needs it. The dominant hand is read from the right-hand slot.
+    Each input is a column range of one matrix (:data:`FINGERSPELLING_FEATURES`,
+    :data:`ISR_TWO_HAND_FEATURES`, :data:`ISR_ONE_HAND_FEATURES`). The video
+    is resolved for handedness (and mirrored when left-dominant) once, and
+    each column group is imputed and normalised once, when an input first
+    needs it, without writing to the video's arrays.
 
     Work runs in the order the inputs are asked for, so a bad video raises
     the error that preparing each input on its own would: an empty or
-    handless video first, then the first of the spec's channels valid in no
-    frame, then non-finite feature values.
+    handless video first, then the first of the input's channels (body
+    joints, dominant hand, non-dominant hand) valid in no frame, then
+    non-finite feature values.
     """
 
     def __init__(self, seq: PoseSequence):
         self._source = seq
-        self._seq: PoseSequence | None = None  # prepared copy, until every group is built
-        self._imputed: set[str] = set()
+        self._seq: PoseSequence | None = None  # prepared, until every group is built
         self._built: set[str] = set()
         self._columns = np.empty((len(seq), _BODY_DIM + 2 * _HAND_DIM))
 
@@ -366,38 +316,25 @@ class VideoFeatures:
     def of(cls, video: PoseSequence | VideoFeatures) -> VideoFeatures:
         return video if isinstance(video, VideoFeatures) else cls(video)
 
-    def rows(self, spec: FeatureSpec) -> np.ndarray:
-        """(T, spec.dim) feature rows; the caller must not write to them."""
-        groups = spec.groups()
-        todo = [group for group in groups if group not in self._built]
+    def rows(self, columns: range) -> np.ndarray:
+        """(T, len(columns)) feature rows; the caller must not write to them."""
+        todo = [(g, cols) for g, cols in _GROUPS if cols.start in columns and g not in self._built]
         if todo:
-            self._build([c for c in spec.channels() if c not in self._imputed], todo)
-        columns = [_GROUP_COLUMNS[group] for group in groups]
-        if columns[-1].stop - columns[0].start == spec.dim:  # adjacent groups
-            return np.ascontiguousarray(self._columns[:, columns[0].start : columns[-1].stop])
-        return np.concatenate([self._columns[:, c] for c in columns], axis=1)
+            self._build(todo)
+        return np.ascontiguousarray(self._columns[:, columns.start : columns.stop])
 
-    def _build(self, channels: list[str], groups: list[str]) -> None:
+    def _build(self, groups: list[tuple[str, range]]) -> None:
         if self._seq is None:
             seq = self._source
-            if select_dominant_hand(seq) is Hand.LEFT:
-                seq = mirror_flip(seq)
-            self._seq = impute_missing(seq, channels=channels)
-        else:
-            for channel in channels:
-                _impute_channel(self._seq, channel)
-        self._imputed.update(channels)
-        for group in groups:
-            if group == "body":
-                rows = normalize_body(self._seq.body, self._seq.joints)
-            else:
-                hands = self._seq.channel(_GROUP_CHANNELS[group][0])[0]
-                rows = normalize_hand(hands, hand_joint_std(hands))
+            self._seq = mirror_flip(seq) if select_dominant_hand(seq) is Hand.LEFT else seq
+        points = [_group_points(self._seq, group) for group, _ in groups]  # absent channels raise first
+        for (group, cols), p in zip(groups, points):
+            rows = normalize_body(p) if group == "body" else normalize_hand(p, hand_joint_std(p))
             if not np.all(np.isfinite(rows)):
                 raise PoseError("non-finite feature values")
-            self._columns[:, _GROUP_COLUMNS[group]] = rows
+            self._columns[:, cols.start : cols.stop] = rows
             self._built.add(group)
-        if len(self._built) == len(_GROUP_COLUMNS):
+        if len(self._built) == len(_GROUPS):
             self._seq = None  # no input reads it again
 
 

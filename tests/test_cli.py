@@ -133,14 +133,8 @@ def _forked_children(parent):
 
 
 def tiny_corpus_spec(tmp_path, kind):
-    spec = {
-        "kind": kind,
-        "world_seed": 1207,
-        "seed": 3,
-        "num_signers": 3,
-        "num_phrases": 15,
-        "clips_per_class": 3,
-    }
+    size = {"num_phrases": 15} if kind == "fingerspelling" else {"clips_per_class": 3}
+    spec = {"kind": kind, "world_seed": 1207, "seed": 3, "num_signers": 3, **size}
     path = tmp_path / f"{kind}_corpus.json"
     path.write_text(json.dumps(spec), encoding="utf-8")
     return path
@@ -305,6 +299,24 @@ class TestTrain:
         code = main(["train", "--kind", "isr", "--corpus", str(corpus), "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err == f"error: {corpus}: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind, spec, key", [
+        ("isr", {"kind": "isr", "clips_per_clas": 3, "num_signer": 3}, "clips_per_clas"),
+        ("fingerspelling", {"kind": "fingerspelling", "clips_per_class": 3}, "clips_per_class"),
+    ])
+    def test_spec_key_the_kind_does_not_take_is_domain_error(self, tmp_path, capsys, monkeypatch, kind, spec, key):
+        def no_corpus(*args, **kwargs):
+            raise AssertionError("a corpus was built")
+
+        monkeypatch.setattr(syn, "make_fingerspelling_corpus", no_corpus)
+        monkeypatch.setattr(syn, "make_isr_corpus", no_corpus)
+        corpus = tmp_path / "spec.json"
+        corpus.write_text(json.dumps(spec))
+        out = tmp_path / "out"
+        code = main(["train", "--kind", kind, "--corpus", str(corpus), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {corpus}: a corpus spec of kind {kind!r} takes no key {key!r}\n"
         assert not out.exists()
 
     def test_kind_mismatch_is_domain_error(self, tmp_path, capsys):

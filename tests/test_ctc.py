@@ -12,12 +12,10 @@ from signscribe.ctc import (
     AlignmentResult,
     Alphabet,
     CtcError,
-    EmptyWordError,
     FrameScores,
     InfeasibleTargetError,
     _lattice,
     _lattice_pass,
-    aggregate_words,
     ctc_loss,
     ctc_losses,
     forced_align,
@@ -25,7 +23,8 @@ from signscribe.ctc import (
     min_frames_required,
     toy_alphabet,
 )
-from signscribe.gloss import to_ctc_tokens
+from signscribe import fingerspelling
+from signscribe.gloss import TokenizationError, to_ctc_tokens
 
 
 def collapse(path, blank):
@@ -271,52 +270,60 @@ class TestForcedAlign:
 
 
 class TestAggregateWords:
+    """``fingerspelling.align_words_scores`` collapsing a given character
+    alignment into words: each word takes the next letters of the alignment,
+    skipping the ``|`` separators, which add neither to scores nor to intervals."""
+
     def _unit(self, sym, score, start, end):
         return AlignedUnit(symbol=sym, score=score, start_frame=start, end_frame=end)
 
-    def test_mean_and_interval(self):
-        align = AlignmentResult(
-            units=(
-                self._unit("|", 0.9, 8, 9),
-                self._unit("H", 0.8, 10, 12),
-                self._unit("I", 0.6, 13, 15),
-                self._unit("|", 0.9, 16, 17),
-            ),
-            total_log_score=-1.0,
+    def _words(self, monkeypatch, units, words):
+        alphabet = toy_alphabet()
+
+        def aligned(scores, tokens, alpha):
+            assert tokens == to_ctc_tokens(words, alphabet)
+            return AlignmentResult(units=units, total_log_score=0.0)
+
+        monkeypatch.setattr(fingerspelling, "forced_align", aligned)
+        return fingerspelling.align_words_scores(None, words, alphabet)
+
+    def test_mean_and_interval(self, monkeypatch):
+        units = (
+            self._unit("|", 0.9, 8, 9),
+            self._unit("H", 0.8, 10, 12),
+            self._unit("I", 0.6, 13, 15),
+            self._unit("|", 0.9, 16, 17),
         )
-        (word,) = aggregate_words(align).units
-        assert word.symbol == "HI"
+        (word,) = self._words(monkeypatch, units, ["hi"])
+        assert word.word == "HI"
         assert word.score == pytest.approx(0.7)
         assert (word.start_frame, word.end_frame) == (10, 15)
 
-    def test_single_char_word(self):
-        align = AlignmentResult(units=(self._unit("A", 0.4, 3, 5),), total_log_score=0.0)
-        (word,) = aggregate_words(align).units
-        assert (word.symbol, word.score) == ("A", 0.4)
+    def test_single_char_word(self, monkeypatch):
+        units = (self._unit("|", 1, 0, 2), self._unit("A", 0.4, 3, 5), self._unit("|", 1, 6, 6))
+        (word,) = self._words(monkeypatch, units, ["A"])
+        assert (word.word, word.score) == ("A", 0.4)
         assert (word.start_frame, word.end_frame) == (3, 5)
 
-    def test_two_words_disjoint_ordered(self):
-        align = AlignmentResult(
-            units=(
-                self._unit("|", 1, 0, 0),
-                self._unit("A", 1, 1, 2),
-                self._unit("|", 1, 3, 3),
-                self._unit("B", 1, 4, 5),
-                self._unit("|", 1, 6, 6),
-            ),
-            total_log_score=0.0,
+    def test_two_words_disjoint_ordered(self, monkeypatch):
+        units = (
+            self._unit("|", 1, 0, 0),
+            self._unit("A", 1, 1, 2),
+            self._unit("|", 1, 3, 3),
+            self._unit("B", 1, 4, 5),
+            self._unit("|", 1, 6, 6),
         )
-        words = aggregate_words(align).units
-        assert [w.symbol for w in words] == ["A", "B"]
+        words = self._words(monkeypatch, units, ["A", "B"])
+        assert [w.word for w in words] == ["A", "B"]
         assert words[0].end_frame < words[1].start_frame
 
     def test_empty_word_rejected(self):
-        align = AlignmentResult(
-            units=(self._unit("|", 1, 0, 0), self._unit("|", 1, 1, 1)),
-            total_log_score=0.0,
-        )
-        with pytest.raises(EmptyWordError):
-            aggregate_words(align)
+        """An empty word, or a separator inside a word, is not spelled."""
+        scores = FrameScores(probs=np.full((12, toy_alphabet().size), 1 / toy_alphabet().size))
+        for words, char in [(["A", ""], ""), (["A||B"], "|"), (["A|B", "CAT"], "|")]:
+            with pytest.raises(TokenizationError) as got:
+                fingerspelling.align_words_scores(scores, words, toy_alphabet())
+            assert (got.value.char, got.value.word) == (char, words[0] if char else "")
 
 
 # --- equivalence with the hand-written recurrences ----------------------------

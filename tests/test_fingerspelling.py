@@ -30,6 +30,7 @@ class TestNormalizeWord:
 
     def test_strip_mode(self):
         assert normalize_word("a?B!", toy_alphabet()) == "AB"
+        assert normalize_word("a|B", toy_alphabet()) == "AB"  # the word separator is never a letter
 
 
 class TestRecognize:

@@ -440,9 +440,9 @@ class TestTcn:
     @pytest.mark.parametrize(
         "make_config, input_dim, classes",
         [
-            (nn.fingerspelling_config, FINGERSPELLING_FEATURES.dim, 30),
-            (nn.isr_config, ISR_TWO_HAND_FEATURES.dim, 22),
-            (nn.isr_config, ISR_ONE_HAND_FEATURES.dim, 22),
+            (nn.fingerspelling_config, len(FINGERSPELLING_FEATURES), 30),
+            (nn.isr_config, len(ISR_TWO_HAND_FEATURES), 22),
+            (nn.isr_config, len(ISR_ONE_HAND_FEATURES), 22),
         ],
     )
     @pytest.mark.parametrize("T", [1, 35, 940])
@@ -506,9 +506,9 @@ class TestTcn:
 
 
 BLOCK_CONFIGS = {
-    "fingerspelling": nn.fingerspelling_config(FINGERSPELLING_FEATURES.dim, 30),
-    "isr_two_hand": nn.isr_config(ISR_TWO_HAND_FEATURES.dim, 22),
-    "isr_one_hand": nn.isr_config(ISR_ONE_HAND_FEATURES.dim, 22),
+    "fingerspelling": nn.fingerspelling_config(len(FINGERSPELLING_FEATURES), 30),
+    "isr_two_hand": nn.isr_config(len(ISR_TWO_HAND_FEATURES), 22),
+    "isr_one_hand": nn.isr_config(len(ISR_ONE_HAND_FEATURES), 22),
     "criterion_2": nn.TcnConfig(
         input_dim=5, output_classes=5, num_blocks=2, kernel_size=3,
         block_dilations=((1, 1), (2, 1)), channels=6,

@@ -124,6 +124,15 @@ class TestScoreManualAnnotation:
             assert by_token[gloss].interval[0] > frick.interval[1]
             assert by_token[gloss].in_vocabulary
 
+    def test_separator_in_a_fingerspelled_token_shifts_no_later_word(self, world, models):
+        """``fs-A|B`` spells AB, so CAT keeps the entry it gets after ``fs-AB``."""
+        plain = parse_gloss_sequence("fs-AB fs-CAT")
+        poses, _ = syn.compose_sentence_video(world, plain, seed=5, video_id="pipe")
+        want = score_line(plain, poses, models).per_sign[1]
+        assert want.token == "CAT"
+        for line in ("fs-A|B fs-CAT", "fs-A||B fs-CAT"):
+            assert score_line(parse_gloss_sequence(line), poses, models).per_sign[1] == want
+
     def test_no_fingerspelling_gives_whole_clip_interval(self, world, models):
         seq = parse_gloss_sequence("TRAVEL PARK DOG")
         poses, _ = syn.compose_sentence_video(world, seq, seed=11, video_id="nofs")

@@ -14,14 +14,13 @@ from signscribe.pose import (
     ISR_ONE_HAND_FEATURES,
     ISR_TWO_HAND_FEATURES,
     ChannelEmptyError,
-    FeatureSpec,
     Hand,
     NoHandsError,
-    NoShouldersError,
     PoseError,
     VideoFeatures,
+    _imputed,
+    _nearest_present,
     hand_joint_std,
-    impute_missing,
     mirror_flip,
     normalize_body,
     normalize_hand,
@@ -123,52 +122,54 @@ class TestMirrorFlip:
         body = np.array([[[0.25, 0.3], [0.75, 0.3]]])
         seq = pose_sequence([0.0], body=body, joints=("left_shoulder", "right_shoulder"))
         flipped = mirror_flip(seq)
-        np.testing.assert_allclose(flipped.channel("body:left_shoulder")[0][0], [0.25, 0.3])
-        np.testing.assert_allclose(flipped.channel("body:right_shoulder")[0][0], [0.75, 0.3])
+        np.testing.assert_allclose(flipped.body[0, flipped.joints.index("left_shoulder")], [0.25, 0.3])
+        np.testing.assert_allclose(flipped.body[0, flipped.joints.index("right_shoulder")], [0.75, 0.3])
+
+
+def imputed_right_hand(seq):
+    return _imputed(seq.timestamps, seq.hand_right, seq.right_present, "hand_right")
 
 
 class TestImputeMissing:
+    """``pose._imputed``, the nearest-present-frame fill of every input channel."""
+
     def test_nearest_rule(self):
         rng = np.random.default_rng(1)
         h0, h3 = grid_hand(rng), grid_hand(rng)
-        seq = pose_sequence(np.arange(4) / 30, hand_right=hands_at(4, {0: h0, 3: h3}))
-        seq = impute_missing(seq, ["hand_right"])
-        np.testing.assert_array_equal(seq.hand_right[1], h0)
-        np.testing.assert_array_equal(seq.hand_right[2], h3)
-        assert seq.right_present.all()
+        filled = imputed_right_hand(pose_sequence(np.arange(4) / 30, hand_right=hands_at(4, {0: h0, 3: h3})))
+        np.testing.assert_array_equal(filled, [h0, h0, h3, h3])
 
     def test_tie_prefers_earlier(self):
         rng = np.random.default_rng(2)
         h0, h2 = grid_hand(rng), grid_hand(rng)
-        seq = pose_sequence(np.arange(3) / 30, hand_right=hands_at(3, {0: h0, 2: h2}))
-        seq = impute_missing(seq, ["hand_right"])
-        np.testing.assert_array_equal(seq.hand_right[1], h0)
+        filled = imputed_right_hand(pose_sequence(np.arange(3) / 30, hand_right=hands_at(3, {0: h0, 2: h2})))
+        np.testing.assert_array_equal(filled[1], h0)
 
     def test_identity_when_fully_populated(self):
         rng = np.random.default_rng(3)
         seq = make_sequence(rng, n=5)
-        imputed = impute_missing(seq)
-        for name in ARRAYS:
-            np.testing.assert_array_equal(getattr(imputed, name), getattr(seq, name))
+        assert imputed_right_hand(seq) is seq.hand_right
 
     def test_idempotent(self):
+        """Features of a video equal those of the video with its gaps already filled."""
         rng = np.random.default_rng(6)
         seq = make_sequence(rng, n=9, left_every=3)
-        once = impute_missing(seq)
-        twice = impute_missing(once)
-        np.testing.assert_array_equal(once.hand_left, twice.hand_left)
+        filled = _imputed(seq.timestamps, seq.hand_left, seq.left_present, "hand_left")
+        once = replace(seq, hand_left=filled, left_present=np.ones(9, dtype=bool))
+        rows = VideoFeatures(seq).rows(ISR_TWO_HAND_FEATURES)
+        assert VideoFeatures(once).rows(ISR_TWO_HAND_FEATURES).tobytes() == rows.tobytes()
 
     def test_single_valid_frame_broadcasts(self):
         rng = np.random.default_rng(7)
         h = grid_hand(rng)
-        seq = impute_missing(pose_sequence(np.arange(4) / 30, hand_right=hands_at(4, {1: h})), ["hand_right"])
-        for points in seq.hand_right:
+        for points in imputed_right_hand(pose_sequence(np.arange(4) / 30, hand_right=hands_at(4, {1: h}))):
             np.testing.assert_array_equal(points, h)
 
     def test_channel_empty_error(self):
         seq = pose_sequence([0.0], hand_right=np.full((1, 21, 2), 0.5))
-        with pytest.raises(ChannelEmptyError):
-            impute_missing(seq, ["hand_left"])
+        with pytest.raises(ChannelEmptyError) as got:
+            _imputed(seq.timestamps, seq.hand_left, seq.left_present, "hand_left")
+        assert got.value.channel == "hand_left"
 
 
 class TestNormalizeHand:
@@ -204,37 +205,45 @@ class TestNormalizeBody:
         assert BODY_DEFAULT_JOINTS[:3] == ("nose", "left_shoulder", "right_shoulder")
         body = np.full((len(BODY_DEFAULT_JOINTS), 2), 0.5)
         body[:3] = [[0.5, 0.7], [0.4, 0.5], [0.6, 0.5]]
-        out = normalize_body(body, BODY_DEFAULT_JOINTS)
+        out = normalize_body(body)
         np.testing.assert_allclose(out, [0.0, 1.0, -0.5, 0.0, 0.5, 0.0] + [0.0] * 12, atol=1e-12)
 
     def test_below_hip_joints_removed(self):
-        rng = np.random.default_rng(11)
-        body = rng.uniform(0.2, 0.8, size=(len(BODY_DEFAULT_JOINTS), 2))
-        with_knee = np.concatenate([body, [[0.5, 0.9]]])
-        joints = (*BODY_DEFAULT_JOINTS, "left_knee")
-        assert normalize_body(body, BODY_DEFAULT_JOINTS).shape == (2 * len(BODY_DEFAULT_JOINTS),)
-        np.testing.assert_array_equal(normalize_body(with_knee, joints), normalize_body(body, BODY_DEFAULT_JOINTS))
-        # columns are found by name, in any order
-        np.testing.assert_array_equal(
-            normalize_body(with_knee[::-1], joints[::-1]), normalize_body(body, BODY_DEFAULT_JOINTS)
+        """The body columns are the default joints, found by name in any order."""
+        seq = make_sequence(np.random.default_rng(11), n=4)
+        assert normalize_body(seq.body[0]).shape == (2 * len(BODY_DEFAULT_JOINTS),)
+        knee = np.full((4, 1, 2), 0.5)
+        with_knee = replace(
+            seq,
+            body=np.concatenate([seq.body, knee], axis=1)[:, ::-1],
+            body_present=np.ones((4, len(BODY_DEFAULT_JOINTS) + 1), dtype=bool),
+            joints=(*BODY_DEFAULT_JOINTS, "left_knee")[::-1],
         )
+        want = VideoFeatures(seq).rows(ISR_TWO_HAND_FEATURES)
+        assert VideoFeatures(with_knee).rows(ISR_TWO_HAND_FEATURES).tobytes() == want.tobytes()
 
     def test_scale_invariance_about_midpoint(self):
         rng = np.random.default_rng(11)
         body = rng.uniform(0.2, 0.8, size=(len(BODY_DEFAULT_JOINTS), 2))
         mid = (body[1] + body[2]) / 2
         scaled = mid + 2.5 * (body - mid)
-        np.testing.assert_allclose(
-            normalize_body(body, BODY_DEFAULT_JOINTS), normalize_body(scaled, BODY_DEFAULT_JOINTS), atol=1e-9
-        )
+        np.testing.assert_allclose(normalize_body(body), normalize_body(scaled), atol=1e-9)
+
+    @staticmethod
+    def _first_error(joints):
+        rng = np.random.default_rng(12)
+        hands = np.stack([grid_hand(rng) for _ in range(3)])
+        body = np.stack([grid_body(rng)[: len(joints)] for _ in range(3)])
+        seq = pose_sequence(np.arange(3) / 30, hands, hands, body, joints=joints)
+        with pytest.raises(ChannelEmptyError) as got:
+            VideoFeatures(seq).rows(ISR_ONE_HAND_FEATURES)
+        return got.value.channel
 
     def test_missing_shoulders(self):
-        with pytest.raises(NoShouldersError):
-            normalize_body(np.array([[0.5, 0.2]]), ("nose",))
+        assert self._first_error(("nose",)) == "body:left_shoulder"
 
     def test_missing_joint(self):
-        with pytest.raises(PoseError, match="'left_hip' missing"):
-            normalize_body(np.zeros((8, 2)), tuple(j for j in BODY_DEFAULT_JOINTS if j != "left_hip"))
+        assert self._first_error(tuple(j for j in BODY_DEFAULT_JOINTS if j != "left_hip")) == "body:left_hip"
 
 
 class TestBuildFeatures:
@@ -254,11 +263,21 @@ class TestBuildFeatures:
         # body columns first, then the dominant hand, then the other hand
         np.testing.assert_array_equal(two[:, :60], one)
 
-    def test_columns_of_groups_that_are_not_adjacent(self):
-        seq = make_sequence(np.random.default_rng(17), n=5)
-        two = VideoFeatures(seq).rows(ISR_TWO_HAND_FEATURES)
-        rows = VideoFeatures(seq).rows(FeatureSpec(dominant_hand=False, non_dominant_hand=True, body=True))
-        assert rows.tobytes() == np.concatenate([two[:, :18], two[:, 60:]], axis=1).tobytes()
+    def test_never_writes_the_source_arrays(self):
+        """Every channel has gaps, and the arrays are read-only: building the
+        inputs in either order, from the video or its mirror, writes none."""
+        seq = random_video(np.random.default_rng(18), left=0.6, right=0.8, joint=0.7, jitter=1e-3)
+        assert not (seq.left_present.all() or seq.right_present.all() or seq.body_present.all(axis=0).any())
+        inputs = (FINGERSPELLING_FEATURES, ISR_TWO_HAND_FEATURES, ISR_ONE_HAND_FEATURES)
+        for video, hand in ((seq, Hand.RIGHT), (mirror_flip(seq), Hand.LEFT)):
+            assert select_dominant_hand(video) is hand
+            features = VideoFeatures(video)
+            want = {columns: features.rows(columns).tobytes() for columns in inputs}
+            for name in ARRAYS:
+                getattr(video, name).flags.writeable = False
+            for order in (inputs, inputs[::-1]):
+                features = VideoFeatures(video)
+                assert {columns: features.rows(columns).tobytes() for columns in order} == want
 
     def test_missing_channel_rejected(self):
         rng = np.random.default_rng(14)
@@ -322,8 +341,8 @@ class TestPoseJsonl:
         np.testing.assert_array_equal(loaded.left_present, seq.left_present)
         np.testing.assert_array_equal(loaded.hand_left[seq.left_present], seq.hand_left[seq.left_present])
         assert sorted(loaded.joints) == sorted(seq.joints)
-        for name in seq.joints:
-            np.testing.assert_array_equal(loaded.channel("body:" + name)[0], seq.channel("body:" + name)[0])
+        for j, name in enumerate(seq.joints):
+            np.testing.assert_array_equal(loaded.body[:, loaded.joints.index(name)], seq.body[:, j])
         assert loaded.body_present.all()
 
     def test_write_read_write_byte_identical(self, tmp_path):
@@ -388,6 +407,19 @@ class TestPoseJsonl:
 # present joints (or None when there are none).
 
 Frame = namedtuple("Frame", "timestamp hand_left hand_right body")
+
+
+class Spec(namedtuple("Spec", "body dominant_hand non_dominant_hand")):
+    """The column groups an input holds, as the references read them."""
+
+    def channels(self):
+        body = [f"body:{joint}" for joint in BODY_DEFAULT_JOINTS] if self.body else []
+        return body + ["hand_right"] * self.dominant_hand + ["hand_left"] * self.non_dominant_hand
+
+
+FS_SPEC = Spec(body=False, dominant_hand=True, non_dominant_hand=False)
+TWO_HAND_SPEC = Spec(body=True, dominant_hand=True, non_dominant_hand=True)
+ONE_HAND_SPEC = Spec(body=True, dominant_hand=True, non_dominant_hand=False)
 
 
 def frames_of(seq):
@@ -489,20 +521,22 @@ def _ref_features(frames, spec):
     return np.concatenate(columns, axis=1)
 
 
+# name: (the spec the reference prepares for, the spec it builds)
 SPECS = {
-    "fingerspelling": (FINGERSPELLING_FEATURES, FINGERSPELLING_FEATURES),
-    "isr_two_hand": (ISR_TWO_HAND_FEATURES, ISR_TWO_HAND_FEATURES),
-    "isr_one_hand": (ISR_TWO_HAND_FEATURES, ISR_ONE_HAND_FEATURES),
+    "fingerspelling": (FS_SPEC, FS_SPEC),
+    "isr_two_hand": (TWO_HAND_SPEC, TWO_HAND_SPEC),
+    "isr_one_hand": (TWO_HAND_SPEC, ONE_HAND_SPEC),
 }
+COLUMNS = {FS_SPEC: FINGERSPELLING_FEATURES, TWO_HAND_SPEC: ISR_TWO_HAND_FEATURES, ONE_HAND_SPEC: ISR_ONE_HAND_FEATURES}
 
 
 def assert_matches_reference(seq):
-    """Feature rows equal to the reference's for every spec, or the same error.
+    """Feature rows equal to the reference's for every input, or the same error.
 
-    The specs are asked of one shared :class:`VideoFeatures`, in the order
+    The inputs are asked of one shared :class:`VideoFeatures`, in the order
     the pipeline asks for them; an expected error is asked of a fresh one
-    with the spec the reference prepared for. Returns the names of the
-    specs whose features were built.
+    for the input the reference prepared for. Returns the names of the
+    inputs that were built.
     """
     frames = frames_of(seq)
     video = VideoFeatures(seq)
@@ -512,10 +546,10 @@ def assert_matches_reference(seq):
             expected = _ref_features(_ref_prepare(frames, prepare_spec), spec)
         except ChannelEmptyError as exc:
             with pytest.raises(ChannelEmptyError) as got:
-                VideoFeatures(seq).rows(prepare_spec)
+                VideoFeatures(seq).rows(COLUMNS[prepare_spec])
             assert got.value.channel == exc.channel
             continue
-        rows = video.rows(spec)
+        rows = video.rows(COLUMNS[spec])
         assert np.array_equal(rows, expected), name
         built.append(name)
     return built
@@ -586,27 +620,51 @@ class TestMatchesPerFrameReference:
 # --- per-network reference ----------------------------------------------------
 # The columnar builders each network input was made with before the inputs
 # shared one VideoFeatures: each network prepared the video (handedness,
-# mirror, imputation of its spec's channels) and normalised its own groups.
-# The shared features must give every input bit for bit, and a bad video
-# must raise the same first error, in the order the pipeline asks: the
-# fingerspelling input, then the two ISR inputs.
+# mirror, imputation of its spec's channels, named by string, into a copy of
+# the whole sequence) and normalised its own groups. The shared features
+# must give every input bit for bit, and a bad video must raise the same
+# first error, in the order the pipeline asks: the fingerspelling input,
+# then the two ISR inputs.
+
+
+def _old_channel(seq, name):
+    """Points (T, ..., 2) and (T,) presence flags of a named channel, as views."""
+    present = {"hand_left": "left_present", "hand_right": "right_present"}
+    if name in present:
+        return getattr(seq, name), getattr(seq, present[name])
+    joint = name.removeprefix("body:")
+    if name.startswith("body:") and joint in seq.joints:
+        j = seq.joints.index(joint)
+        return seq.body[:, j], seq.body_present[:, j]
+    return None, np.zeros(len(seq), dtype=bool)
+
+
+def _old_impute_missing(seq, channels):
+    seq = replace(seq, **{name: getattr(seq, name).copy() for name in ARRAYS[1:]})
+    for channel in channels:
+        points, present = _old_channel(seq, channel)
+        if not present.any():
+            raise ChannelEmptyError(channel)
+        points[:] = points[_nearest_present(seq.timestamps, present)]
+        present[:] = True
+    return seq
 
 
 def _old_prepare_sequence(seq, spec):
     if select_dominant_hand(seq) is Hand.LEFT:
         seq = mirror_flip(seq)
-    return impute_missing(seq, channels=spec.channels())
+    return _old_impute_missing(seq, spec.channels())
 
 
 def _old_build_features(seq, spec):
     if not len(seq):
         raise PoseError("empty sequence")
     for channel in spec.channels():
-        if not seq.channel(channel)[1].all():
+        if not _old_channel(seq, channel)[1].all():
             raise ChannelEmptyError(channel)
     columns = []
     if spec.body:
-        columns.append(normalize_body(seq.body, seq.joints))
+        columns.append(normalize_body(seq.body[:, [seq.joints.index(joint) for joint in BODY_DEFAULT_JOINTS]]))
     for wanted, hands in ((spec.dominant_hand, seq.hand_right), (spec.non_dominant_hand, seq.hand_left)):
         if wanted:
             columns.append(normalize_hand(hands, hand_joint_std(hands)))
@@ -617,11 +675,10 @@ def _old_build_features(seq, spec):
 
 
 def _old_inputs(seq):
-    fs = _old_build_features(_old_prepare_sequence(seq, FINGERSPELLING_FEATURES), FINGERSPELLING_FEATURES)
-    yield fs
-    prepared = _old_prepare_sequence(seq, ISR_TWO_HAND_FEATURES)
-    yield _old_build_features(prepared, ISR_TWO_HAND_FEATURES)
-    yield _old_build_features(prepared, ISR_ONE_HAND_FEATURES)
+    yield _old_build_features(_old_prepare_sequence(seq, FS_SPEC), FS_SPEC)
+    prepared = _old_prepare_sequence(seq, TWO_HAND_SPEC)
+    yield _old_build_features(prepared, TWO_HAND_SPEC)
+    yield _old_build_features(prepared, ONE_HAND_SPEC)
 
 
 def _new_inputs(seq):
