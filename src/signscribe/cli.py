@@ -65,7 +65,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ann.add_argument("--vocab", help="override vocabulary manifest (JSON list)")
     p_ann.add_argument("--k", type=int, default=10)
     p_ann.add_argument("--threshold", type=float, default=0.3)
-    p_ann.add_argument("--score-mode", choices=["mean", "sum"], default="mean")
     p_ann.add_argument("--min-sign-duration", type=int, default=3)
     p_ann.add_argument("--llm", choices=["stub", "http"], default="stub")
     p_ann.add_argument("--jobs", type=int, default=1,
@@ -208,7 +207,6 @@ def _pipeline_config(args) -> pipe_mod.PipelineConfig:
     return pipe_mod.PipelineConfig(
         k=args.k,
         fs_threshold=args.threshold,
-        score_mode=pipe_mod.ScoreMode(args.score_mode),
         min_sign_duration=args.min_sign_duration,
         llm_mode=args.llm,
     )

@@ -78,12 +78,14 @@ def align_words_scores(
 
     A character outside the alphabet, or the separator ``|``, raises
     :class:`TokenizationError` naming it and its word; so does an empty
-    word. A word's score is the mean of its letters' scores, and its
-    interval runs from its first letter's first frame to its last letter's
-    last frame. Detected words are upper-cased.
+    word, naming its place in the list. A word's score is the mean of its
+    letters' scores, and its interval runs from its first letter's first
+    frame to its last letter's last frame. Detected words are upper-cased.
     """
     if "" in words:
-        raise TokenizationError("", "")
+        error = TokenizationError("", "")
+        error.args = (f"word {words.index('')} of the list is empty",)
+        raise error
     units = forced_align(scores, to_ctc_tokens(words, alphabet), alphabet).units
     letters = iter(unit for unit in units if unit.symbol != PIPE)
     detections = []

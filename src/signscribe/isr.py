@@ -2,8 +2,10 @@
 NULL auxiliary classes, whole-clip classification, and in-context gloss
 alignment between fingerspelling anchors.
 
-Alignment also scores every aligned sign, unknown ones included: a sign on
-the ANY track scores "some sign, but not a known one" (``_segment_score``).
+Alignment places and scores every token on one per-frame objective, which
+also ranks the candidates: each token has one row, and a token with no
+vocabulary class reads "some sign, but not a known one", P(ANY) x (1 - max
+in-vocabulary P).
 
 The model runs two branches over different channel groups (body + both
 hands, and body + dominant hand only) and merges them with an elementwise
@@ -230,21 +232,6 @@ def _segment_dp(
     return float(dp[n]), segments
 
 
-def _segment_score(probs: np.ndarray, track: int, vocab: SignVocabulary) -> float:
-    """Score of a segment with frame scores ``probs`` placed on ``track``.
-
-    A class track scores its mean. The ANY track scores the mean of P(ANY) x
-    (1 - max in-vocabulary P): ANY fires on every sign span, known or not,
-    and discounting it by the best vocabulary class keeps a wrong
-    out-of-vocabulary gloss from outscoring the correct in-vocabulary gloss
-    where a known sign is signed.
-    """
-    if track != vocab.any_index:
-        return float(probs[:, track].mean())
-    known = probs[:, : len(vocab.glosses)].max(axis=1, initial=0.0)
-    return float(np.mean(probs[:, track] * (1.0 - known)))
-
-
 def align_glosses_scores(
     scores: FrameScores,
     vocabulary: SignVocabulary,
@@ -252,34 +239,35 @@ def align_glosses_scores(
     anchors: list[tuple[int, WordDetection]],
     min_sign_frames: int = 3,
     memo: dict | None = None,
-) -> tuple[dict[int, GlossDetection], list[str]]:
+) -> tuple[dict[int, GlossDetection], list[str], float]:
     """Monotone alignment of gloss tokens within inter-anchor intervals.
 
     ``entries`` are the non-anchor tokens in sequence order; ``anchors``
     are (token_index, detection) pairs, ordered in both sequence position
-    and time. Each entry is aligned on its own class track when in
-    vocabulary, otherwise on the ANY track, with NULL-scored gaps allowed
-    around segments. An in-vocabulary entry scores its class track's mean
-    over its segment. Out-of-vocabulary glosses, classifiers and
-    ``force_any`` entries are placed on the ANY track and score the mean of
-    P(ANY) x (1 - max in-vocabulary P) there (:func:`_segment_score`); the
-    peak frame is still the ANY track's. Tokens in an infeasible interval
-    (more tokens than frames) come back with score 0 and the interval is
-    reported in the error list; other intervals are unaffected.
+    and time. Each entry has one row of frame scores: an in-vocabulary
+    gloss its class track; an out-of-vocabulary gloss, a classifier or a
+    ``force_any`` entry P(ANY) x (1 - max in-vocabulary P), "some sign, but
+    not a known one". Each interval's entries are placed on their rows by
+    :func:`_segment_dp`, with NULL-scored gaps around segments; an entry
+    scores its row's mean over its segment and peaks at the row's argmax.
 
-    ``memo`` maps (lo, hi, track of each entry, min_dur) to the (score,
-    peak frame, interval) of each segment placed there, so candidates of
-    one video that share an interval run its DP and score its segments
+    Also returns the log objective: the log-probability of every frame, on
+    the row of the entry that covers it, an anchor's score for an anchored
+    word's frames, and NULL for the rest, each floored at ``_TRACK_EPS``.
+    It is -inf when an interval is infeasible (more tokens than frames);
+    its tokens come back with score 0, the interval is reported in the
+    error list, and other intervals are unaffected.
+
+    ``memo`` maps (lo, hi, track of each entry, min_dur) to the interval's
+    optimum and the (score, peak frame, interval) of each segment placed
+    there, so candidates of one video that share an interval run its DP
     once. It must not outlive ``scores``: pass one dict per video.
     """
     if memo is None:
         memo = {}
     T = scores.num_frames
-    bounds: list[tuple[int, int]] = []  # inclusive frame intervals per group
     starts = [0] + [det.end_frame + 1 for _, det in anchors]
     ends = [det.start_frame - 1 for _, det in anchors] + [T - 1]
-    for s, e in zip(starts, ends):
-        bounds.append((s, e))
 
     anchor_positions = [idx for idx, _ in anchors]
     groups: list[list[AlignEntry]] = [[] for _ in range(len(anchors) + 1)]
@@ -289,20 +277,22 @@ def align_glosses_scores(
 
     out: dict[int, GlossDetection] = {}
     errors: list[str] = []
-    for g, group in enumerate(groups):
-        if not group:
-            continue
-        lo, hi = bounds[g]
+    log_objective = sum(
+        (det.end_frame - det.start_frame + 1) * np.log(max(det.score, _TRACK_EPS))
+        for _, det in anchors
+    )
+    for lo, hi, group in zip(starts, ends, groups):
         n = hi - lo + 1
         m = len(group)
+        tracks = [_track_for(entry, vocabulary) for entry in group]
         if n < m:
             errors.append(
                 f"interval [{lo}, {hi}] has {max(n, 0)} frames for {m} glosses"
             )
+            log_objective = -np.inf
             lo_c = max(0, min(lo, T - 1))
             hi_c = max(lo_c, min(hi, T - 1))
-            for entry in group:
-                _, in_vocab = _track_for(entry, vocabulary)
+            for entry, (_, in_vocab) in zip(group, tracks):
                 out[entry.token_index] = GlossDetection(
                     gloss=entry.token.text,
                     in_vocabulary=in_vocab,
@@ -311,22 +301,23 @@ def align_glosses_scores(
                     interval=(lo_c, hi_c),
                 )
             continue
-        track_ids, vocab_flags = zip(*(_track_for(entry, vocabulary) for entry in group))
-        min_dur = max(1, min(min_sign_frames, n // m))
+        track_ids = tuple(track for track, _ in tracks)
+        min_dur = max(1, min(min_sign_frames, n // max(m, 1)))
         key = (lo, hi, track_ids, min_dur)
         if key not in memo:
             window = scores.probs[lo : hi + 1]
-            rows = [window[:, i] for i in track_ids]
-            _, segments = _segment_dp(np.stack(rows), window[:, vocabulary.null_index], min_dur)
-            memo[key] = [
-                (
-                    _segment_score(window[s:e], track, vocabulary),
-                    lo + s + int(np.argmax(row[s:e])),
-                    (lo + s, lo + e - 1),
-                )
-                for track, row, (s, e) in zip(track_ids, rows, segments)
+            rows = window.T[list(track_ids)]  # a copy, one row per entry
+            unknown = np.array(track_ids) == vocabulary.any_index
+            if unknown.any():
+                rows[unknown] *= 1.0 - window[:, : len(vocabulary.glosses)].max(axis=1, initial=0.0)
+            optimum, segments = _segment_dp(rows, window[:, vocabulary.null_index], min_dur)
+            memo[key] = optimum, [
+                (float(row[s:e].mean()), lo + s + int(np.argmax(row[s:e])), (lo + s, lo + e - 1))
+                for row, (s, e) in zip(rows, segments)
             ]
-        for entry, in_vocab, (score, frame, interval) in zip(group, vocab_flags, memo[key]):
+        optimum, placed = memo[key]
+        log_objective += optimum
+        for entry, (_, in_vocab), (score, frame, interval) in zip(group, tracks, placed):
             out[entry.token_index] = GlossDetection(
                 gloss=entry.token.text,
                 in_vocabulary=in_vocab,
@@ -334,7 +325,7 @@ def align_glosses_scores(
                 frame=frame,
                 interval=interval,
             )
-    return out, errors
+    return out, errors, float(log_objective)
 
 
 # --- training ----------------------------------------------------------------

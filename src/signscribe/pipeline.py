@@ -5,18 +5,21 @@ glossings from the LLM gateway, (2) force-align each candidate's
 fingerspelled-kind words (each distinct word list once per video) and keep
 confident detections as time anchors, (3) align the remaining glosses
 inside the inter-anchor intervals with the sign recognizer (each interval
-and track list once per video), then score and rank the candidates and
-emit a JSON annotation document. :func:`annotate` is the one scorer.
+and track list once per video), then rank the candidates and emit a JSON
+annotation document. :func:`annotate` is the one scorer.
 
-Each gloss scores what ``isr.align_glosses_scores`` reports for it. That
-includes a token with no vocabulary class (an out-of-vocabulary gloss, a
-classifier, or a fingerspelled token demoted for want of a confident
-anchor): the ISR scores it as "some sign, but not a known one".
+One objective places, scores and ranks: ``isr.align_glosses_scores``'s
+per-frame log-probability (see there). Each gloss scores its own row's
+mean over its segment; that includes a token with no vocabulary class (an
+out-of-vocabulary gloss, a classifier, or a fingerspelled token demoted
+for want of a confident anchor), which the ISR scores as "some sign, but
+not a known one". A candidate's aggregate score is exp(objective / T)
+over the video's T frames, so frames a line leaves uncovered count on
+NULL and a line that omits or adds signs pays for it.
 """
 
 from __future__ import annotations
 
-import enum
 import functools
 import json
 import logging
@@ -38,12 +41,7 @@ from .pose import PoseSequence, VideoFeatures
 
 logger = logging.getLogger(__name__)
 
-SCHEMA_VERSION = "v1"
-
-
-class ScoreMode(str, enum.Enum):
-    MEAN = "mean"
-    SUM = "sum"
+SCHEMA_VERSION = "v2"
 
 
 class ConfigError(ValueError):
@@ -58,7 +56,6 @@ class ConfigError(ValueError):
 class PipelineConfig:
     k: int = 10
     fs_threshold: float = 0.3
-    score_mode: ScoreMode = ScoreMode.MEAN
     min_sign_duration: int = 3
     llm_mode: str = "stub"
 
@@ -74,7 +71,6 @@ class PipelineConfig:
         return {
             "k": self.k,
             "fs_threshold": self.fs_threshold,
-            "score_mode": self.score_mode.value,
             "min_sign_duration": self.min_sign_duration,
             "llm_mode": self.llm_mode,
         }
@@ -140,14 +136,6 @@ class AnnotationDocument:
     errors: list[str] = field(default_factory=list)
 
 
-def score_candidate(scores: Sequence[float], mode: ScoreMode = ScoreMode.MEAN) -> float:
-    """Aggregate per-sign scores: arithmetic mean, or plain sum."""
-    if not scores:
-        raise ValueError("cannot score an empty detection list")
-    total = float(sum(scores))
-    return total / len(scores) if mode is ScoreMode.MEAN else total
-
-
 def _score_sequence(
     seq: GlossSequence,
     align_words: Callable[[tuple[str, ...]], tuple[WordDetection, ...]],
@@ -155,9 +143,10 @@ def _score_sequence(
     models: Models,
     config: PipelineConfig,
     gloss_memo: dict,
-) -> tuple[list[SignScore], list[str]]:
+) -> tuple[list[SignScore], list[str], float]:
     """Steps 2 and 3 for one candidate, with its video's word aligner, ISR
-    scores and ``isr.align_glosses_scores`` memo (see :func:`_score_candidates`)."""
+    scores and ``isr.align_glosses_scores`` memo (see :func:`_score_candidates`):
+    its signs, errors and log objective."""
     errors: list[str] = []
     alphabet = models.fingerspelling.alphabet
 
@@ -183,7 +172,7 @@ def _score_sequence(
         for i, tok in enumerate(seq.tokens)
         if i not in anchored
     ]
-    gloss_dets, interval_errors = isr_mod.align_glosses_scores(
+    gloss_dets, interval_errors, log_objective = isr_mod.align_glosses_scores(
         isr_scores,
         models.isr.vocabulary,
         entries,
@@ -222,7 +211,7 @@ def _score_sequence(
                     peak_frame=gd.frame,
                 )
             )
-    return per_sign, errors
+    return per_sign, errors, log_objective
 
 
 def _frame_scores(models: Models, poses: PoseSequence) -> tuple[FrameScores, FrameScores]:
@@ -245,7 +234,7 @@ def _score_candidates(
     fingerspelled word tuple once (an infeasible tuple is not cached and
     raises again), and one interval memo, so each inter-anchor interval and
     track list runs one DP. Both live only as long as this call. Ranks go by
-    aggregate score, ties to the lower candidate index.
+    aggregate score, exp(log objective / T), ties to the lower candidate index.
     """
     alphabet = models.fingerspelling.alphabet
     align_words = functools.cache(
@@ -258,14 +247,14 @@ def _score_candidates(
         if not seq.tokens:
             errors.append(f"candidate {idx} is empty")
             continue
-        per_sign, seq_errors = _score_sequence(
+        per_sign, seq_errors, log_objective = _score_sequence(
             seq, align_words, isr_scores, models, config, gloss_memo
         )
         scored.append(
             CandidateAnnotation(
                 gloss_sequence=seq,
                 per_sign=per_sign,
-                aggregate_score=score_candidate([s.score for s in per_sign], config.score_mode),
+                aggregate_score=math.exp(log_objective / isr_scores.num_frames),
                 rank=0,
                 candidate_index=idx,
                 errors=seq_errors,
@@ -429,7 +418,7 @@ def _emit(value, indent: str, out: list[str]) -> None:
 
 
 def _load_schema() -> dict:
-    text = resources.files("signscribe").joinpath("schema", "annotation_v1.json").read_text("utf-8")
+    text = resources.files("signscribe").joinpath("schema", "annotation_v2.json").read_text("utf-8")
     return json.loads(text)
 
 
@@ -600,7 +589,7 @@ def _document_check() -> Callable[[object], None]:
 
 def validate_document(data) -> None:
     """Raise :class:`DocumentError`, naming the failing value's path and the rule
-    it broke, unless ``data`` is a valid ``schema/annotation_v1.json`` document.
+    it broke, unless ``data`` is a valid ``schema/annotation_v2.json`` document.
 
     The check is compiled once per process and holds no per-call state. Its
     verdict is jsonschema's (Draft 7) on every value ``json.loads`` returns.

@@ -63,8 +63,9 @@ INVALID_DOCUMENTS = [
     pytest.param(("config", "seed"), 1, "$.config.seed: is not allowed", id="extra-key"),
     pytest.param(("fps",), "30", "$.fps: is not of type 'number'", id="wrong-type"),
     pytest.param(("config", "k"), 0, "$.config.k: must be >= 1", id="out-of-range"),
-    pytest.param(("config", "score_mode"), "median",
-                 "$.config.score_mode: is not one of ['mean', 'sum']", id="unknown-member"),
+    pytest.param(("candidates", 0, "per_sign", 0, "kind"), "telepathy",
+                 "$.candidates[0].per_sign[0].kind: is not one of ['fingerspelled', 'gloss']",
+                 id="unknown-member"),
 ]
 
 
@@ -366,7 +367,7 @@ class TestAnnotate:
         ])
         assert code == 0
         doc = json.loads(out.read_text())
-        assert doc["schema_version"] == "v1"
+        assert doc["schema_version"] == "v2"
         assert doc["video_id"] == "cli01"
         assert len(doc["candidates"]) >= 1
         pipe_mod.validate_document(doc)
@@ -414,22 +415,6 @@ class TestAnnotate:
         ]) == 0
         doc = json.loads(out.read_text())
         assert len(doc["candidates"]) == 3
-
-    def test_score_mode_flag(self, worked_poses_file, model_root, tmp_path):
-        docs = {}
-        for mode in ("mean", "sum"):
-            out = tmp_path / f"{mode}.json"
-            assert main([
-                "annotate", "--english", WORKED_ENGLISH,
-                "--poses", str(worked_poses_file),
-                "--model-dir", str(model_root), "--out", str(out),
-                "--score-mode", mode, "--k", "2",
-            ]) == 0
-            docs[mode] = json.loads(out.read_text())
-        assert docs["sum"]["config"]["score_mode"] == "sum"
-        sum_score = docs["sum"]["candidates"][0]["aggregate_score"]
-        mean_score = docs["mean"]["candidates"][0]["aggregate_score"]
-        assert sum_score > mean_score
 
     def test_batch_mode_with_jobs(self, world, model_root, tmp_path, capsys):
         transcripts, poses_dir = batch_inputs(world, tmp_path)

@@ -320,10 +320,12 @@ class TestAggregateWords:
     def test_empty_word_rejected(self):
         """An empty word, or a separator inside a word, is not spelled."""
         scores = FrameScores(probs=np.full((12, toy_alphabet().size), 1 / toy_alphabet().size))
-        for words, char in [(["A", ""], ""), (["A||B"], "|"), (["A|B", "CAT"], "|")]:
+        with pytest.raises(TokenizationError, match=r"^word 1 of the list is empty$"):
+            fingerspelling.align_words_scores(scores, ["A", "", "B"], toy_alphabet())
+        for words in (["A||B"], ["A|B", "CAT"]):
             with pytest.raises(TokenizationError) as got:
                 fingerspelling.align_words_scores(scores, words, toy_alphabet())
-            assert (got.value.char, got.value.word) == (char, words[0] if char else "")
+            assert (got.value.char, got.value.word) == ("|", words[0])
 
 
 # --- equivalence with the hand-written recurrences ----------------------------

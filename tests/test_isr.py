@@ -1,5 +1,6 @@
 """Isolated sign recognizer: vocabulary, scores, classification, alignment."""
 
+import itertools
 import shutil
 
 import numpy as np
@@ -307,18 +308,20 @@ class TestSegmentDp:
 
 
 def _hot_scores(vocab, hot, T=20, span=(5, 14)):
-    """Synthetic sigmoid scores: one class hot inside a span, NULL elsewhere."""
+    """Synthetic sigmoid scores: a sign inside a span, NULL elsewhere. The sign
+    lights ANY, and class ``hot`` unless ``hot`` is None (an unknown sign)."""
     probs = np.full((T, vocab.size), 0.02)
     probs[:, vocab.null_index] = 0.95
     s, e = span
     probs[s : e + 1, vocab.null_index] = 0.03
-    probs[s : e + 1, hot] = 0.97
+    if hot is not None:
+        probs[s : e + 1, hot] = 0.97
     probs[s : e + 1, vocab.any_index] = 0.9
     return FrameScores(probs=probs, kind="sigmoid")
 
 
 # An unknown sign over _hot_scores' span: P(ANY) x (1 - max in-vocabulary P) on every frame.
-UNKNOWN_SIGN_IN_HOT_SPAN = 0.9 * (1 - 0.97)
+UNKNOWN_SIGN_IN_SPAN = 0.9 * (1 - 0.02)
 
 
 class TestAlignGlossesScores:
@@ -326,7 +329,7 @@ class TestAlignGlossesScores:
         vocab = SignVocabulary(glosses=("CAT", "DOG"))
         scores = _hot_scores(vocab, hot=0)
         entries = [AlignEntry(0, GlossToken(kind=TokenKind.GLOSS, text="CAT"))]
-        detections, errors = align_glosses_scores(scores, vocab, entries, anchors=[])
+        detections, errors, _ = align_glosses_scores(scores, vocab, entries, anchors=[])
         assert not errors
         det = detections[0]
         assert det.in_vocabulary
@@ -336,26 +339,26 @@ class TestAlignGlossesScores:
 
     def test_out_of_vocab_uses_any_track(self):
         vocab = SignVocabulary(glosses=("CAT",))
-        scores = _hot_scores(vocab, hot=0)
+        scores = _hot_scores(vocab, hot=None)
         entries = [AlignEntry(0, GlossToken(kind=TokenKind.GLOSS, text="ZEBRA"))]
-        detections, _ = align_glosses_scores(scores, vocab, entries, anchors=[])
+        detections, _, _ = align_glosses_scores(scores, vocab, entries, anchors=[])
         det = detections[0]
         assert not det.in_vocabulary
         assert det.interval == (5, 14)
-        assert det.score == pytest.approx(UNKNOWN_SIGN_IN_HOT_SPAN, rel=1e-12)
+        assert det.score == pytest.approx(UNKNOWN_SIGN_IN_SPAN, rel=1e-12)
 
     def test_classifier_uses_any_track(self):
         vocab = SignVocabulary(glosses=("CAT",))
-        scores = _hot_scores(vocab, hot=0)
+        scores = _hot_scores(vocab, hot=None)
         token = GlossToken(
             kind=TokenKind.CLASSIFIER, text="CL:1(point)", handshape="1", motion="point"
         )
-        detections, _ = align_glosses_scores(
+        detections, _, _ = align_glosses_scores(
             scores, vocab, [AlignEntry(0, token)], anchors=[]
         )
         assert not detections[0].in_vocabulary
         assert detections[0].interval == (5, 14)
-        assert detections[0].score == pytest.approx(UNKNOWN_SIGN_IN_HOT_SPAN, rel=1e-12)
+        assert detections[0].score == pytest.approx(UNKNOWN_SIGN_IN_SPAN, rel=1e-12)
 
     def test_anchor_partitioning(self):
         vocab = SignVocabulary(glosses=("CAT", "DOG"))
@@ -370,7 +373,7 @@ class TestAlignGlossesScores:
             AlignEntry(0, GlossToken(kind=TokenKind.GLOSS, text="CAT")),
             AlignEntry(2, GlossToken(kind=TokenKind.GLOSS, text="DOG")),
         ]
-        detections, errors = align_glosses_scores(scores, vocab, entries, [anchor])
+        detections, errors, _ = align_glosses_scores(scores, vocab, entries, [anchor])
         assert not errors
         assert detections[0].interval[1] < 10
         assert detections[2].interval[0] > 17
@@ -386,7 +389,7 @@ class TestAlignGlossesScores:
             AlignEntry(1, GlossToken(kind=TokenKind.GLOSS, text="DOG")),
             AlignEntry(3, GlossToken(kind=TokenKind.GLOSS, text="CAT")),
         ]
-        detections, errors = align_glosses_scores(scores, vocab, entries, [anchor])
+        detections, errors, _ = align_glosses_scores(scores, vocab, entries, [anchor])
         assert len(errors) == 1
         assert detections[0].score == 0.0
         assert detections[1].score == 0.0
@@ -405,7 +408,7 @@ class TestAlignGlossesScores:
             for i, tok in enumerate(seq.tokens)
             if i not in {idx for idx, _ in anchors}
         ]
-        by_index, errors = align_glosses_scores(
+        by_index, errors, _ = align_glosses_scores(
             isr_scores(isr_model, poses), isr_model.vocabulary, entries, anchors
         )
         detections = [by_index[e.token_index] for e in entries]
@@ -414,6 +417,106 @@ class TestAlignGlossesScores:
         assert all(i[0] > 72 for g, i in spans.items() if g in ("PARK", "WITH", "DOG"))
         for det in detections:
             assert det.interval[0] <= det.frame <= det.interval[1]
+
+
+class TestLogObjective:
+    """Oracle for the log objective: random small sigmoid tables, in-vocabulary,
+    out-of-vocabulary, classifier and demoted tokens, and 0-2 anchors."""
+
+    VOCAB = SignVocabulary(glosses=("CAT", "DOG"))
+    ENTRIES = [  # (token, force_any)
+        (GlossToken(kind=TokenKind.GLOSS, text="CAT"), False),
+        (GlossToken(kind=TokenKind.GLOSS, text="DOG"), False),
+        (GlossToken(kind=TokenKind.GLOSS, text="ZEBRA"), False),
+        (GlossToken(kind=TokenKind.CLASSIFIER, text="CL:1(point)", handshape="1", motion="point"), False),
+        (GlossToken(kind=TokenKind.FINGERSPELLED, text="DOG"), True),
+    ]
+
+    def _row(self, probs, entry):
+        """The entry's row, as the objective defines it."""
+        idx = self.VOCAB.class_index(entry.token.text)
+        if entry.force_any or entry.token.kind is not TokenKind.GLOSS or idx is None:
+            return probs[:, self.VOCAB.any_index] * (1 - probs[:, :2].max(axis=1))
+        return probs[:, idx]
+
+    def _case(self, rng):
+        n = int(rng.integers(1, 10))
+        probs = 1 / (1 + np.exp(-rng.normal(0, 3, size=(n, self.VOCAB.size))))
+        probs[rng.random(probs.shape) < 0.05] = 0.0  # below the floor
+        m = int(rng.integers(0, 4))
+        a = int(rng.integers(0, min(2, n) + 1))
+        while True:
+            frames = np.sort(rng.integers(0, n, size=2 * a))
+            if all(frames[2 * i + 1] < frames[2 * i + 2] for i in range(a - 1)):
+                break
+        anchor_at = set(rng.choice(m + a, size=a, replace=False).tolist())
+        anchors, entries = [], []
+        for i in range(m + a):
+            if i in anchor_at:
+                s, e = frames[2 * len(anchors) : 2 * len(anchors) + 2]
+                det = WordDetection(word="BOB", score=float(rng.choice([0.0, rng.random()])),
+                                    start_frame=int(s), end_frame=int(e))
+                anchors.append((i, det))
+            else:
+                token, force_any = self.ENTRIES[int(rng.integers(len(self.ENTRIES)))]
+                entries.append(AlignEntry(i, token, force_any))
+        return probs, entries, anchors, int(rng.integers(1, 4))
+
+    def _brute_force(self, probs, entries, anchors, min_sign_frames):
+        """Max over every joint placement, or -inf when an interval cannot hold its tokens."""
+        log = lambda x: np.log(np.maximum(x, 1e-12))
+        n = len(probs)
+        bounds = list(zip([0] + [d.end_frame + 1 for _, d in anchors],
+                          [d.start_frame - 1 for _, d in anchors] + [n - 1]))
+        fixed = sum((d.end_frame - d.start_frame + 1) * log(d.score) for _, d in anchors)
+        choices = []
+        for g, (lo, hi) in enumerate(bounds):
+            group = [e for e in entries if sum(i < e.token_index for i, _ in anchors) == g]
+            width = hi - lo + 1
+            if width < len(group):
+                return -np.inf
+            min_dur = max(1, min(min_sign_frames, width // max(len(group), 1)))
+            rows = [log(self._row(probs[lo : hi + 1], e)) for e in group]
+            null = log(probs[lo : hi + 1, self.VOCAB.null_index])
+            totals = []
+            for segs in _placements(len(group), width, min_dur):
+                frame_logs = null.copy()
+                for row, (s, e) in zip(rows, segs):
+                    frame_logs[s:e] = row[s:e]
+                totals.append(frame_logs.sum())
+            choices.append(totals)
+        return fixed + max(sum(c) for c in itertools.product(*choices))
+
+    def test_objective_is_the_frame_sum_and_the_best_placement(self):
+        rng = np.random.default_rng(2718)
+        infeasible = 0
+        for _ in range(300):
+            probs, entries, anchors, min_frames = self._case(rng)
+            scores = FrameScores(probs=probs, kind="sigmoid")
+            dets, errors, objective = align_glosses_scores(
+                scores, self.VOCAB, entries, anchors, min_sign_frames=min_frames
+            )
+            best = self._brute_force(probs, entries, anchors, min_frames)
+            if errors:
+                infeasible += 1
+                assert objective == best == -np.inf
+                continue
+            frame_logs = np.log(np.maximum(probs[:, self.VOCAB.null_index], 1e-12))
+            for _, det in anchors:
+                frame_logs[det.start_frame : det.end_frame + 1] = np.log(max(det.score, 1e-12))
+            for entry in entries:
+                det = dets[entry.token_index]
+                row = self._row(probs, entry)[det.interval[0] : det.interval[1] + 1]
+                frame_logs[det.interval[0] : det.interval[1] + 1] = np.log(np.maximum(row, 1e-12))
+                assert det.score == pytest.approx(row.mean(), abs=1e-12)
+                assert det.frame == det.interval[0] + int(np.argmax(row))
+            assert objective == pytest.approx(frame_logs.sum(), abs=1e-9)
+            assert objective == pytest.approx(best, abs=1e-9)
+            memo = {}
+            for _ in range(2):  # a memo hit returns what the DP did
+                again = align_glosses_scores(scores, self.VOCAB, entries, anchors, min_frames, memo)
+                assert again == (dets, errors, objective)
+        assert 10 < infeasible < 150
 
 
 class TestPersistence:

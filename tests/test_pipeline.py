@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import enum
 import hashlib
 import json
 import math
@@ -22,7 +23,7 @@ from signscribe import pipeline as pipeline_mod
 from signscribe import synthetic as syn
 from signscribe.ctc import FrameScores, toy_alphabet
 from signscribe.fingerspelling import FingerspellingModel
-from signscribe.gloss import parse_gloss_sequence, render
+from signscribe.gloss import GlossSequence, parse_gloss_sequence, render
 from signscribe.isr import IsrModel, SignVocabulary
 from signscribe.llm import LlmError, StubClient
 from signscribe.pipeline import (
@@ -31,12 +32,10 @@ from signscribe.pipeline import (
     DocumentError,
     Models,
     PipelineConfig,
-    ScoreMode,
     SignScore,
     annotate,
     document_bytes,
     document_to_json,
-    score_candidate,
     validate_document,
 )
 
@@ -77,33 +76,6 @@ def worked_video(world):
     seq = parse_gloss_sequence(WORKED_LINE)
     poses, spans = syn.compose_sentence_video(world, seq, seed=5, video_id="worked")
     return poses, spans
-
-
-class TestScoreCandidate:
-    def test_mean(self):
-        assert score_candidate([1.0, 0.5, 0.0], ScoreMode.MEAN) == pytest.approx(0.5)
-
-    def test_sum(self):
-        assert score_candidate([1.0, 1.0, 1.0], ScoreMode.SUM) == pytest.approx(3.0)
-        assert score_candidate([1.0, 1.0, 1.0], ScoreMode.MEAN) == pytest.approx(1.0)
-
-    def test_single_sign_same_in_both_modes(self):
-        assert score_candidate([0.7], ScoreMode.MEAN) == score_candidate([0.7], ScoreMode.SUM)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            score_candidate([], ScoreMode.MEAN)
-
-    def test_ranking_invariant_under_positive_affine_transform(self):
-        rng = np.random.default_rng(5)
-        candidate_scores = [list(rng.random(4)) for _ in range(6)]
-        base = [score_candidate(s, ScoreMode.MEAN) for s in candidate_scores]
-        a, b = 3.7, 0.21
-        transformed = [
-            score_candidate([a * x + b for x in s], ScoreMode.MEAN)
-            for s in candidate_scores
-        ]
-        assert np.argsort(base).tolist() == np.argsort(transformed).tolist()
 
 
 class TestScoreManualAnnotation:
@@ -211,6 +183,44 @@ class TestOutOfVocabularyScore:
         assert unknown.score > 0.5
 
 
+class TestObjectiveRanking:
+    """Candidates rank by the per-frame objective, so frames a line leaves
+    uncovered count against it on NULL."""
+
+    def test_omissions_rank_below_the_true_line(self, world, models):
+        """Criterion 7's set-up: 1 fingerspelled word and 3 glosses, and every
+        one-token deletion of the line as the other candidates."""
+        rng = np.random.default_rng(1234)
+        wins = 0
+        for trial in range(30):
+            glosses = list(rng.choice(world.vocabulary.glosses, size=3, replace=False))
+            seq = parse_gloss_sequence(" ".join([f"fs-{syn._random_word(rng, world.alphabet)}"] + glosses))
+            video, _ = syn.compose_sentence_video(world, seq, seed=trial, video_id=f"omit{trial}")
+            lines = [render(seq)] + [
+                render(GlossSequence(tokens=seq.tokens[:i] + seq.tokens[i + 1 :]))
+                for i in range(len(seq.tokens))
+            ]
+            client = StubClient(translations={"Omit.": {str(i + 1): c for i, c in enumerate(lines)}})
+            doc = annotate("Omit.", video, models, PipelineConfig(k=len(lines)), client)
+            true = next(c.aggregate_score for c in doc.candidates if c.candidate_index == 0)
+            wins += all(c.aggregate_score < true for c in doc.candidates if c.candidate_index)
+        assert wins >= 28, f"the true line won only {wins}/30"
+
+    def test_worked_example_ranks_composed_line_above_its_omission(self, worked_video, models):
+        poses, _ = worked_video
+        lines = ["fs-BOB TRAVEL fs-FRICK PARK", WORKED_LINE]
+        client = StubClient(translations={WORKED_ENGLISH: {"1": lines[0], "2": lines[1]}})
+        doc = annotate(WORKED_ENGLISH, poses, models, PipelineConfig(k=2), client)
+        assert [render(c.gloss_sequence) for c in doc.candidates] == lines[::-1]
+        assert doc.candidates[0].aggregate_score > doc.candidates[1].aggregate_score
+
+    def test_infeasible_line_scores_zero(self):
+        """61 tokens cannot fit 60 frames: the objective is -inf."""
+        result = TestOutOfVocabularyScore()._score(" ".join(["CAT"] * 61), ("CAT", None, "DOG"))
+        assert result.aggregate_score == 0.0
+        assert result.errors == ["interval [0, 59] has 60 frames for 61 glosses"]
+
+
 class TestAnnotate:
     def test_document_structure_and_ranking(self, worked_video, models):
         poses, _ = worked_video
@@ -254,13 +264,6 @@ class TestAnnotate:
         doc = annotate("anything", poses, models, PipelineConfig(), FailingClient())
         assert doc.candidates == []
         assert doc.errors and "translation failed" in doc.errors[0]
-
-    def test_sum_mode_changes_aggregate(self, worked_video, models):
-        poses, _ = worked_video
-        client = stub_with_worked_example()
-        mean_doc = annotate(WORKED_ENGLISH, poses, models, PipelineConfig(score_mode=ScoreMode.MEAN), client)
-        sum_doc = annotate(WORKED_ENGLISH, poses, models, PipelineConfig(score_mode=ScoreMode.SUM), client)
-        assert sum_doc.candidates[0].aggregate_score > mean_doc.candidates[0].aggregate_score
 
     def test_deterministic_bytes(self, worked_video, models):
         poses, _ = worked_video
@@ -401,7 +404,7 @@ class TestDocumentSerialization:
                      id="enum"),
         pytest.param(("candidates", 0, "per_sign", 0, "interval"), [0],
                      "$.candidates[0].per_sign[0].interval: must have 2 to 2 items, not 1", id="length"),
-        pytest.param(("schema_version",), "v2", "$.schema_version: is not 'v1'", id="const"),
+        pytest.param(("schema_version",), "v1", "$.schema_version: is not 'v2'", id="const"),
     ])
     def test_error_names_path_and_rule(self, worked_video, models, path, value, message):
         """``value`` None deletes the key."""
@@ -475,7 +478,7 @@ _MUTABLE = {
     "replace": lambda path, value: True,
     "retype": lambda path, value: isinstance(value, (int, float)),
     "range": lambda path, value: isinstance(value, (int, float)) and not isinstance(value, bool),
-    "member": lambda path, value: path[-1:] in [("kind",), ("score_mode",), ("schema_version",)],
+    "member": lambda path, value: path[-1:] in [("kind",), ("schema_version",)],
 }
 
 
@@ -511,7 +514,7 @@ def _mutated(draw, base):
         elif op == "range":
             new = draw(st.sampled_from([-1 - value, value + 2, -value, value * 1e6]))
         elif op == "member":
-            new = draw(st.sampled_from(["telepathy", "Gloss", "v2", ""]))
+            new = draw(st.sampled_from(["telepathy", "Gloss", "v1", ""]))
         else:
             new = odd
         if path:
@@ -576,7 +579,6 @@ _DOCUMENTS = st.builds(
         PipelineConfig,
         k=st.integers(1, 50),
         fs_threshold=st.floats(0, 1, exclude_min=True, exclude_max=True),
-        score_mode=st.sampled_from(ScoreMode),
         min_sign_duration=st.integers(1, 30),
         llm_mode=st.text(max_size=8),
     ),
@@ -806,7 +808,7 @@ def golden_documents():
             interval=(32, 40), anchored=True,
         ),
     ]
-    config = PipelineConfig(k=3, fs_threshold=0.25, score_mode=ScoreMode.SUM, min_sign_duration=2)
+    config = PipelineConfig(k=3, fs_threshold=0.25, min_sign_duration=2)
     prints = {"isr_two_hand": "b" * 64, "fingerspelling": "a" * 64, "fingerspelling_weights": "0" * 64}
     english = 'Zoë said "hi"\\ to Bob\tand 👋 — ünïcödé, a \x01 control and a \u2028 separator'
     document = AnnotationDocument(
@@ -846,6 +848,12 @@ _JSON_TREES = st.recursive(
 )
 
 
+class _StrMember(str, enum.Enum):
+    """A str-valued enum member: json writes its value, and so must the emitter."""
+
+    SUM = "sum"
+
+
 class TestCanonicalWriter:
     @pytest.mark.parametrize("name", ["document_golden.json", "document_golden_failed.json"])
     def test_golden_bytes(self, name):
@@ -864,7 +872,7 @@ class TestCanonicalWriter:
 
     @pytest.mark.parametrize("value, text", [
         (math.nan, "NaN"), (math.inf, "Infinity"), (-math.inf, "-Infinity"), (-0.0, "-0.0"),
-        (np.float64(0.1), "0.1"), (ScoreMode.SUM, '"sum"'), ((1, "a"), '[\n  1,\n  "a"\n]'),
+        (np.float64(0.1), "0.1"), (_StrMember.SUM, '"sum"'), ((1, "a"), '[\n  1,\n  "a"\n]'),
     ])
     def test_emitter_writes_what_json_writes(self, value, text):
         out = []
