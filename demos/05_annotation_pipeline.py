@@ -11,7 +11,7 @@ from pathlib import Path
 
 from signscribe import synthetic as syn
 from signscribe.fingerspelling import train_toy
-from signscribe.gloss import parse_gloss_sequence, render
+from signscribe.gloss import parse_gloss_sequence
 from signscribe.isr import train_toy_isr
 from signscribe.llm import StubClient
 from signscribe.pipeline import Models, PipelineConfig, annotate, document_bytes, validate_document
@@ -47,17 +47,17 @@ stub = StubClient(translations={ENGLISH: {
 doc = annotate(ENGLISH, poses, models, PipelineConfig(k=5), stub)
 
 print(f"\nranked candidates for: {ENGLISH}")
-for cand in doc.candidates:
-    print(f"  #{cand.rank} score={cand.aggregate_score:.3f}  {render(cand.gloss_sequence)}")
+for cand in doc["candidates"]:
+    print(f"  #{cand['rank']} score={cand['aggregate_score']:.3f}  {cand['gloss']}")
 
-top = doc.candidates[0]
+top = doc["candidates"][0]
 print("\nbest candidate sign-by-sign:")
-for sign in top.per_sign:
-    marker = "anchor" if sign.anchored else (
-        "in-vocab" if sign.in_vocabulary else "out-of-vocab"
+for sign in top["per_sign"]:
+    marker = "anchor" if sign["anchored"] else (
+        "in-vocab" if sign["in_vocabulary"] else "out-of-vocab"
     )
-    print(f"  {sign.notation:12s} score={sign.score:.3f} "
-          f"frames {sign.interval[0]:3d}-{sign.interval[1]:3d} [{marker}]")
+    print(f"  {sign['notation']:12s} score={sign['score']:.3f} "
+          f"frames {sign['interval'][0]:3d}-{sign['interval'][1]:3d} [{marker}]")
 
 payload = json.loads(document_bytes(doc))
 validate_document(payload)

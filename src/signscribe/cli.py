@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -223,7 +224,6 @@ def _init_worker(state: tuple, parent: int, stop) -> None:
     """Take the shared state and the stop event, leave Ctrl-C to the parent,
     and end this worker once ``parent``, the pid that forked it, is gone: a
     killed batch leaves no worker behind."""
-    import os
     import signal
     import threading
     import time
@@ -246,12 +246,24 @@ def _annotate_in_worker(line_no: int, line: str) -> dict | str | None:
 
 
 def _write_document(pipeline: tuple, english: str, poses_path: Path, out_path: Path) -> None:
-    """Annotate one pose file with (models, config, client); write its validated document."""
+    """Annotate one pose file with (models, config, client); write its validated document.
+
+    The bytes go to a temporary name beside ``out_path``, which is then
+    renamed onto it: a worker ended mid-write leaves the old document, not a
+    truncated one. The temporary name does not end in ``.json``, so ``eval``
+    never reads it.
+    """
     poses = read_pose_jsonl(poses_path)
     doc = pipe_mod.annotate(english, poses, *pipeline)
     payload = pipe_mod.document_bytes(doc)
     pipe_mod.validate_document(json.loads(payload))
-    out_path.write_bytes(payload)
+    partial = out_path.with_name(f".{out_path.name}.{os.getpid()}.part")
+    try:
+        partial.write_bytes(payload)
+        os.replace(partial, out_path)
+    except OSError:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def _annotate_record(state: tuple, line_no: int, line: str) -> dict | None:
@@ -301,7 +313,6 @@ def _annotate_in_pool(
     returned, in line order, are those of the records that ran.
     """
     import multiprocessing
-    import os
     from concurrent.futures import ProcessPoolExecutor, wait
     from concurrent.futures.process import BrokenProcessPool
 

@@ -151,17 +151,16 @@ class GlossDetection:
 
 @dataclass(frozen=True)
 class AlignEntry:
-    """One token awaiting alignment; ``force_any`` scores it on the ANY track
-    regardless of vocabulary membership (used for demoted fingerspelling)."""
+    """One token awaiting alignment: a gloss, a classifier, or a
+    fingerspelled token left without a confident anchor."""
 
     token_index: int
     token: GlossToken
-    force_any: bool = False
 
 
 def _track_for(entry: AlignEntry, vocab: SignVocabulary) -> tuple[int, bool]:
     """Class track index and in-vocabulary flag for an alignment entry."""
-    if entry.force_any or entry.token.kind is not TokenKind.GLOSS:
+    if entry.token.kind is not TokenKind.GLOSS:
         return vocab.any_index, False
     idx = vocab.class_index(entry.token.text)
     if idx is None:
@@ -246,7 +245,7 @@ def align_glosses_scores(
     are (token_index, detection) pairs, ordered in both sequence position
     and time. Each entry has one row of frame scores: an in-vocabulary
     gloss its class track; an out-of-vocabulary gloss, a classifier or a
-    ``force_any`` entry P(ANY) x (1 - max in-vocabulary P), "some sign, but
+    fingerspelled token P(ANY) x (1 - max in-vocabulary P), "some sign, but
     not a known one". Each interval's entries are placed on their rows by
     :func:`_segment_dp`, with NULL-scored gaps around segments; an entry
     scores its row's mean over its segment and peaks at the row's argmax.
@@ -387,8 +386,6 @@ def train_toy_isr(
     """
     rng = np.random.default_rng(seed)
     train, val, _test = stratified_split(corpus, rng)
-    if not train or not val:
-        raise CorpusError("corpus too small to stratify")
     for s in corpus:
         if vocabulary.class_index(s.gloss) is None:
             raise CorpusError(f"corpus gloss {s.gloss!r} is not in the vocabulary")

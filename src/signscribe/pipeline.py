@@ -25,7 +25,7 @@ import json
 import logging
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from typing import Callable, Sequence
 
@@ -100,40 +100,8 @@ class Models:
         return dict(self._fingerprints)
 
 
-@dataclass(frozen=True)
-class SignScore:
-    """Per-token alignment outcome inside one candidate."""
-
-    kind: str  # "fingerspelled" | "gloss"
-    token: str
-    notation: str
-    score: float
-    interval: tuple[int, int]
-    anchored: bool = False
-    in_vocabulary: bool | None = None
-    peak_frame: int | None = None
-    fingerspelled_region: tuple[int, int] | None = None
-
-
-@dataclass
-class CandidateAnnotation:
-    gloss_sequence: GlossSequence
-    per_sign: list[SignScore]
-    aggregate_score: float
-    rank: int
-    candidate_index: int
-    errors: list[str] = field(default_factory=list)
-
-
-@dataclass
-class AnnotationDocument:
-    video_id: str
-    english: str
-    fps: float
-    candidates: list[CandidateAnnotation]
-    model_fingerprints: dict[str, str]
-    config: PipelineConfig
-    errors: list[str] = field(default_factory=list)
+def _round(x: float) -> float:
+    return round(float(x), 6)
 
 
 def _score_sequence(
@@ -143,10 +111,10 @@ def _score_sequence(
     models: Models,
     config: PipelineConfig,
     gloss_memo: dict,
-) -> tuple[list[SignScore], list[str], float]:
+) -> tuple[list[dict], list[str], float]:
     """Steps 2 and 3 for one candidate, with its video's word aligner, ISR
     scores and ``isr.align_glosses_scores`` memo (see :func:`_score_candidates`):
-    its signs, errors and log objective."""
+    its per-sign document entries, errors and log objective."""
     errors: list[str] = []
     alphabet = models.fingerspelling.alphabet
 
@@ -168,9 +136,7 @@ def _score_sequence(
 
     anchored = {i: det for i, det in detections.items() if det.score >= config.fs_threshold}
     entries = [
-        AlignEntry(token_index=i, token=tok, force_any=tok.kind in FINGERSPELLED_KINDS)
-        for i, tok in enumerate(seq.tokens)
-        if i not in anchored
+        AlignEntry(token_index=i, token=tok) for i, tok in enumerate(seq.tokens) if i not in anchored
     ]
     gloss_dets, interval_errors, log_objective = isr_mod.align_glosses_scores(
         isr_scores,
@@ -182,35 +148,31 @@ def _score_sequence(
     )
     errors.extend(interval_errors)
 
-    per_sign: list[SignScore] = []
+    per_sign: list[dict] = []
     for i, tok in enumerate(seq.tokens):
         if i in anchored:
             det = anchored[i]
-            per_sign.append(
-                SignScore(
-                    kind="fingerspelled",
-                    token=det.word,
-                    notation=tok.notation,
-                    score=det.score,
-                    interval=(det.start_frame, det.end_frame),
-                    anchored=True,
-                    fingerspelled_region=det.fingerspelled_region,
-                )
-            )
+            per_sign.append({
+                "kind": "fingerspelled",
+                "token": det.word,
+                "notation": tok.notation,
+                "score": _round(det.score),
+                "interval": [det.start_frame, det.end_frame],
+                "anchored": True,
+                "fingerspelled_region": [det.start_frame, det.end_frame],
+            })
         else:
             gd: GlossDetection = gloss_dets[i]
-            per_sign.append(
-                SignScore(
-                    kind="gloss",
-                    token=tok.text,
-                    notation=tok.notation,
-                    score=gd.score,
-                    interval=gd.interval,
-                    anchored=False,
-                    in_vocabulary=gd.in_vocabulary,
-                    peak_frame=gd.frame,
-                )
-            )
+            per_sign.append({
+                "kind": "gloss",
+                "token": tok.text,
+                "notation": tok.notation,
+                "score": _round(gd.score),
+                "interval": list(gd.interval),
+                "anchored": False,
+                "in_vocabulary": gd.in_vocabulary,
+                "peak_frame": gd.frame,
+            })
     return per_sign, errors, log_objective
 
 
@@ -226,22 +188,23 @@ def _score_candidates(
     isr_scores: FrameScores,
     models: Models,
     config: PipelineConfig,
-) -> tuple[list[CandidateAnnotation], list[str]]:
-    """Steps 2 and 3 for every candidate of one video: the candidates scored
-    and ranked, and an error for each empty one.
+) -> tuple[list[dict], list[str]]:
+    """Steps 2 and 3 for every candidate of one video: the document's
+    candidate entries, scored and ranked, and an error for each empty one.
 
     The candidates share one word aligner, which force-aligns each distinct
     fingerspelled word tuple once (an infeasible tuple is not cached and
     raises again), and one interval memo, so each inter-anchor interval and
     track list runs one DP. Both live only as long as this call. Ranks go by
-    aggregate score, exp(log objective / T), ties to the lower candidate index.
+    the unrounded aggregate score, exp(log objective / T), ties to the lower
+    candidate index.
     """
     alphabet = models.fingerspelling.alphabet
     align_words = functools.cache(
         lambda words: tuple(fs_mod.align_words_scores(fs_scores, list(words), alphabet))
     )
     gloss_memo: dict = {}
-    scored: list[CandidateAnnotation] = []
+    scored: list[tuple[float, int, dict]] = []
     errors: list[str] = []
     for idx, seq in enumerate(candidates):
         if not seq.tokens:
@@ -250,20 +213,16 @@ def _score_candidates(
         per_sign, seq_errors, log_objective = _score_sequence(
             seq, align_words, isr_scores, models, config, gloss_memo
         )
-        scored.append(
-            CandidateAnnotation(
-                gloss_sequence=seq,
-                per_sign=per_sign,
-                aggregate_score=math.exp(log_objective / isr_scores.num_frames),
-                rank=0,
-                candidate_index=idx,
-                errors=seq_errors,
-            )
-        )
-    scored.sort(key=lambda c: (-c.aggregate_score, c.candidate_index))
-    for rank, candidate in enumerate(scored, start=1):
-        candidate.rank = rank
-    return scored, errors
+        aggregate = math.exp(log_objective / isr_scores.num_frames)
+        scored.append((-aggregate, idx, {
+            "candidate_index": idx,
+            "gloss": render(seq),
+            "aggregate_score": _round(aggregate),
+            "per_sign": per_sign,
+            "errors": seq_errors,
+        }))
+    scored.sort(key=lambda entry: entry[:2])
+    return [dict(c, rank=rank) for rank, (_, _, c) in enumerate(scored, start=1)], errors
 
 
 def annotate(
@@ -272,88 +231,48 @@ def annotate(
     models: Models,
     config: PipelineConfig | None = None,
     client: LlmClient | None = None,
-) -> AnnotationDocument:
-    """Run the full pipeline for one video."""
+) -> dict:
+    """Run the full pipeline for one video: its document, the JSON object
+    that ``schema/annotation_v2.json`` describes, which :func:`document_bytes`
+    writes."""
     config = config or PipelineConfig()
     client = client or StubClient()
-    doc = AnnotationDocument(
-        video_id=poses.video_id,
-        english=english,
-        fps=poses.fps,
-        candidates=[],
-        model_fingerprints=models.fingerprints(),
-        config=config,
-    )
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "video_id": poses.video_id,
+        "english": english,
+        "fps": poses.fps,
+        "config": config.to_dict(),
+        "model_fingerprints": models.fingerprints(),
+        "candidates": [],
+        "errors": [],
+    }
     try:
         cand_set = translate_candidates(client, english, k=config.k)
     except (LlmError, ValueError) as exc:
-        doc.errors.append(f"translation failed: {exc}")
+        doc["errors"].append(f"translation failed: {exc}")
         return doc
 
     fs_scores, isr_scores = _frame_scores(models, poses)
-    doc.candidates, errors = _score_candidates(
+    doc["candidates"], errors = _score_candidates(
         cand_set.candidates, fs_scores, isr_scores, models, config
     )
-    doc.errors.extend(errors)
+    doc["errors"].extend(errors)
     return doc
 
 
 # --- document serialization ----------------------------------------------------
 
 
-def _round(x: float) -> float:
-    return round(float(x), 6)
-
-
-def _sign_to_json(s: SignScore) -> dict:
-    out = {
-        "kind": s.kind,
-        "token": s.token,
-        "notation": s.notation,
-        "score": _round(s.score),
-        "interval": [int(s.interval[0]), int(s.interval[1])],
-        "anchored": s.anchored,
-    }
-    if s.kind == "gloss":
-        out["in_vocabulary"] = bool(s.in_vocabulary)
-        out["peak_frame"] = int(s.peak_frame)
-    else:
-        region = s.fingerspelled_region or s.interval
-        out["fingerspelled_region"] = [int(region[0]), int(region[1])]
-    return out
-
-
-def document_to_json(doc: AnnotationDocument) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "video_id": doc.video_id,
-        "english": doc.english,
-        "fps": doc.fps,
-        "config": doc.config.to_dict(),
-        "model_fingerprints": dict(sorted(doc.model_fingerprints.items())),
-        "candidates": [
-            {
-                "rank": c.rank,
-                "candidate_index": c.candidate_index,
-                "gloss": render(c.gloss_sequence),
-                "aggregate_score": _round(c.aggregate_score),
-                "per_sign": [_sign_to_json(s) for s in c.per_sign],
-                "errors": list(c.errors),
-            }
-            for c in doc.candidates
-        ],
-        "errors": list(doc.errors),
-    }
-
-
-def document_bytes(doc: AnnotationDocument) -> bytes:
-    """Canonical serialized form: sorted keys, two-space indent, UTF-8.
+def document_bytes(doc: dict) -> bytes:
+    """Canonical serialized form of an :func:`annotate` document: sorted
+    keys, two-space indent, UTF-8.
 
     The bytes are those of ``json.dumps(indent=2, sort_keys=True,
     ensure_ascii=False)`` plus a newline, written by :func:`_emit`.
     """
     out: list[str] = []
-    _emit(document_to_json(doc), "", out)
+    _emit(doc, "", out)
     out.append("\n")
     return "".join(out).encode("utf-8")
 

@@ -217,7 +217,7 @@ def _ranking_experiment(world, models):
         ]
         table = {str(i + 1): render(c) for i, c in enumerate(candidates)}
         doc = annotate("Rank.", video, models, config, StubClient(translations={"Rank.": table}))
-        if doc.candidates[0].candidate_index == 0:  # ties rank the lower index first
+        if doc["candidates"][0]["candidate_index"] == 0:  # ties rank the lower index first
             wins += 1
     return wins
 

@@ -466,6 +466,31 @@ class TestAnnotate:
         assert [(f["video_id"], f["line"]) for f in summary["failed"]] == [("b1", 2)]
         assert "b1.jsonl" in summary["failed"][0]["error"]
 
+    def test_failed_rename_keeps_the_previous_document(self, world, model_root, tmp_path, capsys, monkeypatch):
+        """A document reaches its path only by rename, so a write that stops
+        short leaves the old bytes and no stray file."""
+        transcripts, poses_dir = batch_inputs(world, tmp_path, count=1)
+        out_dir = tmp_path / "docs"
+        out_dir.mkdir()
+        (out_dir / "b0.json").write_bytes(b"previous")
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        code = main([
+            "annotate", "--transcripts", str(transcripts),
+            "--poses-dir", str(poses_dir),
+            "--model-dir", str(model_root), "--out", str(out_dir),
+            "--jobs", "1", "--k", "2",
+        ])
+        assert code == 1
+        assert [p.name for p in out_dir.iterdir()] == ["b0.json"]
+        assert (out_dir / "b0.json").read_bytes() == b"previous"
+        summary = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert summary["written"] == 0
+        assert summary["failed"] == [{"video_id": "b0", "line": 1, "error": "OSError: rename refused"}]
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_malformed_lines_fail_alone(self, world, model_root, tmp_path, capsys, jobs):
         transcripts, poses_dir = batch_inputs(world, tmp_path)

@@ -60,7 +60,6 @@ class TestAlignWords:
         assert [d.word for d in detections] == list(words)
         for d in detections:
             assert d.score > 0.6
-            assert d.fingerspelled_region == (d.start_frame, d.end_frame)
         for a, b in zip(detections, detections[1:]):
             assert a.end_frame < b.start_frame
 

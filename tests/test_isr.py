@@ -424,18 +424,18 @@ class TestLogObjective:
     out-of-vocabulary, classifier and demoted tokens, and 0-2 anchors."""
 
     VOCAB = SignVocabulary(glosses=("CAT", "DOG"))
-    ENTRIES = [  # (token, force_any)
-        (GlossToken(kind=TokenKind.GLOSS, text="CAT"), False),
-        (GlossToken(kind=TokenKind.GLOSS, text="DOG"), False),
-        (GlossToken(kind=TokenKind.GLOSS, text="ZEBRA"), False),
-        (GlossToken(kind=TokenKind.CLASSIFIER, text="CL:1(point)", handshape="1", motion="point"), False),
-        (GlossToken(kind=TokenKind.FINGERSPELLED, text="DOG"), True),
+    ENTRIES = [
+        GlossToken(kind=TokenKind.GLOSS, text="CAT"),
+        GlossToken(kind=TokenKind.GLOSS, text="DOG"),
+        GlossToken(kind=TokenKind.GLOSS, text="ZEBRA"),
+        GlossToken(kind=TokenKind.CLASSIFIER, text="CL:1(point)", handshape="1", motion="point"),
+        GlossToken(kind=TokenKind.FINGERSPELLED, text="DOG"),
     ]
 
     def _row(self, probs, entry):
         """The entry's row, as the objective defines it."""
         idx = self.VOCAB.class_index(entry.token.text)
-        if entry.force_any or entry.token.kind is not TokenKind.GLOSS or idx is None:
+        if entry.token.kind is not TokenKind.GLOSS or idx is None:
             return probs[:, self.VOCAB.any_index] * (1 - probs[:, :2].max(axis=1))
         return probs[:, idx]
 
@@ -458,8 +458,7 @@ class TestLogObjective:
                                     start_frame=int(s), end_frame=int(e))
                 anchors.append((i, det))
             else:
-                token, force_any = self.ENTRIES[int(rng.integers(len(self.ENTRIES)))]
-                entries.append(AlignEntry(i, token, force_any))
+                entries.append(AlignEntry(i, self.ENTRIES[int(rng.integers(len(self.ENTRIES)))]))
         return probs, entries, anchors, int(rng.integers(1, 4))
 
     def _brute_force(self, probs, entries, anchors, min_sign_frames):

@@ -27,15 +27,11 @@ from signscribe.gloss import GlossSequence, parse_gloss_sequence, render
 from signscribe.isr import IsrModel, SignVocabulary
 from signscribe.llm import LlmError, StubClient
 from signscribe.pipeline import (
-    AnnotationDocument,
-    CandidateAnnotation,
     DocumentError,
     Models,
     PipelineConfig,
-    SignScore,
     annotate,
     document_bytes,
-    document_to_json,
     validate_document,
 )
 
@@ -64,10 +60,17 @@ def stub_with_worked_example():
     return StubClient(translations={WORKED_ENGLISH: candidates})
 
 
-def score_line(seq, poses, models):
-    """``seq`` scored alone: ``annotate`` with a one-line stub table."""
-    client = StubClient(translations={"Alone.": {"1": render(seq)}})
-    (candidate,) = annotate("Alone.", poses, models, PipelineConfig(), client).candidates
+class FailingClient:
+    model_id = "broken"
+
+    def complete(self, prompt, temperature=1.0, max_tokens=1024):
+        raise LlmError("boom")
+
+
+def score_line(line, poses, models):
+    """``line`` scored alone: ``annotate`` with a one-line stub table."""
+    client = StubClient(translations={"Alone.": {"1": line}})
+    (candidate,) = annotate("Alone.", poses, models, PipelineConfig(), client)["candidates"]
     return candidate
 
 
@@ -84,41 +87,42 @@ class TestScoreManualAnnotation:
     def test_worked_example_anchors_and_intervals(self, worked_video, models):
         poses, _ = worked_video
         seq = parse_gloss_sequence(WORKED_LINE)
-        result = score_line(seq, poses, models)
-        assert len(result.per_sign) == len(seq.tokens)
-        by_token = {s.token: s for s in result.per_sign}
-        assert by_token["BOB"].anchored and by_token["FRICK"].anchored
+        result = score_line(WORKED_LINE, poses, models)
+        assert len(result["per_sign"]) == len(seq.tokens)
+        by_token = {s["token"]: s for s in result["per_sign"]}
+        assert by_token["BOB"]["anchored"] and by_token["FRICK"]["anchored"]
         # the two anchors bound the gloss intervals
         bob, frick = by_token["BOB"], by_token["FRICK"]
-        assert by_token["TRAVEL"].interval[0] > bob.interval[1]
-        assert by_token["TO"].interval[1] < frick.interval[0]
+        assert bob["fingerspelled_region"] == bob["interval"]
+        assert by_token["TRAVEL"]["interval"][0] > bob["interval"][1]
+        assert by_token["TO"]["interval"][1] < frick["interval"][0]
         for gloss in ("PARK", "WITH", "DOG"):
-            assert by_token[gloss].interval[0] > frick.interval[1]
-            assert by_token[gloss].in_vocabulary
+            assert by_token[gloss]["interval"][0] > frick["interval"][1]
+            assert by_token[gloss]["in_vocabulary"]
 
     def test_separator_in_a_fingerspelled_token_shifts_no_later_word(self, world, models):
         """``fs-A|B`` spells AB, so CAT keeps the entry it gets after ``fs-AB``."""
         plain = parse_gloss_sequence("fs-AB fs-CAT")
         poses, _ = syn.compose_sentence_video(world, plain, seed=5, video_id="pipe")
-        want = score_line(plain, poses, models).per_sign[1]
-        assert want.token == "CAT"
+        want = score_line("fs-AB fs-CAT", poses, models)["per_sign"][1]
+        assert want["token"] == "CAT"
         for line in ("fs-A|B fs-CAT", "fs-A||B fs-CAT"):
-            assert score_line(parse_gloss_sequence(line), poses, models).per_sign[1] == want
+            assert score_line(line, poses, models)["per_sign"][1] == want
 
     def test_no_fingerspelling_gives_whole_clip_interval(self, world, models):
         seq = parse_gloss_sequence("TRAVEL PARK DOG")
         poses, _ = syn.compose_sentence_video(world, seq, seed=11, video_id="nofs")
-        result = score_line(seq, poses, models)
-        assert all(not s.anchored for s in result.per_sign)
-        assert all(s.kind == "gloss" for s in result.per_sign)
+        result = score_line("TRAVEL PARK DOG", poses, models)
+        assert all(not s["anchored"] for s in result["per_sign"])
+        assert all(s["kind"] == "gloss" for s in result["per_sign"])
 
     def test_true_sequence_beats_perturbations(self, world, models, rng):
         seq = parse_gloss_sequence("fs-CAT TRAVEL HOUSE")
         poses, _ = syn.compose_sentence_video(world, seq, seed=21, video_id="ranked")
-        true_score = score_line(seq, poses, models).aggregate_score
+        true_score = score_line(render(seq), poses, models)["aggregate_score"]
         for _ in range(3):
             other = syn.perturb_sequence(seq, world, rng)
-            other_score = score_line(other, poses, models).aggregate_score
+            other_score = score_line(render(other), poses, models)["aggregate_score"]
             assert true_score > other_score
 
 
@@ -171,16 +175,16 @@ class TestOutOfVocabularyScore:
         signed = ("CAT", "TRAVEL", "DOG")
         true = self._score("CAT TRAVEL DOG", signed)
         swapped = self._score("CAT GO DOG", signed)
-        assert not swapped.per_sign[1].in_vocabulary
-        assert true.aggregate_score > swapped.aggregate_score
+        assert not swapped["per_sign"][1]["in_vocabulary"]
+        assert true["aggregate_score"] > swapped["aggregate_score"]
 
     @pytest.mark.parametrize("token", ["GO", "CL:1(point)"])
     def test_unknown_sign_keeps_oov_score(self, token):
         result = self._score(f"CAT {token} DOG", ("CAT", None, "DOG"))
-        unknown = result.per_sign[1]
-        assert not unknown.in_vocabulary
-        assert unknown.interval[0] >= 24 and unknown.interval[1] <= 35
-        assert unknown.score > 0.5
+        unknown = result["per_sign"][1]
+        assert not unknown["in_vocabulary"]
+        assert unknown["interval"][0] >= 24 and unknown["interval"][1] <= 35
+        assert unknown["score"] > 0.5
 
 
 class TestObjectiveRanking:
@@ -202,8 +206,8 @@ class TestObjectiveRanking:
             ]
             client = StubClient(translations={"Omit.": {str(i + 1): c for i, c in enumerate(lines)}})
             doc = annotate("Omit.", video, models, PipelineConfig(k=len(lines)), client)
-            true = next(c.aggregate_score for c in doc.candidates if c.candidate_index == 0)
-            wins += all(c.aggregate_score < true for c in doc.candidates if c.candidate_index)
+            true = next(c["aggregate_score"] for c in doc["candidates"] if c["candidate_index"] == 0)
+            wins += all(c["aggregate_score"] < true for c in doc["candidates"] if c["candidate_index"])
         assert wins >= 28, f"the true line won only {wins}/30"
 
     def test_worked_example_ranks_composed_line_above_its_omission(self, worked_video, models):
@@ -211,14 +215,14 @@ class TestObjectiveRanking:
         lines = ["fs-BOB TRAVEL fs-FRICK PARK", WORKED_LINE]
         client = StubClient(translations={WORKED_ENGLISH: {"1": lines[0], "2": lines[1]}})
         doc = annotate(WORKED_ENGLISH, poses, models, PipelineConfig(k=2), client)
-        assert [render(c.gloss_sequence) for c in doc.candidates] == lines[::-1]
-        assert doc.candidates[0].aggregate_score > doc.candidates[1].aggregate_score
+        assert [c["gloss"] for c in doc["candidates"]] == lines[::-1]
+        assert doc["candidates"][0]["aggregate_score"] > doc["candidates"][1]["aggregate_score"]
 
     def test_infeasible_line_scores_zero(self):
         """61 tokens cannot fit 60 frames: the objective is -inf."""
         result = TestOutOfVocabularyScore()._score(" ".join(["CAT"] * 61), ("CAT", None, "DOG"))
-        assert result.aggregate_score == 0.0
-        assert result.errors == ["interval [0, 59] has 60 frames for 61 glosses"]
+        assert result["aggregate_score"] == 0.0
+        assert result["errors"] == ["interval [0, 59] has 60 frames for 61 glosses"]
 
 
 class TestAnnotate:
@@ -226,20 +230,19 @@ class TestAnnotate:
         poses, _ = worked_video
         config = PipelineConfig(k=10)
         doc = annotate(WORKED_ENGLISH, poses, models, config, stub_with_worked_example())
-        assert len(doc.candidates) == 10
-        assert [c.rank for c in doc.candidates] == list(range(1, 11))
-        top = doc.candidates[0]
-        assert render(top.gloss_sequence) == WORKED_LINE
-        for candidate in doc.candidates:
-            assert len(candidate.per_sign) == len(candidate.gloss_sequence.tokens)
+        assert len(doc["candidates"]) == 10
+        assert [c["rank"] for c in doc["candidates"]] == list(range(1, 11))
+        assert doc["candidates"][0]["gloss"] == WORKED_LINE
+        for candidate in doc["candidates"]:
+            assert len(candidate["per_sign"]) == len(parse_gloss_sequence(candidate["gloss"]).tokens)
 
     def test_k_one(self, worked_video, models):
         poses, _ = worked_video
         doc = annotate("Dog drinks water", poses, models, PipelineConfig(k=1), StubClient())
-        assert len(doc.candidates) == 1
-        assert doc.candidates[0].rank == 1
-        assert doc.model_fingerprints == models.fingerprints()
-        assert len(doc.model_fingerprints["isr_one_hand_weights"]) == 64
+        assert len(doc["candidates"]) == 1
+        assert doc["candidates"][0]["rank"] == 1
+        assert doc["model_fingerprints"] == models.fingerprints()
+        assert len(doc["model_fingerprints"]["isr_one_hand_weights"]) == 64
 
     def test_empty_candidates_reported_and_others_ranked(self, worked_video, models):
         poses, _ = worked_video
@@ -248,22 +251,15 @@ class TestAnnotate:
             translations={WORKED_ENGLISH: {str(i + 1): line for i, line in enumerate(lines)}}
         )
         doc = annotate(WORKED_ENGLISH, poses, models, PipelineConfig(k=len(lines)), client)
-        assert doc.errors == ["candidate 1 is empty", "candidate 3 is empty"]
-        assert [c.rank for c in doc.candidates] == [1, 2, 3]
-        assert sorted(c.candidate_index for c in doc.candidates) == [0, 2, 4]
+        assert doc["errors"] == ["candidate 1 is empty", "candidate 3 is empty"]
+        assert [c["rank"] for c in doc["candidates"]] == [1, 2, 3]
+        assert sorted(c["candidate_index"] for c in doc["candidates"]) == [0, 2, 4]
 
     def test_llm_failure_produces_error_document(self, worked_video, models):
         poses, _ = worked_video
-
-        class FailingClient:
-            model_id = "broken"
-
-            def complete(self, prompt, temperature=1.0, max_tokens=1024):
-                raise LlmError("boom")
-
         doc = annotate("anything", poses, models, PipelineConfig(), FailingClient())
-        assert doc.candidates == []
-        assert doc.errors and "translation failed" in doc.errors[0]
+        assert doc["candidates"] == []
+        assert doc["errors"] and "translation failed" in doc["errors"][0]
 
     def test_deterministic_bytes(self, worked_video, models):
         poses, _ = worked_video
@@ -277,9 +273,9 @@ class TestAnnotate:
         poses, _ = worked_video
         doc = annotate(WORKED_ENGLISH, poses, models, PipelineConfig(), stub_with_worked_example())
         T = len(poses)
-        for candidate in doc.candidates:
-            for sign in candidate.per_sign:
-                assert 0 <= sign.interval[0] <= sign.interval[1] < T
+        for candidate in doc["candidates"]:
+            for sign in candidate["per_sign"]:
+                assert 0 <= sign["interval"][0] <= sign["interval"][1] < T
 
     def test_annotate_records_no_autograd_graph(self, worked_video, models, monkeypatch):
         poses, _ = worked_video
@@ -318,10 +314,10 @@ class TestAnnotate:
         monkeypatch.setattr(fs_mod, "forced_align", spy)
         doc = annotate(WORKED_ENGLISH, poses, models, PipelineConfig(k=len(lines)), client)
         assert len(calls) == 1
-        assert len(doc.candidates) == len(lines)
-        for candidate in doc.candidates:
-            alone = score_line(candidate.gloss_sequence, poses, models)
-            assert candidate.per_sign == alone.per_sign
+        assert len(doc["candidates"]) == len(lines)
+        for candidate in doc["candidates"]:
+            alone = score_line(candidate["gloss"], poses, models)
+            assert candidate["per_sign"] == alone["per_sign"]
 
     def test_shared_intervals_reused_as_aligned_alone(self, world, models, monkeypatch):
         """A long clip and nine perturbed candidates, two fingerspelled words
@@ -341,11 +337,11 @@ class TestAnnotate:
         monkeypatch.setattr(isr_mod, "_segment_dp", lambda *args: dps.append(1) or real(*args))
         doc = annotate("Long.", poses, models, PipelineConfig(k=len(lines)), client)
         shared = len(dps)
-        assert len(doc.candidates) == len(lines)
-        for candidate in doc.candidates:
-            alone = score_line(candidate.gloss_sequence, poses, models)
-            assert candidate.per_sign == alone.per_sign
-        assert sum(s.anchored for s in doc.candidates[0].per_sign) == 2
+        assert len(doc["candidates"]) == len(lines)
+        for candidate in doc["candidates"]:
+            alone = score_line(candidate["gloss"], poses, models)
+            assert candidate["per_sign"] == alone["per_sign"]
+        assert sum(s["anchored"] for s in doc["candidates"][0]["per_sign"]) == 2
         assert shared < len(dps) - shared  # fewer DPs than the lines alone ran
 
     def test_memo_never_crosses_videos(self, world, models):
@@ -366,10 +362,10 @@ class TestAnnotate:
         docs = [annotate("Two.", poses, models, config, client) for poses in (first, second)]
         assert document_bytes(docs[1]) == alone
         for doc, poses in zip(docs, (first, second)):
-            for candidate in doc.candidates:
-                scored = score_line(candidate.gloss_sequence, poses, models)
-                assert candidate.per_sign == scored.per_sign
-        intervals = [[s.interval for c in doc.candidates for s in c.per_sign] for doc in docs]
+            for candidate in doc["candidates"]:
+                scored = score_line(candidate["gloss"], poses, models)
+                assert candidate["per_sign"] == scored["per_sign"]
+        intervals = [[s["interval"] for c in doc["candidates"] for s in c["per_sign"]] for doc in docs]
         assert intervals[0] != intervals[1]
 
 
@@ -380,12 +376,29 @@ class TestDocumentSerialization:
             WORKED_ENGLISH, poses, models, PipelineConfig(), stub_with_worked_example()
         )
 
+    def test_document_is_the_json_it_writes(self, worked_video, models):
+        """The worked example, a table with an empty and an infeasible line,
+        and a failed translation: each document holds only what ``json.loads``
+        gives back, with no tuple or numpy scalar left for the writer."""
+        poses, _ = worked_video
+        infeasible = " ".join(["DOG"] * (len(poses) + 1))
+        gaps = StubClient(translations={WORKED_ENGLISH: {"1": WORKED_LINE, "2": "", "3": infeasible}})
+        docs = [
+            annotate(WORKED_ENGLISH, poses, models, PipelineConfig(), client)
+            for client in (stub_with_worked_example(), gaps, FailingClient())
+        ]
+        assert docs[1]["errors"] == ["candidate 1 is empty"]
+        assert docs[1]["candidates"][-1]["aggregate_score"] == 0.0
+        assert docs[2]["errors"][0].startswith("translation failed")
+        for doc in docs:
+            assert json.loads(document_bytes(doc)) == doc
+
     def test_schema_valid(self, worked_video, models):
-        data = document_to_json(self._doc(worked_video, models))
+        data = self._doc(worked_video, models)
         validate_document(data)
 
     def test_schema_rejects_corruption(self, worked_video, models):
-        data = document_to_json(self._doc(worked_video, models))
+        data = self._doc(worked_video, models)
         data["candidates"][0]["per_sign"][0]["kind"] = "telepathy"
         with pytest.raises(DocumentError):
             validate_document(data)
@@ -408,7 +421,7 @@ class TestDocumentSerialization:
     ])
     def test_error_names_path_and_rule(self, worked_video, models, path, value, message):
         """``value`` None deletes the key."""
-        data = document_to_json(self._doc(worked_video, models))
+        data = self._doc(worked_video, models)
         parent = data
         for step in path[:-1]:
             parent = parent[step]
@@ -422,7 +435,7 @@ class TestDocumentSerialization:
         assert message.endswith(": " + exc_info.value.rule)
 
     def test_validator_shared_across_threads(self, worked_video, models):
-        good = document_to_json(self._doc(worked_video, models))
+        good = self._doc(worked_video, models)
         bad = json.loads(json.dumps(good))
         bad["candidates"][0]["rank"] = "first"
         with pytest.raises(DocumentError) as reference:
@@ -446,7 +459,7 @@ class TestDocumentSerialization:
         assert results == [str(reference.value) if i % 2 else None for i in range(40)]
 
     def test_scores_have_six_decimals(self, worked_video, models):
-        data = document_to_json(self._doc(worked_video, models))
+        data = self._doc(worked_video, models)
         for candidate in data["candidates"]:
             assert candidate["aggregate_score"] == round(candidate["aggregate_score"], 6)
             for sign in candidate["per_sign"]:
@@ -543,47 +556,47 @@ _WORDS = st.text(alphabet="ABCXYZ", min_size=1, max_size=6)
 def _signs(draw):
     lo = draw(st.integers(0, 10**6))
     hi = lo + draw(st.integers(0, 500))
-    kind = draw(st.sampled_from(["gloss", "fingerspelled"]))
-    return SignScore(
-        kind=kind,
-        token=draw(st.text(max_size=8)),
-        notation=draw(st.text(max_size=8)),
-        score=draw(st.floats(0, 1)),
-        interval=(lo, hi),
-        anchored=draw(st.booleans()),
-        in_vocabulary=draw(st.booleans()) if kind == "gloss" else None,
-        peak_frame=draw(st.integers(lo, hi)) if kind == "gloss" else None,
-        fingerspelled_region=draw(st.sampled_from([None, (lo, hi)])),
-    )
+    sign = {
+        "kind": draw(st.sampled_from(["gloss", "fingerspelled"])),
+        "token": draw(st.text(max_size=8)),
+        "notation": draw(st.text(max_size=8)),
+        "score": draw(st.floats(0, 1)),
+        "interval": [lo, hi],
+        "anchored": draw(st.booleans()),
+    }
+    if sign["kind"] == "gloss":
+        sign["in_vocabulary"] = draw(st.booleans())
+        sign["peak_frame"] = draw(st.integers(lo, hi))
+    else:
+        sign["fingerspelled_region"] = [lo, hi]
+    return sign
 
 
-_DOCUMENTS = st.builds(
-    AnnotationDocument,
-    video_id=st.text(max_size=12),
-    english=st.text(max_size=40),
-    fps=st.floats(0, 1e4, exclude_min=True),
-    candidates=st.lists(
-        st.builds(
-            CandidateAnnotation,
-            gloss_sequence=st.lists(_WORDS, max_size=5).map(lambda w: parse_gloss_sequence(" ".join(w))),
-            per_sign=st.lists(_signs(), max_size=6),
-            aggregate_score=st.floats(-1e6, 1e6),
-            rank=st.integers(1, 20),
-            candidate_index=st.integers(0, 20),
-            errors=st.lists(st.text(max_size=10), max_size=2),
-        ),
+_DOCUMENTS = st.fixed_dictionaries({
+    "schema_version": st.just("v2"),
+    "video_id": st.text(max_size=12),
+    "english": st.text(max_size=40),
+    "fps": st.floats(0, 1e4, exclude_min=True),
+    "config": st.fixed_dictionaries({
+        "k": st.integers(1, 50),
+        "fs_threshold": st.floats(0, 1, exclude_min=True, exclude_max=True),
+        "min_sign_duration": st.integers(1, 30),
+        "llm_mode": st.text(max_size=8),
+    }),
+    "model_fingerprints": st.dictionaries(st.text(max_size=10), st.text(max_size=16), max_size=4),
+    "candidates": st.lists(
+        st.fixed_dictionaries({
+            "rank": st.integers(1, 20),
+            "candidate_index": st.integers(0, 20),
+            "gloss": st.lists(_WORDS, max_size=5).map(" ".join),
+            "aggregate_score": st.floats(-1e6, 1e6),
+            "per_sign": st.lists(_signs(), max_size=6),
+            "errors": st.lists(st.text(max_size=10), max_size=2),
+        }),
         max_size=4,
     ),
-    model_fingerprints=st.dictionaries(st.text(max_size=10), st.text(max_size=16), max_size=4),
-    config=st.builds(
-        PipelineConfig,
-        k=st.integers(1, 50),
-        fs_threshold=st.floats(0, 1, exclude_min=True, exclude_max=True),
-        min_sign_duration=st.integers(1, 30),
-        llm_mode=st.text(max_size=8),
-    ),
-    errors=st.lists(st.text(max_size=10), max_size=2),
-)
+    "errors": st.lists(st.text(max_size=10), max_size=2),
+})
 
 
 @pytest.fixture(scope="module")
@@ -775,69 +788,106 @@ class TestProvenance:
 
 
 def reference_document_bytes(doc):
-    text = json.dumps(document_to_json(doc), indent=2, sort_keys=True, ensure_ascii=False)
+    text = json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False)
     return (text + "\n").encode("utf-8")
 
 
 def golden_documents():
-    """Hand-built documents that cover what the canonical writer must get right.
+    """Hand-written documents that cover what the canonical writer must get right.
 
     The golden files under tests/data hold their bytes as the json module's
     indenting encoder wrote them.
     """
-    seq = parse_gloss_sequence("fs-BOB LIKE ZEBRA CL:3(car drives up) #OK")
+    like = {
+        "kind": "gloss",
+        "token": "LIKE",
+        "notation": "LIKE",
+        "score": 5e-06,
+        "interval": [18, 25],
+        "anchored": False,
+        "in_vocabulary": True,
+        "peak_frame": 21,
+    }
     signs = [
-        SignScore(
-            kind="fingerspelled", token="BOB", notation="fs-BOB", score=0.8731234567,
-            interval=(3, 17), anchored=True, fingerspelled_region=(4, 16),
-        ),
-        SignScore(
-            kind="gloss", token="LIKE", notation="LIKE", score=4.6e-06,
-            interval=(18, 25), in_vocabulary=True, peak_frame=21,
-        ),
-        SignScore(
-            kind="gloss", token="ZEBRA", notation="ZEBRA", score=9.9e-06,
-            interval=(26, 30), in_vocabulary=False, peak_frame=26,
-        ),
-        SignScore(
-            kind="gloss", token="CL:3(car drives up)", notation="CL:3(car drives up)",
-            score=0.0, interval=(31, 31), in_vocabulary=False, peak_frame=31,
-        ),
-        SignScore(
-            kind="fingerspelled", token="OK", notation="#OK", score=1.0,
-            interval=(32, 40), anchored=True,
-        ),
+        {
+            "kind": "fingerspelled",
+            "token": "BOB",
+            "notation": "fs-BOB",
+            "score": 0.873123,
+            "interval": [3, 17],
+            "anchored": True,
+            "fingerspelled_region": [4, 16],
+        },
+        like,
+        {
+            "kind": "gloss",
+            "token": "ZEBRA",
+            "notation": "ZEBRA",
+            "score": 1e-05,
+            "interval": [26, 30],
+            "anchored": False,
+            "in_vocabulary": False,
+            "peak_frame": 26,
+        },
+        {
+            "kind": "gloss",
+            "token": "CL:3(car drives up)",
+            "notation": "CL:3(car drives up)",
+            "score": 0.0,
+            "interval": [31, 31],
+            "anchored": False,
+            "in_vocabulary": False,
+            "peak_frame": 31,
+        },
+        {
+            "kind": "fingerspelled",
+            "token": "OK",
+            "notation": "#OK",
+            "score": 1.0,
+            "interval": [32, 40],
+            "anchored": True,
+            "fingerspelled_region": [32, 40],
+        },
     ]
-    config = PipelineConfig(k=3, fs_threshold=0.25, min_sign_duration=2)
     prints = {"isr_two_hand": "b" * 64, "fingerspelling": "a" * 64, "fingerspelling_weights": "0" * 64}
     english = 'Zoë said "hi"\\ to Bob\tand 👋 — ünïcödé, a \x01 control and a \u2028 separator'
-    document = AnnotationDocument(
-        video_id="golden-01",
-        english=english,
-        fps=29.97,
-        candidates=[
-            CandidateAnnotation(
-                gloss_sequence=seq, per_sign=signs, aggregate_score=1.8731376,
-                rank=1, candidate_index=2,
-                errors=["token 'ZEBRA' is out of vocabulary", "interval [31, 31] has 1 frames for 2 glosses"],
-            ),
-            CandidateAnnotation(
-                gloss_sequence=parse_gloss_sequence("LIKE"), per_sign=signs[1:2],
-                aggregate_score=1e-05, rank=2, candidate_index=0,
-            ),
+    document = {
+        "schema_version": "v2",
+        "video_id": "golden-01",
+        "english": english,
+        "fps": 29.97,
+        "config": {"k": 3, "fs_threshold": 0.25, "min_sign_duration": 2, "llm_mode": "stub"},
+        "model_fingerprints": prints,
+        "candidates": [
+            {
+                "rank": 1,
+                "candidate_index": 2,
+                "gloss": "fs-BOB LIKE ZEBRA CL:3(car drives up) #OK",
+                "aggregate_score": 1.873138,
+                "per_sign": signs,
+                "errors": ["token 'ZEBRA' is out of vocabulary", "interval [31, 31] has 1 frames for 2 glosses"],
+            },
+            {
+                "rank": 2,
+                "candidate_index": 0,
+                "gloss": "LIKE",
+                "aggregate_score": 1e-05,
+                "per_sign": [like],
+                "errors": [],
+            },
         ],
-        model_fingerprints=prints,
-        config=config,
-    )
-    failed = AnnotationDocument(
-        video_id="golden-02",
-        english="",
-        fps=25.0,
-        candidates=[],
-        model_fingerprints=prints,
-        config=PipelineConfig(),
-        errors=["translation failed: no candidate parsed as a gloss line"],
-    )
+        "errors": [],
+    }
+    failed = {
+        "schema_version": "v2",
+        "video_id": "golden-02",
+        "english": "",
+        "fps": 25.0,
+        "config": {"k": 10, "fs_threshold": 0.3, "min_sign_duration": 3, "llm_mode": "stub"},
+        "model_fingerprints": prints,
+        "candidates": [],
+        "errors": ["translation failed: no candidate parsed as a gloss line"],
+    }
     return {"document_golden.json": document, "document_golden_failed.json": failed}
 
 
