@@ -294,13 +294,34 @@ def _file_stem(video_id) -> str:
     return video_id
 
 
+def _video_id(line: str):
+    """The line's ``video_id`` value; None when the line has none or is no JSON object."""
+    try:
+        return _parse_record(line).get("video_id")
+    except (ValueError, TypeError):
+        return None
+
+
 def _failure(line_no: int, line: str, exc: BaseException) -> dict:
     """The summary entry of a failed line; ``video_id`` is null when the line has none."""
-    try:
-        video_id = _parse_record(line).get("video_id")
-    except (ValueError, TypeError):
-        video_id = None
-    return {"video_id": video_id, "line": line_no, "error": f"{type(exc).__name__}: {exc}"}
+    return {"video_id": _video_id(line), "line": line_no, "error": f"{type(exc).__name__}: {exc}"}
+
+
+def _repeats(lines: list[tuple[int, str]]) -> tuple[list[tuple[int, str]], list[dict]]:
+    """The lines to run, and the failures of the lines whose ``video_id`` string
+    an earlier line already has: running both would write one document twice."""
+    first: dict[str, int] = {}
+    run, repeats = [], []
+    for line_no, line in lines:
+        video_id = _video_id(line)
+        if isinstance(video_id, str) and video_id in first:
+            error = ValueError(f"video_id {video_id!r} repeats line {first[video_id]}")
+            repeats.append(_failure(line_no, line, error))
+        else:
+            if isinstance(video_id, str):
+                first[video_id] = line_no
+            run.append((line_no, line))
+    return run, repeats
 
 
 def _annotate_in_pool(
@@ -384,6 +405,7 @@ def _cmd_annotate(args, parser) -> int:
         for n, line in enumerate(Path(args.transcripts).read_text(encoding="utf-8").splitlines(), 1)
         if line.strip()
     ]
+    lines, repeats = _repeats(lines)
     state = (pipeline, Path(args.poses_dir), out_dir)
     workers = min(args.jobs, len(lines))
     results: list[dict | None] = []
@@ -397,6 +419,7 @@ def _cmd_annotate(args, parser) -> int:
         results = _annotate_in_pool(state, lines, workers)
     failed = [f for f in results if f is not None]
     written, not_run = len(results) - len(failed), len(lines) - len(results)
+    failed = sorted(failed + repeats, key=lambda f: f["line"])
     summary = {"written": written, "failed": failed, **({"not_run": not_run} if not_run else {})}
     print(json.dumps(summary), file=sys.stderr)
     print(f"wrote {written} documents to {out_dir}")
@@ -521,8 +544,9 @@ def _eval_report(docs: list[dict], truths: dict[str, dict], threshold: float) ->
 
 
 def _read_truth(path: Path) -> dict[str, dict]:
-    """Truth records by video id; a malformed line is a domain error naming its file and line."""
-    truths = {}
+    """Truth records by video id. A malformed line, or one that repeats an earlier
+    line's ``video_id``, is a domain error naming its file and lines."""
+    truths, line_of = {}, {}
     for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
@@ -531,7 +555,10 @@ def _read_truth(path: Path) -> dict[str, dict]:
             _check_truth(rec)
         except (ValueError, TypeError) as exc:
             raise DomainError(f"{path}:{n}: {exc}") from exc
-        truths[rec["video_id"]] = rec
+        video_id = rec["video_id"]
+        if video_id in truths:
+            raise DomainError(f"{path}:{n}: video_id {video_id!r} repeats line {line_of[video_id]}")
+        truths[video_id], line_of[video_id] = rec, n
     return truths
 
 

@@ -114,9 +114,9 @@ def train_toy(
     forward and one backward, with each phrase's CTC loss and gradient from
     its own slice of the logits, all from one :func:`ctc.ctc_losses` pass;
     the step minimises the batch's mean loss. An epoch's validation score is
-    the mean greedy-decode CER of the validation phrases, and the weights of
-    the earliest epoch with the lowest one are returned. Deterministic for a
-    fixed seed.
+    the mean greedy-decode CER of the validation phrases, all decoded from
+    one :meth:`nn.Tcn.forward_each` pass, and the weights of the earliest
+    epoch with the lowest one are returned. Deterministic for a fixed seed.
     """
     rng = np.random.default_rng(seed)
     train, val, _test = stratified_split(corpus, rng)
@@ -128,12 +128,14 @@ def train_toy(
     feats = {s.sample_id: _features(s.poses) for s in train + val}
     targets = {s.sample_id: to_ctc_tokens(list(s.words), alphabet) for s in train}
 
-    def loss_fn(nets, samples, train_mode: bool) -> float:
+    def loss_fn(nets, samples, train_mode: bool) -> float | list[float]:
         (net,) = nets
         if not train_mode:
-            (s,) = samples
-            probs = nn.softmax(net.forward(feats[s.sample_id]).data)
-            return cer(" ".join(s.words), greedy_decode(FrameScores(probs=probs), alphabet))
+            logits = net.forward_each([feats[s.sample_id] for s in samples])
+            return [
+                cer(" ".join(s.words), greedy_decode(FrameScores(probs=nn.softmax(z)), alphabet))
+                for s, z in zip(samples, logits)
+            ]
         rows = [feats[s.sample_id] for s in samples]
         logits = net.forward(np.concatenate(rows))
         ends = np.cumsum([len(r) for r in rows])

@@ -382,7 +382,9 @@ def train_toy_isr(
     Per-frame, per-class binary cross-entropy with ANY/NULL targets; clip
     windows are jittered by up to 25% of the sign span per side and batches
     are concatenated in time. Optimised by :func:`training.fit`, like the
-    fingerspelling trainer; deterministic for a fixed seed.
+    fingerspelling trainer; an epoch's validation score is the mean BCE of
+    the whole validation clips, from one :meth:`nn.Tcn.forward_each` pass
+    per branch. Deterministic for a fixed seed.
     """
     rng = np.random.default_rng(seed)
     train, val, _test = stratified_split(corpus, rng)
@@ -400,15 +402,27 @@ def train_toy_isr(
     one = nn.Tcn.init(one_cfg, rng)
     feats = {s.sample_id: _features(s.poses) for s in train + val}
     class_of = {s.sample_id: vocabulary.class_index(s.gloss) for s in train + val}
+    # Validation scores whole clips, so its targets never change.
+    val_targets = {
+        s.sample_id: build_frame_targets(
+            vocabulary, len(feats[s.sample_id][0]), class_of[s.sample_id], s.span
+        )
+        for s in val
+    }
 
-    def batch_loss(nets, samples, train_mode: bool) -> float:
+    def batch_loss(nets, samples, train_mode: bool) -> float | list[float]:
+        two_net, one_net = nets
+        if not train_mode:  # each clip's loss, from one pass per network
+            out_two = two_net.forward_each([feats[s.sample_id][0] for s in samples])
+            out_one = one_net.forward_each([feats[s.sample_id][1] for s in samples])
+            return [
+                _max_bce(nn.Tensor(z2), nn.Tensor(z1), val_targets[s.sample_id], False)
+                for s, z2, z1 in zip(samples, out_two, out_one)
+            ]
         two_rows, one_rows, target_rows = [], [], []
         for s in samples:
             f2, f1 = feats[s.sample_id]
-            if train_mode:
-                lo, hi = _jitter_window(s.span, len(f2), rng)
-            else:
-                lo, hi = 0, len(f2) - 1
+            lo, hi = _jitter_window(s.span, len(f2), rng)
             span_local = (s.span[0] - lo, s.span[1] - lo)
             two_rows.append(f2[lo : hi + 1])
             one_rows.append(f1[lo : hi + 1])
@@ -417,10 +431,9 @@ def train_toy_isr(
                     vocabulary, hi - lo + 1, class_of[s.sample_id], span_local
                 )
             )
-        two_net, one_net = nets
         out_two = two_net.forward(np.concatenate(two_rows))
         out_one = one_net.forward(np.concatenate(one_rows))
-        return _max_bce(out_two, out_one, np.concatenate(target_rows), train_mode)
+        return _max_bce(out_two, out_one, np.concatenate(target_rows), True)
 
     (best_two, best_one), history = fit(
         [two, one], train, val, batch_loss, rng, epochs=epochs, batch_size=BATCH_SIZE,

@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -157,21 +158,28 @@ class Tcn:
                 params[name] = rng.normal(0.0, 1.0 / math.sqrt(math.prod(shape[:-1])), size=shape)
         return cls(config, params, {name: np.zeros_like(p) for name, p in params.items()})
 
-    def forward(self, x: np.ndarray) -> Tensor:
+    def forward(self, x: np.ndarray, zero_rows: np.ndarray | None = None) -> Tensor:
         """Per-frame logits for a (T, input_dim) feature matrix.
 
         On a trainable network, ``backward(dlogits)`` on the result runs each
         block's backward in reverse order, skipping the input gradient of block 0.
+        On a frozen one, ``zero_rows`` (a boolean mask over the T rows) sets
+        those rows of every block's output back to zero: the gaps of
+        :meth:`forward_each`.
         """
         if x.ndim != 2 or x.shape[1] != self.config.input_dim:
             raise ValueError(
                 f"expected (T, {self.config.input_dim}) input, got {x.shape}"
             )
+        if zero_rows is not None and self.grads is not None:
+            raise ValueError("zero_rows needs a frozen network")
         h, steps = x, []
         for b, dils in enumerate(self.config.block_dilations):
             ws, bs, proj = _block_arrays(self.params, b, dils)
             grads = None if self.grads is None else _block_arrays(self.grads, b, dils)
             h, step = conv_block(h, ws, bs, dils, proj, grads)
+            if zero_rows is not None:
+                h[zero_rows] = 0.0
             steps.append(step)
         g, w = self.grads, self.params["head.w"]
         logits = h @ w + self.params["head.b"]
@@ -186,6 +194,37 @@ class Tcn:
                 gh = steps[b](gh, b > 0)
 
         return Tensor(logits, backward)
+
+    def forward_each(self, xs: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """Each input's logits, byte-identical to its own ``forward(x).data``,
+        from one :meth:`forward` of a frozen network.
+
+        The inputs are laid end to end with ``gap`` = (kernel_size - 1)/2 x
+        the largest dilation zero rows between and around them, and the gap
+        rows of every block's output are set back to zero. No tap reaches
+        past its input's gap, so each row of each product sees the operands
+        of its own forward: the same bytes wherever BLAS computes a row of a
+        GEMM independently of the others, as it does from 2 rows up. Inputs
+        of fewer than 2 frames run on their own, because BLAS computes a
+        1-row product on another (matrix-vector) path.
+        """
+        if self.grads is not None:
+            raise ValueError("forward_each runs frozen networks only")
+        config = self.config
+        gap = (config.kernel_size - 1) // 2 * max(max(d) for d in config.block_dilations)
+        out = [self.forward(x).data if len(x) < 2 else None for x in xs]
+        long = [i for i, x in enumerate(xs) if len(x) >= 2]
+        if long:
+            starts = gap + np.cumsum([0] + [len(xs[i]) + gap for i in long])
+            x = np.zeros((starts[-1], config.input_dim))
+            zero_rows = np.ones(len(x), dtype=bool)
+            for i, start in zip(long, starts):
+                x[start : start + len(xs[i])] = xs[i]
+                zero_rows[start : start + len(xs[i])] = False
+            logits = self.forward(x, zero_rows).data
+            for i, start in zip(long, starts):
+                out[i] = logits[start : start + len(xs[i])]
+        return out
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return dict(self.params)

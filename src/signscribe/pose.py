@@ -97,10 +97,14 @@ class PoseSequence:
 
 
 def _points(value, shape: tuple[int, int], what: str) -> np.ndarray:
+    """``value`` as a ``shape`` array of numbers: numpy must read it as integers
+    or floats, not as strings, booleans or objects."""
     try:
-        a = np.asarray(value, dtype=np.float64)
+        a = np.asarray(value)
     except (TypeError, ValueError) as exc:
         raise PoseError(f"{what} must be {shape} numbers: {exc}") from None
+    if a.dtype.kind not in "iuf":
+        raise PoseError(f"{what} must be {shape} numbers, got {a.dtype} values")
     if a.shape != shape:
         raise PoseError(f"{what} must be {shape}, got {a.shape}")
     return a
@@ -217,27 +221,17 @@ def _imputed(ts: np.ndarray, points: np.ndarray, present: np.ndarray, channel: s
     return points[_nearest_present(ts, present)]
 
 
-def hand_joint_std(hands: np.ndarray | list[np.ndarray]) -> np.ndarray:
-    """Per-joint, per-axis deviation scale over a video.
+def _normalize_hand(hand: np.ndarray) -> np.ndarray:
+    """A video's (T, 21, 2) hand as (T, 42) feature rows.
 
-    Computed on mean-centered hands (each frame re-centered on its own 2-D
-    hand mean) so the statistic reflects articulation, not translation.
-    Floored at STD_EPS to guard frozen joints.
+    Each frame is centred on its own 2-D hand mean, once. The centred points
+    are scaled per joint and axis by their deviation over the video, floored
+    at STD_EPS to guard frozen joints, so the scale reflects articulation,
+    not translation.
     """
-    stack = np.asarray(hands)
-    std = (stack - stack.mean(axis=1, keepdims=True)).std(axis=0)
-    return np.maximum(std, STD_EPS)
-
-
-def normalize_hand(hand: np.ndarray, std: np.ndarray | None = None) -> np.ndarray:
-    """Center on the 2-D hand mean, scale per joint, flatten to 42 values.
-
-    ``hand`` is one frame's (21, 2) points or a video's (T, 21, 2).
-    """
-    centered = hand - hand.mean(axis=-2, keepdims=True)
-    if std is not None:
-        centered = centered / std
-    return centered.reshape(*hand.shape[:-2], -1)
+    centered = hand - hand.mean(axis=1, keepdims=True)
+    std = np.maximum(centered.std(axis=0), STD_EPS)
+    return (centered / std).reshape(len(hand), -1)
 
 
 def normalize_body(body: np.ndarray) -> np.ndarray:
@@ -329,7 +323,7 @@ class VideoFeatures:
             self._seq = mirror_flip(seq) if select_dominant_hand(seq) is Hand.LEFT else seq
         points = [_group_points(self._seq, group) for group, _ in groups]  # absent channels raise first
         for (group, cols), p in zip(groups, points):
-            rows = normalize_body(p) if group == "body" else normalize_hand(p, hand_joint_std(p))
+            rows = normalize_body(p) if group == "body" else _normalize_hand(p)
             if not np.all(np.isfinite(rows)):
                 raise PoseError("non-finite feature values")
             self._columns[:, cols.start : cols.stop] = rows

@@ -59,7 +59,7 @@ def fit(
     tcns: Sequence[nn.Tcn],
     train: Sequence,
     val: Sequence,
-    loss_fn: Callable[[list[nn.Tcn], list, bool], float],
+    loss_fn: Callable[[list[nn.Tcn], list, bool], float | Sequence[float]],
     rng: np.random.Generator,
     *,
     epochs: int,
@@ -78,9 +78,14 @@ def fit(
     ``backward`` on the networks' outputs. The learning rate follows a cosine
     from ``lr`` to ``min_lr`` over all steps and gradients are clipped to a
     global L2 norm of ``grad_clip``. The validation score, lower is better, is
-    the mean of ``loss_fn(frozen, [s], False)`` over ``val``, where ``frozen``
-    holds :meth:`nn.Tcn.from_arrays` copies of the epoch's weights: a loss, or
-    any other per-sample score such as the fingerspelling trainer's greedy CER.
+    the mean of the per-sample scores that one ``loss_fn(frozen, val, False)``
+    call returns, in ``val`` order, where ``frozen`` holds
+    :meth:`nn.Tcn.from_arrays` copies of the epoch's weights: a loss, or any
+    other per-sample score such as the fingerspelling trainer's greedy CER.
+    Both trainers take every sample's logits from one
+    :meth:`nn.Tcn.forward_each` pass per network, which matches a forward per
+    sample byte for byte (zero gaps between the samples; GEMMs of 2 or more
+    rows), so the scores are those of scoring each sample on its own.
     A history row per epoch holds ``epoch``, the mean batch ``train_loss``, the
     validation score as ``val_loss`` and the last step's ``lr``. Training stops
     once ``patience`` epochs pass without a strictly lower validation score;
@@ -115,7 +120,7 @@ def fit(
         if not np.isfinite(train_loss):
             raise FloatingPointError(f"epoch {epoch}: train loss is {train_loss}")
         nets = frozen()
-        val_loss = float(np.mean([loss_fn(nets, [s], False) for s in val]))
+        val_loss = float(np.mean(loss_fn(nets, list(val), False)))
         if not np.isfinite(val_loss):
             raise FloatingPointError(f"epoch {epoch}: validation loss is {val_loss}")
         history.append(

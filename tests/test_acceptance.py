@@ -6,6 +6,7 @@ All criteria run offline against synthetic data and brute-force oracles.
 
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -299,9 +300,9 @@ def test_criterion_10_hermetic_end_to_end(world, model_root, tmp_path):
     assert payloads[0] == payloads[1], "annotation documents differ between runs"
     assert svgs[0] == svgs[1], "rendered timelines differ between runs"
 
-    golden = json.loads(open("tests/data/doc_fixture.json", encoding="utf-8").read())
+    golden = json.loads(Path("tests/data/doc_fixture.json").read_text(encoding="utf-8"))
     from signscribe.timeline import render_timeline
 
     rendered = render_timeline(golden, rank=1)
-    assert rendered == open("tests/data/golden_timeline.svg", encoding="utf-8").read()
+    assert rendered == Path("tests/data/golden_timeline.svg").read_text(encoding="utf-8")
     _report(10, "hermetic end-to-end", "byte-identical documents and SVGs")

@@ -466,6 +466,27 @@ class TestAnnotate:
         assert [(f["video_id"], f["line"]) for f in summary["failed"]] == [("b1", 2)]
         assert "b1.jsonl" in summary["failed"][0]["error"]
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_repeated_video_id_fails_the_later_line_unrun(self, world, model_root, tmp_path, capsys, jobs):
+        transcripts, poses_dir = batch_inputs(world, tmp_path, count=2)
+        with transcripts.open("a") as fh:
+            fh.write(json.dumps({"video_id": "b0", "english": "A dog runs"}) + "\n")
+        out_dir = tmp_path / "docs"
+        code = main([
+            "annotate", "--transcripts", str(transcripts),
+            "--poses-dir", str(poses_dir),
+            "--model-dir", str(model_root), "--out", str(out_dir),
+            "--jobs", jobs, "--k", "2",
+        ])
+        assert code == 1
+        assert sorted(p.name for p in out_dir.glob("*.json")) == ["b0.json", "b1.json"]
+        assert json.loads((out_dir / "b0.json").read_text())["english"] == "The cat sleeps at home"
+        summary = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert summary == {
+            "written": 2,
+            "failed": [{"video_id": "b0", "line": 3, "error": "ValueError: video_id 'b0' repeats line 1"}],
+        }
+
     def test_failed_rename_keeps_the_previous_document(self, world, model_root, tmp_path, capsys, monkeypatch):
         """A document reaches its path only by rename, so a write that stops
         short leaves the old bytes and no stray file."""
@@ -863,3 +884,11 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {truth}:3: {message}")
         assert "Traceback" not in err
+
+    def test_repeated_truth_video_id_names_file_and_both_lines(self, tmp_path, capsys):
+        truth = self._truth_file(tmp_path)
+        first = truth.read_text()
+        truth.write_text(first + json.dumps({"video_id": "other", "gloss": "CAT"}) + "\n" + first)
+        code = main(["eval", "--pred", "tests/data/doc_fixture.json", "--truth", str(truth)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {truth}:3: video_id 'fixture01' repeats line 1\n"

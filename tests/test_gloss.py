@@ -1,5 +1,7 @@
 """Gloss notation: parsing, rendering, stemming, CTC tokenization."""
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -102,7 +104,7 @@ class TestRender:
         assert render(GlossSequence(tokens=(tok,))) == "CL:1(point finger)"
 
     def test_fixture_round_trip(self):
-        for line in open(FIXTURES, encoding="utf-8"):
+        for line in Path(FIXTURES).read_text(encoding="utf-8").splitlines():
             line = line.strip()
             if not line:
                 continue

@@ -188,14 +188,24 @@ class _FlakyHandler(BaseHTTPRequestHandler):
         pass
 
 
+def _serve(handler):
+    """Serve ``handler`` on a free local port; yield the endpoint, then stop the
+    server, close its socket and join its thread."""
+    server = HTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_port}/v1/chat"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join()
+
+
 @pytest.fixture()
 def flaky_server():
     _FlakyHandler.calls = 0
-    server = HTTPServer(("127.0.0.1", 0), _FlakyHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_port}/v1/chat"
-    server.shutdown()
+    yield from _serve(_FlakyHandler)
 
 
 class _FixedHandler(BaseHTTPRequestHandler):
@@ -221,11 +231,7 @@ class _FixedHandler(BaseHTTPRequestHandler):
 @pytest.fixture()
 def fixed_server(monkeypatch):
     monkeypatch.setattr(_FixedHandler, "authorizations", [])
-    server = HTTPServer(("127.0.0.1", 0), _FixedHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_port}/v1/chat"
-    server.shutdown()
+    yield from _serve(_FixedHandler)
 
 
 OK_BODY = json.dumps({"choices": [{"message": {"content": "DOG"}}]}).encode()

@@ -604,6 +604,47 @@ class TestConvBlockEquivalence:
         assert backwards == [(b, b > 0) for b in reversed(range(config.num_blocks))]
 
 
+class TestForwardEach:
+    @pytest.mark.parametrize("name", sorted(BLOCK_CONFIGS))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bytes_match_a_forward_per_input(self, name, seed):
+        config = BLOCK_CONFIGS[name]
+        rng = np.random.default_rng(seed)
+        trained = nn.Tcn.init(config, rng)
+        for a in trained.params.values():  # nonzero biases, so gap rows turn nonzero
+            a += 0.1 * rng.normal(size=a.shape)
+        tcn = nn.Tcn.from_arrays(config, trained.params)
+        lengths = [1, *rng.integers(1, 121, size=12), 1, 2]
+        rng.shuffle(lengths)
+        xs = [rng.normal(size=(int(T), config.input_dim)) for T in lengths]
+        got = tcn.forward_each(xs)
+        assert [(a.shape, a.tobytes()) for a in got] == [
+            (x.shape[:1] + (config.output_classes,), tcn.forward(x).data.tobytes()) for x in xs
+        ]
+
+    def test_one_forward_for_the_inputs_of_two_or_more_frames(self, monkeypatch):
+        config = BLOCK_CONFIGS["isr_one_hand"]
+        tcn = nn.Tcn.from_arrays(config, nn.Tcn.init(config, np.random.default_rng(0)).params)
+        calls = []
+        real = nn.Tcn.forward
+
+        def spy(self, x, *args):
+            calls.append(len(x))
+            return real(self, x, *args)
+
+        monkeypatch.setattr(nn.Tcn, "forward", spy)
+        tcn.forward_each([np.ones((n, config.input_dim)) for n in (5, 1, 3)])
+        gap = 4  # (3 - 1)/2 x the largest dilation, 4
+        assert calls == [1, gap + 5 + gap + 3 + gap]
+
+    def test_trainable_network_refuses_gaps(self):
+        config, tcn = small_tcn(np.random.default_rng(0))
+        with pytest.raises(ValueError, match="frozen"):
+            tcn.forward_each([np.ones((3, 4))])
+        with pytest.raises(ValueError, match="frozen"):
+            tcn.forward(np.ones((3, 4)), np.zeros(3, dtype=bool))
+
+
 def reference_clip_grad_norm(params, max_norm):
     """Global-norm clipping over reference-engine tensors, one tensor at a time."""
     total = 0.0
@@ -687,8 +728,9 @@ class TestFitEquivalence:
             (net,), (i,) = nets, samples
             logits = net.forward(xs[i])
             value, grad = ctc_loss(FrameScores(probs=nn.softmax(logits.data)), targets[i])
-            if train_mode:
-                logits.backward(grad)
+            if not train_mode:
+                return [value]
+            logits.backward(grad)
             return value
 
         def reference_loss(params_list, samples):
@@ -722,7 +764,8 @@ class TestFitEquivalence:
 
         def loss_fn(nets, samples, train_mode):
             out_two, out_one = nets[0].forward(batch(x2, samples)), nets[1].forward(batch(x1, samples))
-            return isr_mod._max_bce(out_two, out_one, batch(targets, samples), train_mode)
+            loss = isr_mod._max_bce(out_two, out_one, batch(targets, samples), train_mode)
+            return loss if train_mode else [loss]
 
         def reference_loss(params_list, samples):
             logits = maximum(

@@ -13,6 +13,7 @@ from signscribe.pose import (
     FINGERSPELLING_FEATURES,
     ISR_ONE_HAND_FEATURES,
     ISR_TWO_HAND_FEATURES,
+    STD_EPS,
     ChannelEmptyError,
     Hand,
     NoHandsError,
@@ -20,10 +21,9 @@ from signscribe.pose import (
     VideoFeatures,
     _imputed,
     _nearest_present,
-    hand_joint_std,
+    _normalize_hand,
     mirror_flip,
     normalize_body,
-    normalize_hand,
     read_pose_jsonl,
     select_dominant_hand,
     write_pose_jsonl,
@@ -172,7 +172,37 @@ class TestImputeMissing:
         assert got.value.channel == "hand_left"
 
 
+# The hand features as two separate steps, each centring the hand: the
+# reference for pose._normalize_hand, which centres once.
+
+
+def hand_joint_std(hands: np.ndarray | list[np.ndarray]) -> np.ndarray:
+    """Per-joint, per-axis deviation of mean-centred hands over a video, floored at STD_EPS."""
+    stack = np.asarray(hands)
+    std = (stack - stack.mean(axis=1, keepdims=True)).std(axis=0)
+    return np.maximum(std, STD_EPS)
+
+
+def normalize_hand(hand: np.ndarray, std: np.ndarray | None = None) -> np.ndarray:
+    """Centre on the 2-D hand mean, scale per joint, flatten to 42 values.
+
+    ``hand`` is one frame's (21, 2) points or a video's (T, 21, 2).
+    """
+    centered = hand - hand.mean(axis=-2, keepdims=True)
+    if std is not None:
+        centered = centered / std
+    return centered.reshape(*hand.shape[:-2], -1)
+
+
 class TestNormalizeHand:
+    @pytest.mark.parametrize("frames", [1, 2, 56, 950])
+    def test_single_centring_matches_the_reference(self, frames):
+        rng = np.random.default_rng(frames)
+        hands = rng.uniform(size=(frames, 21, 2))
+        hands[:, 3] = 0.5  # a frozen joint: its deviation is floored
+        got = _normalize_hand(hands)
+        assert got.tobytes() == normalize_hand(hands, hand_joint_std(hands)).tobytes()
+
     def test_degenerate_hand_gives_zeros(self):
         hand = np.full((21, 2), 0.5)
         out = normalize_hand(hand, std=np.full((21, 2), 1e-6))
@@ -375,6 +405,10 @@ class TestPoseJsonl:
             ({"fps": True}, {}),
             ({"fps": 30.0, "video_id": 7}, {}),
             ({"fps": 10**400}, {}),  # an int no float can hold
+            ({"fps": 30.0}, {"hand_right": [["0.5", "0.25"]] * 21}),
+            ({"fps": 30.0}, {"hand_left": [[True, False]] * 21}),
+            ({"fps": 30.0}, {"body": {"nose": ["0.5", "0.5"]}}),
+            ({"fps": 30.0}, {"body": {"nose": [True, False]}}),
         ],
     )
     def test_reader_rejects(self, tmp_path, header, record):
