@@ -457,12 +457,19 @@ def _cmd_render_timeline(args, parser) -> int:
 
 
 def _collect_docs(paths: list[str]) -> list[dict]:
-    docs = []
+    """The documents of the files and directories in ``paths``; a ``video_id``
+    in two of them (a file given twice, say) is a domain error naming both."""
+    docs, file_of = [], {}
     for p in paths:
         path = Path(p)
         files = sorted(path.glob("*.json")) if path.is_dir() else [path]
         for f in files:
-            docs.append(_read_document(f))
+            doc = _read_document(f)
+            video_id = doc["video_id"]
+            if video_id in file_of:
+                raise DomainError(f"{f}: video_id {video_id!r} repeats {file_of[video_id]}")
+            file_of[video_id] = f
+            docs.append(doc)
     return docs
 
 

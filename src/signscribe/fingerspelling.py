@@ -30,10 +30,6 @@ class FingerspellingModel:
     alphabet: Alphabet
     history: list = field(default_factory=list)
 
-    @property
-    def config(self) -> nn.TcnConfig:
-        return self.tcn.config
-
 
 @dataclass(frozen=True)
 class WordDetection:
@@ -157,18 +153,10 @@ def train_toy(
 
 
 def save_fingerspelling_model(directory: str | Path, model: FingerspellingModel) -> None:
-    weights = nn.ModelWeights.from_float64(
-        model.config,
-        model.tcn.state_arrays(),
-        extra={"model_kind": "fingerspelling", "alphabet": model.alphabet.to_dict()},
-    )
-    nn.save_weights(directory, weights)
+    extra = {"model_kind": "fingerspelling", "alphabet": model.alphabet.to_dict()}
+    nn.save_tcn(directory, model.tcn, extra)
 
 
 def load_fingerspelling_model(directory: str | Path) -> FingerspellingModel:
-    weights = nn.load_weights(directory)
-    if weights.extra.get("model_kind") != "fingerspelling":
-        raise nn.WeightsError(f"{directory} does not hold a fingerspelling model")
-    alphabet = Alphabet.from_dict(weights.extra["alphabet"])
-    tcn = nn.Tcn.from_arrays(weights.config, weights.as_float64())
-    return FingerspellingModel(tcn=tcn, alphabet=alphabet)
+    tcn, extra = nn.load_tcn(directory, "fingerspelling")
+    return FingerspellingModel(tcn=tcn, alphabet=Alphabet.from_dict(extra["alphabet"]))

@@ -457,11 +457,7 @@ def save_isr_model(directory: str | Path, model: IsrModel) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for branch in _BRANCHES:
-        tcn = getattr(model, branch)
-        weights = nn.ModelWeights.from_float64(
-            tcn.config, tcn.state_arrays(), extra={"model_kind": f"isr_{branch}"}
-        )
-        nn.save_weights(directory / branch, weights)
+        nn.save_tcn(directory / branch, getattr(model, branch), {"model_kind": f"isr_{branch}"})
     save_vocabulary(directory / VOCAB_FILE, model.vocabulary)
 
 
@@ -470,10 +466,7 @@ def load_isr_model(directory: str | Path) -> IsrModel:
     vocab = load_vocabulary(directory / VOCAB_FILE)
     tcns = {}
     for branch in _BRANCHES:
-        weights = nn.load_weights(directory / branch)
-        if weights.extra.get("model_kind") != f"isr_{branch}":
-            raise nn.WeightsError(f"{directory / branch} does not hold an ISR {branch} branch")
-        if weights.config.output_classes != vocab.size:
+        tcns[branch], _ = nn.load_tcn(directory / branch, f"isr_{branch}")
+        if tcns[branch].config.output_classes != vocab.size:
             raise nn.WeightsError("model head width does not match the vocabulary size")
-        tcns[branch] = nn.Tcn.from_arrays(weights.config, weights.as_float64())
     return IsrModel(vocabulary=vocab, **tcns)

@@ -1,21 +1,20 @@
-"""On-disk model container: JSON manifest plus little-endian float32 blob.
+"""On-disk model directory: JSON manifest plus little-endian float32 blob.
 
 A model directory holds ``manifest.json`` (architecture config, tensor
 table with byte offsets, architecture fingerprint, and free-form ``extra``
-metadata such as an alphabet or vocabulary) and ``weights.bin`` with all
-tensors concatenated as float32 little-endian in manifest order.
+metadata: the ``model_kind`` and, say, an alphabet) and ``weights.bin``
+with all tensors concatenated as float32 little-endian in sorted-name order.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .tcn import TcnConfig, config_fingerprint
+from .tcn import Tcn, TcnConfig, config_fingerprint
 
 MANIFEST_NAME = "manifest.json"
 BLOB_NAME = "weights.bin"
@@ -23,67 +22,46 @@ _DTYPE = np.dtype("<f4")
 
 
 class WeightsError(RuntimeError):
-    """Corrupt, truncated, or inconsistent weights container."""
+    """Corrupt, truncated, or inconsistent model directory, or one of another kind."""
 
 
-@dataclass
-class ModelWeights:
-    config: TcnConfig
-    tensors: dict[str, np.ndarray]  # float32 arrays
-    extra: dict = field(default_factory=dict)
-
-    @property
-    def fingerprint(self) -> str:
-        return config_fingerprint(self.config)
-
-    @classmethod
-    def from_float64(cls, config: TcnConfig, arrays: dict[str, np.ndarray], extra: dict | None = None) -> "ModelWeights":
-        tensors = {name: np.ascontiguousarray(a, dtype=np.float32) for name, a in arrays.items()}
-        return cls(config=config, tensors=tensors, extra=dict(extra or {}))
-
-    def as_float64(self) -> dict[str, np.ndarray]:
-        return {name: a.astype(np.float64) for name, a in self.tensors.items()}
+def _blob(arrays: dict[str, np.ndarray]) -> bytes:
+    """The arrays as ``weights.bin`` holds them: float32 little-endian in sorted-name order."""
+    return b"".join(np.ascontiguousarray(arrays[name], dtype=_DTYPE).tobytes() for name in sorted(arrays))
 
 
 def weights_digest(arrays: dict[str, np.ndarray]) -> str:
-    """sha256 of the arrays as stored: float32 little-endian in sorted-name order.
-
-    This is the sha256 of the ``weights.bin`` that :func:`save_weights`
-    writes for them, so a trained model and its reloaded copy agree.
-    """
-    h = hashlib.sha256()
-    for name in sorted(arrays):
-        h.update(np.ascontiguousarray(arrays[name], dtype=_DTYPE).tobytes())
-    return h.hexdigest()
+    """sha256 of the ``weights.bin`` that :func:`save_tcn` writes for the arrays,
+    so a trained model and its reloaded copy agree."""
+    return hashlib.sha256(_blob(arrays)).hexdigest()
 
 
-def save_weights(directory: str | Path, weights: ModelWeights) -> None:
+def save_tcn(directory: str | Path, tcn: Tcn, extra: dict) -> None:
+    """Write ``tcn``'s config and float32 weights, with ``extra`` in the manifest."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    table = []
-    offset = 0
-    chunks = []
-    for name in sorted(weights.tensors):
-        arr = np.ascontiguousarray(weights.tensors[name], dtype=_DTYPE)
-        raw = arr.tobytes()
-        table.append({"name": name, "shape": list(arr.shape), "offset_bytes": offset})
-        offset += len(raw)
-        chunks.append(raw)
+    arrays = tcn.state_arrays()
+    table, offset = [], 0
+    for name in sorted(arrays):
+        table.append({"name": name, "shape": list(arrays[name].shape), "offset_bytes": offset})
+        offset += arrays[name].size * _DTYPE.itemsize
     manifest = {
         "format_version": 1,
-        "config": weights.config.to_dict(),
-        "fingerprint": weights.fingerprint,
+        "config": tcn.config.to_dict(),
+        "fingerprint": tcn.fingerprint,
         "tensors": table,
         "total_bytes": offset,
-        "extra": weights.extra,
+        "extra": extra,
     }
-    (directory / BLOB_NAME).write_bytes(b"".join(chunks))
+    (directory / BLOB_NAME).write_bytes(_blob(arrays))
     (directory / MANIFEST_NAME).write_text(
         json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8"
     )
 
 
-def load_weights(directory: str | Path) -> ModelWeights:
+def load_tcn(directory: str | Path, model_kind: str) -> tuple[Tcn, dict]:
+    """The frozen network that :func:`save_tcn` wrote to ``directory``, and its
+    ``extra``; raise :class:`WeightsError` unless ``extra`` names ``model_kind``."""
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
     blob_path = directory / BLOB_NAME
@@ -98,8 +76,13 @@ def load_weights(directory: str | Path) -> ModelWeights:
         table = manifest["tensors"]
         total = int(manifest["total_bytes"])
         stored_fp = manifest["fingerprint"]
+        extra = dict(manifest.get("extra", {}))
     except (KeyError, TypeError, ValueError) as exc:
         raise WeightsError(f"malformed manifest: {exc}") from exc
+    if extra.get("model_kind") != model_kind:
+        raise WeightsError(
+            f"{directory} holds model_kind {extra.get('model_kind')!r}, not {model_kind!r}"
+        )
     if config_fingerprint(config) != stored_fp:
         raise WeightsError("fingerprint does not match the manifest config")
     blob = blob_path.read_bytes()
@@ -107,7 +90,7 @@ def load_weights(directory: str | Path) -> ModelWeights:
         raise WeightsError(
             f"weights blob has {len(blob)} bytes, manifest declares {total}"
         )
-    tensors: dict[str, np.ndarray] = {}
+    arrays: dict[str, np.ndarray] = {}
     for entry in table:
         shape = tuple(int(s) for s in entry["shape"])
         count = int(np.prod(shape)) if shape else 1
@@ -118,5 +101,5 @@ def load_weights(directory: str | Path) -> ModelWeights:
         arr = np.frombuffer(blob[start:end], dtype=_DTYPE)
         if arr.size != count:
             raise WeightsError(f"tensor {entry['name']!r} is truncated")
-        tensors[entry["name"]] = arr.reshape(shape).copy()
-    return ModelWeights(config=config, tensors=tensors, extra=dict(manifest.get("extra", {})))
+        arrays[entry["name"]] = arr.reshape(shape)
+    return Tcn.from_arrays(config, arrays), extra

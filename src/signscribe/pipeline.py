@@ -24,9 +24,7 @@ import functools
 import json
 import logging
 import math
-import operator
-from dataclasses import dataclass
-from importlib import resources
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 from . import fingerspelling as fs_mod
@@ -66,14 +64,6 @@ class PipelineConfig:
             raise ConfigError("fs_threshold", f"must lie in (0, 1), got {self.fs_threshold}")
         if self.min_sign_duration < 1:
             raise ConfigError("min_sign_duration", f"must be >= 1, got {self.min_sign_duration}")
-
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "fs_threshold": self.fs_threshold,
-            "min_sign_duration": self.min_sign_duration,
-            "llm_mode": self.llm_mode,
-        }
 
 
 @dataclass(frozen=True)
@@ -242,7 +232,7 @@ def annotate(
         "video_id": poses.video_id,
         "english": english,
         "fps": poses.fps,
-        "config": config.to_dict(),
+        "config": asdict(config),
         "model_fingerprints": models.fingerprints(),
         "candidates": [],
         "errors": [],
@@ -336,43 +326,12 @@ def _emit(value, indent: str, out: list[str]) -> None:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _load_schema() -> dict:
-    text = resources.files("signscribe").joinpath("schema", "annotation_v2.json").read_text("utf-8")
-    return json.loads(text)
-
-
 # --- document validation --------------------------------------------------------
 #
-# ``_compile`` turns the draft-07 keywords the shipped schema uses into nested
-# closures that raise DocumentError, with jsonschema's verdict on every value
-# ``json.loads`` returns: an integral float is an ``integer``, a bool is never a
-# number, and a bound fails where jsonschema's comparison does (NaN fails none).
-# Each (sub)schema compiles to one node, which makes the type test itself.
-# Any keyword or form outside this list is refused when the check is built.
-
-_DRAFT_07 = "http://json-schema.org/draft-07/schema#"
-_IGNORED = frozenset({"$schema", "title", "definitions"})
-_OBJECT = frozenset({"required", "properties", "additionalProperties"})
-_ARRAY = frozenset({"items", "minItems", "maxItems"})
-_BOUNDS = {  # the comparison that fails a value, as jsonschema makes it, and the rule broken
-    "minimum": (operator.lt, ">="),
-    "maximum": (operator.gt, "<="),
-    "exclusiveMinimum": (operator.le, ">"),
-    "exclusiveMaximum": (operator.ge, "<"),
-}
-_MEMBERS = frozenset({"const", "enum"})
-_NUMERIC = _BOUNDS.keys() | _MEMBERS
-# The keywords each type takes; any other type, or none, takes only _MEMBERS.
-_FAMILIES = dict(object=_OBJECT, array=_ARRAY, integer=_NUMERIC, number=_NUMERIC)
-
-_TYPES: dict[str, Callable[[object], bool]] = {
-    "object": lambda x: type(x) is dict,
-    "array": lambda x: type(x) is list,
-    "string": lambda x: type(x) is str,
-    "integer": lambda x: type(x) is int or type(x) is float and x.is_integer(),
-    "number": lambda x: type(x) is int or type(x) is float,
-    "boolean": lambda x: type(x) is bool,
-}
+# ``schema/annotation_v2.json`` written out as one field table per object. Each
+# check gives jsonschema's (Draft 7) verdict on every value ``json.loads``
+# returns: an integral float is an integer, a bool is never a number, and a bound
+# fails where jsonschema's comparison does, so NaN fails none.
 
 
 class DocumentError(ValueError):
@@ -382,63 +341,62 @@ class DocumentError(ValueError):
     def __init__(self, rule: str):
         super().__init__(rule)
         self.rule = rule
-        self.path: tuple = ()  # filled in by the enclosing nodes as the error passes them
+        self.path: tuple = ()  # filled in by the enclosing objects and arrays as the error passes them
 
     def __str__(self) -> str:
         steps = (f".{s}" if str(s).isidentifier() else f"[{json.dumps(s)}]" for s in self.path)
         return "$" + "".join(steps) + ": " + self.rule
 
 
-def _accept(x) -> None:
-    pass
-
-
-def _reject(x) -> None:
-    raise DocumentError("is not allowed")
-
-
-def _leaf_check(is_type: Callable, type_rule: str, tests: list) -> Callable:
-    """A type test, then ``(fails, arg, rule)`` tests: ``fails(x, arg)`` breaks ``rule``."""
-
-    def check_type(x) -> None:
-        if not is_type(x):
-            raise DocumentError(type_rule)
-
+def _of_type(kind: type, name: str) -> Callable:
     def check(x) -> None:
-        if not is_type(x):
-            raise DocumentError(type_rule)
-        for fails, arg, rule in tests:
-            if fails(x, arg):
-                raise DocumentError(rule)
-
-    return check if tests else check_type  # most leaves are a bare type test
-
-
-def _object_check(required: frozenset, properties: dict, additional: Callable) -> Callable:
-    def check(x) -> None:
-        if type(x) is not dict:
-            raise DocumentError("is not of type 'object'")
-        if not x.keys() >= required:
-            raise DocumentError(f"lacks required property {min(required - x.keys())!r}")
-        try:
-            for key, value in x.items():
-                properties.get(key, additional)(value)
-        except DocumentError as exc:
-            exc.path = (key, *exc.path)
-            raise
+        if type(x) is not kind:
+            raise DocumentError(f"is not of type {name!r}")
 
     return check
 
 
-def _array_check(items: Callable, min_items, max_items) -> Callable:
+_string, _boolean = _of_type(str, "string"), _of_type(bool, "boolean")
+
+
+def _not_allowed(x) -> None:
+    raise DocumentError("is not allowed")
+
+
+def _number(integer: bool = False, low=None, high=None, exclusive: bool = False) -> Callable:
+    """An ``integer`` or number check, with the bounds inclusive, or both exclusive."""
+    kind = "integer" if integer else "number"
+
+    def check(x) -> None:
+        if type(x) is not int and (type(x) is not float or integer and not x.is_integer()):
+            raise DocumentError(f"is not of type {kind!r}")
+        if low is not None and (x <= low if exclusive else x < low):
+            raise DocumentError(f"must be {'>' if exclusive else '>='} {low!r}")
+        if high is not None and (x >= high if exclusive else x > high):
+            raise DocumentError(f"must be {'<' if exclusive else '<='} {high!r}")
+
+    return check
+
+
+def _one_of(*members: str) -> Callable:
+    rule = f"is not {members[0]!r}" if len(members) == 1 else f"is not one of {list(members)!r}"
+
+    def check(x) -> None:
+        if type(x) is not str or x not in members:
+            raise DocumentError(rule)
+
+    return check
+
+
+def _array(item: Callable, length: int | None = None) -> Callable:
     def check(x) -> None:
         if type(x) is not list:
             raise DocumentError("is not of type 'array'")
-        if not min_items <= len(x) <= max_items:
-            raise DocumentError(f"must have {min_items} to {max_items} items, not {len(x)}")
+        if length is not None and len(x) != length:
+            raise DocumentError(f"must have {length} to {length} items, not {len(x)}")
         try:
-            for i, item in enumerate(x):
-                items(item)
+            for i, value in enumerate(x):
+                item(value)
         except DocumentError as exc:
             exc.path = (i, *exc.path)
             raise
@@ -446,71 +404,70 @@ def _array_check(items: Callable, min_items, max_items) -> Callable:
     return check
 
 
-def _compile(schema, definitions: dict) -> Callable[[object], None]:
-    """The check of one (sub)schema; ``definitions`` maps each name under the
-    root's ``definitions`` to its check, looked up when a ``$ref`` runs."""
-    if type(schema) is bool:
-        return _accept if schema else _reject
-    if "$ref" in schema:
-        ref = schema["$ref"]
-        if len(schema) > 1:
-            raise ValueError(f"$ref {ref!r} has sibling keywords")
-        name = ref.removeprefix("#/definitions/")
-        if name == ref or not name.isidentifier() or name not in definitions:
-            raise ValueError(f"$ref {ref!r} is not a local #/definitions/ name")
-        # A definition compiled already is bound directly; a later one is looked up per call.
-        return definitions[name] or (lambda x: definitions[name](x))
-    kind = schema.get("type")
-    if "type" in schema and (not isinstance(kind, str) or kind not in _TYPES):
-        raise ValueError(f"type {kind!r} has no compiled check")
-    # Besides unknown keywords: jsonschema skips object, array and bound keywords on a value
-    # of another type, so there they are no rule, and const/enum beside an object or array
-    # type would need a second node.
-    stray = schema.keys() - _IGNORED - {"type"} - _FAMILIES.get(kind, _MEMBERS)
-    if stray:
-        raise ValueError(f"keywords {sorted(stray)} have no compiled check for type {kind!r}")
-    if schema.keys() & _OBJECT:
-        return _object_check(
-            frozenset(schema.get("required", ())),
-            {k: _compile(v, definitions) for k, v in schema.get("properties", {}).items()},
-            _compile(schema.get("additionalProperties", True), definitions),
-        )
-    if schema.keys() & _ARRAY:
-        if isinstance(schema.get("items"), list):
-            raise ValueError("array-form items has no compiled check")
-        return _array_check(
-            _compile(schema.get("items", True), definitions),
-            schema.get("minItems", 0),
-            schema.get("maxItems", math.inf),
-        )
-    tests = [(fails, schema[key], f"must be {op} {schema[key]!r}")
-             for key, (fails, op) in _BOUNDS.items() if key in schema]
-    for key in ("const", "enum"):
-        if key in schema:
-            members = [schema[key]] if key == "const" else schema[key]
-            if not all(type(m) is str for m in members):
-                raise ValueError(f"{key} {schema[key]!r} has a member that is not a string")
-            rule = f"is not {members[0]!r}" if key == "const" else f"is not one of {members!r}"
-            tests.append((lambda x, m: type(x) is not str or x not in m, frozenset(members), rule))
-    return _leaf_check(_TYPES.get(kind, lambda x: True), f"is not of type {kind!r}", tests)
+def _object(fields: dict, optional: frozenset = frozenset(), other: Callable = _not_allowed) -> Callable:
+    """Every key of ``fields`` but the ``optional`` ones is required; any other key must pass ``other``."""
+    required = fields.keys() - optional
+
+    def check(x) -> None:
+        if type(x) is not dict:
+            raise DocumentError("is not of type 'object'")
+        if not x.keys() >= required:
+            raise DocumentError(f"lacks required property {min(required - x.keys())!r}")
+        try:
+            for key, value in x.items():
+                fields.get(key, other)(value)
+        except DocumentError as exc:
+            exc.path = (key, *exc.path)
+            raise
+
+    return check
 
 
-@functools.cache
-def _document_check() -> Callable[[object], None]:
-    schema = _load_schema()
-    if schema.get("$schema") != _DRAFT_07:
-        raise ValueError(f"$schema {schema.get('$schema')!r} is not {_DRAFT_07}")
-    definitions = dict.fromkeys(schema.get("definitions", {}))
-    for name, sub in schema.get("definitions", {}).items():
-        definitions[name] = _compile(sub, definitions)
-    return _compile(schema, definitions)
+_INTERVAL = _array(_number(integer=True, low=0), length=2)
+
+_SIGN = {
+    "kind": _one_of("fingerspelled", "gloss"),
+    "token": _string,
+    "notation": _string,
+    "score": _number(low=0, high=1),
+    "interval": _INTERVAL,
+    "anchored": _boolean,
+    "in_vocabulary": _boolean,
+    "peak_frame": _number(integer=True, low=0),
+    "fingerspelled_region": _INTERVAL,
+}
+
+_CANDIDATE = {
+    "rank": _number(integer=True, low=1),
+    "candidate_index": _number(integer=True, low=0),
+    "gloss": _string,
+    "aggregate_score": _number(),
+    "per_sign": _array(
+        _object(_SIGN, optional=frozenset({"in_vocabulary", "peak_frame", "fingerspelled_region"}))
+    ),
+    "errors": _array(_string),
+}
+
+_CONFIG = {
+    "k": _number(integer=True, low=1),
+    "fs_threshold": _number(low=0, high=1, exclusive=True),
+    "min_sign_duration": _number(integer=True, low=1),
+    "llm_mode": _string,
+}
+
+_DOCUMENT = _object({
+    "schema_version": _one_of(SCHEMA_VERSION),
+    "video_id": _string,
+    "english": _string,
+    "fps": _number(low=0, exclusive=True),
+    "config": _object(_CONFIG),
+    "model_fingerprints": _object({}, other=_string),
+    "candidates": _array(_object(_CANDIDATE)),
+    "errors": _array(_string),
+})
 
 
 def validate_document(data) -> None:
     """Raise :class:`DocumentError`, naming the failing value's path and the rule
-    it broke, unless ``data`` is a valid ``schema/annotation_v2.json`` document.
-
-    The check is compiled once per process and holds no per-call state. Its
-    verdict is jsonschema's (Draft 7) on every value ``json.loads`` returns.
-    """
-    _document_check()(data)
+    it broke, unless ``data`` is a valid ``schema/annotation_v2.json`` document."""
+    _DOCUMENT(data)

@@ -366,17 +366,28 @@ def _is_number(value) -> bool:
     return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
-def _frame_records(path: str | Path, records: Iterable[tuple[int, object]]) -> Iterator[tuple]:
-    """(t, hand_left, hand_right, body) of each (line number, decoded line) frame record."""
-    for n, r in records:
+def _holds_bool(points) -> bool:
+    """Whether a list of points has a boolean coordinate, which numpy reads as 0 or 1."""
+    return type(points) is list and any(type(v) is bool for p in points if type(p) is list for v in p)
+
+
+def _frame_records(path: str | Path, lines: Iterable[tuple[int, bytes]]) -> Iterator[tuple]:
+    """(t, hand_left, hand_right, body) of each (line number, line) frame record;
+    only a line holding ``true`` or ``false`` is walked for a boolean coordinate."""
+    for n, line in lines:
+        r = _decode(path, n, line)
         if type(r) is not dict or "t" not in r:
             raise PoseError(f"{path}:{n}: a frame must be an object with a 't'")
         if not _is_number(r["t"]):
             raise PoseError(f"{path}:{n}: 't' must be a finite number")
-        body = r.get("body")
+        hand_left, hand_right, body = r.get("hand_left"), r.get("hand_right"), r.get("body")
         if body is not None and type(body) is not dict:
             raise PoseError(f"{path}:{n}: 'body' must be an object or null")
-        yield r["t"], r.get("hand_left"), r.get("hand_right"), body
+        if (b"true" in line or b"false" in line) and any(
+            _holds_bool(points) for points in (hand_left, hand_right, list((body or {}).values()))
+        ):
+            raise PoseError(f"{path}:{n}: a point must hold numbers, not booleans")
+        yield r["t"], hand_left, hand_right, body
 
 
 def _decode(path: str | Path, n: int, line: bytes):
@@ -399,8 +410,9 @@ def read_pose_jsonl(path: str | Path) -> PoseSequence:
         if not num_lines:
             raise PoseError(f"{path} is empty")
         fh.seek(0)
-        records = ((n, _decode(path, n, line)) for n, line in enumerate(fh, 1) if line.strip())
-        n, header = next(records)
+        lines = ((n, line) for n, line in enumerate(fh, 1) if line.strip())
+        n, line = next(lines)
+        header = _decode(path, n, line)
         if type(header) is not dict or "fps" not in header:
             raise PoseError(f"{path}:{n}: the header must be an object with an 'fps'")
         if not _is_number(header["fps"]):
@@ -409,4 +421,4 @@ def read_pose_jsonl(path: str | Path) -> PoseSequence:
         if type(video_id) is not str:
             raise PoseError(f"{path}:{n}: 'video_id' must be a string")
         fps = float(header["fps"])
-        return _from_records(_frame_records(path, records), num_lines - 1, fps, video_id)
+        return _from_records(_frame_records(path, lines), num_lines - 1, fps, video_id)

@@ -885,6 +885,23 @@ class TestEval:
         assert err.startswith(f"error: {truth}:3: {message}")
         assert "Traceback" not in err
 
+    def test_repeated_pred_video_id_names_both_files(self, tmp_path, capsys):
+        """The same file twice, and a directory with a file inside it."""
+        truth = str(self._truth_file(tmp_path))
+        pred_dir = tmp_path / "pred"
+        pred_dir.mkdir()
+        inside = pred_dir / "doc.json"
+        inside.write_bytes(Path("tests/data/doc_fixture.json").read_bytes())
+        for pred, first, again in (
+            (["tests/data/doc_fixture.json"] * 2, "tests/data/doc_fixture.json", "tests/data/doc_fixture.json"),
+            ([str(pred_dir), str(inside)], inside, inside),
+        ):
+            out = tmp_path / "report.json"
+            code = main(["eval", "--pred", *pred, "--truth", truth, "--out", str(out)])
+            assert code == 1
+            assert capsys.readouterr().err == f"error: {again}: video_id 'fixture01' repeats {first}\n"
+            assert not out.exists()
+
     def test_repeated_truth_video_id_names_file_and_both_lines(self, tmp_path, capsys):
         truth = self._truth_file(tmp_path)
         first = truth.read_text()

@@ -532,12 +532,12 @@ class TestPersistence:
         (tmp_path / "isr" / "two_hand").rename(tmp_path / "isr" / "swap")
         (tmp_path / "isr" / "one_hand").rename(tmp_path / "isr" / "two_hand")
         (tmp_path / "isr" / "swap").rename(tmp_path / "isr" / "one_hand")
-        with pytest.raises(nn.WeightsError, match="two_hand does not hold an ISR two_hand branch"):
+        with pytest.raises(nn.WeightsError, match="two_hand holds model_kind 'isr_one_hand', not 'isr_two_hand'"):
             load_isr_model(tmp_path / "isr")
 
     def test_foreign_branch_rejected(self, isr_model, fs_model, tmp_path):
         save_isr_model(tmp_path / "isr", isr_model)
         shutil.rmtree(tmp_path / "isr" / "one_hand")
         save_fingerspelling_model(tmp_path / "isr" / "one_hand", fs_model)
-        with pytest.raises(nn.WeightsError, match="one_hand does not hold an ISR one_hand branch"):
+        with pytest.raises(nn.WeightsError, match="one_hand holds model_kind 'fingerspelling', not 'isr_one_hand'"):
             load_isr_model(tmp_path / "isr")

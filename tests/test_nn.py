@@ -1,5 +1,5 @@
 """TCN forward and reverse pass against the graph-engine reference, optimizer,
-the training steps, and the weight container."""
+the training steps, and the model directory."""
 
 from typing import Sequence
 
@@ -859,53 +859,56 @@ class TestCosineLr:
 
 
 class TestWeightsContainer:
-    def _weights(self, rng):
-        config, tcn = small_tcn(rng)
-        return nn.ModelWeights.from_float64(
-            config, tcn.state_arrays(), extra={"note": "test"}
-        )
+    def _save(self, directory, seed):
+        _, tcn = small_tcn(np.random.default_rng(seed))
+        nn.save_tcn(directory, tcn, {"model_kind": "test", "note": "test"})
+        return tcn
 
     def test_round_trip_bit_exact(self, tmp_path):
-        rng = np.random.default_rng(9)
-        weights = self._weights(rng)
-        nn.save_weights(tmp_path / "model", weights)
-        loaded = nn.load_weights(tmp_path / "model")
-        assert loaded.extra == {"note": "test"}
-        assert set(loaded.tensors) == set(weights.tensors)
-        for name, arr in weights.tensors.items():
-            np.testing.assert_array_equal(loaded.tensors[name], arr)
-            assert loaded.tensors[name].dtype == np.float32
+        tcn = self._save(tmp_path / "model", 9)
+        loaded, extra = nn.load_tcn(tmp_path / "model", "test")
+        assert extra == {"model_kind": "test", "note": "test"}
+        assert loaded.grads is None  # frozen
+        assert loaded.config == tcn.config
+        assert set(loaded.params) == set(tcn.params)
+        for name, arr in tcn.params.items():
+            np.testing.assert_array_equal(loaded.params[name], arr.astype(np.float32))
+        nn.save_tcn(tmp_path / "again", loaded, extra)
+        for name in ("weights.bin", "manifest.json"):
+            assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "model" / name).read_bytes()
 
     def test_truncated_blob_rejected(self, tmp_path):
-        rng = np.random.default_rng(10)
-        nn.save_weights(tmp_path / "m", self._weights(rng))
+        self._save(tmp_path / "m", 10)
         blob = (tmp_path / "m" / "weights.bin").read_bytes()
         (tmp_path / "m" / "weights.bin").write_bytes(blob[:-8])
         with pytest.raises(nn.WeightsError):
-            nn.load_weights(tmp_path / "m")
+            nn.load_tcn(tmp_path / "m", "test")
 
     def test_fingerprint_tamper_rejected(self, tmp_path):
         import json
 
-        rng = np.random.default_rng(12)
-        nn.save_weights(tmp_path / "m", self._weights(rng))
+        self._save(tmp_path / "m", 12)
         manifest = json.loads((tmp_path / "m" / "manifest.json").read_text())
         manifest["config"]["channels"] = 12
         (tmp_path / "m" / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(nn.WeightsError):
-            nn.load_weights(tmp_path / "m")
+        with pytest.raises(nn.WeightsError, match="fingerprint"):
+            nn.load_tcn(tmp_path / "m", "test")
 
     def test_shape_mismatch_rejected(self, tmp_path):
         import json
 
-        rng = np.random.default_rng(13)
-        nn.save_weights(tmp_path / "m", self._weights(rng))
+        self._save(tmp_path / "m", 13)
         manifest = json.loads((tmp_path / "m" / "manifest.json").read_text())
         manifest["tensors"][0]["shape"] = [9999, 1]
         (tmp_path / "m" / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(nn.WeightsError):
-            nn.load_weights(tmp_path / "m")
+        with pytest.raises(nn.WeightsError, match="overruns the blob"):
+            nn.load_tcn(tmp_path / "m", "test")
 
     def test_missing_directory(self, tmp_path):
         with pytest.raises(nn.WeightsError):
-            nn.load_weights(tmp_path / "nope")
+            nn.load_tcn(tmp_path / "nope", "test")
+
+    def test_foreign_model_kind_rejected(self, tmp_path):
+        self._save(tmp_path / "m", 14)
+        with pytest.raises(nn.WeightsError, match="m holds model_kind 'test', not 'fingerspelling'"):
+            nn.load_tcn(tmp_path / "m", "fingerspelling")

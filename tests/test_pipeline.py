@@ -8,6 +8,7 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from importlib import resources
 from pathlib import Path
 
 import jsonschema
@@ -448,7 +449,6 @@ class TestDocumentSerialization:
                 return str(exc)
             return None
 
-        pipeline_mod._document_check.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -537,7 +537,13 @@ def _mutated(draw, base):
     return doc
 
 
-_REFERENCE = jsonschema.Draft7Validator(pipeline_mod._load_schema())
+def _load_schema() -> dict:
+    """The shipped schema, the published contract the check is held to."""
+    text = resources.files("signscribe").joinpath("schema", "annotation_v2.json").read_text("utf-8")
+    return json.loads(text)
+
+
+_REFERENCE = jsonschema.Draft7Validator(_load_schema())
 
 
 def _accepted(doc) -> bool:
@@ -546,6 +552,54 @@ def _accepted(doc) -> bool:
     except DocumentError:
         return False
     return True
+
+
+def _bound_values(schema) -> list:
+    """Values just inside and just outside each bound the schema sets: the
+    bound as an int and a float, its integer neighbours and its nearest floats."""
+    bounds = set()
+
+    def walk(node):
+        if isinstance(node, dict):
+            for key, value in node.items():
+                if key in ("minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum"):
+                    bounds.add(value)
+                walk(value)
+        elif isinstance(node, list):
+            for value in node:
+                walk(value)
+
+    walk(schema)
+    return [
+        value
+        for b in sorted(bounds)
+        for value in (b - 1, b, b + 1, float(b), math.nextafter(b, -math.inf), math.nextafter(b, math.inf))
+    ]
+
+
+def _one_step_mutations(doc, values):
+    """Mutate ``doc`` in place, one step at a time, yielding a description of
+    each step and undoing it before the next: every key deleted, an unknown
+    key added to every object, and every leaf replaced by each of ``values``."""
+    for path, node in list(_nodes(doc)):
+        parent = doc
+        for step in path[:-1]:
+            parent = parent[step]
+        if isinstance(node, dict):
+            node["unknown"] = 0
+            yield f"add 'unknown' at {path}"
+            del node["unknown"]
+        elif not isinstance(node, list):
+            for value in values:
+                parent[path[-1]] = value
+                yield f"{value!r} at {path}"
+            parent[path[-1]] = node
+        if path and isinstance(path[-1], str):
+            saved = dict(parent)  # to restore the key order too
+            del parent[path[-1]]
+            yield f"delete {path}"
+            parent.clear()
+            parent.update(saved)
 
 
 _FIXTURE_DOCUMENT = json.loads(Path("tests/data/doc_fixture.json").read_text(encoding="utf-8"))
@@ -611,7 +665,7 @@ class TestCompiledCheck:
     directions, and every document the writer produces passes it."""
 
     def test_shipped_schema_is_a_valid_draft7_schema(self):
-        schema = pipeline_mod._load_schema()
+        schema = _load_schema()
         jsonschema.Draft7Validator.check_schema(schema)
         assert jsonschema.validators.validator_for(schema) is jsonschema.Draft7Validator
 
@@ -670,60 +724,22 @@ class TestCompiledCheck:
         parent[path[-1]] = value
         assert _accepted(doc) == accepted == _REFERENCE.is_valid(doc)
 
-    @pytest.mark.parametrize("schema", [
-        {"type": "string", "pattern": "^a"},
-        {"type": "object", "patternProperties": {"^x": {"type": "string"}}},
-        {"$id": "http://example.com/s"},
-        {"format": "date"},
-        {"description": "annotations the shipped schema does not use are refused too"},
-    ])
-    def test_compiler_refuses_unknown_keyword(self, schema):
-        with pytest.raises(ValueError, match="no compiled check"):
-            pipeline_mod._compile(schema, {})
+    @pytest.mark.parametrize("name", ["worked", "fixture"])
+    def test_one_step_mutations_agree_with_jsonschema(self, worked_document, name):
+        """The check is written apart from the schema file; a rule that drifts
+        from the shipped schema shows up as a one-step mutation they disagree on.
 
-    def test_compiler_refuses_ref_with_siblings(self):
-        definitions = {"interval": pipeline_mod._accept}
-        with pytest.raises(ValueError, match="sibling"):
-            pipeline_mod._compile({"$ref": "#/definitions/interval", "minItems": 1}, definitions)
-        with pytest.raises(ValueError, match="sibling"):
-            pipeline_mod._compile({"$ref": "#/definitions/interval", "title": "t"}, definitions)
-
-    @pytest.mark.parametrize("schema", [
-        {"$ref": "#/definitions/missing"},
-        {"$ref": "other.json#/definitions/interval"},
-        {"$ref": "#/definitions/a~1b"},
-        {"type": ["string", "integer"]},
-        {"type": "null"},
-        {"type": "array", "items": [{"type": "integer"}]},
-        {"enum": ["mean", 1]},
-        {"const": True},
-        {"type": "object", "enum": ["a"]},
-    ])
-    def test_compiler_refuses_other_forms(self, schema):
-        with pytest.raises(ValueError):
-            pipeline_mod._compile(schema, {"interval": pipeline_mod._accept, "a~1b": pipeline_mod._accept})
-
-    @pytest.mark.parametrize("schema", [
-        {"type": "string", "minimum": 0},
-        {"maximum": 1},
-        {"required": ["a"]},
-        {"type": "array", "additionalProperties": False},
-        {"type": "object", "minItems": 1},
-    ])
-    def test_compiler_refuses_keywords_outside_their_type(self, schema):
-        """jsonschema skips these keywords on values of other types, so a check must not apply them."""
-        with pytest.raises(ValueError, match="no compiled check for type"):
-            pipeline_mod._compile(schema, {})
-
-    def test_compiler_refuses_other_drafts(self, monkeypatch):
-        schema = dict(pipeline_mod._load_schema(), **{"$schema": "http://json-schema.org/draft-04/schema#"})
-        monkeypatch.setattr(pipeline_mod, "_load_schema", lambda: schema)
-        pipeline_mod._document_check.cache_clear()
-        try:
-            with pytest.raises(ValueError, match="draft-07"):
-                pipeline_mod._document_check()
-        finally:
-            pipeline_mod._document_check.cache_clear()
+        The worked document keeps only its top-ranked candidate, which holds
+        signs of both kinds, so that jsonschema's runs stay short."""
+        base = _FIXTURE_DOCUMENT
+        if name == "worked":
+            base = dict(worked_document, candidates=worked_document["candidates"][:1])
+            assert {sign["kind"] for sign in base["candidates"][0]["per_sign"]} == {"gloss", "fingerspelled"}
+        doc = copy.deepcopy(base)
+        values = _ODD_VALUES + _bound_values(_load_schema())
+        disagree = [step for step in _one_step_mutations(doc, values) if _accepted(doc) != _REFERENCE.is_valid(doc)]
+        assert disagree == []
+        assert doc == base
 
 
 class TestProvenance:
@@ -771,14 +787,16 @@ class TestProvenance:
         prints = models.fingerprints()
         assert loaded.fingerprints() == prints
         assert load(tmp_path / "two").fingerprints() == prints
-        for name, blob in (
-            ("fingerspelling", "fingerspelling/weights.bin"),
-            ("isr_two_hand", "isr/two_hand/weights.bin"),
-            ("isr_one_hand", "isr/one_hand/weights.bin"),
+        for name, directory in (
+            ("fingerspelling", "fingerspelling"),
+            ("isr_two_hand", "isr/two_hand"),
+            ("isr_one_hand", "isr/one_hand"),
         ):
-            first = (tmp_path / "one" / blob).read_bytes()
-            assert (tmp_path / "two" / blob).read_bytes() == first
+            first = (tmp_path / "one" / directory / "weights.bin").read_bytes()
+            assert (tmp_path / "two" / directory / "weights.bin").read_bytes() == first
             assert hashlib.sha256(first).hexdigest() == prints[f"{name}_weights"]
+            manifest = (tmp_path / "one" / directory / "manifest.json").read_bytes()
+            assert (tmp_path / "two" / directory / "manifest.json").read_bytes() == manifest
 
 
 # --- canonical writer ----------------------------------------------------------

@@ -409,6 +409,8 @@ class TestPoseJsonl:
             ({"fps": 30.0}, {"hand_left": [[True, False]] * 21}),
             ({"fps": 30.0}, {"body": {"nose": ["0.5", "0.5"]}}),
             ({"fps": 30.0}, {"body": {"nose": [True, False]}}),
+            ({"fps": 30.0}, {"hand_right": [[0.5, 0.5]] * 20 + [[0.5, True]]}),  # read as 1.0
+            ({"fps": 30.0}, {"body": {"nose": [0.5, 0.5], "neck": [False, 0.5]}}),
         ],
     )
     def test_reader_rejects(self, tmp_path, header, record):
