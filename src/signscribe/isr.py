@@ -43,8 +43,8 @@ JITTER = 0.25  # training windows widen by up to this share of the sign span per
 class SignVocabulary:
     """Ordered gloss names plus the reserved ANY and NULL classes.
 
-    Lookup is case-insensitive and applies the same Porter stemming used
-    for annotation normalization, so DAYS resolves to a DAY entry.
+    Lookup is case-insensitive, by exact name and else by the Porter stemming
+    used for annotation normalization: DAYS resolves to a DAY entry.
     """
 
     glosses: tuple[str, ...]
@@ -58,6 +58,7 @@ class SignVocabulary:
         stems: dict[str, int] = {}
         for i, g in enumerate(upper):
             stems.setdefault(stem_fixpoint(g.lower()), i)
+        object.__setattr__(self, "_names", {g: i for i, g in enumerate(upper)})
         object.__setattr__(self, "_stems", stems)
 
     @property
@@ -74,7 +75,7 @@ class SignVocabulary:
         return len(self.glosses) + 1
 
     def class_index(self, gloss_text: str) -> int | None:
-        return self._stems.get(stem_fixpoint(gloss_text.lower()))
+        return self._names.get(gloss_text.upper(), self._stems.get(stem_fixpoint(gloss_text.lower())))
 
     def name(self, index: int) -> str:
         if index == self.any_index:

@@ -69,37 +69,37 @@ def load_tcn(directory: str | Path, model_kind: str) -> tuple[Tcn, dict]:
         raise WeightsError(f"{directory} is not a model directory")
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise WeightsError(f"unreadable manifest: {exc}") from exc
+    except (OSError, ValueError) as exc:
+        raise WeightsError(f"{directory}: unreadable manifest: {exc}") from exc
     try:
         config = TcnConfig.from_dict(manifest["config"])
         table = manifest["tensors"]
         total = int(manifest["total_bytes"])
         stored_fp = manifest["fingerprint"]
         extra = dict(manifest.get("extra", {}))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise WeightsError(f"malformed manifest: {exc}") from exc
-    if extra.get("model_kind") != model_kind:
-        raise WeightsError(
-            f"{directory} holds model_kind {extra.get('model_kind')!r}, not {model_kind!r}"
-        )
-    if config_fingerprint(config) != stored_fp:
-        raise WeightsError("fingerprint does not match the manifest config")
-    blob = blob_path.read_bytes()
-    if len(blob) != total:
-        raise WeightsError(
-            f"weights blob has {len(blob)} bytes, manifest declares {total}"
-        )
-    arrays: dict[str, np.ndarray] = {}
-    for entry in table:
-        shape = tuple(int(s) for s in entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = int(entry["offset_bytes"])
-        end = start + count * _DTYPE.itemsize
-        if end > len(blob):
-            raise WeightsError(f"tensor {entry['name']!r} overruns the blob")
-        arr = np.frombuffer(blob[start:end], dtype=_DTYPE)
-        if arr.size != count:
-            raise WeightsError(f"tensor {entry['name']!r} is truncated")
-        arrays[entry["name"]] = arr.reshape(shape)
-    return Tcn.from_arrays(config, arrays), extra
+        if extra.get("model_kind") != model_kind:
+            raise WeightsError(
+                f"{directory} holds model_kind {extra.get('model_kind')!r}, not {model_kind!r}"
+            )
+        if config_fingerprint(config) != stored_fp:
+            raise WeightsError(f"{directory}: fingerprint does not match the manifest config")
+        blob = blob_path.read_bytes()
+        if len(blob) != total:
+            raise WeightsError(
+                f"{directory}: weights blob has {len(blob)} bytes, manifest declares {total}"
+            )
+        arrays: dict[str, np.ndarray] = {}
+        for entry in table:
+            shape = tuple(int(s) for s in entry["shape"])
+            count = int(np.prod(shape)) if shape else 1
+            start = int(entry["offset_bytes"])
+            end = start + count * _DTYPE.itemsize
+            if start < 0 or end > len(blob):
+                raise WeightsError(f"{directory}: tensor {entry['name']!r} overruns the blob")
+            arr = np.frombuffer(blob[start:end], dtype=_DTYPE)
+            if arr.size != count:
+                raise WeightsError(f"{directory}: tensor {entry['name']!r} is truncated")
+            arrays[entry["name"]] = arr.reshape(shape)
+        return Tcn.from_arrays(config, arrays), extra  # refuses shapes that do not fit the config
+    except (KeyError, TypeError, ValueError) as exc:  # a manifest field missing or of the wrong kind
+        raise WeightsError(f"{directory}: malformed manifest: {exc!r}") from exc

@@ -15,9 +15,9 @@ in the right-hand slot.
 from __future__ import annotations
 
 import enum
+import itertools
 import json
 import sys
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -94,60 +94,6 @@ class PoseSequence:
         """This sequence. Kept only because the benchmark harness
         (``perfbench/workloads.py``) counts frames with ``len(seq.frames)``."""
         return self
-
-
-def _points(value, shape: tuple[int, int], what: str) -> np.ndarray:
-    """``value`` as a ``shape`` array of numbers: numpy must read it as integers
-    or floats, not as strings, booleans or objects."""
-    try:
-        a = np.asarray(value)
-    except (TypeError, ValueError) as exc:
-        raise PoseError(f"{what} must be {shape} numbers: {exc}") from None
-    if a.dtype.kind not in "iuf":
-        raise PoseError(f"{what} must be {shape} numbers, got {a.dtype} values")
-    if a.shape != shape:
-        raise PoseError(f"{what} must be {shape}, got {a.shape}")
-    return a
-
-
-def _from_records(
-    records: Iterable[tuple], num_frames: int, fps: float, video_id: str
-) -> PoseSequence:
-    """Write (timestamp, hand_left, hand_right, body) records into preallocated arrays.
-
-    A body joint gets a column when first seen. The columns of each distinct
-    tuple of joint names are looked up once, as a slice when consecutive.
-    """
-    ts = np.zeros(num_frames)
-    hands = np.zeros((2, num_frames, HAND_JOINTS, 2))
-    hand_present = np.zeros((2, num_frames), dtype=bool)
-    body = np.zeros((num_frames, 0, 2))
-    body_present = np.zeros((num_frames, 0), dtype=bool)
-    joints: list[str] = []
-    columns: dict[tuple[str, ...], slice | list[int]] = {}
-    for i, (t, hand_left, hand_right, frame_body) in enumerate(records):
-        ts[i] = t
-        for k, hand in enumerate((hand_left, hand_right)):
-            if hand is not None:
-                hands[k, i] = _points(hand, (HAND_JOINTS, 2), "hand")
-                hand_present[k, i] = True
-        if not frame_body:
-            continue
-        names = tuple(frame_body)
-        if names not in columns:
-            new = [name for name in names if name not in joints]
-            joints += new
-            body = np.pad(body, ((0, 0), (0, len(new)), (0, 0)))
-            body_present = np.pad(body_present, ((0, 0), (0, len(new))))
-            cols = [joints.index(name) for name in names]
-            consecutive = cols == list(range(cols[0], cols[0] + len(cols)))
-            columns[names] = slice(cols[0], cols[-1] + 1) if consecutive else cols
-        body[i, columns[names]] = _points(list(frame_body.values()), (len(names), 2), "body joints")
-        body_present[i, columns[names]] = True
-    return PoseSequence(
-        ts, hands[0], hands[1], hand_present[0], hand_present[1],
-        body, body_present, tuple(joints), fps, video_id,
-    )
 
 
 class Hand(enum.Enum):
@@ -366,30 +312,6 @@ def _is_number(value) -> bool:
     return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
-def _holds_bool(points) -> bool:
-    """Whether a list of points has a boolean coordinate, which numpy reads as 0 or 1."""
-    return type(points) is list and any(type(v) is bool for p in points if type(p) is list for v in p)
-
-
-def _frame_records(path: str | Path, lines: Iterable[tuple[int, bytes]]) -> Iterator[tuple]:
-    """(t, hand_left, hand_right, body) of each (line number, line) frame record;
-    only a line holding ``true`` or ``false`` is walked for a boolean coordinate."""
-    for n, line in lines:
-        r = _decode(path, n, line)
-        if type(r) is not dict or "t" not in r:
-            raise PoseError(f"{path}:{n}: a frame must be an object with a 't'")
-        if not _is_number(r["t"]):
-            raise PoseError(f"{path}:{n}: 't' must be a finite number")
-        hand_left, hand_right, body = r.get("hand_left"), r.get("hand_right"), r.get("body")
-        if body is not None and type(body) is not dict:
-            raise PoseError(f"{path}:{n}: 'body' must be an object or null")
-        if (b"true" in line or b"false" in line) and any(
-            _holds_bool(points) for points in (hand_left, hand_right, list((body or {}).values()))
-        ):
-            raise PoseError(f"{path}:{n}: a point must hold numbers, not booleans")
-        yield r["t"], hand_left, hand_right, body
-
-
 def _decode(path: str | Path, n: int, line: bytes):
     try:
         return orjson.loads(line)
@@ -397,17 +319,27 @@ def _decode(path: str | Path, n: int, line: bytes):
         raise PoseError(f"{path}:{n}: not a JSON value: {exc}") from None
 
 
+_CHUNK_FRAMES = 128  # frames whose coordinates are converted together
+
+
 def read_pose_jsonl(path: str | Path) -> PoseSequence:
-    """Read a pose file, writing each frame straight into the sequence's arrays.
+    """Read a pose file, a chunk of frames at a time, into preallocated arrays.
 
     Each line is decoded on its own with ``orjson``, which takes only
     strict JSON: a line that is not a JSON value (truncated, or with a
     ``NaN``/``Infinity`` literal or a number beyond the float range) raises
-    :class:`PoseError` naming the file and its 1-based line.
+    :class:`PoseError` naming the file and its 1-based line, as does a
+    malformed frame: say, a hand that is not 21 [x, y] points of numbers.
+
+    A frame's point shapes are checked as it is decoded. Its coordinates go
+    onto one flat list per hand and per tuple of body joint names, which is
+    type-checked and converted once every :data:`_CHUNK_FRAMES` frames; a bad
+    value is traced back to the first of the chunk's lines holding one. A
+    body joint gets a column when first seen.
     """
     with open(path, "rb") as fh:
-        num_lines = sum(1 for line in fh if line.strip())
-        if not num_lines:
+        num_frames = sum(1 for line in fh if line.strip()) - 1
+        if num_frames < 0:
             raise PoseError(f"{path} is empty")
         fh.seek(0)
         lines = ((n, line) for n, line in enumerate(fh, 1) if line.strip())
@@ -420,5 +352,72 @@ def read_pose_jsonl(path: str | Path) -> PoseSequence:
         video_id = header.get("video_id", "")
         if type(video_id) is not str:
             raise PoseError(f"{path}:{n}: 'video_id' must be a string")
-        fps = float(header["fps"])
-        return _from_records(_frame_records(path, lines), num_lines - 1, fps, video_id)
+        ts = np.zeros(num_frames)
+        hands = np.zeros((2, num_frames, HAND_JOINTS, 2))
+        hand_present = np.zeros((2, num_frames), dtype=bool)
+        body = np.zeros((num_frames, 0, 2))
+        body_present = np.zeros((num_frames, 0), dtype=bool)
+        joints: list[str] = []
+        columns: dict[tuple[str, ...], list[int]] = {}
+        frames = enumerate(lines)
+        for start in range(0, num_frames, _CHUNK_FRAMES):
+            line_numbers: list[int] = []
+            # hand 0 or 1, or a tuple of joint names -> (its frames, x then y of each one's points)
+            chunk: dict[int | tuple[str, ...], tuple[list[int], list]] = {}
+            for i, (n, line) in itertools.islice(frames, _CHUNK_FRAMES):
+                r = _decode(path, n, line)
+                if type(r) is not dict or "t" not in r:
+                    raise PoseError(f"{path}:{n}: a frame must be an object with a 't'")
+                if not _is_number(r["t"]):
+                    raise PoseError(f"{path}:{n}: 't' must be a finite number")
+                ts[i] = r["t"]
+                line_numbers.append(n)
+                for k, name in enumerate(("hand_left", "hand_right")):
+                    if r.get(name) is not None:
+                        try:
+                            xs, ys = zip(*r[name], strict=True)
+                        except (TypeError, ValueError):
+                            xs = ys = ()
+                        if len(xs) != HAND_JOINTS:
+                            raise PoseError(f"{path}:{n}: {name!r} must be {HAND_JOINTS} [x, y] points")
+                        rows, flat = chunk.setdefault(k, ([], []))
+                        rows.append(i)
+                        flat += xs + ys
+                frame_body = r.get("body")
+                if frame_body is not None and type(frame_body) is not dict:
+                    raise PoseError(f"{path}:{n}: 'body' must be an object or null")
+                if frame_body:
+                    try:
+                        xs, ys = zip(*frame_body.values(), strict=True)
+                    except (TypeError, ValueError):
+                        raise PoseError(f"{path}:{n}: each body joint must be an [x, y] point") from None
+                    names = tuple(frame_body)
+                    if names not in columns:
+                        joints += [name for name in names if name not in joints]
+                        columns[names] = [joints.index(name) for name in names]
+                    rows, flat = chunk.setdefault(names, ([], []))
+                    rows.append(i)
+                    flat += xs + ys
+            try:  # ints and floats only: JSON true and false decode to bools
+                values = [np.fromiter(flat, float, len(flat)) for _, flat in chunk.values()
+                          if set(map(type, flat)) <= {int, float}]
+            except OverflowError:  # an int past the float range
+                values = []
+            if len(values) < len(chunk):
+                i = min(rows[j // (len(flat) // len(rows))] for rows, flat in chunk.values()
+                        for j, v in enumerate(flat) if not _is_number(v))
+                raise PoseError(f"{path}:{line_numbers[i - start]}: a point must hold two finite numbers")
+            if len(joints) > body.shape[1]:
+                grow = ((0, 0), (0, len(joints) - body.shape[1]))
+                body, body_present = np.pad(body, (*grow, (0, 0))), np.pad(body_present, grow)
+            for (key, (rows, _)), v in zip(chunk.items(), values):
+                points = v.reshape(len(rows), 2, -1).transpose(0, 2, 1)
+                if type(key) is int:
+                    hands[key, rows], hand_present[key, rows] = points, True
+                else:
+                    cells = np.ix_(rows, columns[key])
+                    body[cells], body_present[cells] = points, True
+    return PoseSequence(
+        ts, hands[0], hands[1], hand_present[0], hand_present[1],
+        body, body_present, tuple(joints), float(header["fps"]), video_id,
+    )

@@ -44,6 +44,12 @@ class TestSignVocabulary:
         assert vocab.class_index("RUNNING") == 1
         assert vocab.class_index("CAT") is None
 
+    def test_exact_name_wins_over_a_shared_stem(self):
+        vocab = SignVocabulary(glosses=("WORK", "WORKS"))
+        assert vocab.class_index("WORK") == 0
+        assert vocab.class_index("works") == 1
+        assert vocab.class_index("WORKING") == 0  # no gloss of that name: the first with its stem
+
     def test_reserved_names_rejected(self):
         with pytest.raises(ValueError):
             SignVocabulary(glosses=("CAT", "ANY"))

@@ -904,6 +904,49 @@ class TestWeightsContainer:
         with pytest.raises(nn.WeightsError, match="overruns the blob"):
             nn.load_tcn(tmp_path / "m", "test")
 
+    def test_negative_offset_rejected(self, tmp_path):
+        import json
+
+        self._save(tmp_path / "m", 17)
+        manifest = json.loads((tmp_path / "m" / "manifest.json").read_text())
+        manifest["tensors"][0]["offset_bytes"] = -24  # would read 12 bytes of the last tensor
+        (tmp_path / "m" / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(nn.WeightsError, match="'block0.branch0.b' overruns the blob"):
+            nn.load_tcn(tmp_path / "m", "test")
+
+    @pytest.mark.parametrize(
+        "tamper, match",
+        [
+            # (3, 4, 3) read as (36,): it fits the blob, so only the config refuses it
+            (lambda m: m["tensors"][1].update(shape=[36]), "malformed manifest: ValueError"),
+            (lambda m: m["tensors"][1].pop("shape"), "malformed manifest: KeyError"),
+            (lambda m: m.pop("config"), "malformed manifest: KeyError"),
+            (lambda m: m["tensors"].append(7), "malformed manifest: TypeError"),
+        ],
+        ids=["shape-off-config", "no-shape", "no-config", "entry-not-an-object"],
+    )
+    def test_bad_manifest_is_a_weights_error_naming_the_directory(self, tmp_path, tamper, match):
+        import json
+        import re
+
+        self._save(tmp_path / "m", 15)
+        path = tmp_path / "m" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        assert manifest["tensors"][1]["shape"] == [3, 4, 3]
+        tamper(manifest)
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(nn.WeightsError, match=re.escape(f"{tmp_path / 'm'}: {match}")):
+            nn.load_tcn(tmp_path / "m", "test")
+
+    @pytest.mark.parametrize("text", ["{", "\udcff"])
+    def test_unreadable_manifest_names_the_directory(self, tmp_path, text):
+        import re
+
+        self._save(tmp_path / "m", 16)
+        (tmp_path / "m" / "manifest.json").write_bytes(text.encode("utf-8", "surrogateescape"))
+        with pytest.raises(nn.WeightsError, match=re.escape(f"{tmp_path / 'm'}: unreadable manifest")):
+            nn.load_tcn(tmp_path / "m", "test")
+
     def test_missing_directory(self, tmp_path):
         with pytest.raises(nn.WeightsError):
             nn.load_tcn(tmp_path / "nope", "test")

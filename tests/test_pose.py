@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from sequences import pose_sequence
 
+from signscribe import pose
 from signscribe.pose import (
     BODY_DEFAULT_JOINTS,
     FINGERSPELLING_FEATURES,
@@ -18,8 +19,11 @@ from signscribe.pose import (
     Hand,
     NoHandsError,
     PoseError,
+    PoseSequence,
     VideoFeatures,
+    _decode,
     _imputed,
+    _is_number,
     _nearest_present,
     _normalize_hand,
     mirror_flip,
@@ -421,6 +425,46 @@ class TestPoseJsonl:
         with pytest.raises(PoseError):
             read_pose_jsonl(path)
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"hand_right": [[0.5, 0.5]] * 20},
+            {"hand_right": [[0.5, 0.5, 0.5]] * 21},
+            {"hand_right": [[0.5, 0.5]] * 20 + [[0.5]]},
+            {"hand_left": 0.5},
+            {"hand_left": [[0.5, 0.5]] * 20 + [None]},
+            {"hand_right": [["0.5", "0.25"]] * 21},
+            {"hand_left": [[True, False]] * 21},
+            {"hand_right": [[0.5, 0.5]] * 20 + [[0.5, True]]},
+            {"hand_right": [[0.5, 0.5]] * 20 + [[0.5, None]]},
+            {"body": {"nose": [0.5, 0.5, 0.5]}},
+            {"body": {"nose": [0.5]}},
+            {"body": {"nose": 0.5}},
+            {"body": {"nose": ["0.5", "0.5"]}},
+            {"body": {"nose": [True, False]}},
+            {"body": {"nose": [0.5, 0.5], "neck": [False, 0.5]}},
+            {"body": {"nose": [0.5, 0.5], "neck": {"x": 0.5, "y": 0.5}}},
+        ],
+    )
+    def test_reader_names_the_line_of_a_bad_point(self, tmp_path, record):
+        first = {"t": 0.0, "hand_left": None, "hand_right": [[0.5, 0.5]] * 21, "body": {"nose": [0.5, 0.5]}}
+        second = {**first, "t": 1 / 30, **record}
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join(json.dumps(r) for r in ({"fps": 30.0}, first, second, first | {"t": 0.1})) + "\n")
+        with pytest.raises(PoseError, match="bad.jsonl:3: "):
+            read_pose_jsonl(path)
+
+    def test_reader_names_the_first_bad_line_of_a_later_chunk(self, tmp_path):
+        frame = {"hand_left": None, "hand_right": [[0.5, 0.5]] * 21, "body": {"nose": [0.5, 0.5]}}
+        frames = [{"t": i / 30, **frame} for i in range(300)]
+        frames[205] = {**frames[205], "hand_right": [[0.5, 0.5]] * 20 + [[0.5, False]]}
+        frames[201] = {**frames[201], "body": {"nose": [0.5, "0.5"]}}  # earlier in the same chunk
+        frames[290] = {**frames[290], "hand_left": [[0.5, True]] * 21}  # in the chunk after
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n\n".join(json.dumps(r) for r in [{"fps": 30.0}, *frames]) + "\n")
+        with pytest.raises(PoseError, match="bad.jsonl:405: "):  # frame 201 sits on line 3 + 2 * 201
+            read_pose_jsonl(path)
+
     def test_reader_rejects_one_frame_without_a_time(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"fps": 30}\n{"t": null, "hand_right": null}\n')
@@ -778,3 +822,197 @@ class TestSharedFeaturesMatchPerNetworkBuilders:
 
     def test_no_hands(self):
         assert self._check(pose_sequence(np.arange(4) / 30)) == [(NoHandsError, "no hand present in any frame", None)]
+
+
+# --- per-frame reader reference -----------------------------------------------
+# read_pose_jsonl as it was before it converted coordinates a chunk at a time:
+# one np.asarray per present hand and per frame's body, written into the
+# arrays row by row, with a boolean walk of any line holding true or false.
+# Kept as the oracle: the chunked reader must give the same arrays and joints
+# byte for byte, and refuse what this one refuses.
+
+
+def _ref_points(value, shape, what):
+    try:
+        a = np.asarray(value)
+    except (TypeError, ValueError) as exc:
+        raise PoseError(f"{what} must be {shape} numbers: {exc}") from None
+    if a.dtype.kind not in "iuf":
+        raise PoseError(f"{what} must be {shape} numbers, got {a.dtype} values")
+    if a.shape != shape:
+        raise PoseError(f"{what} must be {shape}, got {a.shape}")
+    return a
+
+
+def _ref_holds_bool(points):
+    return type(points) is list and any(type(v) is bool for p in points if type(p) is list for v in p)
+
+
+def _ref_frame_records(path, lines):
+    for n, line in lines:
+        r = _decode(path, n, line)
+        if type(r) is not dict or "t" not in r:
+            raise PoseError(f"{path}:{n}: a frame must be an object with a 't'")
+        if not _is_number(r["t"]):
+            raise PoseError(f"{path}:{n}: 't' must be a finite number")
+        hand_left, hand_right, body = r.get("hand_left"), r.get("hand_right"), r.get("body")
+        if body is not None and type(body) is not dict:
+            raise PoseError(f"{path}:{n}: 'body' must be an object or null")
+        if (b"true" in line or b"false" in line) and any(
+            _ref_holds_bool(points) for points in (hand_left, hand_right, list((body or {}).values()))
+        ):
+            raise PoseError(f"{path}:{n}: a point must hold numbers, not booleans")
+        yield r["t"], hand_left, hand_right, body
+
+
+def _ref_from_records(records, num_frames, fps, video_id):
+    ts = np.zeros(num_frames)
+    hands = np.zeros((2, num_frames, 21, 2))
+    hand_present = np.zeros((2, num_frames), dtype=bool)
+    body = np.zeros((num_frames, 0, 2))
+    body_present = np.zeros((num_frames, 0), dtype=bool)
+    joints = []
+    columns = {}
+    for i, (t, hand_left, hand_right, frame_body) in enumerate(records):
+        ts[i] = t
+        for k, hand in enumerate((hand_left, hand_right)):
+            if hand is not None:
+                hands[k, i] = _ref_points(hand, (21, 2), "hand")
+                hand_present[k, i] = True
+        if not frame_body:
+            continue
+        names = tuple(frame_body)
+        if names not in columns:
+            new = [name for name in names if name not in joints]
+            joints += new
+            body = np.pad(body, ((0, 0), (0, len(new)), (0, 0)))
+            body_present = np.pad(body_present, ((0, 0), (0, len(new))))
+            cols = [joints.index(name) for name in names]
+            consecutive = cols == list(range(cols[0], cols[0] + len(cols)))
+            columns[names] = slice(cols[0], cols[-1] + 1) if consecutive else cols
+        body[i, columns[names]] = _ref_points(list(frame_body.values()), (len(names), 2), "body joints")
+        body_present[i, columns[names]] = True
+    return PoseSequence(
+        ts, hands[0], hands[1], hand_present[0], hand_present[1],
+        body, body_present, tuple(joints), fps, video_id,
+    )
+
+
+def ref_read_pose_jsonl(path):
+    with open(path, "rb") as fh:
+        lines = [(n, line) for n, line in enumerate(fh, 1) if line.strip()]
+    header = _decode(path, *lines[0])
+    return _ref_from_records(_ref_frame_records(path, lines[1:]), len(lines) - 1, float(header["fps"]), header["video_id"])
+
+
+FIRST_JOINTS = ("nose", "left_shoulder", "right_shoulder", "neck")
+LATER_JOINTS = ("right_hip", "right_shoulder", "nose", "left_hip")  # two new, others reordered
+
+
+def random_pose_frames(rng, n, kinds=("float",)):
+    """n frames as pose-file records: each hand present, null or left out; the
+    body a random subset, in random order, of FIRST_JOINTS until a frame drawn
+    from 129-199 (past the first 128-frame chunk) and of LATER_JOINTS after.
+    Each coordinate is of a kind drawn from ``kinds``: a float, a small int, or
+    an int past int64 but within uint64."""
+    change = int(rng.integers(129, 200))
+
+    def points(k):
+        drawn = {
+            "float": rng.uniform(-0.5, 1.5, size=(k, 2)).tolist(),
+            "int": rng.integers(0, 5, size=(k, 2)).tolist(),
+            "big": rng.integers(2**63, 2**64 - 1, size=(k, 2), dtype=np.uint64, endpoint=True).tolist(),
+        }
+        pick = rng.integers(len(kinds), size=(k, 2)).tolist()
+        return [[drawn[kinds[pick[a][b]]][a][b] for b in range(2)] for a in range(k)]
+
+    frames = []
+    for i in range(n):
+        frame = {"t": i / 30}
+        for hand in ("hand_left", "hand_right"):
+            draw = rng.random()
+            if draw < 0.7:
+                frame[hand] = points(21)
+            elif draw < 0.85:
+                frame[hand] = None
+        names = [j for j in (FIRST_JOINTS if i < change else LATER_JOINTS) if rng.random() < 0.8]
+        if rng.random() < 0.3:
+            names = list(rng.permutation(names))
+        frame["body"] = dict(zip(names, points(len(names)))) if names else rng.choice([None, {}])
+        frames.append(frame)
+    return frames
+
+
+def write_pose_lines(path, frames, blank_every=0):
+    lines = [json.dumps({"fps": 30.0, "video_id": "v"}), *map(json.dumps, frames)]
+    if blank_every:
+        lines = [x for k, line in enumerate(lines) for x in ([line, ""] if k % blank_every == 0 else [line])]
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestReaderMatchesPerFrameReference:
+    @pytest.mark.parametrize("chunk", [3, 128])
+    @pytest.mark.parametrize(
+        "seed, n, kinds",
+        [
+            (31, 300, ("float",)),
+            (32, 260, ("float", "int")),
+            (33, 140, ("int", "big")),
+            (34, 300, ("float", "int", "big")),
+            (35, 1, ("float",)),
+            (36, 128, ("float", "big")),
+        ],
+    )
+    def test_same_arrays_and_joints(self, tmp_path, monkeypatch, chunk, seed, n, kinds):
+        monkeypatch.setattr(pose, "_CHUNK_FRAMES", chunk)
+        rng = np.random.default_rng(seed)
+        path = tmp_path / "video.jsonl"
+        write_pose_lines(path, random_pose_frames(rng, n, kinds), blank_every=int(rng.integers(0, 7)))
+        new, old = read_pose_jsonl(path), ref_read_pose_jsonl(path)
+        assert new.joints == old.joints and (new.fps, new.video_id) == (old.fps, old.video_id)
+        for name in ARRAYS:
+            a, b = getattr(new, name), getattr(old, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+    ODD_COORDINATES = (True, False, "0.5", None, [0.5], {}, [0.5, 0.5])
+    ODD_POINTS = (True, None, 0.5, "ab", [], [0.5], [0.5, 0.5, 0.5], [True, 0.5], {"x": 0.5, "y": 0.5})
+    ODD_HANDS = (5, "x", True, {}, [], [[0.5, 0.5]] * 20, [[0.5, 0.5]] * 22, [[0.5] * 21] * 2)
+    ODD_BODIES = ([], 5, "x", True)
+    ODD_TIMES = ("0", None, True, [0.0])
+
+    def mutate(self, rng, frame):
+        """The frame with one of its points, a hand, its body or its time made malformed."""
+        frame = json.loads(json.dumps(frame))
+        hands = [h for h in ("hand_left", "hand_right") if frame.get(h)]
+        joints = list(frame["body"] or {})
+        what = rng.choice(["coordinate", "point", "hand", "body", "time"])
+        if what in ("coordinate", "point") and (hands or joints):
+            k = int(rng.integers(len(hands) + len(joints)))
+            points = frame[hands[k]] if k < len(hands) else frame["body"]
+            key = int(rng.integers(21)) if k < len(hands) else joints[k - len(hands)]
+            if what == "coordinate":
+                points[key][int(rng.integers(2))] = self.ODD_COORDINATES[rng.integers(len(self.ODD_COORDINATES))]
+            else:
+                points[key] = self.ODD_POINTS[rng.integers(len(self.ODD_POINTS))]
+        elif what == "hand":
+            frame[rng.choice(["hand_left", "hand_right"])] = self.ODD_HANDS[rng.integers(len(self.ODD_HANDS))]
+        elif what == "body":
+            frame["body"] = self.ODD_BODIES[rng.integers(len(self.ODD_BODIES))]
+        else:
+            frame["t"] = self.ODD_TIMES[rng.integers(len(self.ODD_TIMES))]
+        return frame
+
+    @pytest.mark.parametrize("chunk", [3, 128])
+    def test_both_refuse_a_malformed_frame_and_the_new_one_names_its_line(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(pose, "_CHUNK_FRAMES", chunk)
+        rng = np.random.default_rng(37)
+        path = tmp_path / "bad.jsonl"
+        for _ in range(300):
+            frames = random_pose_frames(rng, 12, ("float", "int", "big"))
+            bad = int(rng.integers(12))
+            frames[bad] = self.mutate(rng, frames[bad])
+            write_pose_lines(path, frames)
+            with pytest.raises(PoseError):
+                ref_read_pose_jsonl(path)
+            with pytest.raises(PoseError, match=f"bad.jsonl:{bad + 2}: "):
+                read_pose_jsonl(path)
