@@ -492,8 +492,8 @@ def _eval_report(docs: list[dict], truths: dict[str, dict], threshold: float) ->
             if sign["kind"] != "fingerspelled":
                 continue
             label = sign["token"].upper() in truth_words
-            for stratum in metrics_mod.WORD_LENGTH_STRATA:
-                if metrics_mod.in_stratum(sign["token"], stratum):
+            for stratum, holds in metrics_mod.WORD_LENGTH_STRATA.items():
+                if holds(sign["token"]):
                     samples_by_stratum[stratum].append(
                         metrics_mod.LabeledScore(score=sign["score"], label=label)
                     )

@@ -19,7 +19,7 @@ from .ctc import PIPE, Alphabet, FrameScores, ctc_losses, forced_align, greedy_d
 from .gloss import TokenizationError, to_ctc_tokens
 from .metrics import cer
 from .pose import FINGERSPELLING_FEATURES, PoseSequence, VideoFeatures
-from .training import BATCH_SIZE, GRAD_CLIP, MIN_LR, PATIENCE, WEIGHT_DECAY, fit, stratified_split
+from .training import fit, stratified_split
 
 LR = 4e-3  # peak of the cosine learning-rate schedule
 
@@ -106,13 +106,14 @@ def train_toy(
 
     Uses a 70/15/15 train/val/test split stratified by signer and
     :func:`training.fit` (AdamW, cosine annealing, early stopping). Each
-    step takes a batch of ``BATCH_SIZE`` phrases concatenated in time: one
-    forward and one backward, with each phrase's CTC loss and gradient from
-    its own slice of the logits, all from one :func:`ctc.ctc_losses` pass;
-    the step minimises the batch's mean loss. An epoch's validation score is
-    the mean greedy-decode CER of the validation phrases, all decoded from
-    one :meth:`nn.Tcn.forward_each` pass, and the weights of the earliest
-    epoch with the lowest one are returned. Deterministic for a fixed seed.
+    step takes a batch of ``training.BATCH_SIZE`` phrases concatenated in
+    time: one forward and one backward, with each phrase's CTC loss and
+    gradient from its own slice of the logits, all from one
+    :func:`ctc.ctc_losses` pass; the step minimises the batch's mean loss.
+    An epoch's validation score is the mean greedy-decode CER of the
+    validation phrases, all decoded from one :meth:`nn.Tcn.forward_each`
+    pass, and the weights of the earliest epoch with the lowest one are
+    returned. Deterministic for a fixed seed.
     """
     rng = np.random.default_rng(seed)
     train, val, _test = stratified_split(corpus, rng)
@@ -124,28 +125,27 @@ def train_toy(
     feats = {s.sample_id: _features(s.poses) for s in train + val}
     targets = {s.sample_id: to_ctc_tokens(list(s.words), alphabet) for s in train}
 
-    def loss_fn(nets, samples, train_mode: bool) -> float | list[float]:
+    def step(nets, batch) -> float:
         (net,) = nets
-        if not train_mode:
-            logits = net.forward_each([feats[s.sample_id] for s in samples])
-            return [
-                cer(" ".join(s.words), greedy_decode(FrameScores(probs=nn.softmax(z)), alphabet))
-                for s, z in zip(samples, logits)
-            ]
-        rows = [feats[s.sample_id] for s in samples]
+        rows = [feats[s.sample_id] for s in batch]
         logits = net.forward(np.concatenate(rows))
         ends = np.cumsum([len(r) for r in rows])
         probs = np.split(nn.softmax(logits.data), ends[:-1])
         losses = ctc_losses(
-            [FrameScores(probs=p) for p in probs], [targets[s.sample_id] for s in samples]
+            [FrameScores(probs=p) for p in probs], [targets[s.sample_id] for s in batch]
         )
-        logits.backward(np.concatenate([grad for _, grad in losses]) / len(samples))
+        logits.backward(np.concatenate([grad for _, grad in losses]) / len(batch))
         return float(np.mean([loss for loss, _ in losses]))
 
-    (best,), history = fit(
-        [tcn], train, val, loss_fn, rng, epochs=epochs, batch_size=BATCH_SIZE, lr=LR,
-        weight_decay=WEIGHT_DECAY, min_lr=MIN_LR, patience=PATIENCE, grad_clip=GRAD_CLIP,
-    )
+    def score(nets, samples) -> list[float]:
+        (net,) = nets
+        logits = net.forward_each([feats[s.sample_id] for s in samples])
+        return [
+            cer(" ".join(s.words), greedy_decode(FrameScores(probs=nn.softmax(z)), alphabet))
+            for s, z in zip(samples, logits)
+        ]
+
+    (best,), history = fit([tcn], train, val, step, score, rng, epochs=epochs, lr=LR)
     return FingerspellingModel(tcn=best, alphabet=alphabet, history=history)
 
 

@@ -28,9 +28,7 @@ from .fingerspelling import WordDetection
 from .gloss import GlossToken, TokenKind
 from .pose import ISR_ONE_HAND_FEATURES, ISR_TWO_HAND_FEATURES, PoseSequence, VideoFeatures
 from .stemming import stem_fixpoint
-from .training import (
-    BATCH_SIZE, GRAD_CLIP, MIN_LR, PATIENCE, WEIGHT_DECAY, CorpusError, fit, stratified_split,
-)
+from .training import CorpusError, fit, stratified_split
 
 ANY_CLASS = "ANY"
 NULL_CLASS = "NULL"
@@ -77,13 +75,6 @@ class SignVocabulary:
     def class_index(self, gloss_text: str) -> int | None:
         return self._names.get(gloss_text.upper(), self._stems.get(stem_fixpoint(gloss_text.lower())))
 
-    def name(self, index: int) -> str:
-        if index == self.any_index:
-            return ANY_CLASS
-        if index == self.null_index:
-            return NULL_CLASS
-        return self.glosses[index]
-
 
 def save_vocabulary(path: str | Path, vocab: SignVocabulary) -> None:
     Path(path).write_text(json.dumps(list(vocab.glosses), indent=2), encoding="utf-8")
@@ -114,15 +105,23 @@ def _branch_logits(
     return model.two_hand.forward(two), model.one_hand.forward(one)
 
 
+def _merge_branches(two: np.ndarray, one: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The elementwise max of the two branches' logits, and the mask of the
+    logits the two-hand branch gave. Tie rule: on an exact tie the two-hand
+    branch wins, so training sends that logit's gradient to it."""
+    take_two = two >= one
+    return np.where(take_two, two, one), take_two
+
+
 def isr_scores(model: IsrModel, poses: PoseSequence | VideoFeatures) -> FrameScores:
     """Per-frame sigmoid scores over the vocabulary plus ANY and NULL.
 
-    The two branches' logits are merged with an elementwise max before the
-    sigmoid; left-dominant input is mirrored first, so a video and its
-    mirrored twin produce identical scores.
+    The two branches' logits are merged with an elementwise max
+    (:func:`_merge_branches`) before the sigmoid; left-dominant input is
+    mirrored first, so a video and its mirrored twin produce identical scores.
     """
     logits_two, logits_one = _branch_logits(model, poses)
-    merged = np.maximum(logits_two.data, logits_one.data)
+    merged, _ = _merge_branches(logits_two.data, logits_one.data)
     return FrameScores(probs=nn.sigmoid(merged), kind="sigmoid")
 
 
@@ -143,7 +142,6 @@ def classify(model: IsrModel, poses: PoseSequence) -> str:
 
 @dataclass(frozen=True)
 class GlossDetection:
-    gloss: str
     in_vocabulary: bool
     score: float
     frame: int  # peak frame
@@ -294,7 +292,6 @@ def align_glosses_scores(
             hi_c = max(lo_c, min(hi, T - 1))
             for entry, (_, in_vocab) in zip(group, tracks):
                 out[entry.token_index] = GlossDetection(
-                    gloss=entry.token.text,
                     in_vocabulary=in_vocab,
                     score=0.0,
                     frame=lo_c,
@@ -319,7 +316,6 @@ def align_glosses_scores(
         log_objective += optimum
         for entry, (_, in_vocab), (score, frame, interval) in zip(group, tracks, placed):
             out[entry.token_index] = GlossDetection(
-                gloss=entry.token.text,
                 in_vocabulary=in_vocab,
                 score=score,
                 frame=frame,
@@ -359,14 +355,13 @@ def _jitter_window(
     return max(0, s - lead), min(num_frames - 1, e + tail)
 
 
-def _max_bce(out_two: nn.Tensor, out_one: nn.Tensor, targets: np.ndarray, train: bool) -> float:
-    """BCE of the branches' elementwise max logits. With ``train``, each logit's
-    gradient goes back through the branch that won it, the two-hand one on exact ties."""
-    take_two = out_two.data >= out_one.data
-    loss, dlogits = nn.bce_with_logits(np.where(take_two, out_two.data, out_one.data), targets)
-    if train:
-        out_two.backward(np.where(take_two, dlogits, 0.0))
-        out_one.backward(np.where(take_two, 0.0, dlogits))
+def _max_bce(out_two: nn.Tensor, out_one: nn.Tensor, targets: np.ndarray) -> float:
+    """BCE of the branches' merged logits (:func:`_merge_branches`); each
+    logit's gradient goes back through the branch that won it."""
+    merged, take_two = _merge_branches(out_two.data, out_one.data)
+    loss, dlogits = nn.bce_with_logits(merged, targets)
+    out_two.backward(np.where(take_two, dlogits, 0.0))
+    out_one.backward(np.where(take_two, 0.0, dlogits))
     return loss
 
 
@@ -411,17 +406,10 @@ def train_toy_isr(
         for s in val
     }
 
-    def batch_loss(nets, samples, train_mode: bool) -> float | list[float]:
+    def step(nets, batch) -> float:
         two_net, one_net = nets
-        if not train_mode:  # each clip's loss, from one pass per network
-            out_two = two_net.forward_each([feats[s.sample_id][0] for s in samples])
-            out_one = one_net.forward_each([feats[s.sample_id][1] for s in samples])
-            return [
-                _max_bce(nn.Tensor(z2), nn.Tensor(z1), val_targets[s.sample_id], False)
-                for s, z2, z1 in zip(samples, out_two, out_one)
-            ]
         two_rows, one_rows, target_rows = [], [], []
-        for s in samples:
+        for s in batch:
             f2, f1 = feats[s.sample_id]
             lo, hi = _jitter_window(s.span, len(f2), rng)
             span_local = (s.span[0] - lo, s.span[1] - lo)
@@ -434,11 +422,19 @@ def train_toy_isr(
             )
         out_two = two_net.forward(np.concatenate(two_rows))
         out_one = one_net.forward(np.concatenate(one_rows))
-        return _max_bce(out_two, out_one, np.concatenate(target_rows), True)
+        return _max_bce(out_two, out_one, np.concatenate(target_rows))
+
+    def score(nets, samples) -> list[float]:  # each clip's loss, from one pass per network
+        two_net, one_net = nets
+        out_two = two_net.forward_each([feats[s.sample_id][0] for s in samples])
+        out_one = one_net.forward_each([feats[s.sample_id][1] for s in samples])
+        return [
+            nn.bce_with_logits(_merge_branches(z2, z1)[0], val_targets[s.sample_id])[0]
+            for s, z2, z1 in zip(samples, out_two, out_one)
+        ]
 
     (best_two, best_one), history = fit(
-        [two, one], train, val, batch_loss, rng, epochs=epochs, batch_size=BATCH_SIZE,
-        lr=lr, weight_decay=WEIGHT_DECAY, min_lr=MIN_LR, patience=PATIENCE, grad_clip=GRAD_CLIP,
+        [two, one], train, val, step, score, rng, epochs=epochs, lr=lr
     )
     return IsrModel(
         vocabulary=vocabulary, two_hand=best_two, one_hand=best_one, history=history

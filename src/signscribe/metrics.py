@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -157,14 +158,9 @@ def temporal_f1(
     return precision, recall, f1
 
 
-WORD_LENGTH_STRATA = ("all", "len_ge_3", "len_gt_3")
-
-
-def in_stratum(word: str, stratum: str) -> bool:
-    if stratum == "all":
-        return True
-    if stratum == "len_ge_3":
-        return len(word) >= 3
-    if stratum == "len_gt_3":
-        return len(word) > 3
-    raise ValueError(f"unknown stratum {stratum!r}")
+# The eval report's word-length strata, in report order: name -> whether a word is in it.
+WORD_LENGTH_STRATA: dict[str, Callable[[str], bool]] = {
+    "all": lambda word: True,
+    "len_ge_3": lambda word: len(word) >= 3,
+    "len_gt_3": lambda word: len(word) > 3,
+}

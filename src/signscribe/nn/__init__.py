@@ -1,5 +1,5 @@
 from .autograd import Tensor, bce_with_logits, conv_block, log_softmax, sigmoid, softmax
-from .optim import AdamState, AdamW, adamw_step, clip_grad_norm, cosine_lr
+from .optim import AdamW, clip_grad_norm, cosine_lr
 from .serialize import WeightsError, load_tcn, save_tcn, weights_digest
 from .tcn import (
     FINGERSPELLING_MAX_DILATIONS,

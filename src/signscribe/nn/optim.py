@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -13,43 +12,12 @@ from .tcn import Tcn
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # moment decay rates and the denominator floor
 
 
-@dataclass
-class AdamState:
-    m: np.ndarray
-    v: np.ndarray
-    t: int = 0
-
-
-def adamw_step(
-    param: np.ndarray,
-    grad: np.ndarray,
-    state: AdamState,
-    lr: float,
-    weight_decay: float = 0.0,
-) -> None:
-    """One in-place AdamW update with bias correction and decoupled decay: per element,
-    m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g; param -= lr*(m/c1) / (sqrt(v/c2) + eps)."""
-    state.t += 1
-    state.m *= BETA1
-    state.m += (1.0 - BETA1) * grad
-    den = (1.0 - BETA2) * grad
-    den *= grad
-    state.v *= BETA2
-    state.v += den
-    np.sqrt(np.divide(state.v, 1.0 - BETA2 ** state.t, out=den), out=den)
-    den += EPS
-    step = state.m / (1.0 - BETA1 ** state.t)
-    step *= lr
-    step /= den
-    param -= step
-    if weight_decay:
-        param -= lr * weight_decay * param
-
-
 class AdamW:
-    """AdamW over trainable networks (:meth:`Tcn.init`) whose parameters and
-    gradients are rebound to view two flat buffers, so :meth:`step` makes one
-    :func:`adamw_step` call and :meth:`zero_grad` one fill."""
+    """AdamW with bias correction and decoupled weight decay over trainable
+    networks (:meth:`Tcn.init`), whose parameters and gradients are rebound to
+    view two flat buffers, so :meth:`step` updates them all at once and
+    :meth:`zero_grad` is one fill. The moments ``m``, ``v`` and the step
+    count ``t`` live on the optimiser."""
 
     def __init__(self, tcns: Sequence[Tcn], lr: float, weight_decay: float):
         if lr < 0:
@@ -70,10 +38,28 @@ class AdamW:
             tcn.grads[name] = self.grad[start:stop].reshape(shape)
             self.grads.append(tcn.grads[name])
             start = stop
-        self.state = AdamState(m=np.zeros_like(self.flat), v=np.zeros_like(self.flat))
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
+        self.t = 0
 
     def step(self) -> None:
-        adamw_step(self.flat, self.grad, self.state, lr=self.lr, weight_decay=self.weight_decay)
+        """One in-place update: per element, m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
+        param -= lr*(m/c1) / (sqrt(v/c2) + eps), then param -= lr*wd*param."""
+        self.t += 1
+        self.m *= BETA1
+        self.m += (1.0 - BETA1) * self.grad
+        den = (1.0 - BETA2) * self.grad
+        den *= self.grad
+        self.v *= BETA2
+        self.v += den
+        np.sqrt(np.divide(self.v, 1.0 - BETA2 ** self.t, out=den), out=den)
+        den += EPS
+        step = self.m / (1.0 - BETA1 ** self.t)
+        step *= self.lr
+        step /= den
+        self.flat -= step
+        if self.weight_decay:
+            self.flat -= self.lr * self.weight_decay * self.flat
 
     def zero_grad(self) -> None:
         self.grad.fill(0.0)

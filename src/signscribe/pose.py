@@ -329,7 +329,8 @@ def read_pose_jsonl(path: str | Path) -> PoseSequence:
     strict JSON: a line that is not a JSON value (truncated, or with a
     ``NaN``/``Infinity`` literal or a number beyond the float range) raises
     :class:`PoseError` naming the file and its 1-based line, as does a
-    malformed frame: say, a hand that is not 21 [x, y] points of numbers.
+    malformed frame: say, a hand that is not 21 [x, y] points of numbers, or
+    a ``t`` not greater than the previous frame's.
 
     A frame's point shapes are checked as it is decoded. Its coordinates go
     onto one flat list per hand and per tuple of body joint names, which is
@@ -349,6 +350,8 @@ def read_pose_jsonl(path: str | Path) -> PoseSequence:
             raise PoseError(f"{path}:{n}: the header must be an object with an 'fps'")
         if not _is_number(header["fps"]):
             raise PoseError(f"{path}:{n}: 'fps' must be a finite number")
+        if header["fps"] <= 0:
+            raise PoseError(f"{path}:{n}: 'fps' must be positive")
         video_id = header.get("video_id", "")
         if type(video_id) is not str:
             raise PoseError(f"{path}:{n}: 'video_id' must be a string")
@@ -359,6 +362,7 @@ def read_pose_jsonl(path: str | Path) -> PoseSequence:
         body_present = np.zeros((num_frames, 0), dtype=bool)
         joints: list[str] = []
         columns: dict[tuple[str, ...], list[int]] = {}
+        last_t = -np.inf
         frames = enumerate(lines)
         for start in range(0, num_frames, _CHUNK_FRAMES):
             line_numbers: list[int] = []
@@ -370,7 +374,10 @@ def read_pose_jsonl(path: str | Path) -> PoseSequence:
                     raise PoseError(f"{path}:{n}: a frame must be an object with a 't'")
                 if not _is_number(r["t"]):
                     raise PoseError(f"{path}:{n}: 't' must be a finite number")
-                ts[i] = r["t"]
+                t = float(r["t"])
+                if t <= last_t:
+                    raise PoseError(f"{path}:{n}: 't' must be greater than the previous frame's")
+                ts[i] = last_t = t
                 line_numbers.append(n)
                 for k, name in enumerate(("hand_left", "hand_right")):
                     if r.get(name) is not None:

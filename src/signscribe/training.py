@@ -10,8 +10,8 @@ from . import nn
 
 _TRAIN_FRACTION, _VAL_FRACTION = 0.7, 0.15  # the test split takes the rest
 
-# The optimisation settings both trainers pass to :func:`fit`; a batch is
-# ``BATCH_SIZE`` samples concatenated in time.
+# The recipe :func:`fit` trains every network with; a batch is ``BATCH_SIZE``
+# samples concatenated in time.
 BATCH_SIZE, WEIGHT_DECAY, MIN_LR, PATIENCE, GRAD_CLIP = 8, 1e-5, 1e-6, 10, 5.0
 
 
@@ -59,48 +59,44 @@ def fit(
     tcns: Sequence[nn.Tcn],
     train: Sequence,
     val: Sequence,
-    loss_fn: Callable[[list[nn.Tcn], list, bool], float | Sequence[float]],
+    step: Callable[[Sequence[nn.Tcn], list], float],
+    score: Callable[[list[nn.Tcn], list], Sequence[float]],
     rng: np.random.Generator,
     *,
     epochs: int,
-    batch_size: int,
     lr: float,
-    weight_decay: float,
-    min_lr: float,
-    patience: int,
-    grad_clip: float,
 ) -> tuple[list[nn.Tcn], list[dict]]:
     """Train ``tcns`` jointly; return the best-validation networks and the history.
 
     Each epoch draws ``rng.permutation`` of the training samples and steps
-    AdamW once per batch of ``batch_size`` (the last may be partial) on
-    ``loss_fn(tcns, batch, True)``, which returns the batch loss after calling
-    ``backward`` on the networks' outputs. The learning rate follows a cosine
-    from ``lr`` to ``min_lr`` over all steps and gradients are clipped to a
-    global L2 norm of ``grad_clip``. The validation score, lower is better, is
-    the mean of the per-sample scores that one ``loss_fn(frozen, val, False)``
-    call returns, in ``val`` order, where ``frozen`` holds
-    :meth:`nn.Tcn.from_arrays` copies of the epoch's weights: a loss, or any
-    other per-sample score such as the fingerspelling trainer's greedy CER.
-    Both trainers take every sample's logits from one
+    AdamW once per batch of ``BATCH_SIZE`` (the last may be partial):
+    ``step(tcns, batch)`` runs the batch's forward and backward and returns
+    its loss. The learning rate follows a cosine from ``lr`` to ``MIN_LR``
+    over all steps, the weight decay is ``WEIGHT_DECAY``, and gradients are
+    clipped to a global L2 norm of ``GRAD_CLIP``. The validation score, lower
+    is better, is the mean of the per-sample scores that one
+    ``score(frozen, val)`` call returns, in ``val`` order, where ``frozen``
+    holds :meth:`nn.Tcn.from_arrays` copies of the epoch's weights: a loss,
+    or any other per-sample score such as the fingerspelling trainer's
+    greedy CER. Both trainers take every sample's logits from one
     :meth:`nn.Tcn.forward_each` pass per network, which matches a forward per
     sample byte for byte (zero gaps between the samples; GEMMs of 2 or more
     rows), so the scores are those of scoring each sample on its own.
     A history row per epoch holds ``epoch``, the mean batch ``train_loss``, the
     validation score as ``val_loss`` and the last step's ``lr``. Training stops
-    once ``patience`` epochs pass without a strictly lower validation score;
+    once ``PATIENCE`` epochs pass without a strictly lower validation score;
     the frozen copies of the best epoch, the earliest on a tie, are returned
     (copies of the initial weights when ``epochs`` is 0). A non-finite epoch
     loss or score raises ``FloatingPointError``: NaN is never a new best.
     """
-    opt = nn.AdamW(tcns, lr=lr, weight_decay=weight_decay)
+    opt = nn.AdamW(tcns, lr=lr, weight_decay=WEIGHT_DECAY)
 
     def frozen() -> list[nn.Tcn]:
         return [nn.Tcn.from_arrays(tcn.config, tcn.params) for tcn in tcns]
 
-    n_batches = (len(train) + batch_size - 1) // batch_size
+    n_batches = (len(train) + BATCH_SIZE - 1) // BATCH_SIZE
     total_steps = max(1, epochs * n_batches)
-    step = 0
+    steps = 0
     best_val = np.inf
     best = frozen()
     best_epoch = -1
@@ -109,18 +105,18 @@ def fit(
         order = rng.permutation(len(train))
         epoch_loss = 0.0
         for b in range(n_batches):
-            batch = [train[i] for i in order[b * batch_size : (b + 1) * batch_size]]
-            opt.lr = nn.cosine_lr(step, total_steps, lr, min_lr)
+            batch = [train[i] for i in order[b * BATCH_SIZE : (b + 1) * BATCH_SIZE]]
+            opt.lr = nn.cosine_lr(steps, total_steps, lr, MIN_LR)
             opt.zero_grad()
-            epoch_loss += loss_fn(tcns, batch, True)
-            nn.clip_grad_norm(opt.grads, grad_clip)
+            epoch_loss += step(tcns, batch)
+            nn.clip_grad_norm(opt.grads, GRAD_CLIP)
             opt.step()
-            step += 1
+            steps += 1
         train_loss = epoch_loss / n_batches
         if not np.isfinite(train_loss):
             raise FloatingPointError(f"epoch {epoch}: train loss is {train_loss}")
         nets = frozen()
-        val_loss = float(np.mean(loss_fn(nets, list(val), False)))
+        val_loss = float(np.mean(score(nets, list(val))))
         if not np.isfinite(val_loss):
             raise FloatingPointError(f"epoch {epoch}: validation loss is {val_loss}")
         history.append(
@@ -130,6 +126,6 @@ def fit(
             best_val = val_loss
             best = nets
             best_epoch = epoch
-        elif epoch - best_epoch >= patience:
+        elif epoch - best_epoch >= PATIENCE:
             break
     return best, history

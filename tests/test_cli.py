@@ -785,6 +785,9 @@ class TestEval:
         assert "fs_temporal_f1" in names
         strata = {m["stratum"] for m in report["metrics"] if m["name"].startswith("fs_detection")}
         assert "all" in strata and "len_ge_3" in strata and "len_gt_3" in strata
+        # The top candidate spells BOB and FRICK: both have 3 or more letters, one more than 3.
+        counts = {m["stratum"]: m["count"] for m in report["metrics"] if m["name"] == "fs_detection_auc"}
+        assert counts == {"all": 2, "len_ge_3": 2, "len_gt_3": 1}
 
     def test_perfect_match_scores(self, tmp_path):
         truth = self._truth_file(tmp_path)

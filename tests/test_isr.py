@@ -35,7 +35,6 @@ class TestSignVocabulary:
         assert vocab.size == 4
         assert vocab.any_index == 2
         assert vocab.null_index == 3
-        assert vocab.name(vocab.any_index) == "ANY"
 
     def test_stemmed_case_insensitive_lookup(self):
         vocab = SignVocabulary(glosses=("DAY", "RUN"))
@@ -74,14 +73,26 @@ class TestIsrScores:
         assert scores.probs.min() >= 0.0 and scores.probs.max() <= 1.0
 
     def test_branch_max_dominates_each_branch(self, world, isr_model, rng):
-        from signscribe.isr import _branch_logits
+        from signscribe.isr import _branch_logits, _merge_branches
 
         signer = syn.make_signers(1, rng)[0]
         poses, _ = syn.isr_clip(world, "DOG", signer, rng)
         two, one = _branch_logits(isr_model, poses)
-        merged = np.maximum(two.data, one.data)
+        merged, take_two = _merge_branches(two.data, one.data)
         assert np.all(merged >= two.data)
         assert np.all(merged >= one.data)
+        assert merged.tobytes() == np.maximum(two.data, one.data).tobytes()
+        assert take_two.any() and not take_two.all()
+        assert isr_scores(isr_model, poses).probs.tobytes() == nn.sigmoid(merged).tobytes()
+
+    def test_exact_tie_goes_to_the_two_hand_branch(self):
+        from signscribe.isr import _merge_branches
+
+        two = np.array([[1.0, -2.0, 0.5], [0.0, -0.0, 3.0]])
+        one = np.array([[1.0, -1.0, 0.5], [-0.0, 0.0, 2.0]])
+        merged, take_two = _merge_branches(two, one)
+        assert take_two.tolist() == [[True, False, True], [True, True, True]]
+        assert merged.tobytes() == np.where(take_two, two, one).tobytes()
 
     def test_mirror_twin_scores_identical(self, world, isr_model, rng):
         signer = syn.make_signers(1, rng)[0]
@@ -418,7 +429,7 @@ class TestAlignGlossesScores:
             isr_scores(isr_model, poses), isr_model.vocabulary, entries, anchors
         )
         detections = [by_index[e.token_index] for e in entries]
-        spans = {d.gloss: d.interval for d in detections}
+        spans = {e.token.text: by_index[e.token_index].interval for e in entries}
         assert spans["TRAVEL"][0] > 18 and spans["TO"][1] < 55
         assert all(i[0] > 72 for g, i in spans.items() if g in ("PARK", "WITH", "DOG"))
         for det in detections:

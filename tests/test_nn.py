@@ -1,6 +1,7 @@
 """TCN forward and reverse pass against the graph-engine reference, optimizer,
 the training steps, and the model directory."""
 
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from scipy.special import erf
 
 from signscribe import isr as isr_mod
-from signscribe import nn
+from signscribe import nn, training
 from signscribe.ctc import FrameScores, ctc_loss
 from signscribe.nn import tcn as tcn_mod
 from signscribe.nn.autograd import _INV_SQRT_2PI, _SQRT2
@@ -657,6 +658,11 @@ def reference_clip_grad_norm(params, max_norm):
     return norm
 
 
+def reference_adam_state(p):
+    """Zero moments and step count for one reference-engine tensor."""
+    return SimpleNamespace(m=np.zeros_like(p.data), v=np.zeros_like(p.data), t=0)
+
+
 def reference_adamw_step(param, grad, state, lr, weight_decay):
     """The per-tensor AdamW update, one fresh array per operation."""
     state.t += 1
@@ -677,7 +683,7 @@ def reference_fit(params_list, train, loss_fn, rng, batch_size):
     zeroed gradients, backward, clipping, then one AdamW step per tensor.
     Returns each step's gradient norm and each epoch's mean loss."""
     params = [ps[n] for ps in params_list for n in sorted(ps)]
-    states = [nn.AdamState(m=np.zeros_like(p.data), v=np.zeros_like(p.data)) for p in params]
+    states = [reference_adam_state(p) for p in params]
     n_batches = -(-len(train) // batch_size)
     total_steps, step, norms, losses = FIT["epochs"] * n_batches, 0, [], []
     for _ in range(FIT["epochs"]):
@@ -698,16 +704,24 @@ def reference_fit(params_list, train, loss_fn, rng, batch_size):
     return norms, losses
 
 
-def assert_fit_matches_reference(nets, loss_fn, reference_loss_fn, train, batch_size):
-    """Train ``nets`` with ``training.fit`` and copies of them on the reference;
-    every parameter's bytes and every epoch's mean loss must agree."""
+def assert_fit_matches_reference(
+    monkeypatch, nets, step, score, reference_loss_fn, train, batch_size
+):
+    """Train ``nets`` with ``training.fit``, its recipe constants patched to
+    ``FIT``'s, and copies of them on the reference; every parameter's bytes
+    and every epoch's mean loss must agree."""
     params_list = [{n: parameter(a.copy()) for n, a in net.params.items()} for net in nets]
     norms, losses = reference_fit(
         params_list, train, reference_loss_fn, np.random.default_rng(5), batch_size
     )
+    for name, value in dict(
+        BATCH_SIZE=batch_size, WEIGHT_DECAY=FIT["weight_decay"], MIN_LR=FIT["min_lr"],
+        PATIENCE=100, GRAD_CLIP=FIT["grad_clip"],
+    ).items():
+        monkeypatch.setattr(training, name, value)
     _, history = fit(
-        nets, train, train[:1], loss_fn, np.random.default_rng(5), batch_size=batch_size,
-        patience=100, **FIT,
+        nets, train, train[:1], step, score, np.random.default_rng(5),
+        epochs=FIT["epochs"], lr=FIT["lr"],
     )
     assert min(norms) > 0.0 and max(norms) > FIT["grad_clip"]  # clipping was active
     assert [h["train_loss"] for h in history] == losses
@@ -718,20 +732,25 @@ def assert_fit_matches_reference(nets, loss_fn, reference_loss_fn, train, batch_
 
 
 class TestFitEquivalence:
-    def test_fingerspelling_steps_match_the_graph_engine(self):
+    def test_fingerspelling_steps_match_the_graph_engine(self, monkeypatch):
         rng = np.random.default_rng(21)
         config = nn.fingerspelling_config(input_dim=5, output_classes=6, channels=6)
         xs = [rng.normal(size=(int(T), 5)) for T in rng.integers(8, 20, size=5)]
         targets = [[int(c) for c in rng.integers(0, 5, size=3)] for _ in xs]
 
-        def loss_fn(nets, samples, train_mode):
+        def step(nets, samples):
             (net,), (i,) = nets, samples
             logits = net.forward(xs[i])
             value, grad = ctc_loss(FrameScores(probs=nn.softmax(logits.data)), targets[i])
-            if not train_mode:
-                return [value]
             logits.backward(grad)
             return value
+
+        def score(nets, samples):
+            (net,) = nets
+            return [
+                ctc_loss(FrameScores(probs=nn.softmax(net.forward(xs[i]).data)), targets[i])[0]
+                for i in samples
+            ]
 
         def reference_loss(params_list, samples):
             (params,), (i,) = params_list, samples
@@ -740,9 +759,11 @@ class TestFitEquivalence:
             return external_loss(logits, value, grad)
 
         net = nn.Tcn.init(config, rng)
-        assert_fit_matches_reference([net], loss_fn, reference_loss, list(range(5)), batch_size=1)
+        assert_fit_matches_reference(
+            monkeypatch, [net], step, score, reference_loss, list(range(5)), batch_size=1
+        )
 
-    def test_two_branch_isr_steps_match_the_graph_engine(self):
+    def test_two_branch_isr_steps_match_the_graph_engine(self, monkeypatch):
         """The one-hand net starts as a copy of the two-hand one and sees the
         same input outside one window, so many logits tie exactly at the first
         step; their gradient must go to the two-hand net, as ``maximum`` sent it."""
@@ -762,10 +783,14 @@ class TestFitEquivalence:
         def batch(xs, samples):
             return np.concatenate([xs[i] for i in samples])
 
-        def loss_fn(nets, samples, train_mode):
+        def step(nets, samples):
             out_two, out_one = nets[0].forward(batch(x2, samples)), nets[1].forward(batch(x1, samples))
-            loss = isr_mod._max_bce(out_two, out_one, batch(targets, samples), train_mode)
-            return loss if train_mode else [loss]
+            return isr_mod._max_bce(out_two, out_one, batch(targets, samples))
+
+        def score(nets, samples):
+            out_two, out_one = nets[0].forward(batch(x2, samples)), nets[1].forward(batch(x1, samples))
+            merged, _ = isr_mod._merge_branches(out_two.data, out_one.data)
+            return [nn.bce_with_logits(merged, batch(targets, samples))[0]]
 
         def reference_loss(params_list, samples):
             logits = maximum(
@@ -775,28 +800,34 @@ class TestFitEquivalence:
             return external_loss(logits, *nn.bce_with_logits(logits.data, batch(targets, samples)))
 
         assert_fit_matches_reference(
-            [two, one], loss_fn, reference_loss, list(range(5)), batch_size=2
+            monkeypatch, [two, one], step, score, reference_loss, list(range(5)), batch_size=2
         )
+
+
+def scalar_adamw(value, grad, lr, weight_decay=0.0):
+    """AdamW over one scalar parameter of a stand-in network, its gradient set
+    to ``grad``; returns the optimiser and the parameter, a view of its buffer."""
+    net = SimpleNamespace(params={"w": np.array([value])}, grads={"w": np.zeros(1)})
+    opt = nn.AdamW([net], lr=lr, weight_decay=weight_decay)
+    opt.grad[:] = grad
+    return opt, net.params["w"]
 
 
 class TestAdamW:
     def test_hand_computed_first_step(self):
         # theta=1, g=1, lr=0.1, wd=0: m_hat=1, v_hat=1 -> theta ~ 0.9
-        param = np.array([1.0])
-        state = nn.AdamState(m=np.zeros(1), v=np.zeros(1))
-        nn.adamw_step(param, np.array([1.0]), state, lr=0.1)
+        opt, param = scalar_adamw(1.0, 1.0, lr=0.1)
+        opt.step()
         assert param[0] == pytest.approx(0.9, abs=1e-7)
 
     def test_zero_gradient_no_update(self):
-        param = np.array([3.0])
-        state = nn.AdamState(m=np.zeros(1), v=np.zeros(1))
-        nn.adamw_step(param, np.array([0.0]), state, lr=0.1)
+        opt, param = scalar_adamw(3.0, 0.0, lr=0.1)
+        opt.step()
         assert param[0] == pytest.approx(3.0)
 
     def test_decoupled_decay_with_zero_gradient(self):
-        param = np.array([2.0])
-        state = nn.AdamState(m=np.zeros(1), v=np.zeros(1))
-        nn.adamw_step(param, np.array([0.0]), state, lr=0.1, weight_decay=0.01)
+        opt, param = scalar_adamw(2.0, 0.0, lr=0.1, weight_decay=0.01)
+        opt.step()
         assert param[0] == pytest.approx(2.0 * (1 - 0.1 * 0.01))
 
     def test_flat_in_place_step_matches_per_tensor_reference(self):
@@ -805,7 +836,7 @@ class TestAdamW:
         each = [parameter(net.params[n].copy()) for net in nets for n in sorted(net.params)]
         opt = nn.AdamW(nets, lr=0.05, weight_decay=0.1)
         assert len(opt.grads) == len(each)
-        states = [nn.AdamState(m=np.zeros_like(p.data), v=np.zeros_like(p.data)) for p in each]
+        states = [reference_adam_state(p) for p in each]
         norms = []
         for step in range(25):
             opt.lr = nn.cosine_lr(step, 25, 0.05, 1e-4)
@@ -820,6 +851,7 @@ class TestAdamW:
             flat = [net.params[n].tobytes() for net in nets for n in sorted(net.params)]
             assert flat == [p.data.tobytes() for p in each]
         assert min(norms) < 50.0 < max(norms)
+        assert opt.t == 25
 
     def test_step_rejects_a_parameter_without_gradient(self):
         """A frozen network has no gradients; AdamW refuses it before rebinding anything."""

@@ -5,7 +5,8 @@ from outside. A module or class it names that is gone aborts every traced
 benchmark run; a function or method that is gone drops its span to 0 and is
 listed in the run's ``unwrapped``. This loads that file as it is, instruments
 the package and puts it back, so a rename fails here first. It also runs one
-unit of each annotate workload through ``perfbench/workloads.py`` as it is.
+unit of each annotate workload, and two of the ``train`` workload, through
+``perfbench/workloads.py`` as it is.
 """
 
 import importlib.util
@@ -77,3 +78,14 @@ def test_untraced_units_pass_their_checks(tmp_path, model_root, monkeypatch):
     data["candidates"][0]["rank"] = "first"
     problems = workloads.check_document(data, count, wl.clips[0]["frames"], pipeline.validate_document)
     assert problems == ["schema: DocumentError: $.candidates[0].rank: is not of type 'integer'"]
+
+
+def test_train_units_pass_their_checks(monkeypatch):
+    """Two units of the ``train`` workload, checked as a benchmark run checks
+    them: the trainer signatures it calls, the ``val_loss`` history rows it
+    reads, and that the second training reproduces the first."""
+    load_perfbench("inputs", monkeypatch)
+    workloads = load_perfbench("workloads", monkeypatch)
+    wl = workloads.Train(1)
+    for _ in range(2):
+        assert wl.check(0, wl.run(0)) == []

@@ -418,11 +418,13 @@ class TestPoseJsonl:
         ],
     )
     def test_reader_rejects(self, tmp_path, header, record):
+        """Each fault names its line: the header's (line 1) when the second frame
+        is valid, else the second frame's (line 3)."""
         first = {"t": 0.0, "hand_left": None, "hand_right": [[0.5, 0.5]] * 21, "body": None}
         second = {**first, "t": 1 / 30, **record}
         path = tmp_path / "bad.jsonl"
         path.write_text("\n".join(json.dumps(r) for r in (header, first, second)) + "\n")
-        with pytest.raises(PoseError):
+        with pytest.raises(PoseError, match=f"bad.jsonl:{3 if record else 1}: "):
             read_pose_jsonl(path)
 
     @pytest.mark.parametrize(

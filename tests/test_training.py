@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from signscribe import nn
+from signscribe import nn, training
 from signscribe.training import fit
 
 LR, MIN_LR = 1e-2, 1e-4
@@ -16,8 +16,18 @@ def tiny_tcn(seed=0):
     return nn.Tcn.init(config, np.random.default_rng(seed))
 
 
+@pytest.fixture(autouse=True)
+def recipe(monkeypatch):
+    """This file's recipe in ``training``'s constants; a test patches one again to vary it."""
+    for name, value in dict(
+        BATCH_SIZE=2, WEIGHT_DECAY=0.0, MIN_LR=MIN_LR, PATIENCE=100, GRAD_CLIP=1.0
+    ).items():
+        monkeypatch.setattr(training, name, value)
+
+
 class Recorder:
-    """Hand-made loss: training steps on the summed logits; validation reads a schedule.
+    """Hand-made step and score: training steps on the summed logits; validation
+    reads a schedule.
 
     Records each training batch and, at every epoch's one validation call,
     the samples and the weights of the network it was handed; records at
@@ -35,15 +45,17 @@ class Recorder:
         self.val_frozen: list[bool] = []
         self.val_samples: list[list] = []
 
-    def __call__(self, nets, samples, train_mode):
+    def step(self, nets, batch):
         (net,) = nets
-        if train_mode:
-            self.train_trainable.append(net is self.tcn and net.grads is not None)
-            self.batches.append(list(samples))
-            x = np.concatenate([np.full((3, 1), float(s)) for s in samples])
-            out = net.forward(x)
-            out.backward(np.ones_like(out.data))
-            return float(out.data.sum())
+        self.train_trainable.append(net is self.tcn and net.grads is not None)
+        self.batches.append(list(batch))
+        x = np.concatenate([np.full((3, 1), float(s)) for s in batch])
+        out = net.forward(x)
+        out.backward(np.ones_like(out.data))
+        return float(out.data.sum())
+
+    def score(self, nets, samples):
+        (net,) = nets
         self.val_frozen.append(net is not self.tcn and net.grads is None)
         assert same_weights(net.state_arrays(), self.tcn.state_arrays())
         self.val_weights.append({k: v.copy() for k, v in net.state_arrays().items()})
@@ -56,13 +68,11 @@ TRAIN = [1, 2, 3, 4, 5]
 VAL = [10, 11]
 
 
-def run(val_schedule, epochs, batch_size=2, patience=100):
+def run(val_schedule, epochs):
     tcn = tiny_tcn()
     loss = Recorder(tcn, val_schedule)
     (best,), history = fit(
-        [tcn], TRAIN, VAL, loss, np.random.default_rng(3), epochs=epochs,
-        batch_size=batch_size, lr=LR, weight_decay=0.0, min_lr=MIN_LR,
-        patience=patience, grad_clip=1.0,
+        [tcn], TRAIN, VAL, loss.step, loss.score, np.random.default_rng(3), epochs=epochs, lr=LR
     )
     return best, history, loss
 
@@ -86,9 +96,10 @@ def test_tied_validation_scores_keep_the_earlier_epoch():
     assert not same_weights(best.state_arrays(), loss.val_weights[2])
 
 
-def test_patience_stops_at_the_right_epoch():
+def test_patience_stops_at_the_right_epoch(monkeypatch):
     # Best at epoch 1; epochs 2 and 3 do not improve, so patience 2 stops after epoch 3.
-    _, history, loss = run([3.0, 1.0, 2.0, 1.5, 0.5, 0.1], epochs=6, patience=2)
+    monkeypatch.setattr(training, "PATIENCE", 2)
+    _, history, loss = run([3.0, 1.0, 2.0, 1.5, 0.5, 0.1], epochs=6)
     assert [h["epoch"] for h in history] == [0, 1, 2, 3]
     assert len(loss.batches) == 4 * 3
 
@@ -112,17 +123,18 @@ def test_partial_last_batch_is_used():
 def test_zero_epochs_returns_initial_weights():
     tcn = tiny_tcn()
     start = {k: v.copy() for k, v in tcn.state_arrays().items()}
+    loss = Recorder(tcn, [])
     (best,), history = fit(
-        [tcn], TRAIN, VAL, Recorder(tcn, []), np.random.default_rng(0), epochs=0,
-        batch_size=2, lr=LR, weight_decay=0.0, min_lr=MIN_LR, patience=1, grad_clip=1.0,
+        [tcn], TRAIN, VAL, loss.step, loss.score, np.random.default_rng(0), epochs=0, lr=LR
     )
     assert history == []
     assert same_weights(best.state_arrays(), start)
 
 
 @pytest.mark.parametrize("batch_size", [1, 5, 7])
-def test_one_epoch_steps_once_per_batch(batch_size):
-    _, history, loss = run([1.0], epochs=1, batch_size=batch_size)
+def test_one_epoch_steps_once_per_batch(monkeypatch, batch_size):
+    monkeypatch.setattr(training, "BATCH_SIZE", batch_size)
+    _, history, loss = run([1.0], epochs=1)
     assert len(loss.batches) == -(-len(TRAIN) // batch_size)
     assert len(history) == 1
 
@@ -143,9 +155,6 @@ def test_non_finite_validation_loss_raises():
 
 def test_non_finite_train_loss_raises():
     tcn = tiny_tcn()
+    loss = Recorder(tcn, [1.0, 1.0])
     with pytest.raises(FloatingPointError, match="^epoch 0: train loss is nan$"):
-        fit(
-            [tcn], [1, np.nan, 3], VAL, Recorder(tcn, [1.0, 1.0]), np.random.default_rng(0),
-            epochs=2, batch_size=2, lr=LR, weight_decay=0.0, min_lr=MIN_LR, patience=5,
-            grad_clip=1.0,
-        )
+        fit([tcn], [1, np.nan, 3], VAL, loss.step, loss.score, np.random.default_rng(0), epochs=2, lr=LR)
