@@ -70,8 +70,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ann.add_argument("--llm", choices=["stub", "http"], default="stub")
     p_ann.add_argument("--jobs", type=int, default=1,
                        help="batch mode: videos annotated at once, each in a worker process "
-                            "(forked where available) holding its own copy of the models; "
-                            "1 annotates in this process")
+                            "(forked where available) holding its own copy of the models and "
+                            "pinned to one CPU; 1 annotates in this process, where a long "
+                            "video's network forwards use every CPU it may run on "
+                            "(restrict them with taskset)")
 
     p_tl = sub.add_parser("render-timeline", help="render one candidate as SVG")
     p_tl.add_argument("--doc", required=True, help="annotation document JSON")
@@ -220,15 +222,26 @@ _worker: tuple | None = None
 _NOT_RUN = "not run"
 
 
-def _init_worker(state: tuple, parent: int, stop) -> None:
+def _init_worker(state: tuple, parent: int, stop, cpus: list[int], started) -> None:
     """Take the shared state and the stop event, leave Ctrl-C to the parent,
     and end this worker once ``parent``, the pid that forked it, is gone: a
-    killed batch leaves no worker behind."""
+    killed batch leaves no worker behind.
+
+    The worker also pins itself to one of ``cpus``, the parent's affinity
+    mask, taken round-robin by ``started``, a shared count of the workers
+    started so far: two workers do not share one CPU while another idles, and
+    each worker's forwards run on its own CPU alone (see :mod:`cpus`).
+    """
     import signal
     import threading
     import time
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    if cpus:
+        with started.get_lock():
+            slot = started.value
+            started.value += 1
+        os.sched_setaffinity(0, {cpus[slot % len(cpus)]})
 
     def exit_when_orphaned() -> None:
         while os.getppid() == parent:
@@ -341,12 +354,13 @@ def _annotate_in_pool(
     method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
     context = multiprocessing.get_context(method)
     stop = context.Event()
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
     futures = []
     with ProcessPoolExecutor(
         max_workers=workers,
         mp_context=context,
         initializer=_init_worker,
-        initargs=(state, os.getpid(), stop),
+        initargs=(state, os.getpid(), stop, cpus, context.Value("i", 0)),
     ) as pool:
         try:
             for item in lines:
@@ -385,13 +399,16 @@ def _cmd_annotate(args, parser) -> int:
     except pipe_mod.ConfigError as exc:
         parser.error(f"argument {_CONFIG_OPTIONS[exc.field]}: {exc}")
     _require_paths(parser, args.model_dir, args.vocab)
-    models = _load_models(args.model_dir, args.vocab)
-    pipeline = (models, config, llm_mod.make_client(args.llm))
-
     if not batch:
         if args.english is None or args.poses is None:
             parser.error("single-video mode needs both --english and --poses")
         _require_paths(parser, args.poses)
+        if not Path(args.out).parent.is_dir():
+            parser.error(f"argument --out: no directory {Path(args.out).parent}")
+    models = _load_models(args.model_dir, args.vocab)
+    pipeline = (models, config, llm_mod.make_client(args.llm))
+
+    if not batch:
         _write_document(pipeline, args.english, Path(args.poses), Path(args.out))
         print(f"wrote {args.out}")
         return 0
@@ -503,6 +520,7 @@ def _eval_report(docs: list[dict], truths: dict[str, dict], threshold: float) ->
                     id=f"{doc['video_id']}:{sign['token']}",
                     start_frame=region[0],
                     end_frame=region[1],
+                    video=doc["video_id"],
                 )
             )
         for w in truth.get("fs_words", []):
@@ -511,6 +529,7 @@ def _eval_report(docs: list[dict], truths: dict[str, dict], threshold: float) ->
                     id=f"{doc['video_id']}:{w['word']}",
                     start_frame=int(w["start"]),
                     end_frame=int(w["end"]),
+                    video=doc["video_id"],
                 )
             )
 

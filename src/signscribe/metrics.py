@@ -21,6 +21,7 @@ class TimedSpan:
     id: str
     start_frame: int
     end_frame: int
+    video: str = ""  # spans match only spans of the same video
 
     def __post_init__(self):
         if self.end_frame < self.start_frame:
@@ -135,8 +136,9 @@ def temporal_f1(
 ) -> tuple[float, float, float]:
     """Greedy one-to-one interval matching in time order.
 
-    A prediction matches the first unmatched truth span it overlaps with
-    (sharing at least one frame). Returns precision, recall, F1.
+    A prediction matches the first unmatched truth span of its own video
+    that it overlaps with (sharing at least one frame). Returns precision,
+    recall, F1.
     """
     pred_sorted = sorted(pred, key=lambda s: (s.start_frame, s.end_frame))
     truth_sorted = sorted(truth, key=lambda s: (s.start_frame, s.end_frame))
@@ -144,7 +146,7 @@ def temporal_f1(
     hits = 0
     for p in pred_sorted:
         for i, t in enumerate(truth_sorted):
-            if matched[i]:
+            if matched[i] or t.video != p.video:
                 continue
             if p.start_frame <= t.end_frame and t.start_frame <= p.end_frame:
                 matched[i] = True

@@ -16,10 +16,18 @@ from typing import Sequence
 
 import numpy as np
 
+from .. import cpus
 from .autograd import Tensor, conv_block
 
 FINGERSPELLING_MAX_DILATIONS = (1, 2, 4, 8, 1, 1)  # receptive field 35
 ISR_MAX_DILATIONS = (1, 2, 4, 2, 1, 1)  # receptive field 23
+
+# A frozen forward on at least this many rows computes two row halves at once
+# (see Tcn.forward): the shortest length at which that gained. On a 2-vCPU VM,
+# BLAS on one thread, the three annotate forwards ran x0.80 as fast as whole at
+# 256 rows, x0.97 at 384, x1.12 at 512, x1.29 at 768 and x1.44 at 1024. On one
+# CPU the halves run in turn: x0.98 at 512 rows, x1.03 from 768.
+_SPLIT_ROWS = 512
 
 
 def branch_dilations(max_dilation: int) -> tuple[int, ...]:
@@ -165,7 +173,9 @@ class Tcn:
         block's backward in reverse order, skipping the input gradient of block 0.
         On a frozen one, ``zero_rows`` (a boolean mask over the T rows) sets
         those rows of every block's output back to zero: the gaps of
-        :meth:`forward_each`.
+        :meth:`forward_each`. A frozen forward of at least ``_SPLIT_ROWS`` rows
+        and no ``zero_rows`` computes its two row halves with :func:`cpus.run`,
+        each with :meth:`_rows`; the logits are byte-identical.
         """
         if x.ndim != 2 or x.shape[1] != self.config.input_dim:
             raise ValueError(
@@ -173,6 +183,27 @@ class Tcn:
             )
         if zero_rows is not None and self.grads is not None:
             raise ValueError("zero_rows needs a frozen network")
+        if self.grads is None and zero_rows is None and len(x) >= _SPLIT_ROWS:
+            T, halo = len(x), receptive_field(self.config) // 2
+            halves = cpus.run(
+                [lambda: self._rows(x, 0, T // 2, halo), lambda: self._rows(x, T // 2, T, halo)]
+            )
+            return Tensor(np.concatenate(halves))
+        return self._forward(x, zero_rows)
+
+    def _rows(self, x: np.ndarray, lo: int, hi: int, halo: int) -> np.ndarray:
+        """Rows ``lo:hi`` of the frozen logits of ``x``, from its rows ``lo - halo``
+        to ``hi + halo`` (clipped to the input).
+
+        Output row t reads input rows t - r .. t + r, r = receptive_field // 2,
+        so with ``halo`` >= r each row sees the operands of the whole forward:
+        the same bytes, as in :meth:`forward_each`, wherever BLAS computes a row
+        of a GEMM independently of the others (from 2 rows up).
+        """
+        start, stop = max(0, lo - halo), min(len(x), hi + halo)
+        return self._forward(x[start:stop], None).data[lo - start : hi - start]
+
+    def _forward(self, x: np.ndarray, zero_rows: np.ndarray | None) -> Tensor:
         h, steps = x, []
         for b, dils in enumerate(self.config.block_dilations):
             ws, bs, proj = _block_arrays(self.params, b, dils)

@@ -33,9 +33,7 @@ PACKAGE = "src/signscribe"
 USERS = ("src", "demos", "perfbench")
 
 # The public names that only tests call, each kept for a stated reason.
-ALLOWED_NAMES = {
-    "receptive_field": "acceptance criterion 3 checks the TCN receptive fields with it",
-}
+ALLOWED_NAMES: dict[str, str] = {}
 
 # The defaulted parameters that no call outside the tests passes, each kept for a stated reason.
 ALLOWED_PARAMETERS = {

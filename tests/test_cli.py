@@ -11,12 +11,13 @@ from pathlib import Path
 
 import pytest
 
+from signscribe import cli
 from signscribe import fingerspelling as fs_mod
 from signscribe import pipeline as pipe_mod
 from signscribe import synthetic as syn
 from signscribe.cli import main
 from signscribe.gloss import parse_gloss_sequence
-from signscribe.pose import write_pose_jsonl
+from signscribe.pose import read_pose_jsonl, write_pose_jsonl
 
 WORKED_LINE = "fs-BOB TRAVEL TO fs-FRICK PARK WITH DOG"
 WORKED_ENGLISH = "Bob travels to Frick Park with his dog."
@@ -405,6 +406,25 @@ class TestAnnotate:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_out_in_a_missing_directory_is_usage_error(
+        self, worked_poses_file, model_root, tmp_path, capsys, monkeypatch
+    ):
+        def no_load(*args):
+            raise AssertionError("models loaded before the output path was checked")
+
+        monkeypatch.setattr(cli, "_load_models", no_load)
+        missing = tmp_path / "nodir"
+        with pytest.raises(SystemExit) as exc_info:
+            main([
+                "annotate", "--english", WORKED_ENGLISH,
+                "--poses", str(worked_poses_file),
+                "--model-dir", str(model_root), "--out", str(missing / "o.json"),
+            ])
+        assert exc_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --out: no directory {missing}" in err
+        assert ".part" not in err and not missing.exists()
+
     def test_k_flag(self, worked_poses_file, model_root, tmp_path):
         out = tmp_path / "doc.json"
         assert main([
@@ -724,6 +744,78 @@ class TestAnnotate:
             parent.stderr.close()
             close_pipes()
 
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="sets CPU affinity masks")
+class TestCpuMask:
+    """Documents do not depend on the CPUs annotate runs on: a long video's
+    forwards split across every CPU of the mask, or run on one, and batch
+    workers each pinned to a CPU of their own write the same bytes."""
+
+    @pytest.fixture()
+    def long_video(self, world, tmp_path):
+        """A 539-frame video, long enough that every network forward splits,
+        beside a 131-frame one, so that a batch of both fills two workers."""
+        poses_dir = tmp_path / "poses"
+        poses_dir.mkdir()
+        for video_id, repeats in (("long0", 4), ("short0", 1)):
+            seq = parse_gloss_sequence(" ".join([WORKED_LINE] * repeats))
+            poses, _ = syn.compose_sentence_video(world, seq, seed=5, video_id=video_id)
+            write_pose_jsonl(poses_dir / f"{video_id}.jsonl", poses)
+        assert len(poses.timestamps) < 512 <= len(read_pose_jsonl(poses_dir / "long0.jsonl").timestamps)
+        return poses_dir / "long0.jsonl"
+
+    def test_document_bytes_do_not_depend_on_the_cpu_mask(self, long_video, model_root, tmp_path):
+        one_cpu = {min(os.sched_getaffinity(0))}
+        documents = {}
+        for name, preexec in (("one", lambda: os.sched_setaffinity(0, one_cpu)), ("all", None)):
+            out = tmp_path / f"{name}.json"
+            done = subprocess.run(
+                [sys.executable, "-m", "signscribe.cli", "annotate",
+                 "--english", WORKED_ENGLISH, "--poses", str(long_video),
+                 "--model-dir", str(model_root), "--out", str(out)],
+                capture_output=True, text=True, timeout=120, preexec_fn=preexec,
+                env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            )
+            assert done.returncode == 0, done.stderr
+            documents[name] = out.read_bytes()
+        assert documents["one"] == documents["all"]
+
+        transcripts = tmp_path / "transcripts.jsonl"
+        transcripts.write_text("".join(
+            json.dumps({"video_id": v, "english": WORKED_ENGLISH}) + "\n" for v in ("long0", "short0")
+        ))
+        batches = {}
+        for jobs in ("1", "2"):
+            out_dir = tmp_path / f"docs{jobs}"
+            assert main([
+                "annotate", "--transcripts", str(transcripts), "--poses-dir", str(long_video.parent),
+                "--model-dir", str(model_root), "--out", str(out_dir), "--jobs", jobs,
+            ]) == 0
+            batches[jobs] = {p.name: p.read_bytes() for p in sorted(out_dir.glob("*.json"))}
+        assert sorted(batches["1"]) == ["long0.json", "short0.json"]
+        assert batches["2"] == batches["1"]
+        assert batches["1"]["long0.json"] == documents["all"]
+
+    def test_forked_workers_take_different_cpus(self):
+        cpus = sorted(os.sched_getaffinity(0))
+        context = multiprocessing.get_context("fork")
+        started, results = context.Value("i", 0), context.Queue()
+
+        def worker():
+            cli._init_worker(None, os.getppid(), context.Event(), cpus, started)
+            results.put(sorted(os.sched_getaffinity(0)))
+
+        workers = [context.Process(target=worker) for _ in range(2)]
+        for w in workers:
+            w.start()
+        masks = [results.get(timeout=30) for _ in workers]
+        for w in workers:
+            w.join(timeout=30)
+            assert w.exitcode == 0
+        assert all(len(m) == 1 and m[0] in cpus for m in masks)
+        assert len(cpus) < 2 or masks[0] != masks[1]
+
+
 class TestRenderTimeline:
     def test_renders_fixture(self, tmp_path):
         out = tmp_path / "t.svg"
@@ -803,6 +895,33 @@ class TestEval:
         assert metrics[("gloss_cer", "all")] == 0.0
         assert metrics[("gloss_chrf", "all")] == 1.0
         assert metrics[("fs_temporal_f1", "all")] == 1.0
+
+    def test_temporal_spans_match_only_within_their_video(self, tmp_path):
+        """fixture01 spells BOB at 4-18 and FRICK at 52-70, but its truth has
+        them 100 frames later; fixture02's ranked candidate is empty, and its
+        truth has the words where fixture01 spelled them."""
+        doc = json.loads(Path("tests/data/doc_fixture.json").read_text())
+        top, empty = doc["candidates"]
+        top["rank"], empty["rank"] = 2, 1
+        doc["candidates"], doc["video_id"] = [empty, top], "fixture02"
+        other = tmp_path / "fixture02.json"
+        other.write_text(json.dumps(doc))
+        gloss = "fs-BOB TRAVEL TO fs-FRICK PARK"
+        truth = tmp_path / "truth.jsonl"
+        truth.write_text("".join(json.dumps(r) + "\n" for r in [
+            {"video_id": "fixture01", "gloss": gloss, "fs_words": [
+                {"word": "BOB", "start": 103, "end": 120}, {"word": "FRICK", "start": 150, "end": 171}]},
+            {"video_id": "fixture02", "gloss": gloss, "fs_words": [
+                {"word": "BOB", "start": 3, "end": 20}, {"word": "FRICK", "start": 50, "end": 71}]},
+        ]))
+        out = tmp_path / "report.json"
+        assert main([
+            "eval", "--pred", "tests/data/doc_fixture.json", str(other),
+            "--truth", str(truth), "--out", str(out),
+        ]) == 0
+        metrics = {m["name"]: (m["value"], m["count"]) for m in json.loads(out.read_text())["metrics"]}
+        for name in ("fs_temporal_precision", "fs_temporal_recall", "fs_temporal_f1"):
+            assert metrics[name] == (0.0, 4)
 
     @pytest.mark.parametrize("value", ["2", "-1", "0", "1", "nan"])
     def test_threshold_outside_unit_interval_is_usage_error(self, tmp_path, capsys, value):

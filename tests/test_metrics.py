@@ -213,6 +213,11 @@ class TestTemporalF1:
         rng.shuffle(shuffled)
         assert temporal_f1(shuffled, truth) == base
 
+    def test_spans_match_only_within_their_video(self):
+        pred = [TimedSpan("p", 10, 20, video="A")]
+        truth = [TimedSpan("t1", 12, 18, video="B"), TimedSpan("t2", 100, 110, video="A")]
+        assert temporal_f1(pred, truth) == (0.0, 0.0, 0.0)
+
     def test_bad_span_rejected(self):
         with pytest.raises(ValueError):
             TimedSpan("x", 5, 4)

@@ -646,6 +646,68 @@ class TestForwardEach:
             tcn.forward(np.ones((3, 4)), np.zeros(3, dtype=bool))
 
 
+def frozen_pair(config, seed):
+    """A trainable network with nonzero biases and a frozen copy of it."""
+    rng = np.random.default_rng(seed)
+    trained = nn.Tcn.init(config, rng)
+    for a in trained.params.values():
+        a += 0.1 * rng.normal(size=a.shape)
+    return trained, nn.Tcn.from_arrays(config, trained.params)
+
+
+class TestRowHalves:
+    """A frozen forward of a long input runs as two row halves with a halo; the
+    trainable network's forward, which never splits, is the oracle."""
+
+    @pytest.mark.parametrize("name", ["fingerspelling", "isr_two_hand", "isr_one_hand"])
+    @pytest.mark.parametrize("T", [512, 513, 940])
+    def test_forward_bytes_match_the_unsplit_forward(self, name, T):
+        trained, frozen = frozen_pair(BLOCK_CONFIGS[name], T)
+        x = np.random.default_rng(T + 1).normal(size=(T, trained.config.input_dim))
+        assert frozen.forward(x).data.tobytes() == trained.forward(x).data.tobytes()
+
+    @pytest.mark.parametrize("name", ["fingerspelling", "isr_two_hand"])
+    def test_rows_with_clipped_halos(self, name):
+        trained, frozen = frozen_pair(BLOCK_CONFIGS[name], 7)
+        T = 600
+        x = np.random.default_rng(8).normal(size=(T, trained.config.input_dim))
+        whole = trained.forward(x).data
+        halo = nn.receptive_field(trained.config) // 2
+        # clipped at row 0, at row T, at both, and clipped at neither
+        for lo, hi in [(0, 5), (3, 200), (T - 5, T), (450, T - 2), (0, T), (100, 300)]:
+            assert frozen._rows(x, lo, hi, halo).tobytes() == whole[lo:hi].tobytes(), (lo, hi)
+
+    @pytest.mark.parametrize("name", ["fingerspelling", "isr_one_hand"])
+    def test_a_halo_one_row_short_changes_a_row(self, name):
+        trained, frozen = frozen_pair(BLOCK_CONFIGS[name], 9)
+        T = 512
+        x = np.random.default_rng(10).normal(size=(T, trained.config.input_dim))
+        whole = trained.forward(x).data
+        short = nn.receptive_field(trained.config) // 2 - 1
+        for lo, hi in [(0, T // 2), (T // 2, T)]:
+            rows = frozen._rows(x, lo, hi, short)
+            assert (rows != whole[lo:hi]).any(axis=1).sum() >= 1
+
+    def test_only_long_frozen_forwards_split(self, monkeypatch):
+        config = BLOCK_CONFIGS["isr_one_hand"]
+        trained, frozen = frozen_pair(config, 0)
+        calls = []
+        real = tcn_mod.cpus.run
+
+        def spy(tasks):
+            calls.append(len(tasks))
+            return real(tasks)
+
+        monkeypatch.setattr(tcn_mod.cpus, "run", spy)
+        frozen.forward(np.ones((511, config.input_dim)))
+        trained.forward(np.ones((512, config.input_dim)))
+        frozen.forward(np.ones((512, config.input_dim)), np.zeros(512, dtype=bool))
+        frozen.forward_each([np.ones((600, config.input_dim))])
+        assert calls == []
+        frozen.forward(np.ones((512, config.input_dim)))
+        assert calls == [2]
+
+
 def reference_clip_grad_norm(params, max_norm):
     """Global-norm clipping over reference-engine tensors, one tensor at a time."""
     total = 0.0
